@@ -19,18 +19,36 @@
 //! Constraint generation walks every MIR instruction once: `alloca` and
 //! `malloc` introduce objects (address-of constraints), `cast`/`bin` are
 //! copies, `load`/`store` are the complex dereference constraints, and
-//! `gep` appends field paths. The system is solved with a worklist over
-//! sparse bitsets; complex constraints add new copy edges as points-to
-//! sets grow, which is the textbook O(n³) bound — in practice the MIR
-//! modules here are `-O0`-style and converge in a small number of
-//! iterations per node.
+//! `gep` appends field paths. A worklist solver propagates only the cells
+//! a node gained since it was last popped; complex constraints add new
+//! copy edges as points-to sets grow. On the generated Table 3 profiles
+//! every set holds at most one cell and one pass reaches the fixpoint, so
+//! the cost is the number of nodes, not the solve.
+//!
+//! Every table is therefore dense and indexed by id:
+//!
+//! * Instruction ids are dense below `Function::next_inst`, so the node of
+//!   `Var(f, i)` sits in slot `slot_base[f] + i` of one flat array.
+//!   Parameter and return nodes live in per-function tables, contents
+//!   nodes in a per-cell table, global literals in a per-global table.
+//!   Nodes are still numbered lazily, in the order the constraints first
+//!   name them, so the worklist order and every statistic are fixed.
+//! * A set of at most one cell is stored inline in its node; larger sets
+//!   spill to a sorted vector with a list of pending cells.
+//! * `load`, `store` and `gep` constraints are complete once generation
+//!   ends and are filed per pointer node in one compressed (CSR) array.
+//!   Copy edges grow while solving; they form per-node linked lists in one
+//!   arena, deduplicated by an Fx-hashed set. Field paths are interned.
+//! * [`PointsTo::cells_of_access`] returns a slice of one flat array
+//!   indexed by the same per-function slots.
 
 use crate::escape::EscapeInfo;
 use atomig_mir::{
     Builtin, Callee, FuncId, Function, GlobalId, InstId, InstKind, Module, Terminator, Value,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Field paths longer than this are truncated into summary cells, which
@@ -69,86 +87,6 @@ pub struct Cell {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub u32);
 
-/// A sparse bitset: 64-bit blocks keyed by block index in a `BTreeMap`,
-/// so iteration order (and therefore everything derived from the solver)
-/// is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SparseBitSet {
-    blocks: BTreeMap<u32, u64>,
-    len: usize,
-}
-
-impl SparseBitSet {
-    /// Inserts a bit; returns whether it was newly set.
-    pub fn insert(&mut self, bit: u32) -> bool {
-        let word = self.blocks.entry(bit / 64).or_insert(0);
-        let mask = 1u64 << (bit % 64);
-        if *word & mask == 0 {
-            *word |= mask;
-            self.len += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the bit is set.
-    pub fn contains(&self, bit: u32) -> bool {
-        self.blocks
-            .get(&(bit / 64))
-            .is_some_and(|w| w & (1u64 << (bit % 64)) != 0)
-    }
-
-    /// Number of set bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Adds every bit of `other`; returns whether anything was added.
-    pub fn union_with(&mut self, other: &SparseBitSet) -> bool {
-        let mut changed = false;
-        for (&k, &w) in &other.blocks {
-            let slot = self.blocks.entry(k).or_insert(0);
-            let added = w & !*slot;
-            if added != 0 {
-                *slot |= added;
-                self.len += added.count_ones() as usize;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// Set bits in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.blocks.iter().flat_map(|(&k, &w)| {
-            (0..64u32)
-                .filter(move |b| w & (1u64 << b) != 0)
-                .map(move |b| k * 64 + b)
-        })
-    }
-
-    /// Bits set in `self` but not in `other`, ascending.
-    pub fn difference(&self, other: &SparseBitSet) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (&k, &w) in &self.blocks {
-            let theirs = other.blocks.get(&k).copied().unwrap_or(0);
-            let mut d = w & !theirs;
-            while d != 0 {
-                let b = d.trailing_zeros();
-                out.push(k * 64 + b);
-                d &= d - 1;
-            }
-        }
-        out
-    }
-}
-
 /// Solver statistics, reported by the ablation harness.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PointsToStats {
@@ -163,193 +101,201 @@ pub struct PointsToStats {
     /// Fixpoint passes: the maximum number of times any single node was
     /// re-popped from the worklist (1 means one sweep sufficed).
     pub passes: usize,
-    /// Wall-clock time of constraint generation + solving.
+    /// Wall-clock time of the whole analysis: constraint generation,
+    /// solving, access resolution and shareability.
     pub solve_time: Duration,
 }
 
-/// Nodes of the constraint graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum NodeKey {
-    /// The SSA result of an instruction.
-    Var(FuncId, InstId),
-    /// A function parameter.
-    Param(FuncId, u32),
-    /// A function's return value.
-    Ret(FuncId),
-    /// The contents of a memory cell (created lazily by load/store).
-    Content(CellId),
-    /// A literal address operand (`@g` used as a value).
-    Lit(CellId),
+/// An absent node, cell or copy edge in the dense tables.
+const NONE: u32 = u32::MAX;
+
+/// Tag bit of [`NodeState::pts`]: the set has spilled to `Solver::big`.
+const BIG: u32 = 1 << 31;
+
+/// The Fx hash of rustc: one rotate, xor and multiply per word. Keys are
+/// node pairs and short field paths of the module being analysed, so a
+/// collision attack could only slow down the analysis of its own input.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// A value operand that resolves to a constraint node, named symbolically
-/// so constraint *generation* can run per function on worker threads
-/// without touching the solver's interning tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+type FxBuild = BuildHasherDefault<FxHasher>;
+
+/// A constraint node named symbolically, so constraint *generation* can
+/// run per function on worker threads without touching the solver's
+/// tables. `Var` names an instruction of the function being generated.
+#[derive(Debug, Clone, Copy)]
 enum RawNode {
     /// The SSA result of an instruction.
-    Var(FuncId, InstId),
-    /// A function parameter.
+    Var(InstId),
+    /// A parameter of a function.
     Param(FuncId, u32),
+    /// The return value of a function.
+    Ret(FuncId),
     /// A global used as a literal address.
     Global(GlobalId),
 }
 
-/// One base constraint, generated in parallel and applied sequentially in
-/// `FuncId` order. The apply step replays the exact node- and
-/// cell-interning order of the old single-threaded generator, so solver
-/// statistics (constraints, iterations, passes) are unchanged for any job
-/// count.
-#[derive(Debug, Clone)]
+/// One base constraint of a function, generated in parallel and applied
+/// sequentially in `FuncId` order. Applying names each constraint's nodes
+/// in field order, which replays the node- and cell-numbering of a
+/// single-threaded walk, so solver statistics (constraints, iterations,
+/// passes) are the same for any job count.
+#[derive(Debug, Clone, Copy)]
 enum RawConstraint {
-    /// `alloca`: a stack object and its address-of constraint.
-    StackObj { f: FuncId, i: InstId },
-    /// `malloc`: a heap object per static call site.
-    HeapObj { f: FuncId, i: InstId },
+    /// `alloca` or `malloc`: an object and its address-of constraint.
+    Obj {
+        i: InstId,
+        heap: bool,
+        shareable: bool,
+    },
+    /// Names a node without constraining it: a store with only one
+    /// resolvable side, or the result of pointer arithmetic before its
+    /// operands. Node numbering and counts include it.
+    Touch(RawNode),
+    /// `dst ⊇ src`: casts, pointer arithmetic, and the argument, return
+    /// and `spawn` bindings.
+    Copy { src: RawNode, dst: RawNode },
     /// `dst ⊇ *(pts p)`.
     Load { p: RawNode, dst: RawNode },
     /// `*(pts p) ⊇ src`.
     Store { p: RawNode, src: RawNode },
-    /// A store with only one resolvable side: no constraint, but the old
-    /// generator still interned the node, which later phases may look up.
-    Touch { n: RawNode },
-    /// `cmpxchg`/`rmw`: a load of the old contents plus, when the value
-    /// operand resolves, a store of the new one.
-    LoadStore {
-        p: RawNode,
-        dst: RawNode,
-        src: Option<RawNode>,
-    },
-    /// `dst ⊇ { c.path ++ path | c ∈ pts base }`.
+    /// `dst ⊇ { c.path ++ path | c ∈ pts base }`, where `path` is a range
+    /// of the function's path arena.
     Gep {
         base: RawNode,
         dst: RawNode,
-        path: Vec<i64>,
+        path: (u32, u32),
     },
-    /// `cast`: a type-agnostic copy.
-    Copy { src: RawNode, dst: RawNode },
-    /// Pointer ± integer arithmetic: the destination node exists even
-    /// when no operand resolves, matching the old generator.
-    Bin { dst: RawNode, ops: Vec<RawNode> },
-    /// A direct call: argument-to-parameter binds plus the return bind.
-    Call {
-        binds: Vec<(RawNode, u32)>,
-        target: FuncId,
-        dst: RawNode,
-    },
-    /// `spawn(@fn, arg)` binds the argument to the target's first
-    /// parameter.
-    SpawnBind { src: RawNode, target: FuncId },
-    /// `ret v` binds the value to the function's return node.
-    RetBind { src: RawNode, f: FuncId },
 }
 
-/// The node a value resolves to, or `None` for non-pointers. Mirrors
-/// `Solver::node_of` without interning anything.
-fn raw_of(f: FuncId, v: Value) -> Option<RawNode> {
-    match v {
-        Value::Inst(id) => Some(RawNode::Var(f, id)),
-        Value::Param(i) => Some(RawNode::Param(f, i)),
+/// The constraints of one function plus the arena their GEP paths index.
+struct FuncConstraints {
+    cons: Vec<RawConstraint>,
+    paths: Vec<i64>,
+}
+
+/// Generates the base constraints of function `fid`. Pure — safe to run
+/// for many functions in parallel.
+fn gen_func(fid: FuncId, func: &Function) -> FuncConstraints {
+    // The node a value resolves to, or `None` for non-pointers.
+    let raw_of = |v: Value| match v {
+        Value::Inst(id) => Some(RawNode::Var(id)),
+        Value::Param(i) => Some(RawNode::Param(fid, i)),
         Value::Global(g) => Some(RawNode::Global(g)),
         Value::Const(_) | Value::Null | Value::Func(_) => None,
-    }
-}
-
-/// Generates the base constraints of one function. Pure — safe to run
-/// for many functions in parallel.
-fn gen_func(fid: FuncId, func: &Function) -> Vec<RawConstraint> {
+    };
     let mut out = Vec::new();
+    let mut paths = Vec::new();
+    let mut escape: Option<EscapeInfo> = None;
     for (_, inst) in func.insts() {
-        let var = RawNode::Var(fid, inst.id);
+        assert!(
+            inst.id.0 < func.next_inst,
+            "points-to needs a verified module: {} is not below next_inst",
+            inst.id
+        );
+        let var = RawNode::Var(inst.id);
         match &inst.kind {
-            InstKind::Alloca { .. } => out.push(RawConstraint::StackObj { f: fid, i: inst.id }),
+            InstKind::Alloca { .. } => {
+                let escape = escape.get_or_insert_with(|| EscapeInfo::new(func));
+                out.push(RawConstraint::Obj {
+                    i: inst.id,
+                    heap: false,
+                    shareable: !escape.is_private_slot(inst.id),
+                });
+            }
             InstKind::Load { ptr, .. } => {
-                if let Some(p) = raw_of(fid, *ptr) {
+                if let Some(p) = raw_of(*ptr) {
                     out.push(RawConstraint::Load { p, dst: var });
                 }
             }
-            InstKind::Store { ptr, val, .. } => match (raw_of(fid, *ptr), raw_of(fid, *val)) {
-                (Some(p), Some(s)) => out.push(RawConstraint::Store { p, src: s }),
-                (Some(n), None) | (None, Some(n)) => out.push(RawConstraint::Touch { n }),
+            InstKind::Store { ptr, val, .. } => match (raw_of(*ptr), raw_of(*val)) {
+                (Some(p), Some(src)) => out.push(RawConstraint::Store { p, src }),
+                (Some(n), None) | (None, Some(n)) => out.push(RawConstraint::Touch(n)),
                 (None, None) => {}
             },
-            InstKind::Cmpxchg { ptr, new, .. } => {
-                // The result is the old contents; on success the `new`
-                // value is stored.
-                if let Some(p) = raw_of(fid, *ptr) {
-                    out.push(RawConstraint::LoadStore {
-                        p,
-                        dst: var,
-                        src: raw_of(fid, *new),
-                    });
-                }
-            }
-            InstKind::Rmw { ptr, val, .. } => {
-                // `xchg` stores the operand verbatim; the arithmetic ops
-                // over-approximate.
-                if let Some(p) = raw_of(fid, *ptr) {
-                    out.push(RawConstraint::LoadStore {
-                        p,
-                        dst: var,
-                        src: raw_of(fid, *val),
-                    });
+            // The result is the old contents; on success `cmpxchg` stores
+            // its `new` value, `xchg` its operand verbatim, and the
+            // arithmetic `rmw` ops over-approximate by the operand.
+            InstKind::Cmpxchg { ptr, new: val, .. } | InstKind::Rmw { ptr, val, .. } => {
+                if let Some(p) = raw_of(*ptr) {
+                    out.push(RawConstraint::Load { p, dst: var });
+                    if let Some(src) = raw_of(*val) {
+                        out.push(RawConstraint::Store { p, src });
+                    }
                 }
             }
             InstKind::Gep { base, indices, .. } => {
                 // The leading index scales whole objects (LLVM semantics)
                 // and is dropped, which also makes pointer arithmetic
                 // `p + n` alias `p` — sound for a may-analysis.
-                let path: Vec<i64> = indices
-                    .iter()
-                    .skip(1)
-                    .map(|i| i.as_const().unwrap_or(ANY_INDEX))
-                    .collect();
-                if let Some(b) = raw_of(fid, *base) {
+                if let Some(base) = raw_of(*base) {
+                    let lo = paths.len() as u32;
+                    let path = indices.iter().skip(1).map(|i| i.as_const());
+                    paths.extend(path.map(|c| c.unwrap_or(ANY_INDEX)));
                     out.push(RawConstraint::Gep {
-                        base: b,
+                        base,
                         dst: var,
-                        path,
+                        path: (lo, paths.len() as u32),
                     });
                 }
             }
             InstKind::Cast { value, .. } => {
                 // Type-agnostic copy: pointers survive laundering through
                 // integers (`(long)p` … `(T*)v`).
-                if let Some(s) = raw_of(fid, *value) {
-                    out.push(RawConstraint::Copy { src: s, dst: var });
+                if let Some(src) = raw_of(*value) {
+                    out.push(RawConstraint::Copy { src, dst: var });
                 }
             }
             InstKind::Bin { op, lhs, rhs, .. } => {
                 // Pointer ± integer arithmetic on laundered pointers:
                 // propagate through add/sub only.
                 if matches!(op, atomig_mir::BinOp::Add | atomig_mir::BinOp::Sub) {
-                    out.push(RawConstraint::Bin {
-                        dst: var,
-                        ops: [*lhs, *rhs]
-                            .into_iter()
-                            .filter_map(|v| raw_of(fid, v))
-                            .collect(),
-                    });
+                    out.push(RawConstraint::Touch(var));
+                    for src in [*lhs, *rhs].into_iter().filter_map(raw_of) {
+                        out.push(RawConstraint::Copy { src, dst: var });
+                    }
                 }
             }
             InstKind::Cmp { .. } | InstKind::Fence { .. } => {}
             InstKind::Call { callee, args, .. } => match callee {
-                Callee::Func(t) => out.push(RawConstraint::Call {
-                    binds: args
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(j, a)| raw_of(fid, *a).map(|s| (s, j as u32)))
-                        .collect(),
-                    target: *t,
-                    dst: var,
-                }),
-                Callee::Builtin(Builtin::Malloc) => {
-                    out.push(RawConstraint::HeapObj { f: fid, i: inst.id })
+                Callee::Func(t) => {
+                    for (j, a) in args.iter().enumerate() {
+                        if let Some(src) = raw_of(*a) {
+                            let dst = RawNode::Param(*t, j as u32);
+                            out.push(RawConstraint::Copy { src, dst });
+                        }
+                    }
+                    let src = RawNode::Ret(*t);
+                    out.push(RawConstraint::Copy { src, dst: var });
                 }
+                Callee::Builtin(Builtin::Malloc) => out.push(RawConstraint::Obj {
+                    i: inst.id,
+                    heap: true,
+                    shareable: true,
+                }),
                 Callee::Builtin(Builtin::Spawn) => {
                     if let (Some(Value::Func(t)), Some(a)) = (args.first(), args.get(1)) {
-                        if let Some(s) = raw_of(fid, *a) {
-                            out.push(RawConstraint::SpawnBind { src: s, target: *t });
+                        if let Some(src) = raw_of(*a) {
+                            let dst = RawNode::Param(*t, 0);
+                            out.push(RawConstraint::Copy { src, dst });
                         }
                     }
                 }
@@ -359,246 +305,333 @@ fn gen_func(fid: FuncId, func: &Function) -> Vec<RawConstraint> {
     }
     for b in func.block_ids() {
         if let Terminator::Ret(Some(v)) = &func.block(b).term {
-            if let Some(s) = raw_of(fid, *v) {
-                out.push(RawConstraint::RetBind { src: s, f: fid });
+            if let Some(src) = raw_of(*v) {
+                let dst = RawNode::Ret(fid);
+                out.push(RawConstraint::Copy { src, dst });
             }
         }
     }
-    out
+    FuncConstraints { cons: out, paths }
+}
+
+/// Solver state of one constraint node.
+#[derive(Debug, Clone, Copy)]
+struct NodeState {
+    /// The points-to set: empty (`NONE`), one cell id, or `BIG | k` for
+    /// the spilled set `Solver::big[k]`.
+    pts: u32,
+    /// First and last outgoing copy edge in `Solver::edges`.
+    copy_head: u32,
+    copy_tail: u32,
+    /// Worklist pops, for the fixpoint-pass statistic.
+    pops: u32,
+    queued: bool,
+}
+
+impl NodeState {
+    const EMPTY: NodeState = NodeState {
+        pts: NONE,
+        copy_head: NONE,
+        copy_tail: NONE,
+        pops: 0,
+        queued: false,
+    };
+}
+
+/// The node in `slot`, numbered next if the slot is still empty.
+fn lazy_node(nodes: &mut Vec<NodeState>, slot: &mut u32) -> u32 {
+    if *slot == NONE {
+        *slot = nodes.len() as u32;
+        nodes.push(NodeState::EMPTY);
+    }
+    *slot
+}
+
+/// A points-to set of two or more cells.
+#[derive(Debug)]
+struct BigSet {
+    /// The set, ascending.
+    cells: Vec<u32>,
+    /// Cells added since the node was last popped.
+    pending: Vec<u32>,
+}
+
+/// A `load`, `store` or `gep` constraint, filed under its pointer node.
+/// The variant order is the order `solve` processes them in.
+#[derive(Debug, Clone, Copy)]
+enum Complex {
+    /// `dst ⊇ { c.path ++ paths[path] | c ∈ pts p }`.
+    Gep { dst: u32, path: u32 },
+    /// `dst ⊇ *(pts p)`.
+    Load { dst: u32 },
+    /// `*(pts p) ⊇ src`.
+    Store { src: u32 },
+}
+
+impl Complex {
+    fn rank(self) -> u8 {
+        match self {
+            Complex::Gep { .. } => 0,
+            Complex::Load { .. } => 1,
+            Complex::Store { .. } => 2,
+        }
+    }
 }
 
 struct Solver {
     cells: Vec<Cell>,
-    cell_ids: HashMap<Cell, CellId>,
-    nodes: Vec<NodeKey>,
-    node_ids: HashMap<NodeKey, u32>,
-    /// Solved points-to set (cell ids) per node.
-    pts: Vec<SparseBitSet>,
-    /// Portion of `pts` already pushed through complex constraints.
-    done: Vec<SparseBitSet>,
-    copy_out: Vec<Vec<u32>>,
-    copy_seen: HashSet<(u32, u32)>,
-    /// `p -> dst`: `dst ⊇ *(pts p)`.
-    load_out: Vec<Vec<u32>>,
-    /// `p -> src`: `*(pts p) ⊇ src`.
-    store_in: Vec<Vec<u32>>,
-    /// `p -> (dst, path)`: `dst ⊇ { c.path ++ path | c ∈ pts p }`.
-    gep_out: Vec<Vec<(u32, Vec<i64>)>>,
+    /// Whether each cell may be visible to more than one thread.
+    shareable: Vec<bool>,
+    /// The contents node of each cell.
+    content: Vec<u32>,
+    cell_ids: HashMap<(ObjBase, u32, bool), u32, FxBuild>,
+    /// Interned field paths; id 0 is the empty path.
+    paths: Vec<Vec<i64>>,
+    path_ids: HashMap<Vec<i64>, u32, FxBuild>,
+    /// First `Var` slot of each function, then the slot count.
+    slot_base: Vec<u32>,
+    /// The node of each `Var` slot.
+    var: Vec<u32>,
+    /// Parameter and return nodes per function, literal nodes per global.
+    param: Vec<Vec<u32>>,
+    ret: Vec<u32>,
+    lit: Vec<u32>,
+    nodes: Vec<NodeState>,
+    big: Vec<BigSet>,
+    /// Copy edges `(dst, next)`, linked per source in insertion order.
+    edges: Vec<(u32, u32)>,
+    /// `src << 32 | dst` of every copy edge.
+    copy_seen: HashSet<u64, FxBuild>,
+    /// Complex constraints with their pointer node, in apply order.
+    complex: Vec<(u32, Complex)>,
     worklist: Vec<u32>,
-    queued: Vec<bool>,
-    /// Pops of each node, for the fixpoint-pass statistic.
-    pops: Vec<u32>,
+    /// Scratch buffers, reused so the solve loop never allocates.
+    set_buf: Vec<u32>,
+    path_buf: Vec<i64>,
     stats: PointsToStats,
 }
 
 impl Solver {
-    fn new() -> Solver {
+    fn new(m: &Module) -> Solver {
+        let mut slot_base = Vec::with_capacity(m.funcs.len() + 1);
+        let mut slots: u32 = 0;
+        for f in &m.funcs {
+            slot_base.push(slots);
+            slots = slots
+                .checked_add(f.next_inst)
+                .expect("instruction ids of a module fit in u32");
+        }
+        slot_base.push(slots);
+        let mut path_ids = HashMap::default();
+        path_ids.insert(Vec::new(), 0);
         Solver {
             cells: Vec::new(),
-            cell_ids: HashMap::new(),
+            shareable: Vec::new(),
+            content: Vec::new(),
+            cell_ids: HashMap::default(),
+            paths: vec![Vec::new()],
+            path_ids,
+            slot_base,
+            var: vec![NONE; slots as usize],
+            param: m.funcs.iter().map(|f| vec![NONE; f.params.len()]).collect(),
+            ret: vec![NONE; m.funcs.len()],
+            lit: vec![NONE; m.globals.len()],
             nodes: Vec::new(),
-            node_ids: HashMap::new(),
-            pts: Vec::new(),
-            done: Vec::new(),
-            copy_out: Vec::new(),
-            copy_seen: HashSet::new(),
-            load_out: Vec::new(),
-            store_in: Vec::new(),
-            gep_out: Vec::new(),
+            big: Vec::new(),
+            edges: Vec::new(),
+            copy_seen: HashSet::default(),
+            complex: Vec::new(),
             worklist: Vec::new(),
-            queued: Vec::new(),
-            pops: Vec::new(),
+            set_buf: Vec::new(),
+            path_buf: Vec::new(),
             stats: PointsToStats::default(),
         }
     }
 
-    fn intern_cell(&mut self, cell: Cell) -> CellId {
-        if let Some(&id) = self.cell_ids.get(&cell) {
+    fn intern_path(&mut self, path: &[i64]) -> u32 {
+        if let Some(&id) = self.path_ids.get(path) {
             return id;
         }
-        let id = CellId(self.cells.len() as u32);
-        self.cells.push(cell.clone());
-        self.cell_ids.insert(cell, id);
+        let id = self.paths.len() as u32;
+        self.paths.push(path.to_vec());
+        self.path_ids.insert(path.to_vec(), id);
         id
     }
 
-    fn base_cell(&mut self, base: ObjBase) -> CellId {
-        self.intern_cell(Cell {
-            base,
-            path: Vec::new(),
-            summary: false,
-        })
+    fn intern_cell(&mut self, base: ObjBase, path: u32, summary: bool, shareable: bool) -> u32 {
+        let next = self.cells.len() as u32;
+        let id = *self.cell_ids.entry((base, path, summary)).or_insert(next);
+        if id == next {
+            assert!(next < BIG, "cell ids leave the set tag bit free");
+            self.cells.push(Cell {
+                base,
+                path: self.paths[path as usize].clone(),
+                summary,
+            });
+            self.shareable.push(shareable);
+            self.content.push(NONE);
+        }
+        id
     }
 
-    fn node(&mut self, key: NodeKey) -> u32 {
-        if let Some(&n) = self.node_ids.get(&key) {
-            return n;
+    /// `cell` viewed through a GEP that appends the interned `path`.
+    fn gep_cell(&mut self, cell: u32, path: u32) -> u32 {
+        let c = &self.cells[cell as usize];
+        if c.summary || path == 0 {
+            return cell;
         }
-        let n = self.nodes.len() as u32;
-        self.nodes.push(key);
-        self.node_ids.insert(key, n);
-        self.pts.push(SparseBitSet::default());
-        self.done.push(SparseBitSet::default());
-        self.copy_out.push(Vec::new());
-        self.load_out.push(Vec::new());
-        self.store_in.push(Vec::new());
-        self.gep_out.push(Vec::new());
-        self.queued.push(false);
-        self.pops.push(0);
-        if let NodeKey::Lit(c) = key {
-            self.pts[n as usize].insert(c.0);
-            self.enqueue(n);
-        }
-        n
+        let mut full = std::mem::take(&mut self.path_buf);
+        full.clear();
+        full.extend_from_slice(&c.path);
+        full.extend_from_slice(&self.paths[path as usize]);
+        let summary = full.len() > MAX_PATH;
+        full.truncate(MAX_PATH);
+        let (base, shareable) = (c.base, self.shareable[cell as usize]);
+        let full_id = self.intern_path(&full);
+        self.path_buf = full;
+        self.intern_cell(base, full_id, summary, shareable)
     }
 
-    fn enqueue(&mut self, n: u32) {
-        if !self.queued[n as usize] {
-            self.queued[n as usize] = true;
+    /// The points-to set of `n`, ascending.
+    fn pts(&self, n: u32) -> &[u32] {
+        let pts = &self.nodes[n as usize].pts;
+        match *pts {
+            NONE => &[],
+            p if p & BIG != 0 => &self.big[(p & !BIG) as usize].cells,
+            _ => std::slice::from_ref(pts),
+        }
+    }
+
+    /// Adds cell `c` to `pts(n)` and enqueues `n` if the set grew.
+    fn insert(&mut self, n: u32, c: u32) {
+        let node = &mut self.nodes[n as usize];
+        match node.pts {
+            NONE => node.pts = c,
+            p if p & BIG == 0 => {
+                if p == c {
+                    return;
+                }
+                // A node is queued exactly while it has unprocessed cells,
+                // so the lone cell is pending iff the node is queued.
+                let pending = if node.queued { vec![p, c] } else { vec![c] };
+                node.pts = BIG | self.big.len() as u32;
+                self.big.push(BigSet {
+                    cells: vec![p.min(c), p.max(c)],
+                    pending,
+                });
+            }
+            p => {
+                let set = &mut self.big[(p & !BIG) as usize];
+                match set.cells.binary_search(&c) {
+                    Ok(_) => return,
+                    Err(at) => {
+                        set.cells.insert(at, c);
+                        set.pending.push(c);
+                    }
+                }
+            }
+        }
+        let node = &mut self.nodes[n as usize];
+        if !node.queued {
+            node.queued = true;
             self.worklist.push(n);
-        }
-    }
-
-    fn add_pts(&mut self, n: u32, c: CellId) {
-        self.stats.constraints += 1;
-        if self.pts[n as usize].insert(c.0) {
-            self.enqueue(n);
         }
     }
 
     /// Adds the subset edge `dst ⊇ src` and propagates the current set.
     fn add_copy(&mut self, src: u32, dst: u32) {
-        if src == dst || !self.copy_seen.insert((src, dst)) {
+        if src == dst || !self.copy_seen.insert(u64::from(src) << 32 | u64::from(dst)) {
             return;
         }
-        self.copy_out[src as usize].push(dst);
-        if !self.pts[src as usize].is_empty() {
-            let src_set = self.pts[src as usize].clone();
-            if self.pts[dst as usize].union_with(&src_set) {
-                self.enqueue(dst);
-            }
+        let e = self.edges.len() as u32;
+        self.edges.push((dst, NONE));
+        let node = &mut self.nodes[src as usize];
+        match node.copy_tail {
+            NONE => node.copy_head = e,
+            tail => self.edges[tail as usize].1 = e,
         }
+        node.copy_tail = e;
+        let mut set = std::mem::take(&mut self.set_buf);
+        set.clear();
+        set.extend_from_slice(self.pts(src));
+        for &c in &set {
+            self.insert(dst, c);
+        }
+        self.set_buf = set;
     }
 
-    /// `cell` viewed through a GEP that appends `path`.
-    fn gep_cell(&mut self, cell: CellId, path: &[i64]) -> CellId {
-        let c = &self.cells[cell.0 as usize];
-        if c.summary || path.is_empty() {
-            return cell;
+    /// The literal node of global `g`, which points to `g`'s cell.
+    fn lit(&mut self, g: GlobalId) -> u32 {
+        let n = self.lit[g.0 as usize];
+        if n != NONE {
+            return n;
         }
-        let mut new_path = c.path.clone();
-        new_path.extend_from_slice(path);
-        let summary = new_path.len() > MAX_PATH;
-        if summary {
-            new_path.truncate(MAX_PATH);
-        }
-        let base = c.base;
-        self.intern_cell(Cell {
-            base,
-            path: new_path,
-            summary,
-        })
+        let c = self.intern_cell(ObjBase::Global(g), 0, false, true);
+        let n = lazy_node(&mut self.nodes, &mut self.lit[g.0 as usize]);
+        self.insert(n, c);
+        n
     }
 
-    /// Interns the node behind a symbolic operand (mirrors `node_of` for
-    /// the resolvable cases).
-    fn raw_node(&mut self, r: RawNode) -> u32 {
+    /// The node behind `r` (a node of function `f` if it is a `Var`),
+    /// numbered next if it is new.
+    fn raw(&mut self, f: FuncId, r: RawNode) -> u32 {
         match r {
-            RawNode::Var(f, i) => self.node(NodeKey::Var(f, i)),
-            RawNode::Param(f, i) => self.node(NodeKey::Param(f, i)),
-            RawNode::Global(g) => {
-                let c = self.base_cell(ObjBase::Global(g));
-                self.node(NodeKey::Lit(c))
+            RawNode::Var(i) => {
+                let slot = (self.slot_base[f.0 as usize] + i.0) as usize;
+                lazy_node(&mut self.nodes, &mut self.var[slot])
             }
+            RawNode::Param(g, j) => {
+                let slots = &mut self.param[g.0 as usize];
+                if slots.len() <= j as usize {
+                    slots.resize(j as usize + 1, NONE);
+                }
+                lazy_node(&mut self.nodes, &mut slots[j as usize])
+            }
+            RawNode::Ret(g) => lazy_node(&mut self.nodes, &mut self.ret[g.0 as usize]),
+            RawNode::Global(g) => self.lit(g),
         }
     }
 
-    /// Installs one generated constraint. Node/cell interning order — and
-    /// with it every downstream statistic — matches the old sequential
-    /// generator exactly.
-    fn apply(&mut self, c: &RawConstraint) {
+    /// Installs one generated constraint of function `f`.
+    fn apply(&mut self, f: FuncId, c: RawConstraint, paths: &[i64]) {
         match c {
-            RawConstraint::StackObj { f, i } => {
-                let c = self.base_cell(ObjBase::Stack(*f, *i));
-                let n = self.node(NodeKey::Var(*f, *i));
-                self.add_pts(n, c);
+            RawConstraint::Obj { i, heap, shareable } => {
+                let base = if heap {
+                    ObjBase::Heap(f, i)
+                } else {
+                    ObjBase::Stack(f, i)
+                };
+                let c = self.intern_cell(base, 0, false, shareable);
+                let n = self.raw(f, RawNode::Var(i));
+                self.insert(n, c);
             }
-            RawConstraint::HeapObj { f, i } => {
-                let c = self.base_cell(ObjBase::Heap(*f, *i));
-                let n = self.node(NodeKey::Var(*f, *i));
-                self.add_pts(n, c);
-            }
-            RawConstraint::Load { p, dst } => {
-                let p = self.raw_node(*p);
-                let dst = self.raw_node(*dst);
-                self.load_out[p as usize].push(dst);
-                self.stats.constraints += 1;
-            }
-            RawConstraint::Store { p, src } => {
-                let p = self.raw_node(*p);
-                let s = self.raw_node(*src);
-                self.store_in[p as usize].push(s);
-                self.stats.constraints += 1;
-            }
-            RawConstraint::Touch { n } => {
-                self.raw_node(*n);
-            }
-            RawConstraint::LoadStore { p, dst, src } => {
-                let p = self.raw_node(*p);
-                let dst = self.raw_node(*dst);
-                self.load_out[p as usize].push(dst);
-                self.stats.constraints += 1;
-                if let Some(src) = src {
-                    let s = self.raw_node(*src);
-                    self.store_in[p as usize].push(s);
-                    self.stats.constraints += 1;
-                }
-            }
-            RawConstraint::Gep { base, dst, path } => {
-                let b = self.raw_node(*base);
-                let dst = self.raw_node(*dst);
-                self.gep_out[b as usize].push((dst, path.clone()));
-                self.stats.constraints += 1;
+            RawConstraint::Touch(n) => {
+                self.raw(f, n);
+                return;
             }
             RawConstraint::Copy { src, dst } => {
-                let s = self.raw_node(*src);
-                let dst = self.raw_node(*dst);
-                self.add_copy(s, dst);
-                self.stats.constraints += 1;
+                let src = self.raw(f, src);
+                let dst = self.raw(f, dst);
+                self.add_copy(src, dst);
             }
-            RawConstraint::Bin { dst, ops } => {
-                let dst = self.raw_node(*dst);
-                for op in ops {
-                    let s = self.raw_node(*op);
-                    self.add_copy(s, dst);
-                    self.stats.constraints += 1;
-                }
+            RawConstraint::Load { p, dst } => {
+                let p = self.raw(f, p);
+                let dst = self.raw(f, dst);
+                self.complex.push((p, Complex::Load { dst }));
             }
-            RawConstraint::Call { binds, target, dst } => {
-                for (src, j) in binds {
-                    let s = self.raw_node(*src);
-                    let p = self.node(NodeKey::Param(*target, *j));
-                    self.add_copy(s, p);
-                    self.stats.constraints += 1;
-                }
-                let r = self.node(NodeKey::Ret(*target));
-                let dst = self.raw_node(*dst);
-                self.add_copy(r, dst);
-                self.stats.constraints += 1;
+            RawConstraint::Store { p, src } => {
+                let p = self.raw(f, p);
+                let src = self.raw(f, src);
+                self.complex.push((p, Complex::Store { src }));
             }
-            RawConstraint::SpawnBind { src, target } => {
-                let s = self.raw_node(*src);
-                let p = self.node(NodeKey::Param(*target, 0));
-                self.add_copy(s, p);
-                self.stats.constraints += 1;
-            }
-            RawConstraint::RetBind { src, f } => {
-                let s = self.raw_node(*src);
-                let r = self.node(NodeKey::Ret(*f));
-                self.add_copy(s, r);
-                self.stats.constraints += 1;
+            RawConstraint::Gep { base, dst, path } => {
+                let base = self.raw(f, base);
+                let dst = self.raw(f, dst);
+                let path = self.intern_path(&paths[path.0 as usize..path.1 as usize]);
+                self.complex.push((base, Complex::Gep { dst, path }));
             }
         }
+        self.stats.constraints += 1;
     }
 
     /// Walks every function's instructions — in parallel across `jobs`
@@ -608,59 +641,130 @@ impl Solver {
     fn generate(&mut self, m: &Module, jobs: usize) {
         let fids: Vec<FuncId> = m.func_ids().collect();
         let pool = atomig_par::WorkerPool::new(jobs);
-        let batches = pool.map(&fids, |_, &fid| gen_func(fid, m.func(fid)));
-        for batch in &batches {
-            for c in batch {
-                self.apply(c);
+        let funcs = pool.map(&fids, |_, &fid| gen_func(fid, m.func(fid)));
+        for (&fid, fc) in fids.iter().zip(&funcs) {
+            for &c in &fc.cons {
+                self.apply(fid, c, &fc.paths);
             }
         }
     }
 
+    /// Files the complex constraints under their pointer nodes: node `n`'s
+    /// are `list[start[n]..start[n + 1]]`, geps first, then loads, then
+    /// stores, each in apply order.
+    fn group_complex(&mut self) -> (Vec<u32>, Vec<Complex>) {
+        let complex = std::mem::take(&mut self.complex);
+        let mut start = vec![0u32; self.nodes.len() + 1];
+        for &(p, _) in &complex {
+            start[p as usize + 1] += 1;
+        }
+        for n in 0..self.nodes.len() {
+            start[n + 1] += start[n];
+        }
+        let mut next = start.clone();
+        let mut list = vec![Complex::Load { dst: NONE }; complex.len()];
+        for rank in 0..3 {
+            for &(p, e) in complex.iter().filter(|(_, e)| e.rank() == rank) {
+                list[next[p as usize] as usize] = e;
+                next[p as usize] += 1;
+            }
+        }
+        (start, list)
+    }
+
     fn solve(&mut self) {
+        let (start, complex) = self.group_complex();
+        let mut delta = Vec::new();
         while let Some(n) = self.worklist.pop() {
-            self.queued[n as usize] = false;
+            let node = &mut self.nodes[n as usize];
+            node.queued = false;
+            node.pops += 1;
             self.stats.iterations += 1;
-            self.pops[n as usize] += 1;
-            let delta = self.pts[n as usize].difference(&self.done[n as usize]);
+            delta.clear();
+            match node.pts {
+                NONE => {}
+                p if p & BIG == 0 => delta.push(p),
+                p => {
+                    std::mem::swap(&mut delta, &mut self.big[(p & !BIG) as usize].pending);
+                    delta.sort_unstable();
+                }
+            }
             if delta.is_empty() {
                 continue;
             }
-            self.done[n as usize] = self.pts[n as usize].clone();
             // Simple edges: push the delta to all copy successors.
-            let copies = self.copy_out[n as usize].clone();
-            for dst in copies {
-                let mut changed = false;
+            let mut e = self.nodes[n as usize].copy_head;
+            while e != NONE {
+                let (dst, next) = self.edges[e as usize];
                 for &c in &delta {
-                    changed |= self.pts[dst as usize].insert(c);
+                    self.insert(dst, c);
                 }
-                if changed {
-                    self.enqueue(dst);
-                }
+                e = next;
             }
             // Complex edges: each new pointee materializes copy edges
-            // from/to its contents node, or a derived field cell.
-            let geps = self.gep_out[n as usize].clone();
-            let loads = self.load_out[n as usize].clone();
-            let stores = self.store_in[n as usize].clone();
+            // from/to its contents node, or a derived field cell. Nodes
+            // numbered while solving are contents nodes, which own none.
+            let own = match start.get(n as usize..n as usize + 2) {
+                Some(&[lo, hi]) => &complex[lo as usize..hi as usize],
+                _ => &[],
+            };
             for &c in &delta {
-                for (dst, path) in &geps {
-                    let fc = self.gep_cell(CellId(c), path);
-                    if self.pts[*dst as usize].insert(fc.0) {
-                        self.enqueue(*dst);
-                    }
-                }
-                if !loads.is_empty() || !stores.is_empty() {
-                    let content = self.node(NodeKey::Content(CellId(c)));
-                    for &dst in &loads {
-                        self.add_copy(content, dst);
-                    }
-                    for &src in &stores {
-                        self.add_copy(src, content);
+                for &e in own {
+                    match e {
+                        Complex::Gep { dst, path } => {
+                            let fc = self.gep_cell(c, path);
+                            self.insert(dst, fc);
+                        }
+                        Complex::Load { dst } => {
+                            let k = lazy_node(&mut self.nodes, &mut self.content[c as usize]);
+                            self.add_copy(k, dst);
+                        }
+                        Complex::Store { src } => {
+                            let k = lazy_node(&mut self.nodes, &mut self.content[c as usize]);
+                            self.add_copy(src, k);
+                        }
                     }
                 }
             }
         }
-        self.stats.passes = self.pops.iter().copied().max().unwrap_or(0) as usize;
+        self.stats.passes = self.nodes.iter().map(|n| n.pops).max().unwrap_or(0) as usize;
+    }
+
+    /// The cells of every memory access, as a CSR over the `Var` slots:
+    /// slot `k`'s cells are `cells[start[k]..start[k + 1]]`, empty for
+    /// slots that are not accesses.
+    fn resolve_accesses(&mut self, m: &Module) -> (Vec<u32>, Vec<CellId>) {
+        let mut start = Vec::with_capacity(self.var.len() + 1);
+        let mut cells = Vec::new();
+        let mut node_of_id = Vec::new();
+        for fid in m.func_ids() {
+            let func = m.func(fid);
+            let base = self.slot_base[fid.0 as usize] as usize;
+            node_of_id.clear();
+            node_of_id.resize(func.next_inst as usize, NONE);
+            for (_, inst) in func.insts() {
+                if !inst.kind.is_memory_access() {
+                    continue;
+                }
+                node_of_id[inst.id.0 as usize] = match inst.kind.address() {
+                    Some(Value::Global(g)) => self.lit(g),
+                    Some(Value::Inst(id)) => self.var[base + id.0 as usize],
+                    Some(Value::Param(j)) => self.param[fid.0 as usize]
+                        .get(j as usize)
+                        .copied()
+                        .unwrap_or(NONE),
+                    _ => NONE,
+                };
+            }
+            for &n in &node_of_id {
+                start.push(cells.len() as u32);
+                if n != NONE {
+                    cells.extend(self.pts(n).iter().map(|&c| CellId(c)));
+                }
+            }
+        }
+        start.push(cells.len() as u32);
+        (start, cells)
     }
 }
 
@@ -671,14 +775,21 @@ pub struct PointsTo {
     /// Whether each cell may be visible to more than one thread (globals,
     /// heap objects, and *escaping* stack slots).
     shareable: Vec<bool>,
-    /// Resolved cells of every memory access's address operand.
-    access_cells: HashMap<(FuncId, InstId), Vec<CellId>>,
+    /// First slot of each function — its instruction ids are dense below
+    /// `next_inst` — then the slot count.
+    slot_base: Vec<u32>,
+    /// Cells of the access in slot `k`: `access_cells[access_start[k]..
+    /// access_start[k + 1]]`.
+    access_start: Vec<u32>,
+    access_cells: Vec<CellId>,
     /// Solver statistics.
     pub stats: PointsToStats,
 }
 
 impl PointsTo {
     /// Generates and solves the constraint system for `m` on one thread.
+    /// `m` must be verified: every instruction id below its function's
+    /// `next_inst`.
     pub fn analyze(m: &Module) -> PointsTo {
         PointsTo::analyze_with_jobs(m, 1)
     }
@@ -688,60 +799,19 @@ impl PointsTo {
     /// is identical for any job count; only wall time differs.
     pub fn analyze_with_jobs(m: &Module, jobs: usize) -> PointsTo {
         let t0 = Instant::now();
-        let mut s = Solver::new();
+        let mut s = Solver::new(m);
         s.generate(m, jobs);
         s.solve();
-
-        // Resolve every memory access to its address cells.
-        let mut access_cells: HashMap<(FuncId, InstId), Vec<CellId>> = HashMap::new();
-        for fid in m.func_ids() {
-            let func = m.func(fid);
-            for (_, inst) in func.insts() {
-                if !inst.kind.is_memory_access() {
-                    continue;
-                }
-                let cells: Vec<CellId> = match inst.kind.address() {
-                    Some(Value::Global(g)) => vec![s.base_cell(ObjBase::Global(g))],
-                    Some(Value::Inst(id)) => s
-                        .node_ids
-                        .get(&NodeKey::Var(fid, id))
-                        .map(|&n| s.pts[n as usize].iter().map(CellId).collect())
-                        .unwrap_or_default(),
-                    Some(Value::Param(i)) => s
-                        .node_ids
-                        .get(&NodeKey::Param(fid, i))
-                        .map(|&n| s.pts[n as usize].iter().map(CellId).collect())
-                        .unwrap_or_default(),
-                    _ => Vec::new(),
-                };
-                access_cells.insert((fid, inst.id), cells);
-            }
-        }
-
-        // A stack cell is shareable only if its alloca escapes; globals
-        // and heap objects always are.
-        let mut escapes: HashMap<FuncId, EscapeInfo> = HashMap::new();
-        let shareable: Vec<bool> = s
-            .cells
-            .iter()
-            .map(|c| match c.base {
-                ObjBase::Global(_) | ObjBase::Heap(..) => true,
-                ObjBase::Stack(f, id) => {
-                    let info = escapes
-                        .entry(f)
-                        .or_insert_with(|| EscapeInfo::new(m.func(f)));
-                    !info.is_private_slot(id)
-                }
-            })
-            .collect();
-
+        let (access_start, access_cells) = s.resolve_accesses(m);
         let mut stats = s.stats;
         stats.nodes = s.nodes.len();
         stats.cells = s.cells.len();
         stats.solve_time = t0.elapsed();
         PointsTo {
             cells: s.cells,
-            shareable,
+            shareable: s.shareable,
+            slot_base: s.slot_base,
+            access_start,
             access_cells,
             stats,
         }
@@ -749,12 +819,18 @@ impl PointsTo {
 
     /// The cells the address operand of access `(f, i)` may point to.
     /// Empty when the pointer is statically unresolvable (e.g. a library
-    /// entry point's parameter no caller binds).
+    /// entry point's parameter no caller binds), and for any id that is
+    /// not a memory access.
     pub fn cells_of_access(&self, f: FuncId, i: InstId) -> &[CellId] {
-        self.access_cells
-            .get(&(f, i))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let f = f.0 as usize;
+        let Some(&[base, end]) = self.slot_base.get(f..f + 2) else {
+            return &[];
+        };
+        let slot = base as usize + i.0 as usize;
+        if slot >= end as usize {
+            return &[];
+        }
+        &self.access_cells[self.access_start[slot] as usize..self.access_start[slot + 1] as usize]
     }
 
     /// The interned cell behind an id.
@@ -1195,27 +1271,75 @@ mod tests {
             assert_eq!(par.stats.constraints, seq.stats.constraints, "jobs={jobs}");
             assert_eq!(par.stats.iterations, seq.stats.iterations, "jobs={jobs}");
             assert_eq!(par.stats.passes, seq.stats.passes, "jobs={jobs}");
+            assert_eq!(par.slot_base, seq.slot_base, "jobs={jobs}");
+            assert_eq!(par.access_start, seq.access_start, "jobs={jobs}");
             assert_eq!(par.access_cells, seq.access_cells, "jobs={jobs}");
             assert_eq!(par.cells, seq.cells, "jobs={jobs}");
             assert_eq!(par.shareable, seq.shareable, "jobs={jobs}");
         }
     }
 
+    /// Edge cases of the flat per-slot access table.
     #[test]
-    fn sparse_bitset_basics() {
-        let mut a = SparseBitSet::default();
-        assert!(a.insert(3));
-        assert!(!a.insert(3));
-        assert!(a.insert(64));
-        assert!(a.insert(1000));
-        assert_eq!(a.len(), 3);
-        assert!(a.contains(64) && !a.contains(65));
-        let mut b = SparseBitSet::default();
-        b.insert(64);
-        b.insert(2);
-        assert_eq!(a.difference(&b), vec![3, 1000]);
-        assert!(b.union_with(&a));
-        assert!(!b.union_with(&a));
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![2, 3, 64, 1000]);
+    fn cells_of_access_covers_every_slot_edge() {
+        let m = atomig_mir::parse_module(
+            r#"
+            global @g: i32 = 0
+            fn @lib(%p: ptr i32) : i32 {
+            bb0:
+              %v = load i32, %p
+              ret %v
+            }
+            fn @quiet(%x: i64) : i64 {
+            bb0:
+              %y = add %x, 1
+              ret %y
+            }
+            fn @last() : void {
+            bb0:
+              %a = alloca i32
+              store i32 1, %a
+              store i32 1, @g
+              ret
+            }
+            "#,
+        )
+        .unwrap();
+        atomig_mir::verify_module(&m).unwrap();
+        let pt = PointsTo::analyze(&m);
+        // An access whose pointer no caller binds resolves to nothing.
+        let (lib, v) = first_access(&m, "lib", 0);
+        assert_eq!(pt.cells_of_access(lib, v), &[]);
+        // A function without accesses has only empty slots.
+        let quiet = m.func_by_name("quiet").unwrap();
+        for i in 0..m.func(quiet).next_inst {
+            assert_eq!(pt.cells_of_access(quiet, InstId(i)), &[]);
+        }
+        // Ids that are not memory accesses are empty, as are ids and
+        // functions past the end of the table.
+        let last = m.func_by_name("last").unwrap();
+        let (_, slot_store) = first_access(&m, "last", 0);
+        let (_, g_store) = first_access(&m, "last", 1);
+        let alloca = m.func(last).insts().next().unwrap().1.id;
+        assert_eq!(pt.cells_of_access(last, alloca), &[]);
+        assert_eq!(
+            pt.cells_of_access(last, InstId(m.func(last).next_inst)),
+            &[]
+        );
+        assert_eq!(
+            pt.cells_of_access(FuncId(m.funcs.len() as u32), InstId(0)),
+            &[]
+        );
+        // The last access of the last function fills the final slot.
+        assert_eq!(g_store.0 + 1, m.func(last).next_inst);
+        let cells = pt.cells_of_access(last, g_store);
+        assert_eq!(cells.len(), 1);
+        assert_eq!(
+            pt.cell(cells[0]).base,
+            ObjBase::Global(atomig_mir::GlobalId(0))
+        );
+        let slot = pt.cells_of_access(last, slot_store);
+        assert_eq!(slot.len(), 1);
+        assert_eq!(pt.cell(slot[0]).base, ObjBase::Stack(last, alloca));
     }
 }
