@@ -5,48 +5,51 @@
 //! function argument passed by reference, or a stack variable whose address
 //! is taken and escapes the function scope."
 
-use atomig_mir::{Function, InstId, InstKind, Terminator, Value};
-use std::collections::{HashMap, HashSet};
+use atomig_mir::{InstId, InstIndex, InstKind, Terminator, Value};
 
-/// Escape information for one function.
+/// Escape information for one function, in dense tables indexed by
+/// `InstId.0`.
 #[derive(Debug, Clone)]
 pub struct EscapeInfo {
     /// Allocas whose address escapes the function.
-    escaping: HashSet<InstId>,
-    /// All alloca instruction ids.
-    allocas: HashSet<InstId>,
-    /// `value -> root alloca` cache for address chasing.
-    roots: HashMap<InstId, Option<InstId>>,
+    escaping: Vec<bool>,
+    /// Whether each id is an alloca.
+    allocas: Vec<bool>,
+    /// `value -> root alloca` cache for address chasing: `None` until a
+    /// query reaches the id.
+    roots: Vec<Option<Option<InstId>>>,
 }
 
 impl EscapeInfo {
-    /// Computes escape information for `func`.
-    pub fn new(func: &Function) -> EscapeInfo {
-        let index = func.inst_index();
-        let allocas: HashSet<InstId> = index
-            .iter()
-            .filter(|(_, k)| matches!(k, InstKind::Alloca { .. }))
-            .map(|(id, _)| *id)
-            .collect();
+    /// Computes escape information for the function `index` indexes.
+    pub fn new(index: &InstIndex<'_>) -> EscapeInfo {
+        let func = index.func();
+        let mut allocas = vec![false; index.len()];
+        for (_, inst) in index.iter() {
+            if matches!(inst.kind, InstKind::Alloca { .. }) {
+                allocas[inst.id.0 as usize] = true;
+            }
+        }
 
         // Chase a value back through gep/cast to its root alloca (if any).
-        let mut roots: HashMap<InstId, Option<InstId>> = HashMap::new();
+        let mut roots: Vec<Option<Option<InstId>>> = vec![None; index.len()];
         fn root_of(
             v: Value,
-            index: &HashMap<InstId, &InstKind>,
-            allocas: &HashSet<InstId>,
-            roots: &mut HashMap<InstId, Option<InstId>>,
+            index: &InstIndex<'_>,
+            allocas: &[bool],
+            roots: &mut [Option<Option<InstId>>],
             depth: u32,
         ) -> Option<InstId> {
             if depth == 0 {
                 return None;
             }
             let id = v.as_inst()?;
-            if let Some(r) = roots.get(&id) {
+            let slot = id.0 as usize;
+            if let Some(Some(r)) = roots.get(slot) {
                 return *r;
             }
-            let r = match index.get(&id) {
-                Some(InstKind::Alloca { .. }) if allocas.contains(&id) => Some(id),
+            let r = match index.get(id) {
+                Some(InstKind::Alloca { .. }) if allocas[slot] => Some(id),
                 Some(InstKind::Gep { base, .. }) => {
                     root_of(*base, index, allocas, roots, depth - 1)
                 }
@@ -55,17 +58,19 @@ impl EscapeInfo {
                 }
                 _ => None,
             };
-            roots.insert(id, r);
+            if let Some(cached) = roots.get_mut(slot) {
+                *cached = Some(r);
+            }
             r
         }
 
         // A use escapes the slot when the *address value* flows somewhere
         // we cannot see: stored as data, passed to a call, or returned.
-        let mut escaping = HashSet::new();
+        let mut escaping = vec![false; index.len()];
         {
             let mut mark = |v: Value| {
-                if let Some(a) = root_of(v, &index, &allocas, &mut roots, 32) {
-                    escaping.insert(a);
+                if let Some(a) = root_of(v, index, &allocas, &mut roots, 32) {
+                    escaping[a.0 as usize] = true;
                 }
             };
             for (_, inst) in func.insts() {
@@ -95,7 +100,7 @@ impl EscapeInfo {
         // are pure lookups (the paper caches its scope queries, §3.5).
         for (_, inst) in func.insts() {
             if let Some(ptr) = inst.kind.address() {
-                root_of(ptr, &index, &allocas, &mut roots, 32);
+                root_of(ptr, index, &allocas, &mut roots, 32);
             }
         }
 
@@ -108,17 +113,19 @@ impl EscapeInfo {
 
     /// Whether `id` is an alloca whose address never escapes.
     pub fn is_private_slot(&self, id: InstId) -> bool {
-        self.allocas.contains(&id) && !self.escaping.contains(&id)
+        let i = id.0 as usize;
+        self.allocas.get(i).copied().unwrap_or(false) && !self.escaping[i]
     }
 
     /// The root private alloca behind an address value, if any.
     pub fn private_root(&self, ptr: Value) -> Option<InstId> {
         match ptr {
             Value::Inst(id) => {
-                let root = if self.allocas.contains(&id) {
+                let i = id.0 as usize;
+                let root = if self.allocas.get(i).copied().unwrap_or(false) {
                     Some(id)
                 } else {
-                    self.roots.get(&id).copied().flatten()
+                    self.roots.get(i).copied().flatten().flatten()
                 }?;
                 self.is_private_slot(root).then_some(root)
             }
@@ -134,7 +141,7 @@ impl EscapeInfo {
 
     /// Number of escaping allocas (diagnostics).
     pub fn escaping_count(&self) -> usize {
-        self.escaping.len()
+        self.escaping.iter().filter(|&&e| e).count()
     }
 }
 
@@ -145,7 +152,7 @@ mod tests {
 
     fn info_of(src: &str) -> (atomig_mir::Module, EscapeInfo) {
         let m = parse_module(src).unwrap();
-        let info = EscapeInfo::new(&m.funcs[0]);
+        let info = EscapeInfo::new(&m.funcs[0].inst_index());
         (m, info)
     }
 
@@ -185,7 +192,7 @@ mod tests {
             "#,
         );
         // info is for @g (funcs[0]); recompute for @f.
-        let info_f = EscapeInfo::new(&m.funcs[1]);
+        let info_f = EscapeInfo::new(&m.funcs[1].inst_index());
         let alloca_id = m.funcs[1].blocks[0].insts[0].id;
         assert!(!info_f.is_private_slot(alloca_id));
         assert!(info_f.is_nonlocal(Value::Inst(alloca_id)));
@@ -285,7 +292,7 @@ mod tests {
             "#,
         );
         let f = &m.funcs[1];
-        let info_f = EscapeInfo::new(f);
+        let info_f = EscapeInfo::new(&f.inst_index());
         let alloca_id = f.blocks[0].insts[0].id;
         let call_id = f.blocks[0].insts[1].id;
         assert!(!info_f.is_private_slot(alloca_id));
@@ -311,7 +318,7 @@ mod tests {
             }
             "#,
         );
-        let info_f = EscapeInfo::new(&m.funcs[1]);
+        let info_f = EscapeInfo::new(&m.funcs[1].inst_index());
         let call_id = m.funcs[1].blocks[0].insts[0].id;
         assert!(info_f.is_nonlocal(Value::Inst(call_id)));
         assert_eq!(info_f.private_root(Value::Inst(call_id)), None);
@@ -355,7 +362,7 @@ mod tests {
             }
             "#,
         );
-        let info_f = EscapeInfo::new(&m.funcs[1]);
+        let info_f = EscapeInfo::new(&m.funcs[1].inst_index());
         let alloca_id = m.funcs[1].blocks[0].insts[0].id;
         assert!(info_f.is_nonlocal(Value::Inst(alloca_id)));
         drop(info);

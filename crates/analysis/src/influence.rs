@@ -8,8 +8,8 @@
 //! those are the paper's *spin control* candidates.
 
 use crate::escape::EscapeInfo;
-use atomig_mir::{BlockId, Function, InstId, InstKind, Value};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use atomig_mir::{BlockId, Function, InstId, InstIndex, InstKind, Value};
+use std::collections::{BTreeSet, HashSet};
 
 /// The dependency closure of a value.
 #[derive(Debug, Clone, Default)]
@@ -44,38 +44,45 @@ impl DepSet {
 
 /// Per-function influence analysis with precomputed slot/store maps.
 ///
-/// Construction is `O(instructions)`; queries walk only the relevant
-/// use-def chains. The paper caches exactly this information to keep
-/// repeated queries cheap (§3.5).
+/// Construction is `O(instructions)`: it builds the function's dense
+/// [`InstIndex`] once and keeps it, together with dense escape
+/// information and the stores of each private slot. Queries walk only
+/// the relevant use-def chains. The paper
+/// caches exactly this information to keep repeated queries cheap
+/// (§3.5), and the detection passes reuse the index through
+/// [`InfluenceAnalysis::index`] instead of rebuilding it.
 #[derive(Debug)]
 pub struct InfluenceAnalysis<'f> {
-    func: &'f Function,
-    index: HashMap<InstId, &'f InstKind>,
-    block_of: HashMap<InstId, BlockId>,
+    index: InstIndex<'f>,
     escape: EscapeInfo,
-    /// Private slot -> store instructions writing it.
-    slot_stores: HashMap<InstId, Vec<InstId>>,
+    /// `(private slot, store writing it)`, sorted by slot; each slot's
+    /// stores stay in layout order.
+    slot_stores: Vec<(InstId, InstId)>,
 }
 
 impl<'f> InfluenceAnalysis<'f> {
     /// Builds the analysis for `func`.
     pub fn new(func: &'f Function) -> InfluenceAnalysis<'f> {
-        let index = func.inst_index();
-        let escape = EscapeInfo::new(func);
-        let mut block_of = HashMap::new();
-        let mut slot_stores: HashMap<InstId, Vec<InstId>> = HashMap::new();
-        for (b, inst) in func.insts() {
-            block_of.insert(inst.id, b);
+        InfluenceAnalysis::with_index(func.inst_index())
+    }
+
+    /// Builds the analysis over an index the caller already built, and
+    /// keeps it.
+    pub fn with_index(index: InstIndex<'f>) -> InfluenceAnalysis<'f> {
+        let func = index.func();
+        let escape = EscapeInfo::new(&index);
+        let mut slot_stores: Vec<(InstId, InstId)> = Vec::new();
+        for (_, inst) in func.insts() {
             if let InstKind::Store { ptr, .. } = &inst.kind {
                 if let Some(slot) = escape.private_root(*ptr) {
-                    slot_stores.entry(slot).or_default().push(inst.id);
+                    slot_stores.push((slot, inst.id));
                 }
             }
         }
+        // A stable sort: each slot's stores stay in layout order.
+        slot_stores.sort_by_key(|&(slot, _)| slot);
         InfluenceAnalysis {
-            func,
             index,
-            block_of,
             escape,
             slot_stores,
         }
@@ -88,12 +95,26 @@ impl<'f> InfluenceAnalysis<'f> {
 
     /// The function under analysis.
     pub fn func(&self) -> &'f Function {
-        self.func
+        self.index.func()
+    }
+
+    /// The function's dense instruction index.
+    pub fn index(&self) -> &InstIndex<'f> {
+        &self.index
     }
 
     /// The block containing instruction `id`.
     pub fn block_of(&self, id: InstId) -> Option<BlockId> {
-        self.block_of.get(&id).copied()
+        self.index.block_of(id)
+    }
+
+    /// The stores writing private slot `slot`, in layout order.
+    fn stores_of(&self, slot: InstId) -> impl Iterator<Item = InstId> + '_ {
+        let lo = self.slot_stores.partition_point(|&(s, _)| s < slot);
+        self.slot_stores[lo..]
+            .iter()
+            .take_while(move |&&(s, _)| s == slot)
+            .map(|&(_, store)| store)
     }
 
     /// Computes the dependency closure of `v`.
@@ -103,19 +124,23 @@ impl<'f> InfluenceAnalysis<'f> {
     /// scoping of §3.5 (e.g. "just within the loop").
     pub fn value_deps(&self, v: Value, scope: Option<&BTreeSet<BlockId>>) -> DepSet {
         let mut out = DepSet::default();
-        let mut visited: HashSet<InstId> = HashSet::new();
+        let mut visited = vec![false; self.index.len()];
         let mut work: Vec<Value> = vec![v];
         while let Some(v) = work.pop() {
             let id = match v.as_inst() {
                 Some(id) => id,
                 None => continue,
             };
-            if !visited.insert(id) {
-                continue;
+            // An id past the index defines nothing: it is recorded (again,
+            // idempotently) and dropped below, so it needs no visited bit.
+            if let Some(seen) = visited.get_mut(id.0 as usize) {
+                if std::mem::replace(seen, true) {
+                    continue;
+                }
             }
             out.insts.insert(id);
-            let kind = match self.index.get(&id) {
-                Some(k) => *k,
+            let kind = match self.index.get(id) {
+                Some(k) => k,
                 None => continue,
             };
             match kind {
@@ -163,19 +188,17 @@ impl<'f> InfluenceAnalysis<'f> {
             }
             Some(slot) => {
                 out.local_slots_read.insert(slot);
-                if let Some(stores) = self.slot_stores.get(&slot) {
-                    for &sid in stores {
-                        if let Some(sc) = scope {
-                            match self.block_of.get(&sid) {
-                                Some(b) if sc.contains(b) => {}
-                                _ => continue,
-                            }
+                for sid in self.stores_of(slot) {
+                    if let Some(sc) = scope {
+                        match self.index.block_of(sid) {
+                            Some(b) if sc.contains(&b) => {}
+                            _ => continue,
                         }
-                        if out.insts.insert(sid) {
-                            if let Some(InstKind::Store { val, ptr, .. }) = self.index.get(&sid) {
-                                work.push(*val);
-                                work.push(*ptr);
-                            }
+                    }
+                    if out.insts.insert(sid) {
+                        if let Some(InstKind::Store { val, ptr, .. }) = self.index.get(sid) {
+                            work.push(*val);
+                            work.push(*ptr);
                         }
                     }
                 }
@@ -188,7 +211,7 @@ impl<'f> InfluenceAnalysis<'f> {
     /// that influence the exit condition disqualify the loop.
     pub fn store_deps(&self, store_id: InstId, scope: Option<&BTreeSet<BlockId>>) -> DepSet {
         let mut out = DepSet::default();
-        if let Some(InstKind::Store { val, ptr, .. }) = self.index.get(&store_id) {
+        if let Some(InstKind::Store { val, ptr, .. }) = self.index.get(store_id) {
             out.merge(self.value_deps(*val, scope));
             out.merge(self.value_deps(*ptr, scope));
             // A store whose *target* is non-local memory counts as having a
@@ -202,7 +225,7 @@ impl<'f> InfluenceAnalysis<'f> {
 
     /// The private slot a store writes to, if any.
     pub fn store_target_slot(&self, store_id: InstId) -> Option<InstId> {
-        match self.index.get(&store_id) {
+        match self.index.get(store_id) {
             Some(InstKind::Store { ptr, .. }) => self.escape.private_root(*ptr),
             _ => None,
         }
@@ -212,7 +235,7 @@ impl<'f> InfluenceAnalysis<'f> {
     /// "constant store" exemption in spinloop rule (2), Figure 3).
     pub fn store_is_constant(&self, store_id: InstId) -> bool {
         matches!(
-            self.index.get(&store_id),
+            self.index.get(store_id),
             Some(InstKind::Store { val, .. }) if val.is_const()
         )
     }

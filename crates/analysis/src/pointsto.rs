@@ -214,7 +214,7 @@ fn gen_func(fid: FuncId, func: &Function) -> FuncConstraints {
         let var = RawNode::Var(inst.id);
         match &inst.kind {
             InstKind::Alloca { .. } => {
-                let escape = escape.get_or_insert_with(|| EscapeInfo::new(func));
+                let escape = escape.get_or_insert_with(|| EscapeInfo::new(&func.inst_index()));
                 out.push(RawConstraint::Obj {
                     i: inst.id,
                     heap: false,

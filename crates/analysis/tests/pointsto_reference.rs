@@ -279,7 +279,7 @@ fn check(m: &Module, what: &str) {
             ObjBase::Global(_) | ObjBase::Heap(..) => true,
             ObjBase::Stack(f, id) => !escapes
                 .entry(f)
-                .or_insert_with(|| EscapeInfo::new(m.func(f)))
+                .or_insert_with(|| EscapeInfo::new(&m.func(f).inst_index()))
                 .is_private_slot(id),
         };
         let got = pt.is_shareable(atomig_analysis::CellId(c as u32));

@@ -21,7 +21,7 @@ use atomig_core::{
     lint_module, AliasMode, AtomigConfig, CacheMetrics, CheckerMetrics, LintRule, PhaseStat,
     Pipeline, Stage,
 };
-use atomig_wmm::{Checker, CostModel, ModelKind};
+use atomig_wmm::{Checker, CostModel, Limit, ModelKind};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,10 +160,12 @@ USAGE:
 
 `port` prints the transformed IR (or, with --report, the Table-3 style
 porting statistics). `check` exhaustively model-checks @main and reports
-the first assertion violation. `run` executes @main deterministically and
-prints the Armv8 cost-model summary. `lint` statically audits the module
-for WMM-portability hazards and prints sourced diagnostics; findings for
-a --deny'd rule make the exit status non-zero (for CI). `--alias` picks
+the first assertion violation; a violation, or a search that a limit
+(max_states, max_depth) cut short, makes the exit status non-zero. `run`
+executes @main deterministically and prints the Armv8 cost-model
+summary. `lint` statically audits the module for WMM-portability hazards
+and prints sourced diagnostics; findings for a --deny'd rule make the
+exit status non-zero (for CI). `--alias` picks
 the buddy-expansion backend: the paper's type-based keys (default) or the
 Andersen-style points-to analysis.
 
@@ -971,9 +973,22 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
                 note = format!("\n{}", write_metrics(path, &events)?);
             }
             // A found violation is a non-zero exit, so `atomig check`
-            // can gate CI.
+            // can gate CI; so is a truncated search, which proves nothing.
             if verdict.violation.is_some() {
                 Err(format!("{model}: {verdict}{note}"))
+            } else if verdict.truncated {
+                let cfg = &checker.config;
+                let why = match verdict.truncated_by {
+                    Some(Limit::MaxStates) => {
+                        format!("max_states ({} distinct states) ran out", cfg.max_states)
+                    }
+                    Some(Limit::MaxDepth) | None => {
+                        format!("a path reached max_depth ({} steps)", cfg.max_depth)
+                    }
+                };
+                Err(format!(
+                    "{model}: {verdict}; the exploration is incomplete: {why}{note}"
+                ))
             } else {
                 Ok(format!("{model}: {verdict}{note}"))
             }
@@ -1249,6 +1264,24 @@ mod tests {
         let fixed = parse_args(&args("check mp.c --model arm --ported")).unwrap();
         let out = execute(&fixed, MP, "mp").unwrap();
         assert!(out.contains("PASS"), "{out}");
+    }
+
+    /// An exploration the depth limit cuts short is an error naming the
+    /// limit, not a pass: the fixture fails its assertion only after
+    /// 30,000 iterations, past the default 20,000-step depth.
+    #[test]
+    fn check_fails_on_a_truncated_exploration() {
+        const LOOP: &str = include_str!("../../../tests/fixtures/truncated_loop.c");
+        for line in [
+            "check loop.c --model sc",
+            "check loop.c --model arm --ported",
+        ] {
+            let cmd = parse_args(&args(line)).unwrap();
+            let err = execute(&cmd, LOOP, "loop").unwrap_err();
+            assert!(err.contains("TRUNCATED by max_depth"), "{line}: {err}");
+            assert!(err.contains("max_depth (20000 steps)"), "{line}: {err}");
+            assert!(!err.contains("PASS"), "{line}: {err}");
+        }
     }
 
     #[test]

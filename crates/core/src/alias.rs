@@ -87,7 +87,7 @@ impl AliasMap {
                     continue;
                 }
                 accesses_scanned += 1;
-                let loc = loc_of(func, &index, &inst.kind);
+                let loc = loc_of(&index, &inst.kind);
                 let eligible =
                     loc.is_buddy_key() || (pointee_buddies && matches!(loc, MemLoc::Pointee(_)));
                 if eligible {

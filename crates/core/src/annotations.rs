@@ -15,8 +15,7 @@
 //! The pass only *collects* marks; [`crate::transform`] applies them, so
 //! that alias exploration can expand the mark set first.
 
-use atomig_mir::{Function, InstId, InstKind, MemLoc, Module};
-use std::collections::HashMap;
+use atomig_mir::{InstId, InstIndex, InstKind, MemLoc, Module};
 
 /// An access marked for SC-atomic conversion, with the location key used
 /// for sticky-buddy expansion.
@@ -37,21 +36,21 @@ pub struct AnnotationMarks {
     pub volatiles: Vec<Mark>,
 }
 
-/// Scans `func` for explicitly annotated synchronization accesses.
+/// Scans the function `index` indexes for explicitly annotated
+/// synchronization accesses.
 ///
 /// `blacklist` suppresses volatile locations that communicate with the
 /// *environment* (device registers, signal handlers) rather than with other
 /// threads — the paper's volatile blacklisting knob. It was never needed in
 /// the paper's experiments and defaults to empty.
-pub fn scan_annotations(func: &Function, blacklist: &[MemLoc]) -> AnnotationMarks {
-    let index = func.inst_index();
+pub fn scan_annotations(index: &InstIndex<'_>, blacklist: &[MemLoc]) -> AnnotationMarks {
     let mut out = AnnotationMarks::default();
-    for (_, inst) in func.insts() {
+    for (_, inst) in index.func().insts() {
         let kind = &inst.kind;
         if !kind.is_memory_access() {
             continue;
         }
-        let loc = loc_of(func, &index, kind);
+        let loc = loc_of(index, kind);
         let is_atomic = kind.ordering().map(|o| o.is_atomic()).unwrap_or(false);
         let is_volatile = matches!(
             kind,
@@ -66,10 +65,11 @@ pub fn scan_annotations(func: &Function, blacklist: &[MemLoc]) -> AnnotationMark
     out
 }
 
-/// Resolves the alias key of a memory access.
-pub fn loc_of(func: &Function, index: &HashMap<InstId, &InstKind>, kind: &InstKind) -> MemLoc {
+/// Resolves the alias key of a memory access of the function `index`
+/// indexes.
+pub fn loc_of(index: &InstIndex<'_>, kind: &InstKind) -> MemLoc {
     match kind.address() {
-        Some(ptr) => atomig_mir::loc::resolve_loc(func, index, ptr),
+        Some(ptr) => atomig_mir::loc::resolve_loc(index, ptr),
         None => MemLoc::Unknown,
     }
 }
@@ -77,7 +77,7 @@ pub fn loc_of(func: &Function, index: &HashMap<InstId, &InstKind>, kind: &InstKi
 /// Scans a whole module.
 pub fn scan_module(m: &Module, blacklist: &[MemLoc]) -> Vec<(atomig_mir::FuncId, AnnotationMarks)> {
     m.func_ids()
-        .map(|fid| (fid, scan_annotations(m.func(fid), blacklist)))
+        .map(|fid| (fid, scan_annotations(&m.func(fid).inst_index(), blacklist)))
         .collect()
 }
 
@@ -103,7 +103,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let marks = scan_annotations(&m.funcs[0], &[]);
+        let marks = scan_annotations(&m.funcs[0].inst_index(), &[]);
         assert_eq!(marks.atomics.len(), 4);
         assert!(marks.volatiles.is_empty());
         for mk in &marks.atomics {
@@ -126,7 +126,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let marks = scan_annotations(&m.funcs[0], &[]);
+        let marks = scan_annotations(&m.funcs[0].inst_index(), &[]);
         assert_eq!(marks.volatiles.len(), 2);
         assert!(marks.atomics.is_empty());
     }
@@ -147,7 +147,7 @@ mod tests {
         )
         .unwrap();
         let bl = vec![MemLoc::Global(GlobalId(0), vec![])];
-        let marks = scan_annotations(&m.funcs[0], &bl);
+        let marks = scan_annotations(&m.funcs[0].inst_index(), &bl);
         assert_eq!(marks.volatiles.len(), 1);
         assert_eq!(marks.volatiles[0].loc, MemLoc::Global(GlobalId(1), vec![]));
     }
@@ -166,7 +166,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let marks = scan_annotations(&m.funcs[0], &[]);
+        let marks = scan_annotations(&m.funcs[0].inst_index(), &[]);
         assert!(marks.atomics.is_empty());
         assert!(marks.volatiles.is_empty());
     }

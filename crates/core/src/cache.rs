@@ -157,10 +157,10 @@ pub(crate) fn decode_detect(payload: &str, func: &Function) -> Option<FuncDetect
     // Rebuild a mark exactly as the detection passes would have: the
     // alias key is a pure function of (function, instruction).
     let mark_of = |i: InstId| -> Option<Mark> {
-        let kind = index.get(&i)?;
+        let kind = index.get(i)?;
         Some(Mark {
             inst: i,
-            loc: loc_of(func, &index, kind),
+            loc: loc_of(&index, kind),
         })
     };
 
@@ -185,7 +185,7 @@ pub(crate) fn decode_detect(payload: &str, func: &Function) -> Option<FuncDetect
         // indexed kind (there are none when the fingerprint matched).
         let control_locs: Vec<MemLoc> = controls
             .iter()
-            .filter_map(|id| index.get(id).map(|k| loc_of(func, &index, k)))
+            .filter_map(|&id| index.get(id).map(|k| loc_of(&index, k)))
             .collect();
         det.spins.push(SpinDetect {
             controls,

@@ -14,15 +14,15 @@
 
 use crate::annotations::{loc_of, Mark};
 use atomig_analysis::EscapeInfo;
-use atomig_mir::{Builtin, Callee, Function, InstKind};
+use atomig_mir::{Builtin, Callee, InstIndex, InstKind};
 
 /// Finds the nearest non-local memory access before and after every
-/// compiler barrier, within the barrier's basic block.
-pub fn barrier_adjacent_accesses(func: &Function) -> Vec<Mark> {
-    let escape = EscapeInfo::new(func);
-    let index = func.inst_index();
+/// compiler barrier, within the barrier's basic block, in the function
+/// `index` indexes.
+pub fn barrier_adjacent_accesses(index: &InstIndex<'_>) -> Vec<Mark> {
+    let escape = EscapeInfo::new(index);
     let mut out = Vec::new();
-    for block in &func.blocks {
+    for block in &index.func().blocks {
         for (pos, inst) in block.insts.iter().enumerate() {
             let is_barrier = matches!(
                 inst.kind,
@@ -41,7 +41,7 @@ pub fn barrier_adjacent_accesses(func: &Function) -> Vec<Mark> {
                     if escape.is_nonlocal(ptr) {
                         out.push(Mark {
                             inst: prev.id,
-                            loc: loc_of(func, &index, &prev.kind),
+                            loc: loc_of(index, &prev.kind),
                         });
                     }
                     break;
@@ -54,7 +54,7 @@ pub fn barrier_adjacent_accesses(func: &Function) -> Vec<Mark> {
                     if escape.is_nonlocal(ptr) {
                         out.push(Mark {
                             inst: next.id,
-                            loc: loc_of(func, &index, &next.kind),
+                            loc: loc_of(index, &next.kind),
                         });
                     }
                     break;
@@ -84,7 +84,7 @@ mod tests {
             "cb",
         )
         .unwrap();
-        let marks = barrier_adjacent_accesses(&m.funcs[0]);
+        let marks = barrier_adjacent_accesses(&m.funcs[0].inst_index());
         assert_eq!(marks.len(), 2);
         let names: Vec<String> = marks.iter().map(|mk| mk.loc.to_string()).collect();
         // payload (@g1) before, ready (@g0) after.
@@ -105,7 +105,7 @@ mod tests {
             "cb",
         )
         .unwrap();
-        let marks = barrier_adjacent_accesses(&m.funcs[0]);
+        let marks = barrier_adjacent_accesses(&m.funcs[0].inst_index());
         assert!(marks.is_empty(), "{marks:?}");
     }
 
@@ -121,7 +121,7 @@ mod tests {
             "cb",
         )
         .unwrap();
-        let marks = barrier_adjacent_accesses(&m.funcs[0]);
+        let marks = barrier_adjacent_accesses(&m.funcs[0].inst_index());
         assert!(marks.is_empty());
     }
 
@@ -140,7 +140,7 @@ mod tests {
             "cb",
         )
         .unwrap();
-        let marks = barrier_adjacent_accesses(&m.funcs[0]);
+        let marks = barrier_adjacent_accesses(&m.funcs[0].inst_index());
         assert_eq!(marks.len(), 2);
         // b (nearest before) and c (nearest after); a is untouched.
         let has = |g: u32| {

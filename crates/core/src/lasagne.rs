@@ -35,7 +35,7 @@ impl LasagneStats {
 pub fn lasagne_port(m: &mut Module) -> LasagneStats {
     let mut stats = LasagneStats::default();
     for func in &mut m.funcs {
-        let escape = EscapeInfo::new(func);
+        let escape = EscapeInfo::new(&func.inst_index());
         let mut next = func.next_inst;
         // Phase 1: bracket shared accesses with explicit fences.
         for block in &mut func.blocks {

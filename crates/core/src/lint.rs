@@ -326,7 +326,7 @@ fn dry_run(m: &Module, config: &AtomigConfig, am_pt: &AliasMap) -> DryRun {
                         if !inst.kind.may_write() || !inst.kind.is_memory_access() {
                             continue;
                         }
-                        let loc = loc_of(func, &index, &inst.kind);
+                        let loc = loc_of(&index, &inst.kind);
                         if d.optimistic_locs.contains(&loc) {
                             d.fence_after.entry(fid).or_default().insert(inst.id);
                             d.mark_sc(fid, inst.id, MarkOrigin::OptimisticStore);
@@ -353,13 +353,10 @@ fn dry_run(m: &Module, config: &AtomigConfig, am_pt: &AliasMap) -> DryRun {
                 }
             }
             if !optimistic_accesses.is_empty() {
+                let mut indexes = crate::pipeline::LazyIndexes::new(m);
                 for &(f, i) in &optimistic_accesses {
                     for &(bf, bi) in am_pt.buddies_of_access(f, i) {
-                        let kind = m
-                            .func(bf)
-                            .insts()
-                            .find(|(_, inst)| inst.id == bi)
-                            .map(|(_, inst)| &inst.kind);
+                        let kind = indexes.of(bf).get(bi);
                         if kind.is_some_and(|k| k.is_memory_access() && k.may_write()) {
                             d.fence_after.entry(bf).or_default().insert(bi);
                             d.mark_sc(bf, bi, MarkOrigin::OptimisticStore);
@@ -549,7 +546,6 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     let mut lints: Vec<Lint> = Vec::new();
     for fid in m.func_ids() {
         let func = m.func(fid);
-        let index = func.inst_index();
         let empty_origin = HashMap::new();
         let empty = HashSet::new();
         let sc = d.sc.get(&fid).unwrap_or(&empty_origin);
@@ -558,6 +554,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
         if sc.is_empty() && before.is_empty() && after.is_empty() {
             continue;
         }
+        let index = func.inst_index();
         for b in &func.blocks {
             for (pos, inst) in b.insts.iter().enumerate() {
                 let mut notes = Vec::new();
@@ -595,7 +592,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                 if missing.is_empty() {
                     continue;
                 }
-                let loc = loc_of(func, &index, &inst.kind);
+                let loc = loc_of(&index, &inst.kind);
                 lints.push(Lint {
                     rule: LintRule::FencePlacement,
                     severity: Severity::Error,
@@ -623,45 +620,63 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     // synchronization (instruction-granular, either direction) is
     // reported.
     let r0 = clock.now();
-    let mut info: HashMap<(FuncId, InstId), Access> = HashMap::new();
-    let mut coverage: HashMap<FuncId, Coverage> = HashMap::new();
+    // Per-function dense tables: instruction `i` of function `f` owns slot
+    // `slot_base[f] + i`, which indexes `table` (or is `NO_ACCESS`). The
+    // thread roots reaching each function are computed once, sorted.
+    const NO_ACCESS: u32 = u32::MAX;
+    let mut slot_base: Vec<usize> = Vec::with_capacity(m.funcs.len() + 1);
+    let mut slot_access: Vec<u32> = Vec::new();
+    let mut table: Vec<Access> = Vec::new();
+    let mut coverage: Vec<Coverage> = Vec::with_capacity(m.funcs.len());
+    let mut roots_of: Vec<Vec<FuncId>> = Vec::with_capacity(m.funcs.len());
     for fid in m.func_ids() {
         let func = m.func(fid);
         let index = func.inst_index();
+        let base = slot_access.len();
+        slot_base.push(base);
+        slot_access.resize(base + index.len(), NO_ACCESS);
         for (bi, b) in func.blocks.iter().enumerate() {
             for (pos, inst) in b.insts.iter().enumerate() {
                 if !inst.kind.is_memory_access() {
                     continue;
                 }
                 report.accesses += 1;
-                info.insert(
-                    (fid, inst.id),
-                    Access {
-                        fid,
-                        inst: inst.id,
-                        span: inst.span,
-                        loc: loc_of(func, &index, &inst.kind),
-                        write: inst.kind.may_write(),
-                        plain: inst.kind.ordering() == Some(Ordering::NotAtomic),
-                        bi,
-                        pos,
-                    },
-                );
+                slot_access[base + inst.id.0 as usize] = table.len() as u32;
+                table.push(Access {
+                    fid,
+                    inst: inst.id,
+                    span: inst.span,
+                    loc: loc_of(&index, &inst.kind),
+                    write: inst.kind.may_write(),
+                    plain: inst.kind.ordering() == Some(Ordering::NotAtomic),
+                    bi,
+                    pos,
+                });
             }
         }
-        coverage.insert(fid, Coverage::new(func));
+        coverage.push(Coverage::new(func));
+        let mut roots: Vec<FuncId> = reach.roots_reaching(fid).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots_of.push(roots);
     }
+    slot_base.push(slot_access.len());
+    let access_of = |(f, i): (FuncId, InstId)| -> Option<&Access> {
+        let slots = &slot_access[slot_base[f.0 as usize]..slot_base[f.0 as usize + 1]];
+        let slot = *slots.get(i.0 as usize)?;
+        (slot != NO_ACCESS).then(|| &table[slot as usize])
+    };
 
     let mut race_lints: Vec<Lint> = Vec::new();
     for class in am_pt.classes() {
-        let accesses: Vec<&Access> = class.iter().filter_map(|k| info.get(k)).collect();
-        let mut union_roots: HashSet<FuncId> = HashSet::new();
-        let mut root_sets: Vec<HashSet<FuncId>> = Vec::new();
-        for a in &accesses {
-            let rs: HashSet<FuncId> = reach.roots_reaching(a.fid).collect();
-            union_roots.extend(rs.iter().copied());
-            root_sets.push(rs);
-        }
+        let accesses: Vec<&Access> = class.iter().filter_map(|&k| access_of(k)).collect();
+        let root_sets: Vec<&[FuncId]> = accesses
+            .iter()
+            .map(|a| roots_of[a.fid.0 as usize].as_slice())
+            .collect();
+        let mut union_roots: Vec<FuncId> = root_sets.concat();
+        union_roots.sort_unstable();
+        union_roots.dedup();
         if union_roots.len() < 2 {
             continue;
         }
@@ -675,7 +690,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                 && (rs.len() >= 2
                     || root_sets
                         .iter()
-                        .any(|other| other.iter().any(|r| !rs.contains(r))))
+                        .any(|other| other.iter().any(|r| rs.binary_search(r).is_err())))
         });
         if !concurrent_store {
             continue;
@@ -699,7 +714,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
             if !a.plain || rs.is_empty() {
                 continue;
             }
-            let cov = &coverage[&a.fid];
+            let cov = &coverage[a.fid.0 as usize];
             if cov.covered(a.bi, a.pos) {
                 continue;
             }

@@ -23,7 +23,7 @@ pub struct NaiveStats {
 pub fn naive_port(m: &mut Module) -> NaiveStats {
     let mut stats = NaiveStats::default();
     for func in &mut m.funcs {
-        let escape = EscapeInfo::new(func);
+        let escape = EscapeInfo::new(&func.inst_index());
         for block in &mut func.blocks {
             for inst in &mut block.insts {
                 if !inst.kind.is_memory_access() {

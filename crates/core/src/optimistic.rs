@@ -32,16 +32,17 @@ pub fn detect_optimistic(
     inf: &InfluenceAnalysis<'_>,
     spins: &[SpinLoopInfo],
 ) -> Vec<OptimisticLoop> {
-    let index = func.inst_index();
+    let index = inf.index();
     let mut out = Vec::new();
 
     for (spin_index, spin) in spins.iter().enumerate() {
         let body = &spin.natural.body;
-        let in_loop: HashSet<InstId> = body
-            .iter()
-            .flat_map(|&b| func.block(b).insts.iter().map(|i| i.id))
-            .collect();
-        let control_set: HashSet<InstId> = spin.controls.iter().copied().collect();
+        let mut in_loop = vec![false; index.len()];
+        for &b in body {
+            for inst in &func.block(b).insts {
+                in_loop[inst.id.0 as usize] = true;
+            }
+        }
         let control_locs: HashSet<&MemLoc> = spin.control_locs.iter().collect();
 
         // Candidate optimistic reads: in-loop non-local loads that are not
@@ -50,14 +51,14 @@ pub fn detect_optimistic(
         for &b in body {
             for inst in &func.block(b).insts {
                 let is_read = matches!(inst.kind, InstKind::Load { .. });
-                if !is_read || control_set.contains(&inst.id) {
+                if !is_read || spin.controls.contains(&inst.id) {
                     continue;
                 }
                 let ptr = inst.kind.address().expect("loads have addresses");
                 if !inf.escape().is_nonlocal(ptr) {
                     continue;
                 }
-                let loc = loc_of(func, &index, &inst.kind);
+                let loc = loc_of(index, &inst.kind);
                 if control_locs.contains(&loc) {
                     continue;
                 }
@@ -90,34 +91,36 @@ fn value_used_outside_loop(
     func: &Function,
     inf: &InfluenceAnalysis<'_>,
     id: InstId,
-    in_loop: &HashSet<InstId>,
+    in_loop: &[bool],
     body: &std::collections::BTreeSet<atomig_mir::BlockId>,
 ) -> bool {
     // Track the set of values carrying the datum: the instruction result
-    // itself plus any private slots it is stored into (transitively).
-    let mut carrier_insts: HashSet<InstId> = HashSet::new();
-    carrier_insts.insert(id);
-    let mut carrier_slots: HashSet<InstId> = HashSet::new();
+    // itself plus any private slots it is stored into (transitively). All
+    // three sets are dense over the function's ids.
+    let n = in_loop.len();
+    let is = |set: &[bool], v: InstId| set.get(v.0 as usize).copied().unwrap_or(false);
+    let mut carrier_insts = vec![false; n];
+    carrier_insts[id.0 as usize] = true;
+    let mut carrier_slots = vec![false; n];
     let mut changed = true;
     while changed {
         changed = false;
         for (_, inst) in func.insts() {
             match &inst.kind {
                 InstKind::Store { val, ptr, .. } => {
-                    let carries = match val.as_inst() {
-                        Some(vid) => carrier_insts.contains(&vid),
-                        None => false,
-                    };
-                    if carries && in_loop.contains(&inst.id) {
+                    let carries = val.as_inst().is_some_and(|vid| is(&carrier_insts, vid));
+                    if carries && in_loop[inst.id.0 as usize] {
                         if let Some(slot) = inf.escape().private_root(*ptr) {
-                            changed |= carrier_slots.insert(slot);
+                            changed |=
+                                !std::mem::replace(&mut carrier_slots[slot.0 as usize], true);
                         }
                     }
                 }
                 InstKind::Load { ptr, .. } => {
                     if let Some(slot) = inf.escape().private_root(*ptr) {
-                        if carrier_slots.contains(&slot) && in_loop.contains(&inst.id) {
-                            changed |= carrier_insts.insert(inst.id);
+                        if carrier_slots[slot.0 as usize] && in_loop[inst.id.0 as usize] {
+                            changed |=
+                                !std::mem::replace(&mut carrier_insts[inst.id.0 as usize], true);
                         }
                     }
                 }
@@ -128,22 +131,20 @@ fn value_used_outside_loop(
 
     // Any direct use of a carrier value outside the loop?
     for (_, inst) in func.insts() {
-        if in_loop.contains(&inst.id) {
+        if in_loop[inst.id.0 as usize] {
             continue;
         }
         // A load outside the loop from a carrier slot observes the datum.
         if let InstKind::Load { ptr, .. } = &inst.kind {
             if let Some(slot) = inf.escape().private_root(*ptr) {
-                if carrier_slots.contains(&slot) {
+                if carrier_slots[slot.0 as usize] {
                     return true;
                 }
             }
         }
         for op in inst.kind.operands() {
-            if let Some(vid) = op.as_inst() {
-                if carrier_insts.contains(&vid) {
-                    return true;
-                }
+            if op.as_inst().is_some_and(|vid| is(&carrier_insts, vid)) {
+                return true;
             }
         }
     }
@@ -153,10 +154,8 @@ fn value_used_outside_loop(
             continue;
         }
         for op in func.block(b).term.operands() {
-            if let Some(vid) = op.as_inst() {
-                if carrier_insts.contains(&vid) {
-                    return true;
-                }
+            if op.as_inst().is_some_and(|vid| is(&carrier_insts, vid)) {
+                return true;
             }
         }
     }

@@ -10,49 +10,61 @@ use crate::spinloop::detect_spinloops;
 use crate::trace::{AliasClass, Decision, DecisionLedger, SolverMetrics, TraceAction, TraceCause};
 use crate::transform::{self, MarkSet};
 use atomig_analysis::{inline_module, InfluenceAnalysis, PointsTo};
-use atomig_mir::{FuncId, InstId, InstKind, MemLoc, Module};
+use atomig_mir::{FuncId, InstId, InstIndex, InstKind, MemLoc, Module};
 use std::collections::{HashMap, HashSet};
 
-/// Appends one ledger decision, resolving the access's span and alias key
-/// from the module-wide index built after inlining. An instruction absent
-/// from the index (e.g. inserted by a transform after the index was
-/// built) is resolved from the current module state instead of silently
-/// degrading to `(0, MemLoc::Unknown)`.
+/// Appends one ledger decision on instruction `i` of the function `index`
+/// indexes, resolving the access's span and alias key on demand from the
+/// index — which reflects the module as it is now, so instructions
+/// inserted by a transform resolve too.
 fn record(
     ledger: &mut DecisionLedger,
-    m: &Module,
-    info: &HashMap<(FuncId, InstId), (u32, MemLoc)>,
+    index: &InstIndex<'_>,
     f: FuncId,
     i: InstId,
     action: TraceAction,
     cause: TraceCause,
 ) {
-    let (span, loc) = match info.get(&(f, i)) {
-        Some((span, loc)) => (*span, loc.clone()),
-        None => {
-            let func = m.func(f);
-            let index = func.inst_index();
-            let resolved = func
-                .insts()
-                .find(|(_, inst)| inst.id == i)
-                .map(|(_, inst)| (inst.span, loc_of(func, &index, &inst.kind)));
-            debug_assert!(
-                resolved.is_some(),
-                "ledger decision on unknown instruction {i:?} in @{}",
-                func.name
-            );
-            resolved.unwrap_or((0, MemLoc::Unknown))
-        }
-    };
+    let func = index.func();
+    let inst = index.inst(i);
+    debug_assert!(
+        inst.is_some(),
+        "ledger decision on unknown instruction {i:?} in @{}",
+        func.name
+    );
+    let (span, loc) = inst.map_or((0, MemLoc::Unknown), |inst| {
+        (inst.span, loc_of(index, &inst.kind))
+    });
     ledger.record(Decision {
         func: f,
-        func_name: m.func(f).name.clone(),
+        func_name: func.name.clone(),
         inst: i,
         span,
         loc,
         action,
         cause,
     });
+}
+
+/// Per-function instruction indexes of one module, each built the first
+/// time a lookup (a ledger decision, a buddy's kind) names the function.
+pub(crate) struct LazyIndexes<'m> {
+    m: &'m Module,
+    slots: Vec<Option<InstIndex<'m>>>,
+}
+
+impl<'m> LazyIndexes<'m> {
+    pub(crate) fn new(m: &'m Module) -> LazyIndexes<'m> {
+        LazyIndexes {
+            m,
+            slots: vec![None; m.funcs.len()],
+        }
+    }
+
+    pub(crate) fn of(&mut self, f: FuncId) -> &InstIndex<'m> {
+        let m = self.m;
+        self.slots[f.0 as usize].get_or_insert_with(|| m.func(f).inst_index())
+    }
 }
 
 /// The AtoMig porting pipeline.
@@ -141,7 +153,11 @@ impl Pipeline {
     /// parallel.
     pub(crate) fn detect_func(&self, m: &Module, fid: FuncId) -> FuncDetect {
         let func = m.func(fid);
-        let ann = scan_annotations(func, &self.config.volatile_blacklist);
+        // The one instruction index of this function: annotations and
+        // hints read it here, the influence analysis keeps it for the
+        // pattern passes.
+        let index = func.inst_index();
+        let ann = scan_annotations(&index, &self.config.volatile_blacklist);
         let mut det = FuncDetect {
             ann_marks: ann
                 .atomics
@@ -152,12 +168,12 @@ impl Pipeline {
             ..FuncDetect::default()
         };
         if self.config.compiler_barrier_hints {
-            det.hint_marks = crate::hints::barrier_adjacent_accesses(func);
+            det.hint_marks = crate::hints::barrier_adjacent_accesses(&index);
         }
         if self.config.stage < Stage::Spin {
             return det;
         }
-        let inf = InfluenceAnalysis::new(func);
+        let inf = InfluenceAnalysis::with_index(index);
         let spins = detect_spinloops(func, &inf);
         let header_span_of = |s: &crate::spinloop::SpinLoopInfo| {
             func.block(s.natural.header)
@@ -179,7 +195,7 @@ impl Pipeline {
             return det;
         }
         let opts = detect_optimistic(func, &inf, &spins);
-        let index = func.inst_index();
+        let index = inf.index();
         det.opts = opts
             .iter()
             .map(|o| OptDetect {
@@ -188,7 +204,7 @@ impl Pipeline {
                 controls: o
                     .optimistic_controls
                     .iter()
-                    .map(|&c| (c, matches!(index.get(&c), Some(InstKind::Load { .. }))))
+                    .map(|&c| (c, matches!(index.get(c), Some(InstKind::Load { .. }))))
                     .collect(),
                 control_locs: o.control_locs.clone(),
             })
@@ -265,21 +281,10 @@ impl Pipeline {
                 .record("inline", clock.now() - i0, report.inlined_calls);
         }
 
-        // Module-wide access index (span + alias key per access), built
-        // after inlining so ledger provenance names the analyzed module.
-        let mut access_info: HashMap<(FuncId, InstId), (u32, MemLoc)> = HashMap::new();
-        for fid in m.func_ids() {
-            let func = m.func(fid);
-            let index = func.inst_index();
-            for (_, inst) in func.insts() {
-                if inst.kind.is_memory_access() {
-                    access_info.insert(
-                        (fid, inst.id),
-                        (inst.span, loc_of(func, &index, &inst.kind)),
-                    );
-                }
-            }
-        }
+        // Ledger decisions resolve their span and alias key from
+        // per-function indexes built on demand over the module as
+        // inlining left it, so provenance names the analyzed module.
+        let mut indexes = LazyIndexes::new(m);
         let mut ledger = DecisionLedger::default();
 
         let mut marks = MarkSet::default();
@@ -335,8 +340,7 @@ impl Pipeline {
                 marks.mark_sc(fid, mk.inst);
                 record(
                     &mut ledger,
-                    m,
-                    &access_info,
+                    indexes.of(fid),
                     fid,
                     mk.inst,
                     TraceAction::UpgradeSc,
@@ -353,8 +357,7 @@ impl Pipeline {
                 marks.mark_sc(fid, mk.inst);
                 record(
                     &mut ledger,
-                    m,
-                    &access_info,
+                    indexes.of(fid),
                     fid,
                     mk.inst,
                     TraceAction::UpgradeSc,
@@ -370,8 +373,7 @@ impl Pipeline {
                     marks.mark_sc(fid, c);
                     record(
                         &mut ledger,
-                        m,
-                        &access_info,
+                        indexes.of(fid),
                         fid,
                         c,
                         TraceAction::UpgradeSc,
@@ -396,8 +398,7 @@ impl Pipeline {
                         marks.mark_fence_before(fid, c);
                         record(
                             &mut ledger,
-                            m,
-                            &access_info,
+                            indexes.of(fid),
                             fid,
                             c,
                             TraceAction::FenceBefore,
@@ -409,8 +410,7 @@ impl Pipeline {
                     } else {
                         record(
                             &mut ledger,
-                            m,
-                            &access_info,
+                            indexes.of(fid),
                             fid,
                             c,
                             TraceAction::Seed,
@@ -461,8 +461,7 @@ impl Pipeline {
                                 if let Some(&seed) = seed_of_loc.get(loc) {
                                     record(
                                         &mut ledger,
-                                        m,
-                                        &access_info,
+                                        indexes.of(f),
                                         f,
                                         i,
                                         TraceAction::UpgradeSc,
@@ -479,21 +478,21 @@ impl Pipeline {
                 }
                 if !optimistic_locs.is_empty() {
                     for fid in m.func_ids() {
+                        // The scan's index also resolves its ledger records.
                         let func = m.func(fid);
                         let index = func.inst_index();
                         for (_, inst) in func.insts() {
                             if !inst.kind.may_write() || !inst.kind.is_memory_access() {
                                 continue;
                             }
-                            let loc = loc_of(func, &index, &inst.kind);
+                            let loc = loc_of(&index, &inst.kind);
                             if optimistic_locs.contains(&loc) {
                                 marks.mark_fence_after(fid, inst.id);
                                 marks.mark_sc(fid, inst.id);
                                 let seed = seed_of_optimistic.get(&loc).copied();
                                 record(
                                     &mut ledger,
-                                    m,
-                                    &access_info,
+                                    &index,
                                     fid,
                                     inst.id,
                                     TraceAction::FenceAfter,
@@ -546,8 +545,7 @@ impl Pipeline {
                                         .unwrap_or(AliasClass::Class(0));
                                     record(
                                         &mut ledger,
-                                        m,
-                                        &access_info,
+                                        indexes.of(bf),
                                         bf,
                                         bi,
                                         TraceAction::UpgradeSc,
@@ -562,28 +560,20 @@ impl Pipeline {
                         }
                     }
                     if !optimistic_accesses.is_empty() {
-                        let writers: HashSet<(FuncId, InstId)> = m
-                            .func_ids()
-                            .flat_map(|fid| {
-                                m.func(fid)
-                                    .insts()
-                                    .filter(|(_, i)| {
-                                        i.kind.is_memory_access() && i.kind.may_write()
-                                    })
-                                    .map(move |(_, i)| (fid, i.id))
-                            })
-                            .collect();
                         let mut fenced: HashSet<(FuncId, InstId)> = HashSet::new();
                         for &(f, i) in &optimistic_accesses {
                             for &(bf, bi) in am.buddies_of_access(f, i) {
-                                if writers.contains(&(bf, bi)) {
+                                let index = indexes.of(bf);
+                                let writes = index
+                                    .get(bi)
+                                    .is_some_and(|k| k.is_memory_access() && k.may_write());
+                                if writes {
                                     marks.mark_fence_after(bf, bi);
                                     marks.mark_sc(bf, bi);
                                     if fenced.insert((bf, bi)) {
                                         record(
                                             &mut ledger,
-                                            m,
-                                            &access_info,
+                                            index,
                                             bf,
                                             bi,
                                             TraceAction::FenceAfter,
@@ -918,9 +908,9 @@ mod tests {
         assert_eq!(m, snapshot);
     }
 
-    /// Regression: a decision on an instruction missing from the access
-    /// index — a transform-inserted fence here — must resolve its span
-    /// from the current module rather than silently degrading to
+    /// Regression: a decision on an instruction that did not exist when
+    /// detection ran — a transform-inserted fence here — must resolve its
+    /// span from the current module rather than silently degrading to
     /// `(0, MemLoc::Unknown)`.
     #[test]
     fn record_resolves_transform_inserted_instructions_from_the_module() {
@@ -967,12 +957,11 @@ mod tests {
                     .map(|(_, i)| (fid, i.id, i.span))
             })
             .expect("porting inserted a fence");
-        // The post-inline access index knows nothing about the fence.
+        // An index of the ported module knows the fence.
         let mut ledger = DecisionLedger::default();
         record(
             &mut ledger,
-            &m,
-            &HashMap::new(),
+            &m.func(fid).inst_index(),
             fid,
             fence_id,
             TraceAction::FenceAfter,
@@ -980,8 +969,8 @@ mod tests {
         );
         assert_eq!(ledger.decisions()[0].span, fence_span);
 
-        // Same for a plain store that simply was never indexed: span and
-        // alias key both come back from the module.
+        // Same for a plain store: span and alias key both come back from
+        // the module.
         let wid = m.func_by_name("writer").unwrap();
         let writer = m.func(wid);
         let (store_id, store_span) = writer
@@ -991,8 +980,7 @@ mod tests {
             .unwrap();
         record(
             &mut ledger,
-            &m,
-            &HashMap::new(),
+            &writer.inst_index(),
             wid,
             store_id,
             TraceAction::UpgradeSc,

@@ -9,7 +9,7 @@
 use crate::annotations::loc_of;
 use atomig_analysis::{find_loops, Cfg, DomTree, InfluenceAnalysis, NaturalLoop};
 use atomig_mir::{BlockId, Function, InstId, InstKind, MemLoc};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// A detected spinloop with its spin controls.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ pub fn detect_spinloops(func: &Function, inf: &InfluenceAnalysis<'_>) -> Vec<Spi
     let cfg = Cfg::new(func);
     let dom = DomTree::new(&cfg);
     let loops = find_loops(func, &cfg, &dom);
-    let index = func.inst_index();
+    let index = inf.index();
 
     let mut out = Vec::new();
     for natural in loops {
@@ -93,16 +93,11 @@ pub fn detect_spinloops(func: &Function, inf: &InfluenceAnalysis<'_>) -> Vec<Spi
 
         // Spin controls: the non-local reads inside the loop feeding the
         // exit conditions (not their stack copies).
-        let in_loop: HashSet<InstId> = natural
-            .body
-            .iter()
-            .flat_map(|&b| func.block(b).insts.iter().map(|i| i.id))
-            .collect();
         let mut controls: Vec<InstId> = all_deps
             .nonlocal_reads
             .iter()
             .copied()
-            .filter(|id| in_loop.contains(id))
+            .filter(|&id| index.block_of(id).is_some_and(|b| natural.contains(b)))
             .collect();
         controls.sort();
         if controls.is_empty() {
@@ -112,7 +107,7 @@ pub fn detect_spinloops(func: &Function, inf: &InfluenceAnalysis<'_>) -> Vec<Spi
         }
         let control_locs: Vec<MemLoc> = controls
             .iter()
-            .filter_map(|id| index.get(id).map(|k| loc_of(func, &index, k)))
+            .filter_map(|&id| index.get(id).map(|k| loc_of(index, k)))
             .collect();
         out.push(SpinLoopInfo {
             natural,

@@ -286,7 +286,7 @@ mod tests {
         let f = b.finish();
         let id = addr.as_inst().unwrap();
         let idx = f.inst_index();
-        match idx[&id] {
+        match idx.get(id).unwrap() {
             InstKind::Gep { indices, .. } => {
                 assert_eq!(indices.len(), 2);
                 assert_eq!(indices[1].as_const(), Some(2));

@@ -2,7 +2,6 @@
 
 use crate::inst::{Inst, InstKind, Terminator};
 use crate::types::Type;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A function-unique instruction id. Doubles as the result's SSA name.
@@ -115,15 +114,22 @@ impl Function {
             .flat_map(move |b| self.block(b).insts.iter().map(move |i| (b, i)))
     }
 
-    /// Builds a map from instruction id to its defining kind. O(n); callers
-    /// that query repeatedly should keep the map (the paper's influence
-    /// analysis caches exactly this, §3.5).
-    pub fn inst_index(&self) -> HashMap<InstId, &InstKind> {
-        let mut m = HashMap::with_capacity(self.next_inst as usize);
-        for (_, inst) in self.insts() {
-            m.insert(inst.id, &inst.kind);
+    /// Builds the dense instruction index of this function: one slot per
+    /// id below `next_inst`, holding the instruction and its block. O(n)
+    /// with no hashing; build it once per function and hand it to every
+    /// per-function analysis (the paper's influence analysis caches
+    /// exactly this, §3.5).
+    pub fn inst_index(&self) -> InstIndex<'_> {
+        let mut slots = vec![None; self.next_inst as usize];
+        for (b, inst) in self.insts() {
+            let i = inst.id.0 as usize;
+            // Malformed functions (ids at or past `next_inst`) still index.
+            if i >= slots.len() {
+                slots.resize(i + 1, None);
+            }
+            slots[i] = Some((b, inst));
         }
-        m
+        InstIndex { func: self, slots }
     }
 
     /// Finds the block containing instruction `id`, with its position.
@@ -139,6 +145,58 @@ impl Function {
     /// Total number of instructions across all blocks.
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
+    }
+}
+
+/// A dense instruction index of one function, indexed by `InstId.0`.
+///
+/// Built by [`Function::inst_index`]. Ids that no instruction carries
+/// (gaps, or ids at or past `next_inst`) look up as `None`.
+#[derive(Debug, Clone)]
+pub struct InstIndex<'f> {
+    func: &'f Function,
+    slots: Vec<Option<(BlockId, &'f Inst)>>,
+}
+
+impl<'f> InstIndex<'f> {
+    /// The indexed function.
+    pub fn func(&self) -> &'f Function {
+        self.func
+    }
+
+    /// The kind of instruction `id`.
+    pub fn get(&self, id: InstId) -> Option<&'f InstKind> {
+        self.inst(id).map(|i| &i.kind)
+    }
+
+    /// Instruction `id` itself.
+    pub fn inst(&self, id: InstId) -> Option<&'f Inst> {
+        self.slot(id).map(|(_, i)| i)
+    }
+
+    /// The block containing instruction `id`.
+    pub fn block_of(&self, id: InstId) -> Option<BlockId> {
+        self.slot(id).map(|(b, _)| b)
+    }
+
+    /// Every instruction with its block, in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (BlockId, &'f Inst)> + '_ {
+        self.slots.iter().flatten().copied()
+    }
+
+    /// One past the largest indexable id: the length of a dense side
+    /// table keyed by `InstId.0`.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether no id is indexable.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    fn slot(&self, id: InstId) -> Option<(BlockId, &'f Inst)> {
+        self.slots.get(id.0 as usize).copied().flatten()
     }
 }
 
@@ -188,8 +246,68 @@ mod tests {
         let f = sample();
         assert_eq!(f.inst_count(), 2);
         let idx = f.inst_index();
-        assert!(idx[&InstId(0)].may_read());
-        assert!(idx[&InstId(1)].may_write());
+        assert!(idx.get(InstId(0)).unwrap().may_read());
+        assert!(idx.get(InstId(1)).unwrap().may_write());
+        assert_eq!(idx.block_of(InstId(1)), Some(BlockId(0)));
+        assert_eq!(idx.inst(InstId(1)).unwrap().id, InstId(1));
+        assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn index_misses_ids_at_or_past_next_inst() {
+        let f = sample();
+        let idx = f.inst_index();
+        assert_eq!(idx.get(InstId(f.next_inst)), None);
+        assert_eq!(idx.block_of(InstId(u32::MAX)), None);
+        assert_eq!(idx.inst(InstId(99)), None);
+    }
+
+    #[test]
+    fn index_skips_gaps_and_iterates_in_id_order() {
+        let mut f = sample();
+        // Ids 2..5 are never placed; 5 lands in a second block, ahead of
+        // the entry block's instructions in layout order.
+        f.next_inst = 6;
+        f.blocks.insert(0, Block::new("pre"));
+        f.blocks[0].insts.push(Inst::new(
+            InstId(5),
+            InstKind::Fence {
+                ord: Ordering::SeqCst,
+            },
+        ));
+        let idx = f.inst_index();
+        assert_eq!(idx.len(), 6);
+        for gap in 2..5 {
+            assert_eq!(idx.get(InstId(gap)), None);
+            assert_eq!(idx.block_of(InstId(gap)), None);
+        }
+        assert_eq!(idx.block_of(InstId(5)), Some(BlockId(0)));
+        assert_eq!(idx.block_of(InstId(0)), Some(BlockId(1)));
+        let ids: Vec<u32> = idx.iter().map(|(_, i)| i.id.0).collect();
+        assert_eq!(ids, vec![0, 1, 5]);
+    }
+
+    #[test]
+    fn index_of_an_empty_function() {
+        let f = Function::new("e", vec![], Type::Void);
+        let idx = f.inst_index();
+        assert!(idx.is_empty());
+        assert_eq!(idx.iter().count(), 0);
+        assert_eq!(idx.get(InstId(0)), None);
+    }
+
+    #[test]
+    fn index_covers_ids_past_next_inst_in_malformed_functions() {
+        let mut f = sample();
+        f.blocks[0].insts.push(Inst::new(
+            InstId(9),
+            InstKind::Fence {
+                ord: Ordering::SeqCst,
+            },
+        ));
+        let idx = f.inst_index();
+        assert_eq!(idx.len(), 10);
+        assert!(idx.get(InstId(9)).is_some());
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod value;
 pub mod verify;
 
 pub use builder::FunctionBuilder;
-pub use func::{Block, BlockId, Function, InstId};
+pub use func::{Block, BlockId, Function, InstId, InstIndex};
 pub use inst::{
     BinOp, Builtin, Callee, CmpPred, GepIndex, Inst, InstKind, Ordering, RmwOp, Terminator,
 };

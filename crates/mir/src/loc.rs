@@ -7,12 +7,11 @@
 //! same key are assumed to (possibly) alias; this over-approximates but is
 //! constant-time per query, which is what makes AtoMig scale (§3.5).
 
-use crate::func::{Function, InstId};
+use crate::func::{InstId, InstIndex};
 use crate::inst::{GepIndex, InstKind};
 use crate::module::{GlobalId, StructId};
 use crate::types::Type;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A module-wide key approximating "which memory does this access touch".
@@ -69,39 +68,33 @@ impl fmt::Display for MemLoc {
     }
 }
 
-/// Resolves the [`MemLoc`] of a pointer value inside `func`.
+/// Resolves the [`MemLoc`] of a pointer value inside the function that
+/// `index` indexes ([`Function::inst_index`](crate::Function::inst_index);
+/// callers build it once per function and reuse it).
 ///
-/// Walks back through GEPs and casts. `inst_index` must be
-/// [`Function::inst_index`] of the same function (callers cache it).
-pub fn resolve_loc(func: &Function, inst_index: &HashMap<InstId, &InstKind>, ptr: Value) -> MemLoc {
-    resolve_loc_depth(func, inst_index, ptr, 16)
+/// Walks back through GEPs and casts.
+pub fn resolve_loc(index: &InstIndex<'_>, ptr: Value) -> MemLoc {
+    resolve_loc_depth(index, ptr, 16)
 }
 
-fn resolve_loc_depth(
-    func: &Function,
-    inst_index: &HashMap<InstId, &InstKind>,
-    ptr: Value,
-    depth: u32,
-) -> MemLoc {
+fn resolve_loc_depth(index: &InstIndex<'_>, ptr: Value, depth: u32) -> MemLoc {
     if depth == 0 {
         return MemLoc::Unknown;
     }
     match ptr {
         Value::Global(g) => MemLoc::Global(g, Vec::new()),
-        Value::Param(i) => match func.params.get(i as usize) {
+        Value::Param(i) => match index.func().params.get(i as usize) {
             Some((_, Type::Ptr(p))) => MemLoc::Pointee((**p).clone()),
             _ => MemLoc::Unknown,
         },
-        Value::Inst(id) => match inst_index.get(&id) {
+        Value::Inst(id) => match index.get(id) {
             Some(InstKind::Alloca { .. }) => MemLoc::Stack(id),
             Some(InstKind::Gep {
                 base,
                 base_ty,
                 indices,
-            }) => resolve_gep(func, inst_index, *base, base_ty, indices, depth - 1),
-            Some(InstKind::Cast { value, .. }) => {
-                resolve_loc_depth(func, inst_index, *value, depth - 1)
-            }
+            }) => resolve_gep(index, *base, base_ty, indices, depth - 1),
+            Some(InstKind::Cast { value, .. }) => resolve_loc_depth(index, *value, depth - 1),
             // A pointer loaded from memory or returned by a call: all we
             // know is its type.
             Some(InstKind::Load {
@@ -118,15 +111,14 @@ fn resolve_loc_depth(
 }
 
 fn resolve_gep(
-    func: &Function,
-    inst_index: &HashMap<InstId, &InstKind>,
+    index: &InstIndex<'_>,
     base: Value,
     base_ty: &Type,
     indices: &[GepIndex],
     depth: u32,
 ) -> MemLoc {
     let const_path: Option<Vec<i64>> = indices.iter().map(GepIndex::as_const).collect();
-    let base_loc = resolve_loc_depth(func, inst_index, base, depth);
+    let base_loc = resolve_loc_depth(index, base, depth);
     match (&base_loc, base_ty) {
         // GEP into a global: fold the (constant) path into the global key.
         (MemLoc::Global(g, prefix), _) => match const_path {
@@ -171,7 +163,7 @@ mod tests {
         let f = b.finish();
         let idx = f.inst_index();
         assert_eq!(
-            resolve_loc(&f, &idx, Value::Global(GlobalId(3))),
+            resolve_loc(&idx, Value::Global(GlobalId(3))),
             MemLoc::Global(GlobalId(3), vec![])
         );
     }
@@ -183,7 +175,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let idx = f.inst_index();
-        let loc = resolve_loc(&f, &idx, a);
+        let loc = resolve_loc(&idx, a);
         assert!(loc.is_stack());
         assert!(!loc.is_buddy_key());
     }
@@ -210,8 +202,8 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let idx = f.inst_index();
-        let l1 = resolve_loc(&f, &idx, a1);
-        let l2 = resolve_loc(&f, &idx, a2);
+        let l1 = resolve_loc(&idx, a1);
+        let l2 = resolve_loc(&idx, a2);
         assert_eq!(l1, MemLoc::Field(sid, vec![1]));
         assert_eq!(l1, l2);
         assert!(l1.is_buddy_key());
@@ -229,7 +221,7 @@ mod tests {
         let f = b.finish();
         let idx = f.inst_index();
         assert_eq!(
-            resolve_loc(&f, &idx, a),
+            resolve_loc(&idx, a),
             MemLoc::Global(GlobalId(0), vec![0, 3])
         );
     }
@@ -245,7 +237,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let idx = f.inst_index();
-        assert_eq!(resolve_loc(&f, &idx, a), MemLoc::ArrayElem(Type::I64));
+        assert_eq!(resolve_loc(&idx, a), MemLoc::ArrayElem(Type::I64));
     }
 
     #[test]
@@ -253,7 +245,7 @@ mod tests {
         let b = FunctionBuilder::new("f", vec![("p".into(), Type::ptr_to(Type::I32))], Type::Void);
         let f = b.finish();
         let idx = f.inst_index();
-        let loc = resolve_loc(&f, &idx, Value::Param(0));
+        let loc = resolve_loc(&idx, Value::Param(0));
         assert_eq!(loc, MemLoc::Pointee(Type::I32));
         assert!(!loc.is_buddy_key());
     }
@@ -273,7 +265,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let idx = f.inst_index();
-        assert_eq!(resolve_loc(&f, &idx, a), MemLoc::Field(sid, vec![0]));
+        assert_eq!(resolve_loc(&idx, a), MemLoc::Field(sid, vec![0]));
     }
 
     #[test]
@@ -283,9 +275,6 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let idx = f.inst_index();
-        assert_eq!(
-            resolve_loc(&f, &idx, c),
-            MemLoc::Global(GlobalId(7), vec![])
-        );
+        assert_eq!(resolve_loc(&idx, c), MemLoc::Global(GlobalId(7), vec![]));
     }
 }

@@ -71,23 +71,25 @@ fn verify_function(m: &Module, f: &Function) -> Result<(), String> {
     if f.blocks.is_empty() {
         return Err("function has no blocks".into());
     }
-    // Collect definitions and check id uniqueness.
-    let mut defined: HashSet<InstId> = HashSet::new();
+    // Collect definitions and check id uniqueness. Ids are dense below
+    // `next_inst`, so the defined set is a flag vector indexed by id.
+    let mut defined = vec![false; f.next_inst as usize];
     for (_, inst) in f.insts() {
-        if !defined.insert(inst.id) {
-            return Err(format!("duplicate instruction id {}", inst.id));
-        }
-        if inst.id.0 >= f.next_inst {
+        let Some(seen) = defined.get_mut(inst.id.0 as usize) else {
             return Err(format!(
                 "instruction id {} not below next_inst {}",
                 inst.id, f.next_inst
             ));
+        };
+        if std::mem::replace(seen, true) {
+            return Err(format!("duplicate instruction id {}", inst.id));
         }
     }
+    let is_defined = |id: InstId| defined.get(id.0 as usize).copied().unwrap_or(false);
 
     let check_value = |v: Value| -> Result<(), String> {
         match v {
-            Value::Inst(id) if !defined.contains(&id) => {
+            Value::Inst(id) if !is_defined(id) => {
                 Err(format!("reference to undefined instruction {id}"))
             }
             Value::Param(i) if i as usize >= f.params.len() => {

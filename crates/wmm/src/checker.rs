@@ -77,6 +77,24 @@ impl CheckerConfig {
     }
 }
 
+/// A checker limit that can cut an exploration short.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Limit {
+    /// [`CheckerConfig::max_states`]: the distinct-state budget ran out.
+    MaxStates,
+    /// [`CheckerConfig::max_depth`]: a path ran out of steps.
+    MaxDepth,
+}
+
+impl std::fmt::Display for Limit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Limit::MaxStates => "max_states",
+            Limit::MaxDepth => "max_depth",
+        })
+    }
+}
+
 /// The result of an exploration.
 #[derive(Debug, Clone)]
 pub struct Verdict {
@@ -92,9 +110,17 @@ pub struct Verdict {
     pub peak_tracked: usize,
     /// True if limits cut the exploration short.
     pub truncated: bool,
+    /// The limit that cut the exploration short first (in frontier
+    /// order), when `truncated`.
+    pub truncated_by: Option<Limit>,
 }
 
 impl Verdict {
+    fn truncate(&mut self, limit: Limit) {
+        self.truncated = true;
+        self.truncated_by.get_or_insert(limit);
+    }
+
     /// `true` when no violation was found and the exploration completed.
     pub fn passed(&self) -> bool {
         self.violation.is_none() && !self.truncated
@@ -109,11 +135,17 @@ impl std::fmt::Display for Verdict {
                 "VIOLATION: {v} ({} states, {} revisits, peak {} tracked)",
                 self.states, self.revisits, self.peak_tracked
             ),
-            None if self.truncated => write!(
-                f,
-                "TRUNCATED after {} states ({} revisits, peak {} tracked)",
-                self.states, self.revisits, self.peak_tracked
-            ),
+            None if self.truncated => {
+                f.write_str("TRUNCATED")?;
+                if let Some(limit) = self.truncated_by {
+                    write!(f, " by {limit}")?;
+                }
+                write!(
+                    f,
+                    " after {} states ({} revisits, peak {} tracked)",
+                    self.states, self.revisits, self.peak_tracked
+                )
+            }
             None => write!(
                 f,
                 "PASS ({} states, {} executions, {} revisits, peak {} tracked)",
@@ -212,6 +244,7 @@ impl Checker {
             revisits: 0,
             peak_tracked: 0,
             truncated: false,
+            truncated_by: None,
         };
         initial.mem.gc();
         if !visited.insert(initial.fingerprint()) {
@@ -237,7 +270,7 @@ impl Checker {
             for exp in expansions {
                 match exp {
                     Expanded::Done => verdict.executions += 1,
-                    Expanded::Truncated => verdict.truncated = true,
+                    Expanded::Truncated => verdict.truncate(Limit::MaxDepth),
                     Expanded::Deadlock => {
                         verdict.violation = Some(Failure::Deadlock);
                         return verdict;
@@ -249,7 +282,7 @@ impl Checker {
                     Expanded::Successors(succ) => {
                         for (fingerprint, machine) in succ {
                             if verdict.states >= self.config.max_states {
-                                verdict.truncated = true;
+                                verdict.truncate(Limit::MaxStates);
                                 continue;
                             }
                             if visited.insert(fingerprint) {
@@ -589,6 +622,35 @@ mod tests {
         let v = Checker::new(ModelKind::Wmm).check(&m, "main");
         assert!(!v.truncated);
         assert!(v.states < 100_000);
+    }
+
+    /// Each limit names itself when it cuts the search short, and a cut
+    /// search never passes.
+    #[test]
+    fn truncation_names_the_limit() {
+        let m = parse_module(MP_SC).unwrap();
+        let mut shallow = Checker::new(ModelKind::Wmm);
+        shallow.config.max_depth = 2;
+        let v = shallow.check(&m, "main");
+        assert_eq!(v.truncated_by, Some(Limit::MaxDepth), "{v}");
+        assert!(v.truncated && !v.passed());
+        assert!(
+            v.to_string().starts_with("TRUNCATED by max_depth after"),
+            "{v}"
+        );
+
+        let mut small = Checker::new(ModelKind::Wmm);
+        small.config.max_states = 5;
+        let v = small.check(&m, "main");
+        assert_eq!(v.truncated_by, Some(Limit::MaxStates), "{v}");
+        assert!(v.truncated && !v.passed());
+        assert!(
+            v.to_string().starts_with("TRUNCATED by max_states after"),
+            "{v}"
+        );
+
+        let v = Checker::new(ModelKind::Wmm).check(&m, "main");
+        assert_eq!(v.truncated_by, None);
     }
 
     /// The deterministic-merge contract: the whole verdict — violation,

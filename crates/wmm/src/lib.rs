@@ -41,7 +41,7 @@ pub mod litmus;
 pub mod mem;
 pub mod models;
 
-pub use checker::{Checker, CheckerConfig, ModelKind, Verdict};
+pub use checker::{Checker, CheckerConfig, Limit, ModelKind, Verdict};
 pub use cost::CostModel;
 pub use exec::{ExecStats, Failure, Machine, StepOutcome, Thread, ThreadState};
 pub use interp::{run, run_default, InterpConfig, RunResult};
