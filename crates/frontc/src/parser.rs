@@ -23,7 +23,7 @@ impl fmt::Display for ParseError {
 impl Error for ParseError {}
 
 /// Parses a token stream into a [`Program`].
-pub fn parse(tokens: &[Token]) -> Result<Program, ParseError> {
+pub fn parse(tokens: &[Token<'_>]) -> Result<Program, ParseError> {
     let mut p = Parser { tokens, pos: 0 };
     let mut items = Vec::new();
     while !p.at_end() {
@@ -32,8 +32,8 @@ pub fn parse(tokens: &[Token]) -> Result<Program, ParseError> {
     Ok(Program { items })
 }
 
-struct Parser<'t> {
-    tokens: &'t [Token],
+struct Parser<'t, 's> {
+    tokens: &'t [Token<'s>],
     pos: usize,
 }
 
@@ -42,7 +42,7 @@ const TYPE_KEYWORDS: &[&str] = &[
     "signed", "const", "static",
 ];
 
-impl<'t> Parser<'t> {
+impl<'s> Parser<'_, 's> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -61,22 +61,22 @@ impl<'t> Parser<'t> {
         }
     }
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+    fn peek(&self) -> Option<TokenKind<'s>> {
+        self.peek_at(0)
     }
 
-    fn peek_at(&self, off: usize) -> Option<&TokenKind> {
-        self.tokens.get(self.pos + off).map(|t| &t.kind)
+    fn peek_at(&self, off: usize) -> Option<TokenKind<'s>> {
+        self.tokens.get(self.pos + off).map(|t| t.kind)
     }
 
-    fn next(&mut self) -> Option<TokenKind> {
-        let t = self.tokens.get(self.pos).map(|t| t.kind.clone());
+    fn next(&mut self) -> Option<TokenKind<'s>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
 
     fn is_punct(&self, p: &str) -> bool {
-        matches!(self.peek(), Some(TokenKind::Punct(q)) if *q == p)
+        matches!(self.peek(), Some(TokenKind::Punct(q)) if q == p)
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -111,13 +111,13 @@ impl<'t> Parser<'t> {
 
     fn ident(&mut self) -> Result<String, ParseError> {
         match self.next() {
-            Some(TokenKind::Ident(s)) => Ok(s),
+            Some(TokenKind::Ident(s)) => Ok(s.to_string()),
             got => Err(self.err(format!("expected identifier, got {got:?}"))),
         }
     }
 
     fn starts_type(&self) -> bool {
-        matches!(self.peek(), Some(TokenKind::Ident(s)) if TYPE_KEYWORDS.contains(&s.as_str()))
+        matches!(self.peek(), Some(TokenKind::Ident(s)) if TYPE_KEYWORDS.contains(&s))
     }
 
     /// Parses qualifiers + base type + pointer stars.
@@ -125,7 +125,7 @@ impl<'t> Parser<'t> {
         let mut quals = Quals::default();
         let mut base: Option<CType> = None;
         while let Some(TokenKind::Ident(s)) = self.peek() {
-            match s.as_str() {
+            match s {
                 "volatile" => {
                     quals.volatile = true;
                     self.pos += 1;
@@ -491,7 +491,7 @@ impl<'t> Parser<'t> {
         let mut lhs = self.unary()?;
         while let Some(tok) = self.peek() {
             let (op, prec) = match tok {
-                TokenKind::Punct(p) => match *p {
+                TokenKind::Punct(p) => match p {
                     "||" => (BinaryOp::LOr, 1),
                     "&&" => (BinaryOp::LAnd, 2),
                     "|" => (BinaryOp::Or, 3),
@@ -533,7 +533,7 @@ impl<'t> Parser<'t> {
         // Cast: `(type) expr`.
         if self.is_punct("(") {
             if let Some(TokenKind::Ident(s)) = self.peek_at(1) {
-                if TYPE_KEYWORDS.contains(&s.as_str()) {
+                if TYPE_KEYWORDS.contains(&s) {
                     self.pos += 1; // '('
                     let (ty, _q) = self.type_and_quals()?;
                     self.expect_punct(")")?;
@@ -655,7 +655,7 @@ impl<'t> Parser<'t> {
                     self.eat_ident("volatile");
                     self.expect_punct("(")?;
                     let text = match self.next() {
-                        Some(TokenKind::Str(s)) => s,
+                        Some(TokenKind::Str(s)) => s.to_string(),
                         got => return Err(self.err(format!("expected asm string, got {got:?}"))),
                     };
                     // Skip extended operand clauses until the closing paren.
@@ -682,9 +682,12 @@ impl<'t> Parser<'t> {
                             self.expect_punct(",")?;
                         }
                     }
-                    return Ok(Expr::Call { name, args });
+                    return Ok(Expr::Call {
+                        name: name.to_string(),
+                        args,
+                    });
                 }
-                Ok(Expr::Ident(name))
+                Ok(Expr::Ident(name.to_string()))
             }
             got => Err(self.err(format!("expected expression, got {got:?}"))),
         }

@@ -1,40 +1,59 @@
 //! Textual printing of modules (the inverse of [`crate::parser`]).
+//!
+//! One output buffer is threaded through every writer below. They push
+//! `&'static str` keywords, names and decimal digits straight into it, so
+//! no instruction, operand or type is formatted into a `String` of its
+//! own.
 
 use crate::func::Function;
 use crate::inst::{Callee, GepIndex, InstKind, Ordering, Terminator};
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::Value;
-use std::fmt::Write as _;
 
 /// Prints a whole module in the textual format accepted by
 /// [`parse_module`](crate::parse_module).
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "module \"{}\"", m.name);
+    out.push_str("module \"");
+    out.push_str(&m.name);
+    out.push_str("\"\n");
     for s in &m.structs {
-        let fields: Vec<String> = s.fields.iter().map(|t| type_str(m, t)).collect();
-        let _ = writeln!(out, "struct %{} {{ {} }}", s.name, fields.join(", "));
+        out.push_str("struct %");
+        out.push_str(&s.name);
+        out.push_str(" { ");
+        for (i, t) in s.fields.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write_type(&mut out, m, t);
+        }
+        out.push_str(" }\n");
     }
     for g in &m.globals {
-        let init = if g.init.iter().all(|&v| v == 0) {
-            "0".to_string()
-        } else if g.init.len() == 1 {
-            g.init[0].to_string()
+        out.push_str("global @");
+        out.push_str(&g.name);
+        out.push_str(": ");
+        write_type(&mut out, m, &g.ty);
+        out.push_str(" = ");
+        if g.init.iter().all(|&v| v == 0) {
+            out.push('0');
+        } else if let [v] = g.init[..] {
+            write_int(&mut out, v);
         } else {
-            format!(
-                "[{}]",
-                g.init
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        };
-        let _ = writeln!(out, "global @{}: {} = {}", g.name, type_str(m, &g.ty), init);
+            out.push('[');
+            for (i, &v) in g.init.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_int(&mut out, v);
+            }
+            out.push(']');
+        }
+        out.push('\n');
     }
     for f in &m.funcs {
-        out.push_str(&print_function(m, f));
+        write_function(&mut out, m, f);
     }
     out
 }
@@ -42,216 +61,325 @@ pub fn print_module(m: &Module) -> String {
 /// Prints one function.
 pub fn print_function(m: &Module, f: &Function) -> String {
     let mut out = String::new();
-    let params: Vec<String> = f
-        .params
-        .iter()
-        .map(|(n, t)| format!("%{}: {}", n, type_str(m, t)))
-        .collect();
-    let _ = writeln!(
-        out,
-        "fn @{}({}) : {} {{",
-        f.name,
-        params.join(", "),
-        type_str(m, &f.ret)
-    );
-    for (i, b) in f.blocks.iter().enumerate() {
-        let _ = writeln!(out, "bb{}:", i);
-        for inst in &b.insts {
-            let _ = write!(out, "  {}", inst_str(m, f, &inst.kind, inst.id.0));
-            if inst.span != 0 {
-                let _ = write!(out, " !{}", inst.span);
-            }
-            out.push('\n');
-        }
-        let _ = writeln!(out, "  {}", term_str(m, f, &b.term));
-    }
-    out.push_str("}\n");
+    write_function(&mut out, m, f);
     out
 }
 
-/// Prints a type, naming structs.
-pub fn type_str(m: &Module, t: &Type) -> String {
-    match t {
-        Type::Struct(sid) => match m.structs.get(sid.0 as usize) {
-            Some(s) => format!("%{}", s.name),
-            None => format!("%s{}", sid.0),
-        },
-        Type::Ptr(p) => format!("ptr {}", type_str(m, p)),
-        Type::Array(e, n) => format!("[{} x {}]", n, type_str(m, e)),
-        other => other.to_string(),
+/// Appends the decimal form of `v`.
+fn write_int(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_uint(out, v.unsigned_abs());
+}
+
+fn write_uint(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    // Only ASCII digits were written, so this never fails.
+    if let Ok(digits) = std::str::from_utf8(&buf[i..]) {
+        out.push_str(digits);
     }
 }
 
-/// Prints a value, naming params/globals/functions.
-pub fn value_str(m: &Module, f: &Function, v: Value) -> String {
+/// Appends `prefix` and then the decimal `n`, as in `%t7` or `bb3`.
+fn write_id(out: &mut String, prefix: &str, n: u32) {
+    out.push_str(prefix);
+    write_uint(out, u64::from(n));
+}
+
+/// Appends `%tN = `, the definition of instruction `N`'s result.
+fn write_def(out: &mut String, id: u32) {
+    write_id(out, "%t", id);
+    out.push_str(" = ");
+}
+
+fn write_function(out: &mut String, m: &Module, f: &Function) {
+    out.push_str("fn @");
+    out.push_str(&f.name);
+    out.push('(');
+    for (i, (n, t)) in f.params.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push('%');
+        out.push_str(n);
+        out.push_str(": ");
+        write_type(out, m, t);
+    }
+    out.push_str(") : ");
+    write_type(out, m, &f.ret);
+    out.push_str(" {\n");
+    for (i, b) in f.blocks.iter().enumerate() {
+        write_id(out, "bb", i as u32);
+        out.push_str(":\n");
+        for inst in &b.insts {
+            out.push_str("  ");
+            write_inst(out, m, f, &inst.kind, inst.id.0);
+            if inst.span != 0 {
+                write_id(out, " !", inst.span);
+            }
+            out.push('\n');
+        }
+        out.push_str("  ");
+        write_term(out, m, f, &b.term);
+        out.push('\n');
+    }
+    out.push_str("}\n");
+}
+
+/// Appends a type, naming structs.
+fn write_type(out: &mut String, m: &Module, t: &Type) {
+    match t {
+        Type::Void => out.push_str("void"),
+        Type::I1 => out.push_str("i1"),
+        Type::I8 => out.push_str("i8"),
+        Type::I16 => out.push_str("i16"),
+        Type::I32 => out.push_str("i32"),
+        Type::I64 => out.push_str("i64"),
+        Type::Struct(sid) => match m.structs.get(sid.0 as usize) {
+            Some(s) => {
+                out.push('%');
+                out.push_str(&s.name);
+            }
+            None => write_id(out, "%s", sid.0),
+        },
+        Type::Ptr(p) => {
+            out.push_str("ptr ");
+            write_type(out, m, p);
+        }
+        Type::Array(e, n) => {
+            write_id(out, "[", *n);
+            out.push_str(" x ");
+            write_type(out, m, e);
+            out.push(']');
+        }
+    }
+}
+
+/// Appends a value, naming params, globals and functions.
+fn write_value(out: &mut String, m: &Module, f: &Function, v: Value) {
     match v {
-        Value::Const(c) => c.to_string(),
-        Value::Null => "null".to_string(),
+        Value::Const(c) => write_int(out, c),
+        Value::Null => out.push_str("null"),
         Value::Global(g) => match m.globals.get(g.0 as usize) {
-            Some(def) => format!("@{}", def.name),
-            None => format!("@g{}", g.0),
+            Some(def) => {
+                out.push('@');
+                out.push_str(&def.name);
+            }
+            None => write_id(out, "@g", g.0),
         },
         Value::Param(i) => match f.params.get(i as usize) {
-            Some((n, _)) => format!("%{n}"),
-            None => format!("%arg{i}"),
+            Some((n, _)) => {
+                out.push('%');
+                out.push_str(n);
+            }
+            None => write_id(out, "%arg", i),
         },
-        Value::Inst(id) => format!("%t{}", id.0),
-        Value::Func(fid) => match m.funcs.get(fid.0 as usize) {
-            Some(def) => format!("@{}", def.name),
-            None => format!("@f{}", fid.0),
-        },
+        Value::Inst(id) => write_id(out, "%t", id.0),
+        Value::Func(fid) => {
+            out.push('@');
+            write_func_name(out, m, fid.0);
+        }
     }
 }
 
-fn ord_suffix(ord: Ordering) -> String {
-    if ord == Ordering::NotAtomic {
-        String::new()
-    } else {
-        format!(" {}", ord.keyword())
+/// Appends a function's name, or `fN` when `N` names no function.
+fn write_func_name(out: &mut String, m: &Module, fid: u32) {
+    match m.funcs.get(fid as usize) {
+        Some(def) => out.push_str(&def.name),
+        None => write_id(out, "f", fid),
     }
 }
 
-fn vol_suffix(volatile: bool) -> &'static str {
+/// Appends the comma-separated `values`.
+fn write_values(out: &mut String, m: &Module, f: &Function, values: &[Value]) {
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_value(out, m, f, v);
+    }
+}
+
+/// Appends ` <ordering>` for an atomic access, nothing for a plain one.
+fn write_ord(out: &mut String, ord: Ordering) {
+    if ord != Ordering::NotAtomic {
+        out.push(' ');
+        out.push_str(ord.keyword());
+    }
+}
+
+fn write_vol(out: &mut String, volatile: bool) {
     if volatile {
-        " volatile"
-    } else {
-        ""
+        out.push_str(" volatile");
     }
 }
 
-fn inst_str(m: &Module, f: &Function, kind: &InstKind, id: u32) -> String {
-    let v = |val: Value| value_str(m, f, val);
+fn write_inst(out: &mut String, m: &Module, f: &Function, kind: &InstKind, id: u32) {
     match kind {
         InstKind::Alloca { ty, name } => {
             let _ = name; // cosmetic; dropped so print/parse is a fixpoint
-            format!("%t{id} = alloca {}", type_str(m, ty))
+            write_def(out, id);
+            out.push_str("alloca ");
+            write_type(out, m, ty);
         }
         InstKind::Load {
             ptr,
             ty,
             ord,
             volatile,
-        } => format!(
-            "%t{id} = load {}, {}{}{}",
-            type_str(m, ty),
-            v(*ptr),
-            ord_suffix(*ord),
-            vol_suffix(*volatile)
-        ),
+        } => {
+            write_def(out, id);
+            out.push_str("load ");
+            write_type(out, m, ty);
+            out.push_str(", ");
+            write_value(out, m, f, *ptr);
+            write_ord(out, *ord);
+            write_vol(out, *volatile);
+        }
         InstKind::Store {
             ptr,
             val,
             ty,
             ord,
             volatile,
-        } => format!(
-            "store {} {}, {}{}{}",
-            type_str(m, ty),
-            v(*val),
-            v(*ptr),
-            ord_suffix(*ord),
-            vol_suffix(*volatile)
-        ),
+        } => {
+            out.push_str("store ");
+            write_type(out, m, ty);
+            out.push(' ');
+            write_value(out, m, f, *val);
+            out.push_str(", ");
+            write_value(out, m, f, *ptr);
+            write_ord(out, *ord);
+            write_vol(out, *volatile);
+        }
         InstKind::Cmpxchg {
             ptr,
             expected,
             new,
             ty,
             ord,
-        } => format!(
-            "%t{id} = cmpxchg {} {}, {}, {}{}",
-            type_str(m, ty),
-            v(*ptr),
-            v(*expected),
-            v(*new),
-            ord_suffix(*ord)
-        ),
+        } => {
+            write_def(out, id);
+            out.push_str("cmpxchg ");
+            write_type(out, m, ty);
+            out.push(' ');
+            write_values(out, m, f, &[*ptr, *expected, *new]);
+            write_ord(out, *ord);
+        }
         InstKind::Rmw {
             op,
             ptr,
             val,
             ty,
             ord,
-        } => format!(
-            "%t{id} = rmw {} {} {}, {}{}",
-            op.mnemonic(),
-            type_str(m, ty),
-            v(*ptr),
-            v(*val),
-            ord_suffix(*ord)
-        ),
-        InstKind::Fence { ord } => format!("fence {}", ord.keyword()),
+        } => {
+            write_def(out, id);
+            out.push_str("rmw ");
+            out.push_str(op.mnemonic());
+            out.push(' ');
+            write_type(out, m, ty);
+            out.push(' ');
+            write_values(out, m, f, &[*ptr, *val]);
+            write_ord(out, *ord);
+        }
+        InstKind::Fence { ord } => {
+            out.push_str("fence ");
+            out.push_str(ord.keyword());
+        }
         InstKind::Gep {
             base,
             base_ty,
             indices,
         } => {
-            let idxs: Vec<String> = indices
-                .iter()
-                .map(|i| match i {
-                    GepIndex::Const(c) => c.to_string(),
-                    GepIndex::Dyn(val) => v(*val),
-                })
-                .collect();
-            format!(
-                "%t{id} = gep {}, {}, {}",
-                type_str(m, base_ty),
-                v(*base),
-                idxs.join(", ")
-            )
+            write_def(out, id);
+            out.push_str("gep ");
+            write_type(out, m, base_ty);
+            out.push_str(", ");
+            write_value(out, m, f, *base);
+            out.push_str(", ");
+            for (k, i) in indices.iter().enumerate() {
+                if k > 0 {
+                    out.push_str(", ");
+                }
+                match i {
+                    GepIndex::Const(c) => write_int(out, *c),
+                    GepIndex::Dyn(val) => write_value(out, m, f, *val),
+                }
+            }
         }
         InstKind::Bin { op, lhs, rhs } => {
-            format!("%t{id} = {} {}, {}", op.mnemonic(), v(*lhs), v(*rhs))
+            write_def(out, id);
+            out.push_str(op.mnemonic());
+            out.push(' ');
+            write_values(out, m, f, &[*lhs, *rhs]);
         }
         InstKind::Cmp { pred, lhs, rhs } => {
-            format!("%t{id} = cmp {} {}, {}", pred.mnemonic(), v(*lhs), v(*rhs))
+            write_def(out, id);
+            out.push_str("cmp ");
+            out.push_str(pred.mnemonic());
+            out.push(' ');
+            write_values(out, m, f, &[*lhs, *rhs]);
         }
         InstKind::Cast { value, to } => {
-            format!("%t{id} = cast {} to {}", v(*value), type_str(m, to))
+            write_def(out, id);
+            out.push_str("cast ");
+            write_value(out, m, f, *value);
+            out.push_str(" to ");
+            write_type(out, m, to);
         }
         InstKind::Call {
             callee,
             args,
             ret_ty,
         } => {
-            let name = match callee {
-                Callee::Func(fid) => match m.funcs.get(fid.0 as usize) {
-                    Some(def) => def.name.clone(),
-                    None => format!("f{}", fid.0),
-                },
-                Callee::Builtin(b) => b.name().to_string(),
-            };
-            let args: Vec<String> = args.iter().map(|a| v(*a)).collect();
             if *ret_ty == Type::Void {
-                format!("call void @{}({})", name, args.join(", "))
+                out.push_str("call void @");
             } else {
-                format!(
-                    "%t{id} = call {} @{}({})",
-                    type_str(m, ret_ty),
-                    name,
-                    args.join(", ")
-                )
+                write_def(out, id);
+                out.push_str("call ");
+                write_type(out, m, ret_ty);
+                out.push_str(" @");
             }
+            match callee {
+                Callee::Func(fid) => write_func_name(out, m, fid.0),
+                Callee::Builtin(b) => out.push_str(b.name()),
+            }
+            out.push('(');
+            write_values(out, m, f, args);
+            out.push(')');
         }
     }
 }
 
-fn term_str(m: &Module, f: &Function, t: &Terminator) -> String {
+fn write_term(out: &mut String, m: &Module, f: &Function, t: &Terminator) {
     match t {
-        Terminator::Br(b) => format!("br bb{}", b.0),
+        Terminator::Br(b) => write_id(out, "br bb", b.0),
         Terminator::CondBr {
             cond,
             then_bb,
             else_bb,
-        } => format!(
-            "condbr {}, bb{}, bb{}",
-            value_str(m, f, *cond),
-            then_bb.0,
-            else_bb.0
-        ),
-        Terminator::Ret(None) => "ret".to_string(),
-        Terminator::Ret(Some(v)) => format!("ret {}", value_str(m, f, *v)),
-        Terminator::Unreachable => "unreachable".to_string(),
+        } => {
+            out.push_str("condbr ");
+            write_value(out, m, f, *cond);
+            write_id(out, ", bb", then_bb.0);
+            write_id(out, ", bb", else_bb.0);
+        }
+        Terminator::Ret(None) => out.push_str("ret"),
+        Terminator::Ret(Some(v)) => {
+            out.push_str("ret ");
+            write_value(out, m, f, *v);
+        }
+        Terminator::Unreachable => out.push_str("unreachable"),
     }
 }
 
