@@ -13,15 +13,18 @@
 //! $ atomig metrics run.jsonl        # validate an --emit-metrics stream
 //! ```
 
+use atomig_cache::CacheStore;
+use atomig_core::json::Value;
 use atomig_core::trace::{
     self, cache_event, checker_event, decision_event, finding_event, meta_event, phase_event,
     solver_event, summary_event, to_jsonl,
 };
 use atomig_core::{
     lint_module, AliasMode, AtomigConfig, CacheMetrics, CheckerMetrics, LintRule, PhaseStat,
-    Pipeline, Stage,
+    Pipeline, PipelineMetrics, Stage,
 };
 use atomig_wmm::{Checker, CostModel, Limit, ModelKind};
+use std::sync::Arc;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,233 +204,101 @@ only via `--trace`, the `cache` JSONL event, and `atomig metrics`.
 ///
 /// Returns a message suitable for printing on unknown flags or commands.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let cmd = match it.next() {
-        None => return Ok(Command::Help),
-        Some(c) => c.as_str(),
+    let Some((cmd, rest)) = args.split_first() else {
+        return Ok(Command::Help);
     };
-    match cmd {
+    match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "port" => {
-            let mut file = None;
-            let mut stage = Stage::Full;
-            let mut alias = AliasMode::TypeBased;
-            let mut report_only = false;
-            let mut naive = false;
-            let mut lasagne = false;
-            let mut trace = false;
-            let mut emit_metrics = None;
-            let mut jobs = None;
-            let mut cache_dir = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--report" => report_only = true,
-                    "--naive" => naive = true,
-                    "--lasagne" => lasagne = true,
-                    "--trace" => trace = true,
-                    "--stage" => {
-                        let v = it.next().ok_or("--stage needs a value")?;
-                        stage = parse_stage(v)?;
-                    }
-                    "--alias" => {
-                        let v = it.next().ok_or("--alias needs a value")?;
-                        alias = parse_alias(v)?;
-                    }
-                    "--emit-metrics" => {
-                        let v = it.next().ok_or("--emit-metrics needs a path")?;
-                        emit_metrics = Some(v.to_string());
-                    }
-                    "--jobs" => {
-                        let v = it.next().ok_or("--jobs needs a value")?;
-                        jobs = Some(parse_jobs(v)?);
-                    }
-                    "--cache-dir" => {
-                        let v = it.next().ok_or("--cache-dir needs a directory")?;
-                        cache_dir = Some(v.to_string());
-                    }
-                    f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-                    other => return Err(format!("unknown argument `{other}`")),
-                }
-            }
+            let f = Flags::parse(
+                rest,
+                "--report --naive --lasagne --trace --stage --alias --emit-metrics --jobs --cache-dir",
+            )?;
+            let (naive, lasagne) = (f.has("--naive"), f.has("--lasagne"));
             if naive && lasagne {
                 return Err("--naive and --lasagne are mutually exclusive".into());
             }
+            // The baselines port without the AtoMig pipeline, so its knobs
+            // would be silently ignored.
+            if naive || lasagne {
+                let baseline = if naive { "--naive" } else { "--lasagne" };
+                if let Some(knob) = ["--stage", "--alias", "--jobs"].iter().find(|k| f.has(k)) {
+                    return Err(format!(
+                        "{knob} has no effect with {baseline} (the baseline runs no AtoMig pipeline)"
+                    ));
+                }
+            }
             Ok(Command::Port {
-                file: file.ok_or("port: missing input file")?,
-                stage,
-                alias,
-                report_only,
+                report_only: f.has("--report"),
+                trace: f.has("--trace"),
+                file: f.input.ok_or("port: missing input file")?,
+                stage: f.stage,
+                alias: f.alias,
                 naive,
                 lasagne,
-                trace,
-                emit_metrics,
-                jobs,
-                cache_dir,
+                emit_metrics: f.emit_metrics,
+                jobs: f.jobs,
+                cache_dir: f.cache_dir,
             })
         }
         "check" => {
-            let mut file = None;
-            let mut model = ModelKind::Arm;
-            let mut ported = false;
-            let mut emit_metrics = None;
-            let mut jobs = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--ported" => ported = true,
-                    "--model" => {
-                        let v = it.next().ok_or("--model needs a value")?;
-                        model = parse_model(v)?;
-                    }
-                    "--emit-metrics" => {
-                        let v = it.next().ok_or("--emit-metrics needs a path")?;
-                        emit_metrics = Some(v.to_string());
-                    }
-                    "--jobs" => {
-                        let v = it.next().ok_or("--jobs needs a value")?;
-                        jobs = Some(parse_jobs(v)?);
-                    }
-                    f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-                    other => return Err(format!("unknown argument `{other}`")),
-                }
-            }
+            let f = Flags::parse(rest, "--ported --model --emit-metrics --jobs")?;
             Ok(Command::Check {
-                file: file.ok_or("check: missing input file")?,
-                model,
-                ported,
-                emit_metrics,
-                jobs,
+                ported: f.ported,
+                file: f.input.ok_or("check: missing input file")?,
+                model: f.model,
+                emit_metrics: f.emit_metrics,
+                jobs: f.jobs,
             })
         }
         "run" => {
-            let mut file = None;
-            let mut ported = false;
-            for a in it {
-                match a.as_str() {
-                    "--ported" => ported = true,
-                    f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-                    other => return Err(format!("unknown argument `{other}`")),
-                }
-            }
+            let f = Flags::parse(rest, "--ported")?;
             Ok(Command::Run {
-                file: file.ok_or("run: missing input file")?,
-                ported,
+                ported: f.ported,
+                file: f.input.ok_or("run: missing input file")?,
             })
         }
         "lint" => {
-            let mut file = None;
-            let mut ported = false;
-            let mut alias = AliasMode::TypeBased;
-            let mut deny = Vec::new();
-            let mut emit_metrics = None;
-            let mut jobs = None;
-            let mut cache_dir = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--ported" => ported = true,
-                    "--alias" => {
-                        let v = it.next().ok_or("--alias needs a value")?;
-                        alias = parse_alias(v)?;
-                    }
-                    "--deny" => {
-                        let v = it.next().ok_or("--deny needs a value")?;
-                        let rule = LintRule::from_name(v).ok_or_else(|| {
-                            format!(
-                                "unknown lint rule `{v}` (accepted: {})",
-                                rule_names().join(", ")
-                            )
-                        })?;
-                        if !deny.contains(&rule) {
-                            deny.push(rule);
-                        }
-                    }
-                    "--emit-metrics" => {
-                        let v = it.next().ok_or("--emit-metrics needs a path")?;
-                        emit_metrics = Some(v.to_string());
-                    }
-                    "--jobs" => {
-                        let v = it.next().ok_or("--jobs needs a value")?;
-                        jobs = Some(parse_jobs(v)?);
-                    }
-                    "--cache-dir" => {
-                        let v = it.next().ok_or("--cache-dir needs a directory")?;
-                        cache_dir = Some(v.to_string());
-                    }
-                    f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-                    other => return Err(format!("unknown argument `{other}`")),
-                }
-            }
+            let f = Flags::parse(
+                rest,
+                "--ported --alias --deny --emit-metrics --jobs --cache-dir",
+            )?;
             Ok(Command::Lint {
-                file: file.ok_or("lint: missing input file")?,
-                ported,
-                alias,
-                deny,
-                emit_metrics,
-                jobs,
-                cache_dir,
+                ported: f.ported,
+                file: f.input.ok_or("lint: missing input file")?,
+                alias: f.alias,
+                deny: f.deny,
+                emit_metrics: f.emit_metrics,
+                jobs: f.jobs,
+                cache_dir: f.cache_dir,
             })
         }
         "batch" => {
-            let mut path = None;
-            let mut stage = Stage::Full;
-            let mut alias = AliasMode::TypeBased;
-            let mut jobs = None;
-            let mut emit_metrics = None;
-            let mut cache_dir = None;
-            let mut no_cache = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--no-cache" => no_cache = true,
-                    "--stage" => {
-                        let v = it.next().ok_or("--stage needs a value")?;
-                        stage = parse_stage(v)?;
-                    }
-                    "--alias" => {
-                        let v = it.next().ok_or("--alias needs a value")?;
-                        alias = parse_alias(v)?;
-                    }
-                    "--jobs" => {
-                        let v = it.next().ok_or("--jobs needs a value")?;
-                        jobs = Some(parse_jobs(v)?);
-                    }
-                    "--emit-metrics" => {
-                        let v = it.next().ok_or("--emit-metrics needs a path")?;
-                        emit_metrics = Some(v.to_string());
-                    }
-                    "--cache-dir" => {
-                        let v = it.next().ok_or("--cache-dir needs a directory")?;
-                        cache_dir = Some(v.to_string());
-                    }
-                    f if !f.starts_with('-') && path.is_none() => path = Some(f.to_string()),
-                    other => return Err(format!("unknown argument `{other}`")),
-                }
-            }
-            if no_cache && cache_dir.is_some() {
+            let f = Flags::parse(
+                rest,
+                "--no-cache --stage --alias --jobs --emit-metrics --cache-dir",
+            )?;
+            let no_cache = f.has("--no-cache");
+            if no_cache && f.cache_dir.is_some() {
                 return Err("--cache-dir and --no-cache are mutually exclusive".into());
             }
             Ok(Command::Batch {
-                path: path.ok_or("batch: missing input directory, manifest, or file")?,
-                stage,
-                alias,
-                jobs,
-                emit_metrics,
-                cache_dir,
+                path: f
+                    .input
+                    .ok_or("batch: missing input directory, manifest, or file")?,
+                stage: f.stage,
+                alias: f.alias,
+                jobs: f.jobs,
+                emit_metrics: f.emit_metrics,
+                cache_dir: f.cache_dir,
                 no_cache,
             })
         }
         "explain" => {
-            let mut target = None;
-            let mut alias = AliasMode::TypeBased;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--alias" => {
-                        let v = it.next().ok_or("--alias needs a value")?;
-                        alias = parse_alias(v)?;
-                    }
-                    f if !f.starts_with('-') && target.is_none() => target = Some(f.to_string()),
-                    other => return Err(format!("unknown argument `{other}`")),
-                }
-            }
-            let target = target.ok_or("explain: missing input location (file.c[:LINE])")?;
+            let f = Flags::parse(rest, "--alias")?;
+            let target = f
+                .input
+                .ok_or("explain: missing input location (file.c[:LINE])")?;
             let (file, line) = match target.rsplit_once(':') {
                 Some(("", _)) => {
                     return Err(format!(
@@ -452,40 +323,112 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 }
                 None => (target, None),
             };
-            Ok(Command::Explain { file, line, alias })
+            Ok(Command::Explain {
+                file,
+                line,
+                alias: f.alias,
+            })
         }
         "metrics" => {
-            let mut file = None;
-            for a in it {
-                match a.as_str() {
-                    f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-                    other => return Err(format!("unknown argument `{other}`")),
-                }
-            }
+            let f = Flags::parse(rest, "")?;
             Ok(Command::Metrics {
-                file: file.ok_or("metrics: missing input file")?,
+                file: f.input.ok_or("metrics: missing input file")?,
             })
         }
         other => Err(format!("unknown command `{other}` (try `atomig help`)")),
     }
 }
 
-fn rule_names() -> Vec<&'static str> {
-    LintRule::ALL.iter().map(|r| r.name()).collect()
+/// The flags of one subcommand's command line, parsed by [`Flags::parse`]
+/// in one pass. Absent flags keep their defaults.
+struct Flags {
+    /// The one positional argument.
+    input: Option<String>,
+    /// Every accepted flag seen, in order.
+    seen: Vec<&'static str>,
+    stage: Stage,
+    alias: AliasMode,
+    jobs: Option<usize>,
+    emit_metrics: Option<String>,
+    cache_dir: Option<String>,
+    ported: bool,
+    model: ModelKind,
+    deny: Vec<LintRule>,
 }
 
-fn parse_stage(s: &str) -> Result<Stage, String> {
-    Ok(match s {
-        "original" => Stage::Original,
-        "expl" | "explicit" => Stage::Explicit,
-        "spin" => Stage::Spin,
-        "full" | "atomig" => Stage::Full,
-        other => {
-            return Err(format!(
-                "unknown stage `{other}` (accepted: original, expl, spin, full)"
-            ))
+impl Flags {
+    /// Parses `args` against the subcommand's `accepted` flags (separated
+    /// by spaces): a flag outside that set, or a second positional
+    /// argument, is an unknown argument. Errors surface in argument order.
+    fn parse(args: &[String], accepted: &'static str) -> Result<Flags, String> {
+        let mut f = Flags {
+            input: None,
+            seen: Vec::new(),
+            stage: Stage::Full,
+            alias: AliasMode::TypeBased,
+            jobs: None,
+            emit_metrics: None,
+            cache_dir: None,
+            ported: false,
+            model: ModelKind::Arm,
+            deny: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            let Some(flag) = accepted.split_whitespace().find(|&k| k == a) else {
+                if a.starts_with('-') || f.input.is_some() {
+                    return Err(format!("unknown argument `{a}`"));
+                }
+                f.input = Some(a.clone());
+                continue;
+            };
+            f.seen.push(flag);
+            let mut value = |what: &str| it.next().ok_or_else(|| format!("{flag} needs {what}"));
+            match flag {
+                "--stage" => f.stage = parse_stage(value("a value")?)?,
+                "--alias" => f.alias = parse_alias(value("a value")?)?,
+                "--jobs" => f.jobs = Some(parse_jobs(value("a value")?)?),
+                "--model" => f.model = parse_model(value("a value")?)?,
+                "--emit-metrics" => f.emit_metrics = Some(value("a path")?.clone()),
+                "--cache-dir" => f.cache_dir = Some(value("a directory")?.clone()),
+                "--ported" => f.ported = true,
+                "--deny" => {
+                    let v = value("a value")?;
+                    let rule = LintRule::from_name(v).ok_or_else(|| {
+                        let names: Vec<&str> = LintRule::ALL.iter().map(LintRule::name).collect();
+                        format!("unknown lint rule `{v}` (accepted: {})", names.join(", "))
+                    })?;
+                    if !f.deny.contains(&rule) {
+                        f.deny.push(rule);
+                    }
+                }
+                _ => {} // a switch: `seen` is its value
+            }
         }
-    })
+        Ok(f)
+    }
+
+    /// Whether `flag` appeared.
+    fn has(&self, flag: &str) -> bool {
+        self.seen.contains(&flag)
+    }
+}
+
+/// `--stage` values; the first name of a stage is the one reports print.
+const STAGES: [(&str, Stage); 6] = [
+    ("original", Stage::Original),
+    ("expl", Stage::Explicit),
+    ("explicit", Stage::Explicit),
+    ("spin", Stage::Spin),
+    ("full", Stage::Full),
+    ("atomig", Stage::Full),
+];
+
+fn parse_stage(s: &str) -> Result<Stage, String> {
+    let known = STAGES.iter().find(|(name, _)| *name == s);
+    known
+        .map(|&(_, stage)| stage)
+        .ok_or_else(|| format!("unknown stage `{s}` (accepted: original, expl, spin, full)"))
 }
 
 fn parse_alias(s: &str) -> Result<AliasMode, String> {
@@ -515,13 +458,30 @@ fn parse_model(s: &str) -> Result<ModelKind, String> {
     })
 }
 
-fn config_for(stage: Stage) -> AtomigConfig {
-    match stage {
+/// The pipeline configuration of one run: the stage's preset with the
+/// given alias backend, worker count and artifact cache, on the
+/// deterministic clock when `ATOMIG_DETERMINISTIC` asks for it.
+fn pipeline_config(
+    stage: Stage,
+    alias: AliasMode,
+    jobs: Option<usize>,
+    cache: Option<Arc<CacheStore>>,
+) -> AtomigConfig {
+    let mut cfg = match stage {
         Stage::Original => AtomigConfig::original(),
         Stage::Explicit => AtomigConfig::explicit_only(),
         Stage::Spin => AtomigConfig::spin(),
         Stage::Full => AtomigConfig::full(),
+    };
+    cfg.alias_mode = alias;
+    if let Some(j) = jobs {
+        cfg.jobs = j;
     }
+    if let Some(c) = deterministic_clock() {
+        cfg.clock = c;
+    }
+    cfg.cache = cache;
+    cfg
 }
 
 /// With `ATOMIG_DETERMINISTIC` set (to anything but `""`/`0`), a
@@ -541,7 +501,23 @@ fn deterministic_clock() -> Option<trace::Clock> {
     }
 }
 
-fn write_metrics(path: &str, events: &[atomig_core::json::Value]) -> Result<String, String> {
+/// The meta, solver, phase, checker and cache events of one run, in
+/// stream order; the caller appends its own events and the summary.
+fn metrics_events(
+    command: &str,
+    module: &str,
+    backend: Option<AliasMode>,
+    metrics: &PipelineMetrics,
+) -> Vec<Value> {
+    let mut events = vec![meta_event(command, module, backend.map(|b| b.name()))];
+    events.extend(metrics.solver.as_ref().map(solver_event));
+    events.extend(metrics.phases.iter().map(phase_event));
+    events.extend(metrics.checker.as_ref().map(checker_event));
+    events.extend(metrics.cache.as_ref().map(cache_event));
+    events
+}
+
+fn write_metrics(path: &str, events: &[Value]) -> Result<String, String> {
     std::fs::write(path, to_jsonl(events))
         .map_err(|e| format!("cannot write metrics to `{path}`: {e}"))?;
     Ok(format!(
@@ -550,17 +526,14 @@ fn write_metrics(path: &str, events: &[atomig_core::json::Value]) -> Result<Stri
     ))
 }
 
-fn stage_name(stage: Stage) -> &'static str {
-    match stage {
-        Stage::Original => "original",
-        Stage::Explicit => "expl",
-        Stage::Spin => "spin",
-        Stage::Full => "full",
-    }
-}
-
-fn open_cache(dir: Option<&str>) -> Result<std::sync::Arc<atomig_cache::CacheStore>, String> {
-    Ok(std::sync::Arc::new(atomig_cache::CacheStore::open(dir)?))
+/// The artifact cache at `dir` (`None`: the default root), opened only
+/// when `on`.
+fn open_cache(on: bool, dir: Option<&str>) -> Result<Option<Arc<CacheStore>>, String> {
+    Ok(if on {
+        Some(Arc::new(CacheStore::open(dir)?))
+    } else {
+        None
+    })
 }
 
 /// The one-line trace rendering of cache counters. Deliberately absent
@@ -694,24 +667,11 @@ pub fn execute_batch(cmd: &Command, inputs: &[BatchInput]) -> Result<String, Str
     if inputs.is_empty() {
         return Err(format!("batch: no .c files found under `{path}`"));
     }
-    let store = if *no_cache {
-        None
-    } else {
-        Some(open_cache(cache_dir.as_deref())?)
-    };
-    let jobs = match jobs {
-        Some(n) => *n,
-        None => atomig_par::jobs_from_env("ATOMIG_JOBS")?,
-    };
+    let store = open_cache(!no_cache, cache_dir.as_deref())?;
+    let jobs = jobs.map_or_else(|| atomig_par::jobs_from_env("ATOMIG_JOBS"), Ok)?;
     let pool = atomig_par::WorkerPool::new(jobs);
     let results = pool.map(inputs, |_, inp| {
-        let mut cfg = config_for(*stage);
-        cfg.alias_mode = *alias;
-        cfg.jobs = 1;
-        cfg.cache = store.clone();
-        if let Some(c) = deterministic_clock() {
-            cfg.clock = c;
-        }
+        let cfg = pipeline_config(*stage, *alias, Some(1), store.clone());
         let mut m = atomig_frontc::compile(&inp.source, &inp.name)?;
         let report = Pipeline::new(cfg).port_module(&mut m);
         atomig_mir::verify_module(&m).map_err(|e| e.to_string())?;
@@ -738,7 +698,10 @@ pub fn execute_batch(cmd: &Command, inputs: &[BatchInput]) -> Result<String, Str
     let mut out = format!(
         "batch report: {} module(s) from `{path}` (stage {}, {} alias, cache {})\n",
         reports.len(),
-        stage_name(*stage),
+        STAGES
+            .iter()
+            .find(|(_, s)| s == stage)
+            .map_or("", |(name, _)| name),
         alias.name(),
         if store.is_some() { "on" } else { "off" },
     );
@@ -775,17 +738,19 @@ pub fn execute_batch(cmd: &Command, inputs: &[BatchInput]) -> Result<String, Str
          {sc} sc-upgrade(s), {fences} fence(s), {total:?} porting"
     ));
     if let Some(p) = emit_metrics {
-        let mut events = vec![meta_event("batch", path, Some(alias.name()))];
-        for (mod_name, r) in &reports {
-            events.push(phase_event(&PhaseStat {
-                name: format!("port:{mod_name}"),
-                duration: r.porting_time,
-                items: r.implicit_barriers_added + r.explicit_barriers_added,
-            }));
-        }
-        if let Some(c) = &cache {
-            events.push(cache_event(c));
-        }
+        let metrics = PipelineMetrics {
+            phases: reports
+                .iter()
+                .map(|(mod_name, r)| PhaseStat {
+                    name: format!("port:{mod_name}"),
+                    duration: r.porting_time,
+                    items: r.implicit_barriers_added + r.explicit_barriers_added,
+                })
+                .collect(),
+            cache,
+            ..PipelineMetrics::default()
+        };
+        let mut events = metrics_events("batch", path, Some(*alias), &metrics);
         events.push(summary_event(
             total,
             vec![
@@ -847,17 +812,8 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
                     stats.fences_inserted, stats.fences_removed
                 )
             } else {
-                let mut cfg = config_for(*stage);
-                cfg.alias_mode = *alias;
-                if let Some(j) = jobs {
-                    cfg.jobs = *j;
-                }
-                if let Some(c) = deterministic_clock() {
-                    cfg.clock = c;
-                }
-                if let Some(d) = cache_dir {
-                    cfg.cache = Some(open_cache(Some(d))?);
-                }
+                let cache = open_cache(cache_dir.is_some(), cache_dir.as_deref())?;
+                let cfg = pipeline_config(*stage, *alias, *jobs, cache);
                 let report = Pipeline::new(cfg).port_module(&mut module);
                 let s = format!("{report}");
                 pipeline_report = Some(report);
@@ -879,19 +835,8 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
                     }
                 }
                 if let Some(path) = emit_metrics {
-                    let mut events = vec![meta_event("port", name, Some(alias.name()))];
-                    if let Some(s) = &report.metrics.solver {
-                        events.push(solver_event(s));
-                    }
-                    for p in &report.metrics.phases {
-                        events.push(phase_event(p));
-                    }
-                    if let Some(c) = &report.metrics.cache {
-                        events.push(cache_event(c));
-                    }
-                    for d in report.ledger.decisions() {
-                        events.push(decision_event(d));
-                    }
+                    let mut events = metrics_events("port", name, Some(*alias), &report.metrics);
+                    events.extend(report.ledger.decisions().iter().map(decision_event));
                     events.push(summary_event(
                         report.metrics.total(),
                         vec![
@@ -914,16 +859,10 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             ..
         } => {
             let mut module = atomig_frontc::compile(source, name)?;
-            let clock = deterministic_clock().unwrap_or_else(trace::Clock::system);
-            let mut port_report = None;
-            if *ported {
-                let mut cfg = AtomigConfig::full();
-                if let Some(j) = jobs {
-                    cfg.jobs = *j;
-                }
-                cfg.clock = clock.clone();
-                port_report = Some(Pipeline::new(cfg).port_module(&mut module));
-            }
+            let cfg = pipeline_config(Stage::Full, AliasMode::TypeBased, *jobs, None);
+            // Porting and exploration read one clock.
+            let clock = cfg.clock.clone();
+            let port_report = ported.then(|| Pipeline::new(cfg).port_module(&mut module));
             if module.func_by_name("main").is_none() {
                 return Err("check: the program has no `main`".into());
             }
@@ -936,33 +875,19 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             let explore = clock.now() - t0;
             let mut note = String::new();
             if let Some(path) = emit_metrics {
-                let cm = CheckerMetrics {
+                let mut metrics = port_report.map(|r| r.metrics).unwrap_or_default();
+                metrics.record("check-explore", explore, verdict.states);
+                metrics.checker = Some(CheckerMetrics {
                     model: model.to_string(),
                     states: verdict.states,
                     executions: verdict.executions,
                     revisits: verdict.revisits,
                     peak_tracked: verdict.peak_tracked,
                     truncated: verdict.truncated,
-                };
-                let mut events = vec![meta_event("check", name, None)];
-                let mut total = explore;
-                if let Some(r) = &port_report {
-                    total += r.metrics.total();
-                    if let Some(s) = &r.metrics.solver {
-                        events.push(solver_event(s));
-                    }
-                    for p in &r.metrics.phases {
-                        events.push(phase_event(p));
-                    }
-                }
-                events.push(phase_event(&PhaseStat {
-                    name: "check-explore".into(),
-                    duration: explore,
-                    items: verdict.states,
-                }));
-                events.push(checker_event(&cm));
+                });
+                let mut events = metrics_events("check", name, None, &metrics);
                 events.push(summary_event(
-                    total,
+                    metrics.total(),
                     vec![
                         ("states", verdict.states.into()),
                         ("executions", verdict.executions.into()),
@@ -1003,36 +928,16 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             ..
         } => {
             let mut module = atomig_frontc::compile(source, name)?;
-            let mut cfg = AtomigConfig::full();
-            cfg.alias_mode = *alias;
-            if let Some(j) = jobs {
-                cfg.jobs = *j;
-            }
-            if let Some(c) = deterministic_clock() {
-                cfg.clock = c;
-            }
-            if let Some(d) = cache_dir {
-                cfg.cache = Some(open_cache(Some(d))?);
-            }
+            let cache = open_cache(cache_dir.is_some(), cache_dir.as_deref())?;
+            let cfg = pipeline_config(Stage::Full, *alias, *jobs, cache);
             if *ported {
                 Pipeline::new(cfg.clone()).port_module(&mut module);
             }
             let report = lint_module(&module, &cfg);
             let mut out = report.to_string();
             if let Some(path) = emit_metrics {
-                let mut events = vec![meta_event("lint", name, Some(alias.name()))];
-                if let Some(s) = &report.metrics.solver {
-                    events.push(solver_event(s));
-                }
-                for p in &report.metrics.phases {
-                    events.push(phase_event(p));
-                }
-                if let Some(c) = &report.metrics.cache {
-                    events.push(cache_event(c));
-                }
-                for l in &report.lints {
-                    events.push(finding_event(l));
-                }
+                let mut events = metrics_events("lint", name, Some(*alias), &report.metrics);
+                events.extend(report.lints.iter().map(finding_event));
                 events.push(summary_event(
                     report.metrics.total(),
                     vec![
@@ -1056,17 +961,16 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
         }
         Command::Explain { line, alias, .. } => {
             let module = atomig_frontc::compile(source, name)?;
-            let mut cfg = AtomigConfig::full();
-            cfg.alias_mode = *alias;
-            // Keep original function names in the ledger: decisions are
-            // reported where the source says they are, not post-inline.
-            cfg.inline = false;
-            let mut ported = module.clone();
-            let report = Pipeline::new(cfg.clone()).port_module(&mut ported);
+            // One audit of the module as written: its plan's ledger holds
+            // the decisions a port would make (under the source's function
+            // names, since the lint does not inline), and its race
+            // candidates give the pre-port context.
+            let audit = lint_module(&module, &pipeline_config(Stage::Full, *alias, None, None));
+            let ledger = &audit.ledger;
             let mut out = String::new();
             match line {
                 Some(l) => {
-                    let ds = report.ledger.at_line(*l);
+                    let ds = ledger.at_line(*l);
                     if ds.is_empty() {
                         out.push_str(&format!(
                             "no porting decision at {name}.c:{l} \
@@ -1075,18 +979,17 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
                     } else {
                         out.push_str(&format!("{} decision(s) at {name}.c:{l}\n", ds.len()));
                         for d in ds {
-                            for step in report.ledger.chain(d, name) {
+                            for step in ledger.chain(d, name) {
                                 out.push_str(&step);
                                 out.push('\n');
                             }
                         }
                     }
                 }
-                None => out.push_str(&report.ledger.render_tree(name)),
+                None => out.push_str(&ledger.render_tree(name)),
             }
             // Pre-port race-candidate context: which shared accesses the
             // audit saw, and the nearest non-covering synchronization.
-            let audit = lint_module(&module, &cfg);
             let context: Vec<&atomig_core::Lint> = audit
                 .lints
                 .iter()
@@ -1591,6 +1494,37 @@ mod tests {
         let cmd = parse_args(&args("port mp.c --lasagne --report")).unwrap();
         let out = execute(&cmd, MP, "mp").unwrap();
         assert!(out.contains("lasagne port"), "{out}");
+    }
+
+    /// `port --naive`/`--lasagne` skip the AtoMig pipeline, so a pipeline
+    /// knob next to them is an error rather than silently ignored.
+    fn assert_baselines_reject(knob: &str, value: &str) {
+        for baseline in ["--naive", "--lasagne"] {
+            let line = format!("port a.c {baseline} {knob} {value}");
+            let err = parse_args(&args(&line)).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "{knob} has no effect with {baseline} (the baseline runs no AtoMig pipeline)"
+                ),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn baselines_reject_stage() {
+        assert_baselines_reject("--stage", "spin");
+    }
+
+    #[test]
+    fn baselines_reject_alias() {
+        assert_baselines_reject("--alias", "points-to");
+    }
+
+    #[test]
+    fn baselines_reject_jobs() {
+        assert_baselines_reject("--jobs", "2");
     }
 
     fn tmp_dir(tag: &str) -> String {

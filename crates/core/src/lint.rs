@@ -5,10 +5,11 @@
 //! falls short of the transform's contract. It answers two questions
 //! without running the model checker:
 //!
-//! 1. **fence-placement** — re-runs the detection passes (annotations,
-//!    spinloops, optimistic loops, sticky-buddy expansion) as a dry run
-//!    and checks that every mark the pipeline *would* compute is already
-//!    realized in the module: spin/optimistic controls `seq_cst`, every
+//! 1. **fence-placement** — computes, without touching the module, the
+//!    plan that [`Pipeline::port_module`] applies (annotations,
+//!    spinloops, optimistic loops, sticky-buddy expansion: one planner
+//!    serves both) and checks that every mark in it is already realized
+//!    in the module: spin/optimistic controls `seq_cst`, every
 //!    in-loop optimistic-control load fence-preceded, every store to an
 //!    optimistic location fence-followed, every sticky buddy `seq_cst`.
 //!    A module that just went through [`Pipeline::port_module`] verifies
@@ -39,13 +40,12 @@
 //! [`PointsTo`]: atomig_analysis::PointsTo
 //! [`AliasMap::build_points_to`]: crate::AliasMap::build_points_to
 
-use crate::alias::AliasMap;
 use crate::annotations::loc_of;
-use crate::config::{AliasMode, AtomigConfig, Stage};
-use crate::trace::{PipelineMetrics, SolverMetrics};
-use atomig_analysis::{Cfg, PointsTo, ThreadReach};
+use crate::config::AtomigConfig;
+use crate::trace::{DecisionLedger, PipelineMetrics, TraceCause};
+use atomig_analysis::{Cfg, ThreadReach};
 use atomig_mir::{FuncId, Function, InstId, InstKind, MemLoc, Module, Ordering};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// The rules `atomig lint` checks.
@@ -147,6 +147,9 @@ pub struct LintReport {
     pub analysis_time: std::time::Duration,
     /// Per-phase timings and counters ([`crate::trace`]).
     pub metrics: PipelineMetrics,
+    /// The plan's decision ledger: why each audited mark was made. It is
+    /// the ledger a port of the same module records.
+    pub ledger: DecisionLedger,
 }
 
 impl LintReport {
@@ -194,179 +197,19 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// Where a dry-run mark came from (for diagnostics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MarkOrigin {
-    Annotation,
-    BarrierHint,
-    SpinControl,
-    OptimisticStore,
-    Buddy,
-}
-
-impl MarkOrigin {
-    fn describe(&self) -> &'static str {
-        match self {
-            MarkOrigin::Annotation => "explicitly annotated (atomic/volatile, §3.2)",
-            MarkOrigin::BarrierHint => "adjacent to a compiler barrier (§6 hint)",
-            MarkOrigin::SpinControl => "a spinloop exit depends on it (§3.3)",
-            MarkOrigin::OptimisticStore => "it writes an optimistic-loop control location (§3.3)",
-            MarkOrigin::Buddy => "sticky-buddy of a synchronization location (§3.4)",
+/// Why a ledger cause marked its access SC, in the lint's words; `None`
+/// for optimistic controls, which only carry fences and seed expansion.
+fn mark_reason(cause: &TraceCause) -> Option<&'static str> {
+    Some(match cause {
+        TraceCause::Annotation { .. } => "explicitly annotated (atomic/volatile, §3.2)",
+        TraceCause::BarrierHint => "adjacent to a compiler barrier (§6 hint)",
+        TraceCause::SpinControl { .. } => "a spinloop exit depends on it (§3.3)",
+        TraceCause::OptimisticStore { .. } => {
+            "it writes an optimistic-loop control location (§3.3)"
         }
-    }
-}
-
-/// The would-be marks of a pipeline dry run, plus enough provenance to
-/// explain each one.
-#[derive(Debug, Default)]
-struct DryRun {
-    sc: HashMap<FuncId, HashMap<InstId, MarkOrigin>>,
-    fence_before: HashMap<FuncId, HashSet<InstId>>,
-    fence_after: HashMap<FuncId, HashSet<InstId>>,
-    /// Seed keys in insertion order (deduplicated via `seed_seen`) so the
-    /// type-based buddy expansion iterates deterministically — a
-    /// `HashSet` here made mark origins depend on hash order.
-    seed_locs: Vec<MemLoc>,
-    seed_seen: HashSet<MemLoc>,
-    optimistic_locs: HashSet<MemLoc>,
-    /// Artifact-cache counters of the detection sweep, when a store was
-    /// configured.
-    cache: Option<crate::trace::CacheMetrics>,
-}
-
-impl DryRun {
-    fn mark_sc(&mut self, f: FuncId, i: InstId, origin: MarkOrigin) {
-        // First origin wins: pattern provenance reads better than "buddy".
-        self.sc.entry(f).or_default().entry(i).or_insert(origin);
-    }
-
-    fn add_seed(&mut self, l: &MemLoc) {
-        if self.seed_seen.insert(l.clone()) {
-            self.seed_locs.push(l.clone());
-        }
-    }
-}
-
-/// Mirrors [`Pipeline::port_module`]'s detection passes without touching
-/// the module. `am_pt` is the points-to alias map used when
-/// `config.alias_mode` selects the points-to backend.
-///
-/// [`Pipeline::port_module`]: crate::Pipeline::port_module
-fn dry_run(m: &Module, config: &AtomigConfig, am_pt: &AliasMap) -> DryRun {
-    let mut d = DryRun::default();
-    if config.stage == Stage::Original {
-        return d;
-    }
-    let pointee = config.pointee_buddies;
-    let seedable = |l: &MemLoc| l.is_buddy_key() || (pointee && matches!(l, MemLoc::Pointee(_)));
-    let mut optimistic_accesses: Vec<(FuncId, InstId)> = Vec::new();
-
-    // Per-function detection on the worker pool, merged in `FuncId`
-    // order — same deterministic-merge contract as the pipeline itself,
-    // including the artifact cache consulted before each function.
-    let fids: Vec<FuncId> = m.func_ids().collect();
-    let pipe = crate::Pipeline::new(config.clone());
-    let (dets, cache) = pipe.detect_all(m);
-    d.cache = cache;
-
-    for (&fid, det) in fids.iter().zip(&dets) {
-        for (mk, _) in &det.ann_marks {
-            d.mark_sc(fid, mk.inst, MarkOrigin::Annotation);
-            if seedable(&mk.loc) {
-                d.add_seed(&mk.loc);
-            }
-        }
-        for mk in &det.hint_marks {
-            d.mark_sc(fid, mk.inst, MarkOrigin::BarrierHint);
-            if seedable(&mk.loc) {
-                d.add_seed(&mk.loc);
-            }
-        }
-        for s in &det.spins {
-            for &c in &s.controls {
-                d.mark_sc(fid, c, MarkOrigin::SpinControl);
-            }
-            for l in &s.control_locs {
-                if seedable(l) {
-                    d.add_seed(l);
-                }
-            }
-        }
-        for o in &det.opts {
-            for &(c, is_load) in &o.controls {
-                if is_load {
-                    d.fence_before.entry(fid).or_default().insert(c);
-                }
-                optimistic_accesses.push((fid, c));
-            }
-            for l in &o.control_locs {
-                d.optimistic_locs.insert(l.clone());
-                if seedable(l) {
-                    d.add_seed(l);
-                }
-            }
-        }
-    }
-
-    match config.alias_mode {
-        AliasMode::TypeBased => {
-            if config.alias_exploration {
-                let am = AliasMap::build(m, pointee);
-                for loc in d.seed_locs.clone() {
-                    for &(f, i) in am.buddies(&loc) {
-                        d.mark_sc(f, i, MarkOrigin::Buddy);
-                    }
-                }
-            }
-            if !d.optimistic_locs.is_empty() {
-                for fid in m.func_ids() {
-                    let func = m.func(fid);
-                    let index = func.inst_index();
-                    for (_, inst) in func.insts() {
-                        if !inst.kind.may_write() || !inst.kind.is_memory_access() {
-                            continue;
-                        }
-                        let loc = loc_of(&index, &inst.kind);
-                        if d.optimistic_locs.contains(&loc) {
-                            d.fence_after.entry(fid).or_default().insert(inst.id);
-                            d.mark_sc(fid, inst.id, MarkOrigin::OptimisticStore);
-                        }
-                    }
-                }
-            }
-        }
-        AliasMode::PointsTo => {
-            if config.alias_exploration {
-                // Sorted so expansion order — and with it first-origin
-                // mark provenance — is deterministic, mirroring the
-                // pipeline's seed ordering.
-                let mut seeds: Vec<(FuncId, InstId)> =
-                    d.sc.iter()
-                        .flat_map(|(&f, is)| is.keys().map(move |&i| (f, i)))
-                        .collect();
-                seeds.sort_unstable_by_key(|&(f, i)| (f.0, i.0));
-                seeds.extend(optimistic_accesses.iter().copied());
-                for (f, i) in seeds {
-                    for &(bf, bi) in am_pt.buddies_of_access(f, i) {
-                        d.mark_sc(bf, bi, MarkOrigin::Buddy);
-                    }
-                }
-            }
-            if !optimistic_accesses.is_empty() {
-                let mut indexes = crate::pipeline::LazyIndexes::new(m);
-                for &(f, i) in &optimistic_accesses {
-                    for &(bf, bi) in am_pt.buddies_of_access(f, i) {
-                        let kind = indexes.of(bf).get(bi);
-                        if kind.is_some_and(|k| k.is_memory_access() && k.may_write()) {
-                            d.fence_after.entry(bf).or_default().insert(bi);
-                            d.mark_sc(bf, bi, MarkOrigin::OptimisticStore);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    d
+        TraceCause::StickyBuddy { .. } => "sticky-buddy of a synchronization location (§3.4)",
+        TraceCause::OptimisticControl { .. } => return None,
+    })
 }
 
 /// Instruction-granular synchronization coverage of one function.
@@ -493,8 +336,9 @@ struct Access {
 }
 
 /// Audits `m` against the transform's contract and the race-candidate
-/// rule. `config` selects the stages mirrored by the dry run (use
-/// [`AtomigConfig::full`] for the complete audit).
+/// rule. `config` selects the stages and alias backend of the plan (use
+/// [`AtomigConfig::full`] for the complete audit); the module is audited
+/// as given, without inlining.
 pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     let clock = &config.clock;
     let t0 = clock.now();
@@ -504,30 +348,16 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
         ..LintReport::default()
     };
 
-    let s0 = clock.now();
-    let pt = PointsTo::analyze_with_jobs(m, config.jobs);
-    let solve = clock.now() - s0;
-    let mut solver = SolverMetrics::from(pt.stats);
-    // Re-measure with the injected clock so metrics stay byte-comparable
-    // under a deterministic clock.
-    solver.solve_time = solve;
-    report.metrics.solver = Some(solver);
-    report
-        .metrics
-        .record("points-to-solve", solve, pt.stats.iterations);
-    let a0 = clock.now();
-    let am_pt = AliasMap::build_points_to(m, &pt);
-    report
-        .metrics
-        .record("alias-build", clock.now() - a0, am_pt.class_count());
+    let (pt, am_pt) = crate::pipeline::points_to_alias(m, config, &mut report.metrics);
     let d0 = clock.now();
-    let d = dry_run(m, config, &am_pt);
-    report.metrics.record(
-        "dry-run",
-        clock.now() - d0,
-        d.sc.values().map(HashMap::len).sum(),
-    );
-    report.metrics.cache = d.cache;
+    let crate::pipeline::Plan {
+        marks,
+        report: plan,
+    } = crate::Pipeline::new(config.clone()).plan(m, &am_pt);
+    report
+        .metrics
+        .record("dry-run", clock.now() - d0, marks.sc_mark_count());
+    report.metrics.cache = plan.metrics.cache;
     let reach = ThreadReach::new(m);
     report.thread_roots = reach.roots.len();
 
@@ -546,11 +376,10 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     let mut lints: Vec<Lint> = Vec::new();
     for fid in m.func_ids() {
         let func = m.func(fid);
-        let empty_origin = HashMap::new();
         let empty = HashSet::new();
-        let sc = d.sc.get(&fid).unwrap_or(&empty_origin);
-        let before = d.fence_before.get(&fid).unwrap_or(&empty);
-        let after = d.fence_after.get(&fid).unwrap_or(&empty);
+        let sc = marks.sc_marks.get(&fid).unwrap_or(&empty);
+        let before = marks.fence_before.get(&fid).unwrap_or(&empty);
+        let after = marks.fence_after.get(&fid).unwrap_or(&empty);
         if sc.is_empty() && before.is_empty() && after.is_empty() {
             continue;
         }
@@ -559,13 +388,15 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
             for (pos, inst) in b.insts.iter().enumerate() {
                 let mut notes = Vec::new();
                 let mut missing: Vec<String> = Vec::new();
-                if let Some(origin) = sc.get(&inst.id) {
-                    if inst.kind.ordering() != Some(Ordering::SeqCst) {
-                        missing.push(format!(
-                            "access is {:?} but should be seq_cst",
-                            inst.kind.ordering().unwrap_or(Ordering::NotAtomic)
-                        ));
-                        notes.push(format!("marked because {}", origin.describe()));
+                if sc.contains(&inst.id) && inst.kind.ordering() != Some(Ordering::SeqCst) {
+                    missing.push(format!(
+                        "access is {:?} but should be seq_cst",
+                        inst.kind.ordering().unwrap_or(Ordering::NotAtomic)
+                    ));
+                    // The first decision that marked the access says why.
+                    let why = plan.ledger.for_access(fid, inst.id);
+                    if let Some(why) = why.filter_map(|d| mark_reason(&d.cause)).next() {
+                        notes.push(format!("marked because {why}"));
                     }
                 }
                 if before.contains(&inst.id) {
@@ -697,7 +528,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
         }
         let pattern = class
             .iter()
-            .any(|&(f, i)| d.sc.get(&f).is_some_and(|is| is.contains_key(&i)));
+            .any(|&(f, i)| marks.sc_marks.get(&f).is_some_and(|is| is.contains(&i)));
         let context_note = {
             let mut names: Vec<&str> = union_roots
                 .iter()
@@ -796,6 +627,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     lints.extend(race_lints);
 
     report.lints = lints;
+    report.ledger = plan.ledger;
     report.analysis_time = clock.now() - t0;
     let findings = report.lints.len();
     report
@@ -939,6 +771,77 @@ mod tests {
                 "ported ({}) must have no race candidates:\n{r2}",
                 mode.name()
             );
+        }
+    }
+
+    /// Pins the "marked because …" note of every mark origin under each
+    /// alias backend: one small module per origin, and every
+    /// fence-placement finding in the named function must carry exactly
+    /// that note.
+    #[test]
+    fn fence_placement_notes_name_each_mark_origin() {
+        const ANNOTATED: &str = "volatile int flag; void poke() { flag = 1; }";
+        const HINTED: &str = r#"
+            int ready; long payload;
+            void publish(long v) { payload = v; asm("" ::: "memory"); ready = 1; }
+        "#;
+        const SPIN: &str = "int flag; void wait() { while (flag == 0) {} }";
+        const SEQLOCK: &str = include_str!("../../../examples/seqlock.c");
+        let hints = |c: &mut AtomigConfig| c.compiler_barrier_hints = true;
+        let no_buddies = |c: &mut AtomigConfig| c.alias_exploration = false;
+        type Tweak = fn(&mut AtomigConfig);
+        let cases: [(&str, &str, Tweak, &str); 5] = [
+            (
+                ANNOTATED,
+                "poke",
+                |_| {},
+                "explicitly annotated (atomic/volatile, §3.2)",
+            ),
+            (
+                HINTED,
+                "publish",
+                hints,
+                "adjacent to a compiler barrier (§6 hint)",
+            ),
+            (SPIN, "wait", |_| {}, "a spinloop exit depends on it (§3.3)"),
+            // Without alias exploration the writer's counter stores are
+            // reached first as optimistic stores, not as buddies.
+            (
+                SEQLOCK,
+                "writer",
+                no_buddies,
+                "it writes an optimistic-loop control location (§3.3)",
+            ),
+            (
+                MP,
+                "writer",
+                |_| {},
+                "sticky-buddy of a synchronization location (§3.4)",
+            ),
+        ];
+        for (src, func, tweak, origin) in cases {
+            for mode in [crate::AliasMode::TypeBased, crate::AliasMode::PointsTo] {
+                let m = compile(src, "origin").unwrap();
+                let mut cfg = AtomigConfig::full();
+                cfg.alias_mode = mode;
+                tweak(&mut cfg);
+                let r = lint_module(&m, &cfg);
+                let notes: Vec<&Vec<String>> = r
+                    .lints
+                    .iter()
+                    .filter(|l| l.rule == LintRule::FencePlacement && l.func == func)
+                    .map(|l| &l.notes)
+                    .collect();
+                assert!(
+                    !notes.is_empty(),
+                    "{}: no finding in @{func}:\n{r}",
+                    mode.name()
+                );
+                let want = vec![format!("marked because {origin}")];
+                for n in notes {
+                    assert_eq!(n, &want, "{} in @{func}:\n{r}", mode.name());
+                }
+            }
         }
     }
 

@@ -7,7 +7,9 @@ use crate::config::{AliasMode, AtomigConfig, Stage};
 use crate::optimistic::detect_optimistic;
 use crate::report::{BarrierCensus, PortReport};
 use crate::spinloop::detect_spinloops;
-use crate::trace::{AliasClass, Decision, DecisionLedger, SolverMetrics, TraceAction, TraceCause};
+use crate::trace::{
+    AliasClass, Decision, DecisionLedger, PipelineMetrics, SolverMetrics, TraceAction, TraceCause,
+};
 use crate::transform::{self, MarkSet};
 use atomig_analysis::{inline_module, InfluenceAnalysis, PointsTo};
 use atomig_mir::{FuncId, InstId, InstIndex, InstKind, MemLoc, Module};
@@ -48,20 +50,20 @@ fn record(
 
 /// Per-function instruction indexes of one module, each built the first
 /// time a lookup (a ledger decision, a buddy's kind) names the function.
-pub(crate) struct LazyIndexes<'m> {
+struct LazyIndexes<'m> {
     m: &'m Module,
     slots: Vec<Option<InstIndex<'m>>>,
 }
 
 impl<'m> LazyIndexes<'m> {
-    pub(crate) fn new(m: &'m Module) -> LazyIndexes<'m> {
+    fn new(m: &'m Module) -> LazyIndexes<'m> {
         LazyIndexes {
             m,
             slots: vec![None; m.funcs.len()],
         }
     }
 
-    pub(crate) fn of(&mut self, f: FuncId) -> &InstIndex<'m> {
+    fn of(&mut self, f: FuncId) -> &InstIndex<'m> {
         let m = self.m;
         self.slots[f.0 as usize].get_or_insert_with(|| m.func(f).inst_index())
     }
@@ -257,7 +259,8 @@ impl Pipeline {
         (dets, Some(metrics))
     }
 
-    /// Ports `m` in place and reports what happened.
+    /// Ports `m` in place and reports what happened: inlining, then the
+    /// plan (seed, expand), then [`transform::apply`] of its marks.
     pub fn port_module(&self, m: &mut Module) -> PortReport {
         let clock = &self.config.clock;
         let t0 = clock.now();
@@ -281,313 +284,34 @@ impl Pipeline {
                 .record("inline", clock.now() - i0, report.inlined_calls);
         }
 
-        // Ledger decisions resolve their span and alias key from
-        // per-function indexes built on demand over the module as
-        // inlining left it, so provenance names the analyzed module.
-        let mut indexes = LazyIndexes::new(m);
-        let mut ledger = DecisionLedger::default();
-
-        let mut marks = MarkSet::default();
-        // Seed keys in insertion order (a Vec, deduplicated on the side)
-        // so sticky-buddy expansion — and with it the ledger — iterates
-        // deterministically.
-        let mut seed_locs: Vec<MemLoc> = Vec::new();
-        let mut seed_seen: HashSet<MemLoc> = HashSet::new();
-        // First access that seeded each key / optimistic location, for
-        // buddy and writer-fence provenance.
-        let mut seed_of_loc: HashMap<MemLoc, (FuncId, InstId)> = HashMap::new();
-        let mut seed_of_optimistic: HashMap<MemLoc, (FuncId, InstId)> = HashMap::new();
-        let mut optimistic_locs: HashSet<MemLoc> = HashSet::new();
-        let mut optimistic_accesses: Vec<(FuncId, InstId)> = Vec::new();
-        // Whether a location key may seed sticky-buddy expansion. The
-        // paper's scheme uses precise keys only; the coarse pointee-typed
-        // buckets are the §3.4 alternative it rejects, kept here as an
-        // ablation knob.
-        let pointee = self.config.pointee_buddies;
-        let seedable =
-            |l: &MemLoc| l.is_buddy_key() || (pointee && matches!(l, MemLoc::Pointee(_)));
-
-        // Passes 1-2 and optimistic detection run per function on the
-        // worker pool; results come back in `FuncId` order and everything
-        // order-sensitive — marks, ledger records, seed bookkeeping — is
-        // applied in the sequential merge below, so the ledger is
-        // byte-identical for any job count. The injected clock is only
-        // read here on the coordinating thread: per-pass timings would
-        // require clock reads inside workers, which a deterministic test
-        // clock cannot serve reproducibly, so detection is timed as one
-        // phase.
+        // Planning reads the module as inlining left it, so provenance
+        // names the analyzed module. Detection is timed as one phase: the
+        // injected clock is only read on the coordinating thread.
         let d0 = clock.now();
-        let fids: Vec<FuncId> = m.func_ids().collect();
-        let (dets, cache_metrics) = self.detect_all(m);
-        report.metrics.cache = cache_metrics;
-
-        for (&fid, det) in fids.iter().zip(&dets) {
-            let mut add_seed =
-                |loc: &MemLoc, seeder: Option<(FuncId, InstId)>, seed_locs: &mut Vec<MemLoc>| {
-                    if seedable(loc) {
-                        if let Some(s) = seeder {
-                            seed_of_loc.entry(loc.clone()).or_insert(s);
-                        }
-                        if seed_seen.insert(loc.clone()) {
-                            seed_locs.push(loc.clone());
-                        }
-                    }
-                };
-
-            // Pass 1: explicit annotations (§3.2).
-            report.explicit_annotations += det.ann_marks.len();
-            for (mk, volatile) in &det.ann_marks {
-                marks.mark_sc(fid, mk.inst);
-                record(
-                    &mut ledger,
-                    indexes.of(fid),
-                    fid,
-                    mk.inst,
-                    TraceAction::UpgradeSc,
-                    TraceCause::Annotation {
-                        volatile: *volatile,
-                    },
-                );
-                add_seed(&mk.loc, Some((fid, mk.inst)), &mut seed_locs);
-            }
-
-            // §6 extension (opt-in): compiler barriers as entry points.
-            for mk in &det.hint_marks {
-                report.barrier_hints += 1;
-                marks.mark_sc(fid, mk.inst);
-                record(
-                    &mut ledger,
-                    indexes.of(fid),
-                    fid,
-                    mk.inst,
-                    TraceAction::UpgradeSc,
-                    TraceCause::BarrierHint,
-                );
-                add_seed(&mk.loc, Some((fid, mk.inst)), &mut seed_locs);
-            }
-
-            // Pass 2: implicit synchronization patterns (§3.3).
-            report.spinloops += det.spins.len();
-            for (si, s) in det.spins.iter().enumerate() {
-                for &c in &s.controls {
-                    marks.mark_sc(fid, c);
-                    record(
-                        &mut ledger,
-                        indexes.of(fid),
-                        fid,
-                        c,
-                        TraceAction::UpgradeSc,
-                        TraceCause::SpinControl {
-                            loop_index: si,
-                            header_span: s.header_span,
-                        },
-                    );
-                }
-                let c0 = s.controls.first().map(|&c| (fid, c));
-                for l in &s.control_locs {
-                    add_seed(l, c0, &mut seed_locs);
-                }
-            }
-
-            report.optiloops += det.opts.len();
-            for o in &det.opts {
-                for &(c, is_load) in &o.controls {
-                    // Explicit barrier before each optimistic-control load
-                    // within the optimistic loop (Figure 6, reader side).
-                    if is_load {
-                        marks.mark_fence_before(fid, c);
-                        record(
-                            &mut ledger,
-                            indexes.of(fid),
-                            fid,
-                            c,
-                            TraceAction::FenceBefore,
-                            TraceCause::OptimisticControl {
-                                loop_index: o.spin_index,
-                                header_span: o.header_span,
-                            },
-                        );
-                    } else {
-                        record(
-                            &mut ledger,
-                            indexes.of(fid),
-                            fid,
-                            c,
-                            TraceAction::Seed,
-                            TraceCause::OptimisticControl {
-                                loop_index: o.spin_index,
-                                header_span: o.header_span,
-                            },
-                        );
-                    }
-                    optimistic_accesses.push((fid, c));
-                }
-                let c0 = o.controls.first().map(|&(c, _)| (fid, c));
-                for l in &o.control_locs {
-                    optimistic_locs.insert(l.clone());
-                    if let Some(s) = c0 {
-                        seed_of_optimistic.entry(l.clone()).or_insert(s);
-                    }
-                    add_seed(l, c0, &mut seed_locs);
-                }
-            }
-        }
-        report.metrics.record(
-            "detect",
-            clock.now() - d0,
-            report.explicit_annotations
-                + report.barrier_hints
-                + report.spinloops
-                + report.optiloops,
-        );
-
-        // Pass 3: alias exploration — once atomic, always atomic (§3.4) —
-        // followed by explicit barriers after every store that may hit an
-        // optimistic location, module-wide (Figure 6, writer side).
+        let mut planner = self.seed(m, report);
+        let r = &mut planner.plan.report;
+        let found = r.explicit_annotations + r.barrier_hints + r.spinloops + r.optiloops;
+        r.metrics.record("detect", clock.now() - d0, found);
         match self.config.alias_mode {
             AliasMode::TypeBased => {
-                if self.config.alias_exploration {
+                let am = self.config.alias_exploration.then(|| {
                     let a0 = clock.now();
                     let am = AliasMap::build(m, self.config.pointee_buddies);
-                    report
-                        .metrics
-                        .record("alias-build", clock.now() - a0, am.accesses_scanned);
-                    report.seed_locations = seed_locs.len();
-                    for loc in &seed_locs {
-                        for &(f, i) in am.buddies(loc) {
-                            let newly = marks.sc_marks.entry(f).or_default().insert(i);
-                            if newly {
-                                report.buddy_marks += 1;
-                                if let Some(&seed) = seed_of_loc.get(loc) {
-                                    record(
-                                        &mut ledger,
-                                        indexes.of(f),
-                                        f,
-                                        i,
-                                        TraceAction::UpgradeSc,
-                                        TraceCause::StickyBuddy {
-                                            seed,
-                                            class: AliasClass::Key(loc.clone()),
-                                            backend: AliasMode::TypeBased,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                if !optimistic_locs.is_empty() {
-                    for fid in m.func_ids() {
-                        // The scan's index also resolves its ledger records.
-                        let func = m.func(fid);
-                        let index = func.inst_index();
-                        for (_, inst) in func.insts() {
-                            if !inst.kind.may_write() || !inst.kind.is_memory_access() {
-                                continue;
-                            }
-                            let loc = loc_of(&index, &inst.kind);
-                            if optimistic_locs.contains(&loc) {
-                                marks.mark_fence_after(fid, inst.id);
-                                marks.mark_sc(fid, inst.id);
-                                let seed = seed_of_optimistic.get(&loc).copied();
-                                record(
-                                    &mut ledger,
-                                    &index,
-                                    fid,
-                                    inst.id,
-                                    TraceAction::FenceAfter,
-                                    TraceCause::OptimisticStore { seed },
-                                );
-                            }
-                        }
-                    }
-                }
+                    let scanned = am.accesses_scanned;
+                    r.metrics.record("alias-build", clock.now() - a0, scanned);
+                    am
+                });
+                planner.expand_type_based(am.as_ref());
             }
             AliasMode::PointsTo => {
-                if self.config.alias_exploration || !optimistic_accesses.is_empty() {
-                    let s0 = clock.now();
-                    let pt = PointsTo::analyze_with_jobs(m, self.config.jobs);
-                    let solve = clock.now() - s0;
-                    let mut solver = SolverMetrics::from(pt.stats);
-                    // Re-measure with the injected clock so metrics stay
-                    // byte-comparable under a deterministic clock.
-                    solver.solve_time = solve;
-                    report.metrics.solver = Some(solver);
-                    report
-                        .metrics
-                        .record("points-to-solve", solve, pt.stats.iterations);
-                    let a0 = clock.now();
-                    let am = AliasMap::build_points_to(m, &pt);
-                    report
-                        .metrics
-                        .record("alias-build", clock.now() - a0, am.class_count());
-                    if self.config.alias_exploration {
-                        // Seeds are the accesses themselves: everything
-                        // already marked SC plus the optimistic controls
-                        // (which so far only carry fences). Sorted so the
-                        // expansion — and the ledger — is deterministic.
-                        let mut seeds: Vec<(FuncId, InstId)> = marks
-                            .sc_marks
-                            .iter()
-                            .flat_map(|(&f, is)| is.iter().map(move |&i| (f, i)))
-                            .collect();
-                        seeds.sort_unstable_by_key(|&(f, i)| (f.0, i.0));
-                        seeds.extend(optimistic_accesses.iter().copied());
-                        report.seed_locations = seeds.len();
-                        for (f, i) in seeds {
-                            for &(bf, bi) in am.buddies_of_access(f, i) {
-                                let newly = marks.sc_marks.entry(bf).or_default().insert(bi);
-                                if newly {
-                                    report.buddy_marks += 1;
-                                    let class = am
-                                        .class_index(bf, bi)
-                                        .map(AliasClass::Class)
-                                        .unwrap_or(AliasClass::Class(0));
-                                    record(
-                                        &mut ledger,
-                                        indexes.of(bf),
-                                        bf,
-                                        bi,
-                                        TraceAction::UpgradeSc,
-                                        TraceCause::StickyBuddy {
-                                            seed: (f, i),
-                                            class,
-                                            backend: AliasMode::PointsTo,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    if !optimistic_accesses.is_empty() {
-                        let mut fenced: HashSet<(FuncId, InstId)> = HashSet::new();
-                        for &(f, i) in &optimistic_accesses {
-                            for &(bf, bi) in am.buddies_of_access(f, i) {
-                                let index = indexes.of(bf);
-                                let writes = index
-                                    .get(bi)
-                                    .is_some_and(|k| k.is_memory_access() && k.may_write());
-                                if writes {
-                                    marks.mark_fence_after(bf, bi);
-                                    marks.mark_sc(bf, bi);
-                                    if fenced.insert((bf, bi)) {
-                                        record(
-                                            &mut ledger,
-                                            index,
-                                            bf,
-                                            bi,
-                                            TraceAction::FenceAfter,
-                                            TraceCause::OptimisticStore { seed: Some((f, i)) },
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
+                if planner.needs_points_to() {
+                    let metrics = &mut planner.plan.report.metrics;
+                    let (_, am) = points_to_alias(m, &self.config, metrics);
+                    planner.expand_points_to(&am);
                 }
             }
         }
-        marks.optimistic_locs = optimistic_locs;
+        let Plan { marks, mut report } = planner.finish();
 
         // Pass 4: transformation.
         let x0 = clock.now();
@@ -603,9 +327,329 @@ impl Pipeline {
         report.porting_time = clock.now() - t0;
         report
             .metrics
-            .record("port-total", report.porting_time, ledger.len());
-        report.ledger = ledger;
+            .record("port-total", report.porting_time, report.ledger.len());
         report
+    }
+
+    /// Planning, step one: per-function detection (passes 1–2 and
+    /// optimistic loops), merged in `FuncId` order into marks, ledger
+    /// records, counters in `report`, and the seeds of alias expansion.
+    /// Detection runs on the worker pool; everything order-sensitive
+    /// happens in the merge, so the plan is byte-identical for any job
+    /// count.
+    pub(crate) fn seed<'m>(&self, m: &'m Module, report: PortReport) -> Planner<'m> {
+        let mut p = Planner {
+            indexes: LazyIndexes::new(m),
+            m,
+            alias_exploration: self.config.alias_exploration,
+            pointee_buddies: self.config.pointee_buddies,
+            plan: Plan {
+                marks: MarkSet::default(),
+                report,
+            },
+            seed_locs: Vec::new(),
+            seed_seen: HashSet::new(),
+            seed_of_loc: HashMap::new(),
+            seed_of_optimistic: HashMap::new(),
+            optimistic_accesses: Vec::new(),
+        };
+        if self.config.stage == Stage::Original {
+            return p;
+        }
+        let (dets, cache) = self.detect_all(m);
+        p.plan.report.metrics.cache = cache;
+        for (fid, det) in m.func_ids().zip(&dets) {
+            p.merge(fid, det);
+        }
+        p
+    }
+
+    /// Seed and expand with this configuration's alias arm, for callers
+    /// that time planning as one phase (the lint's `dry-run`). `am_pt` is
+    /// the points-to alias map, used when that backend is selected.
+    pub(crate) fn plan(&self, m: &Module, am_pt: &AliasMap) -> Plan {
+        let mut planner = self.seed(m, PortReport::default());
+        match self.config.alias_mode {
+            AliasMode::TypeBased => {
+                let am = self
+                    .config
+                    .alias_exploration
+                    .then(|| AliasMap::build(m, self.config.pointee_buddies));
+                planner.expand_type_based(am.as_ref());
+            }
+            AliasMode::PointsTo => planner.expand_points_to(am_pt),
+        }
+        planner.finish()
+    }
+}
+
+/// Solves points-to over `m` and builds its alias classes, recording the
+/// `points-to-solve` and `alias-build` phases and the solver counters.
+pub(crate) fn points_to_alias(
+    m: &Module,
+    config: &AtomigConfig,
+    metrics: &mut PipelineMetrics,
+) -> (PointsTo, AliasMap) {
+    let clock = &config.clock;
+    let s0 = clock.now();
+    let pt = PointsTo::analyze_with_jobs(m, config.jobs);
+    let solve = clock.now() - s0;
+    let mut solver = SolverMetrics::from(pt.stats);
+    // Re-measure with the injected clock so metrics stay byte-comparable
+    // under a deterministic clock.
+    solver.solve_time = solve;
+    metrics.solver = Some(solver);
+    metrics.record("points-to-solve", solve, pt.stats.iterations);
+    let a0 = clock.now();
+    let am = AliasMap::build_points_to(m, &pt);
+    metrics.record("alias-build", clock.now() - a0, am.class_count());
+    (pt, am)
+}
+
+/// What planning decided: the marks the transform applies (and the lint
+/// audits), and a report holding the ledger that explains each mark, the
+/// detection and expansion counters, and the artifact-cache counters.
+pub(crate) struct Plan {
+    pub(crate) marks: MarkSet,
+    pub(crate) report: PortReport,
+}
+
+/// A plan in the making: seeded by [`Pipeline::seed`], expanded by one
+/// alias arm, then [`finish`](Planner::finish)ed. It reads no clock;
+/// callers time the steps under their own phase names.
+pub(crate) struct Planner<'m> {
+    m: &'m Module,
+    indexes: LazyIndexes<'m>,
+    alias_exploration: bool,
+    pointee_buddies: bool,
+    plan: Plan,
+    /// Seed keys in insertion order (deduplicated by `seed_seen`), so
+    /// sticky-buddy expansion, and with it the ledger, is deterministic.
+    seed_locs: Vec<MemLoc>,
+    seed_seen: HashSet<MemLoc>,
+    /// First access that seeded each key / optimistic location, for buddy
+    /// and writer-fence provenance.
+    seed_of_loc: HashMap<MemLoc, (FuncId, InstId)>,
+    seed_of_optimistic: HashMap<MemLoc, (FuncId, InstId)>,
+    optimistic_accesses: Vec<(FuncId, InstId)>,
+}
+
+impl Planner<'_> {
+    /// Records a decision on access `i` of `f`.
+    fn record(&mut self, f: FuncId, i: InstId, action: TraceAction, cause: TraceCause) {
+        let index = self.indexes.of(f);
+        record(&mut self.plan.report.ledger, index, f, i, action, cause);
+    }
+
+    /// Marks access `i` of `f` SC and records why.
+    fn upgrade(&mut self, f: FuncId, i: InstId, cause: TraceCause) {
+        self.plan.marks.mark_sc(f, i);
+        self.record(f, i, TraceAction::UpgradeSc, cause);
+    }
+
+    /// Marks a sticky buddy SC; whether it was not marked before.
+    fn mark_buddy(&mut self, f: FuncId, i: InstId) -> bool {
+        let newly = self.plan.marks.sc_marks.entry(f).or_default().insert(i);
+        self.plan.report.buddy_marks += usize::from(newly);
+        newly
+    }
+
+    /// Marks a store to an optimistic location: SC, with a fence after it.
+    fn fence_writer(&mut self, f: FuncId, i: InstId) {
+        self.plan.marks.mark_fence_after(f, i);
+        self.plan.marks.mark_sc(f, i);
+    }
+
+    /// Records `loc` as a seed key if it may seed expansion. The paper's
+    /// scheme uses precise keys only; the coarse pointee-typed buckets are
+    /// the §3.4 alternative it rejects, kept as an ablation knob.
+    fn add_seed(&mut self, loc: &MemLoc, seeder: Option<(FuncId, InstId)>) {
+        let seedable =
+            loc.is_buddy_key() || (self.pointee_buddies && matches!(loc, MemLoc::Pointee(_)));
+        if !seedable {
+            return;
+        }
+        if let Some(s) = seeder {
+            self.seed_of_loc.entry(loc.clone()).or_insert(s);
+        }
+        if self.seed_seen.insert(loc.clone()) {
+            self.seed_locs.push(loc.clone());
+        }
+    }
+
+    /// Merges one function's detection results.
+    fn merge(&mut self, fid: FuncId, det: &FuncDetect) {
+        let r = &mut self.plan.report;
+        r.explicit_annotations += det.ann_marks.len();
+        r.barrier_hints += det.hint_marks.len();
+        r.spinloops += det.spins.len();
+        r.optiloops += det.opts.len();
+
+        // Pass 1: explicit annotations (§3.2).
+        for &(ref mk, volatile) in &det.ann_marks {
+            self.upgrade(fid, mk.inst, TraceCause::Annotation { volatile });
+            self.add_seed(&mk.loc, Some((fid, mk.inst)));
+        }
+
+        // §6 extension (opt-in): compiler barriers as entry points.
+        for mk in &det.hint_marks {
+            self.upgrade(fid, mk.inst, TraceCause::BarrierHint);
+            self.add_seed(&mk.loc, Some((fid, mk.inst)));
+        }
+
+        // Pass 2: implicit synchronization patterns (§3.3).
+        for (loop_index, s) in det.spins.iter().enumerate() {
+            let header_span = s.header_span;
+            for &c in &s.controls {
+                let cause = TraceCause::SpinControl {
+                    loop_index,
+                    header_span,
+                };
+                self.upgrade(fid, c, cause);
+            }
+            let c0 = s.controls.first().map(|&c| (fid, c));
+            for l in &s.control_locs {
+                self.add_seed(l, c0);
+            }
+        }
+
+        for o in &det.opts {
+            let cause = TraceCause::OptimisticControl {
+                loop_index: o.spin_index,
+                header_span: o.header_span,
+            };
+            for &(c, is_load) in &o.controls {
+                // Explicit barrier before each optimistic-control load
+                // within the optimistic loop (Figure 6, reader side); the
+                // other controls only seed alias exploration.
+                let action = if is_load {
+                    self.plan.marks.mark_fence_before(fid, c);
+                    TraceAction::FenceBefore
+                } else {
+                    TraceAction::Seed
+                };
+                self.record(fid, c, action, cause.clone());
+                self.optimistic_accesses.push((fid, c));
+            }
+            let c0 = o.controls.first().map(|&(c, _)| (fid, c));
+            for l in &o.control_locs {
+                self.plan.marks.optimistic_locs.insert(l.clone());
+                if let Some(s) = c0 {
+                    self.seed_of_optimistic.entry(l.clone()).or_insert(s);
+                }
+                self.add_seed(l, c0);
+            }
+        }
+    }
+
+    /// Whether the points-to arm has any work: alias exploration, or
+    /// optimistic controls whose writers need fences.
+    pub(crate) fn needs_points_to(&self) -> bool {
+        self.alias_exploration || !self.optimistic_accesses.is_empty()
+    }
+
+    /// Planning, step two, on type-based keys (§3.4): every access sharing
+    /// a seed key becomes SC (`am` is `None` when alias exploration is
+    /// off), then every store to an optimistic location, module-wide, gets
+    /// a fence after it (Figure 6, writer side).
+    pub(crate) fn expand_type_based(&mut self, am: Option<&AliasMap>) {
+        if let Some(am) = am {
+            let seed_locs = std::mem::take(&mut self.seed_locs);
+            self.plan.report.seed_locations = seed_locs.len();
+            for loc in &seed_locs {
+                for &(f, i) in am.buddies(loc) {
+                    if !self.mark_buddy(f, i) {
+                        continue;
+                    }
+                    if let Some(&seed) = self.seed_of_loc.get(loc) {
+                        let class = AliasClass::Key(loc.clone());
+                        let backend = AliasMode::TypeBased;
+                        let cause = TraceCause::StickyBuddy {
+                            seed,
+                            class,
+                            backend,
+                        };
+                        self.record(f, i, TraceAction::UpgradeSc, cause);
+                    }
+                }
+            }
+        }
+        if self.plan.marks.optimistic_locs.is_empty() {
+            return;
+        }
+        let m = self.m;
+        for fid in m.func_ids() {
+            // The scan's own index also resolves its ledger records, so
+            // no function's index outlives its scan.
+            let func = m.func(fid);
+            let index = func.inst_index();
+            for (_, inst) in func.insts() {
+                if !inst.kind.may_write() || !inst.kind.is_memory_access() {
+                    continue;
+                }
+                let loc = loc_of(&index, &inst.kind);
+                if self.plan.marks.optimistic_locs.contains(&loc) {
+                    self.fence_writer(fid, inst.id);
+                    let seed = self.seed_of_optimistic.get(&loc).copied();
+                    let cause = TraceCause::OptimisticStore { seed };
+                    let ledger = &mut self.plan.report.ledger;
+                    record(ledger, &index, fid, inst.id, TraceAction::FenceAfter, cause);
+                }
+            }
+        }
+    }
+
+    /// Planning, step two, on points-to classes: the seeds are the
+    /// accesses themselves (everything marked SC so far, then the
+    /// optimistic controls), and the writers that get fences are the
+    /// stores aliasing an optimistic control.
+    pub(crate) fn expand_points_to(&mut self, am: &AliasMap) {
+        let optimistic = std::mem::take(&mut self.optimistic_accesses);
+        if self.alias_exploration {
+            // Sorted so the expansion, and the ledger, is deterministic.
+            let sc = &self.plan.marks.sc_marks;
+            let mut seeds: Vec<(FuncId, InstId)> = sc
+                .iter()
+                .flat_map(|(&f, is)| is.iter().map(move |&i| (f, i)))
+                .collect();
+            seeds.sort_unstable_by_key(|&(f, i)| (f.0, i.0));
+            seeds.extend(optimistic.iter().copied());
+            self.plan.report.seed_locations = seeds.len();
+            for (f, i) in seeds {
+                for &(bf, bi) in am.buddies_of_access(f, i) {
+                    if self.mark_buddy(bf, bi) {
+                        let class = AliasClass::Class(am.class_index(bf, bi).unwrap_or(0));
+                        let backend = AliasMode::PointsTo;
+                        let seed = (f, i);
+                        let cause = TraceCause::StickyBuddy {
+                            seed,
+                            class,
+                            backend,
+                        };
+                        self.record(bf, bi, TraceAction::UpgradeSc, cause);
+                    }
+                }
+            }
+        }
+        let mut fenced: HashSet<(FuncId, InstId)> = HashSet::new();
+        for &(f, i) in &optimistic {
+            for &(bf, bi) in am.buddies_of_access(f, i) {
+                let kind = self.indexes.of(bf).get(bi);
+                if !kind.is_some_and(|k| k.is_memory_access() && k.may_write()) {
+                    continue;
+                }
+                self.fence_writer(bf, bi);
+                if fenced.insert((bf, bi)) {
+                    let cause = TraceCause::OptimisticStore { seed: Some((f, i)) };
+                    self.record(bf, bi, TraceAction::FenceAfter, cause);
+                }
+            }
+        }
+    }
+
+    /// The finished plan.
+    pub(crate) fn finish(self) -> Plan {
+        self.plan
     }
 }
 

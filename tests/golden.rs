@@ -27,6 +27,7 @@ const TEXT_VARIANTS: &[(&str, &str)] = &[
     ("lint-pt", "lint {} --alias points-to"),
     ("lint-pt-ported", "lint {} --alias points-to --ported"),
     ("explain", "explain {}"),
+    ("explain-pt", "explain {} --alias points-to"),
 ];
 
 /// Golden file suffix → command line whose `--emit-metrics` stream is
@@ -34,6 +35,11 @@ const TEXT_VARIANTS: &[(&str, &str)] = &[
 const METRICS_VARIANTS: &[(&str, &str)] = &[
     ("port", "port {} --report --emit-metrics {out}"),
     ("lint", "lint {} --emit-metrics {out}"),
+    (
+        "port-pt",
+        "port {} --alias points-to --report --emit-metrics {out}",
+    ),
+    ("lint-pt", "lint {} --alias points-to --emit-metrics {out}"),
 ];
 
 fn root() -> &'static Path {

@@ -6,7 +6,7 @@
 //! derived from a fixed seed — failures are reproducible directly from
 //! the case index printed in the assertion message.
 
-use atomig_core::{AtomigConfig, BarrierCensus, Pipeline};
+use atomig_core::{lint_module, AliasMode, AtomigConfig, BarrierCensus, LintRule, Pipeline};
 use atomig_testutil::Rng;
 use atomig_workloads::synth::{generate, GenConfig};
 
@@ -160,10 +160,25 @@ fn assert_pipeline_sound(cfg: GenConfig, what: &str) {
     assert!(after.explicit >= before.explicit, "{what}");
     // Idempotence.
     let snapshot = m.clone();
-    let again = Pipeline::new(pcfg).port_module(&mut m);
+    let again = Pipeline::new(pcfg.clone()).port_module(&mut m);
     assert_eq!(again.implicit_barriers_added, 0, "{what}");
     assert_eq!(again.explicit_barriers_added, 0, "{what}");
     assert_eq!(m, snapshot, "{what}");
+    // Plan agreement: the lint audits the marks the port applies, so a
+    // ported module has no fence-placement finding under either backend.
+    for mode in [AliasMode::TypeBased, AliasMode::PointsTo] {
+        let mut mcfg = pcfg.clone();
+        mcfg.alias_mode = mode;
+        let mut ported = atomig_frontc::compile(&app.source, "synth").expect("compiles");
+        Pipeline::new(mcfg.clone()).port_module(&mut ported);
+        let audit = lint_module(&ported, &mcfg);
+        assert_eq!(
+            audit.count(LintRule::FencePlacement),
+            0,
+            "{what} ({}): {cfg:?}\n{audit}",
+            mode.name()
+        );
+    }
 }
 
 /// Porting any generated codebase: finds exactly the planted
