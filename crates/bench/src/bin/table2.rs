@@ -4,6 +4,9 @@
 //! stages (Original / Expl. / Spin / AtoMig) and exhaustively checked
 //! under the Arm-flavoured weak memory model. `Y` = no violation found
 //! (exploration complete), `x` = a weak-memory assertion violation.
+//!
+//! Exits with status 1, naming each cell, when any verdict differs from
+//! the paper's column.
 
 use atomig_bench::{render_table, BenchRecorder};
 use atomig_core::json::Value;
@@ -65,11 +68,18 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
+    let mut mismatches = Vec::new();
     for ((name, _, paper), chunk) in benchmarks.iter().zip(verdicts.chunks(STAGES.len())) {
         let mut row = vec![name.to_string()];
-        for (stage, verdict) in STAGES.iter().zip(chunk) {
+        for ((stage, verdict), want) in STAGES.iter().zip(chunk).zip(paper) {
             assert!(!verdict.truncated, "{name} at {stage:?}: {verdict}");
-            row.push(glyph(verdict.violation.is_none()).to_string());
+            let got = glyph(verdict.violation.is_none());
+            if got != *want {
+                mismatches.push(format!(
+                    "{name} at {stage:?}: got {got}, paper {want} ({verdict})"
+                ));
+            }
+            row.push(got.to_string());
             records.push(Value::obj(vec![
                 ("benchmark", (*name).into()),
                 ("stage", format!("{stage:?}").as_str().into()),
@@ -99,4 +109,10 @@ fn main() {
     rec.put("checks", Value::Arr(records));
     let path = rec.write().expect("write bench record");
     println!("wrote {path}");
+    if !mismatches.is_empty() {
+        for m in &mismatches {
+            eprintln!("Table 2 mismatch: {m}");
+        }
+        std::process::exit(1);
+    }
 }

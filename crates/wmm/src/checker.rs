@@ -8,10 +8,33 @@
 //! spinloops converge: spinning without new writes revisits the same
 //! state. A violation is an `assert(0)`, a trap, or a deadlock.
 
-use crate::exec::{Failure, Machine, StepOutcome};
+use crate::exec::{Failure, Machine, Program, StepOutcome};
 use crate::models::{Chooser, MemModel, ScMem, TsoMem, ViewMem};
 use atomig_mir::Module;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a state fingerprint to its low 64 bits. Fingerprints are
+/// already well mixed, so the visited set skips SipHash.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the visited set hashes only u128 fingerprints")
+    }
+
+    fn write_u128(&mut self, fingerprint: u128) {
+        self.0 = fingerprint as u64;
+    }
+}
+
+/// Fingerprints of every state counted so far.
+type Visited = HashSet<u128, BuildHasherDefault<Prehashed>>;
 
 /// Which memory model to check under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,23 +243,24 @@ impl Checker {
         let fid = module
             .func_by_name(entry)
             .unwrap_or_else(|| panic!("no function @{entry}"));
+        let p = &Program::new(module);
         match self.config.model {
-            ModelKind::Sc => self.explore(Machine::new(module, fid, vec![], ScMem::default())),
-            ModelKind::Tso => self.explore(Machine::new(module, fid, vec![], TsoMem::default())),
-            ModelKind::Wmm => self.explore(Machine::new(module, fid, vec![], ViewMem::default())),
-            ModelKind::Arm => self.explore(Machine::new(module, fid, vec![], ViewMem::arm())),
+            ModelKind::Sc => self.explore(Machine::new(p, fid, vec![], ScMem::default())),
+            ModelKind::Tso => self.explore(Machine::new(p, fid, vec![], TsoMem::default())),
+            ModelKind::Wmm => self.explore(Machine::new(p, fid, vec![], ViewMem::default())),
+            ModelKind::Arm => self.explore(Machine::new(p, fid, vec![], ViewMem::arm())),
         }
     }
 
     /// Round-based frontier exploration. Each round, the frontier is
-    /// expanded by the worker pool (an embarrassingly parallel,
-    /// shared-state-free step) and the per-state [`Expanded`] results are
-    /// merged into the visited set *in frontier order*, so the verdict is
+    /// expanded by the worker pool, which reads the visited set but never
+    /// writes it, and the per-state [`Expanded`] results are merged into
+    /// the visited set *in frontier order*, so the verdict is
     /// byte-identical for any `jobs` value. Terminal events (failure,
     /// deadlock) end the exploration at the lowest frontier index that
     /// produced one.
     fn explore<'m, M: MemModel + Send + Sync>(&self, mut initial: Machine<'m, M>) -> Verdict {
-        let mut visited: HashSet<u128> = HashSet::with_capacity(1 << 16);
+        let mut visited = Visited::with_capacity_and_hasher(1 << 16, Default::default());
         let mut verdict = Verdict {
             violation: None,
             states: 0,
@@ -265,7 +289,7 @@ impl Checker {
             } else {
                 atomig_par::WorkerPool::new(1)
             };
-            let expansions = round_pool.map(&frontier, |_, machine| self.expand(machine));
+            let expansions = round_pool.map(&frontier, |_, machine| self.expand(machine, &visited));
             let mut next_frontier: Vec<Machine<'m, M>> = Vec::new();
             for exp in expansions {
                 match exp {
@@ -285,9 +309,14 @@ impl Checker {
                                 verdict.truncate(Limit::MaxStates);
                                 continue;
                             }
+                            // A fingerprint the worker found visited
+                            // comes without its machine, and the
+                            // insert below fails for it, as for any
+                            // revisit.
                             if visited.insert(fingerprint) {
                                 verdict.states += 1;
-                                next_frontier.push(machine);
+                                next_frontier
+                                    .push(machine.expect("a fresh fingerprint carries its state"));
                             } else {
                                 verdict.revisits += 1;
                             }
@@ -302,9 +331,15 @@ impl Checker {
 
     /// Expands one frontier state: enumerates every scheduling option and
     /// every inner (read/nondet) choice via preset replay. Pure with
-    /// respect to the exploration — touches no shared state, so it can run
-    /// on any worker thread.
-    fn expand<'m, M: MemModel>(&self, machine: &Machine<'m, M>) -> Expanded<'m, M> {
+    /// respect to the exploration — it only reads `visited`, which stays
+    /// frozen while a round is expanded, so it can run on any worker
+    /// thread. A successor already in `visited` is dropped here, and only
+    /// its fingerprint is returned.
+    fn expand<'m, M: MemModel>(
+        &self,
+        machine: &Machine<'m, M>,
+        visited: &Visited,
+    ) -> Expanded<'m, M> {
         if machine.all_done() {
             return Expanded::Done;
         }
@@ -326,14 +361,15 @@ impl Checker {
             return Expanded::Deadlock;
         }
 
-        let mut successors: Vec<(u128, Machine<'m, M>)> = Vec::new();
+        let mut successors: Vec<(u128, Option<Machine<'m, M>>)> = Vec::new();
         for &opt in &options {
             // Enumerate the inner choice tree of this scheduling option
             // via preset replay.
             let mut presets: Vec<Vec<usize>> = vec![Vec::new()];
             while let Some(preset) = presets.pop() {
+                let fixed = preset.len();
                 let mut next = machine.clone();
-                let mut ch = ReplayChooser::new(preset.clone());
+                let mut ch = ReplayChooser::new(preset);
                 let outcome = match opt {
                     SchedChoice::Step(tid) => next.step_visible(tid, &mut ch),
                     SchedChoice::Internal(tid) => {
@@ -342,7 +378,7 @@ impl Checker {
                     }
                 };
                 // Fork alternatives for decision points defaulted to 0.
-                for i in preset.len()..ch.log.len() {
+                for i in fixed..ch.log.len() {
                     let (_, n) = ch.log[i];
                     for alt in 1..n {
                         let mut p: Vec<usize> = ch.log[..i].iter().map(|(t, _)| *t).collect();
@@ -357,7 +393,9 @@ impl Checker {
                     StepOutcome::Pruned => {}
                     _ => {
                         next.mem.gc();
-                        successors.push((next.fingerprint(), next));
+                        let fingerprint = next.fingerprint();
+                        let fresh = !visited.contains(&fingerprint);
+                        successors.push((fingerprint, fresh.then_some(next)));
                     }
                 }
             }
@@ -377,8 +415,9 @@ enum Expanded<'m, M: MemModel> {
     Deadlock,
     /// A step failed (assert/trap); carries the failure.
     Failed(Option<Failure>),
-    /// Fingerprinted candidate successors, in enumeration order.
-    Successors(Vec<(u128, Machine<'m, M>)>),
+    /// Fingerprinted candidate successors, in enumeration order; the
+    /// state is `None` when the fingerprint was already visited.
+    Successors(Vec<(u128, Option<Machine<'m, M>>)>),
 }
 
 #[cfg(test)]
@@ -672,8 +711,12 @@ mod tests {
         }
     }
 
+    /// A single thread spinning on a lock it already holds never
+    /// finishes, but it always stays runnable, so this is no deadlock:
+    /// the spin converges by state pruning, with no violation and no
+    /// completed execution.
     #[test]
-    fn deadlock_detected() {
+    fn spin_on_own_lock_converges_without_executions() {
         let m = parse_module(
             r#"
             global @l: i32 = 0
@@ -691,12 +734,48 @@ mod tests {
             "#,
         )
         .unwrap();
-        // Single thread acquires the lock twice: spins forever. All states
-        // get explored (the spin converges), no execution completes, and
-        // nothing is runnable... actually the spin IS runnable forever but
-        // state-pruned; the checker ends with zero completed executions.
         let v = Checker::new(ModelKind::Sc).check(&m, "main");
         assert!(v.violation.is_none());
         assert_eq!(v.executions, 0);
+        assert!(!v.truncated);
+    }
+
+    /// A barrier for two that only one thread reaches leaves nothing
+    /// runnable and nothing to flush: a deadlock, under every model and
+    /// for any job count.
+    #[test]
+    fn barrier_short_of_participants_deadlocks() {
+        let m = parse_module(
+            r#"
+            fn @main() : void {
+            bb0:
+              call void @barrier_wait(2)
+              ret
+            }
+            "#,
+        )
+        .unwrap();
+        for model in [
+            ModelKind::Sc,
+            ModelKind::Tso,
+            ModelKind::Wmm,
+            ModelKind::Arm,
+        ] {
+            for jobs in [1, 4] {
+                let mut checker = Checker::new(model);
+                checker.config.jobs = jobs;
+                let v = checker.check(&m, "main");
+                assert_eq!(
+                    v.violation,
+                    Some(Failure::Deadlock),
+                    "{model} jobs={jobs}: {v}"
+                );
+                assert!(!v.passed());
+                assert_eq!(
+                    v.to_string(),
+                    "VIOLATION: deadlock (2 states, 0 revisits, peak 1 tracked)"
+                );
+            }
+        }
     }
 }

@@ -1,10 +1,13 @@
 //! The threaded MIR executor, generic over a [`MemModel`].
 //!
 //! One [`Machine`] instance is one program state: threads (frames,
-//! registers, stack pointers), the memory model state, and bookkeeping.
-//! The model checker clones machines to branch over nondeterminism; the
-//! interpreter drives a single machine deterministically. Execution runs
-//! over a [`CompiledProgram`] so the hot path never allocates.
+//! registers, stack pointers, stack memory), the memory model state, and
+//! bookkeeping. The model checker clones machines to branch over
+//! nondeterminism; the interpreter drives a single machine
+//! deterministically. Threads sit behind [`Arc`]s, so a clone shares them
+//! and a step copies only the thread it runs. Execution runs over a
+//! [`Program`] that every machine borrows, so the hot path never
+//! allocates.
 
 use crate::compiled::{CInst, CTerm, CompiledProgram};
 use crate::mem::{stack_base, stack_owner, Layout, HEAP_BASE, STACK_SIZE};
@@ -38,6 +41,28 @@ impl std::fmt::Display for Failure {
     }
 }
 
+/// A module made ready to run: its memory layout and compiled code.
+/// Build it once per check or run; every machine borrows it.
+#[derive(Debug)]
+pub struct Program<'m> {
+    module: &'m Module,
+    layout: Layout,
+    code: CompiledProgram,
+}
+
+impl<'m> Program<'m> {
+    /// Lays out and compiles `module`.
+    pub fn new(module: &'m Module) -> Program<'m> {
+        let layout = Layout::new(module);
+        let code = CompiledProgram::compile(module, &layout);
+        Program {
+            module,
+            layout,
+            code,
+        }
+    }
+}
+
 /// Scheduling state of a thread.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ThreadState {
@@ -54,14 +79,14 @@ pub enum ThreadState {
 /// One call frame.
 ///
 /// Registers are a dense array indexed by [`InstId`] — cloning a frame is
-/// a memcpy, which keeps the model checker's state cloning cheap.
+/// a memcpy. An alloca's register doubles as its record: it holds the
+/// slot's non-zero stack address once the alloca has run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Frame {
     func: FuncId,
     block: BlockId,
     ip: u32,
     regs: Vec<i64>,
-    allocas: BTreeMap<InstId, u64>,
     params: Vec<i64>,
     /// Caller register receiving our return value.
     ret_to: Option<InstId>,
@@ -72,26 +97,38 @@ pub struct Frame {
 
 impl Frame {
     fn new(
-        prog: &CompiledProgram,
+        code: &CompiledProgram,
         func: FuncId,
         params: Vec<i64>,
         ret_to: Option<InstId>,
+        saved_sp: u64,
     ) -> Frame {
         Frame {
             func,
             block: BlockId(0),
             ip: 0,
-            regs: vec![0; prog.funcs[func.0 as usize].n_regs as usize],
-            allocas: BTreeMap::new(),
+            regs: vec![0; code.funcs[func.0 as usize].n_regs as usize],
             params,
             ret_to,
-            saved_sp: 0,
+            saved_sp,
         }
     }
 
     #[inline]
     fn set(&mut self, id: InstId, v: i64) {
         self.regs[id.0 as usize] = v;
+    }
+
+    #[inline]
+    fn eval(&self, layout: &Layout, v: Value) -> i64 {
+        match v {
+            Value::Const(c) => c,
+            Value::Null => 0,
+            Value::Global(g) => layout.global_addr(g) as i64,
+            Value::Param(i) => self.params.get(i as usize).copied().unwrap_or(0),
+            Value::Inst(id) => self.regs.get(id.0 as usize).copied().unwrap_or(0),
+            Value::Func(f) => f.0 as i64,
+        }
     }
 }
 
@@ -106,6 +143,45 @@ pub struct Thread {
     sp: u64,
     /// Stack limit.
     stack_end: u64,
+    /// This thread's stack memory, kept outside the memory model: a
+    /// thread's own stack is not observable by others (the same
+    /// assumption the visibility reduction makes), so modelling write
+    /// histories for it would only bloat states. Only the owner (see
+    /// [`stack_owner`]) reads or writes it; other threads reach its
+    /// addresses through the memory model. Shared data must live in
+    /// globals or on the heap for the interleaving reduction to be sound;
+    /// all bundled workloads respect this.
+    stack_mem: BTreeMap<u64, i64>,
+}
+
+impl Thread {
+    /// Thread `tid` about to run `func(params...)`.
+    fn new(code: &CompiledProgram, tid: usize, func: FuncId, params: Vec<i64>) -> Thread {
+        Thread {
+            frames: vec![Frame::new(code, func, params, None, stack_base(tid))],
+            state: ThreadState::Runnable,
+            sp: stack_base(tid),
+            stack_end: stack_base(tid) + STACK_SIZE,
+            stack_mem: BTreeMap::new(),
+        }
+    }
+
+    #[inline]
+    fn frame(&self) -> &Frame {
+        self.frames.last().expect("live frame")
+    }
+
+    #[inline]
+    fn frame_mut(&mut self) -> &mut Frame {
+        self.frames.last_mut().expect("live frame")
+    }
+}
+
+/// The one way to mutate a thread: copies it first if another machine
+/// shares it.
+#[inline]
+fn unshare(thread: &mut Arc<Thread>) -> &mut Thread {
+    Arc::make_mut(thread)
 }
 
 /// Dynamic execution counters (Table 4's rows and the cost model's input).
@@ -161,18 +237,12 @@ pub enum StepOutcome {
 /// An executable program state.
 #[derive(Clone)]
 pub struct Machine<'m, M: MemModel> {
-    module: &'m Module,
-    layout: Arc<Layout>,
-    prog: Arc<CompiledProgram>,
+    program: &'m Program<'m>,
     /// The memory model state.
     pub mem: M,
-    /// All threads ever created (tid = index).
-    pub threads: Vec<Thread>,
-    /// Thread-private stack memory, kept outside the memory model: a
-    /// thread's own stack is not observable by others (the same
-    /// assumption the visibility reduction makes), so modelling write
-    /// histories for it would only bloat states.
-    stack_mem: BTreeMap<u64, i64>,
+    /// All threads ever created (tid = index), shared with the machines
+    /// this one was cloned from or into until a step changes them.
+    pub threads: Vec<Arc<Thread>>,
     heap_next: u64,
     barrier_waiting: u64,
     /// Set on assertion violation / trap / deadlock.
@@ -192,30 +262,20 @@ pub struct Machine<'m, M: MemModel> {
     pub invisible_budget: u64,
 }
 
+/// The two seeds of a state fingerprint's 64-bit lanes.
+const FINGERPRINT_SEEDS: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f];
+
 impl<'m, M: MemModel> Machine<'m, M> {
     /// Creates a machine about to run `entry(args...)` on thread 0.
-    pub fn new(module: &'m Module, entry: FuncId, args: Vec<i64>, mut mem: M) -> Self {
-        let layout = Arc::new(Layout::new(module));
-        let prog = Arc::new(CompiledProgram::compile(module, &layout));
-        for (addr, val) in layout.initial_values(module) {
+    pub fn new(program: &'m Program<'m>, entry: FuncId, args: Vec<i64>, mut mem: M) -> Self {
+        for (addr, val) in program.layout.initial_values(program.module) {
             mem.init(addr, val);
         }
         mem.ensure_threads(1);
-        let mut entry_frame = Frame::new(&prog, entry, args, None);
-        entry_frame.saved_sp = stack_base(0);
-        let thread = Thread {
-            frames: vec![entry_frame],
-            state: ThreadState::Runnable,
-            sp: stack_base(0),
-            stack_end: stack_base(0) + STACK_SIZE,
-        };
         Machine {
-            module,
-            layout,
-            prog,
+            program,
             mem,
-            threads: vec![thread],
-            stack_mem: BTreeMap::new(),
+            threads: vec![Arc::new(Thread::new(&program.code, 0, entry, args))],
             heap_next: HEAP_BASE,
             barrier_waiting: 0,
             failure: None,
@@ -233,19 +293,22 @@ impl<'m, M: MemModel> Machine<'m, M> {
     /// # Panics
     ///
     /// Panics if there is no `main`.
-    pub fn for_main(module: &'m Module, mem: M) -> Self {
-        let main = module.func_by_name("main").expect("module has no @main");
-        Machine::new(module, main, vec![], mem)
+    pub fn for_main(program: &'m Program<'m>, mem: M) -> Self {
+        let main = program
+            .module
+            .func_by_name("main")
+            .expect("module has no @main");
+        Machine::new(program, main, vec![], mem)
     }
 
     /// The module under execution.
     pub fn module(&self) -> &'m Module {
-        self.module
+        self.program.module
     }
 
     /// The memory layout.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
+    pub fn layout(&self) -> &'m Layout {
+        &self.program.layout
     }
 
     /// Threads that can currently take a step (resolving join wake-ups).
@@ -277,8 +340,8 @@ impl<'m, M: MemModel> Machine<'m, M> {
 
     /// The final value of global `name` (post-mortem inspection).
     pub fn global_value(&self, name: &str) -> Option<i64> {
-        let g = self.module.global_by_name(name)?;
-        Some(self.mem.peek(self.layout.global_addr(g)))
+        let g = self.program.module.global_by_name(name)?;
+        Some(self.mem.peek(self.program.layout.global_addr(g)))
     }
 
     /// The return value of thread `tid`, if finished.
@@ -290,20 +353,18 @@ impl<'m, M: MemModel> Machine<'m, M> {
     }
 
     /// A 128-bit fingerprint of the whole state, for visited-state pruning.
-    /// Uses two independently seeded multiply-xor hashers — much faster
-    /// than SipHash on the register files, with 128 bits against
-    /// collisions.
+    /// One pass of a two-lane multiply-rotate hasher gives both 64-bit
+    /// halves — much faster than SipHash on the register files, with 128
+    /// bits against collisions.
     pub fn fingerprint(&self) -> u128 {
-        let mut h1 = FxHasher::new(0x9e37_79b9_7f4a_7c15);
-        self.hash_state(&mut h1);
-        let mut h2 = FxHasher::new(0xc2b2_ae3d_27d4_eb4f);
-        self.hash_state(&mut h2);
-        ((h1.finish() as u128) << 64) | h2.finish() as u128
+        let mut h = FxHasher::new(FINGERPRINT_SEEDS);
+        self.hash_state(&mut h);
+        let [hi, lo] = h.lanes();
+        ((hi as u128) << 64) | lo as u128
     }
 
     fn hash_state<H: Hasher>(&self, h: &mut H) {
         self.threads.hash(h);
-        self.stack_mem.hash(h);
         self.mem.hash(h);
         self.heap_next.hash(h);
         self.barrier_waiting.hash(h);
@@ -311,31 +372,14 @@ impl<'m, M: MemModel> Machine<'m, M> {
         self.failure.hash(h);
     }
 
-    #[inline]
-    fn eval(&self, tid: usize, v: Value) -> i64 {
-        let frame = self.threads[tid].frames.last().expect("live frame");
-        match v {
-            Value::Const(c) => c,
-            Value::Null => 0,
-            Value::Global(g) => self.layout.global_addr(g) as i64,
-            Value::Param(i) => frame.params.get(i as usize).copied().unwrap_or(0),
-            Value::Inst(id) => frame.regs.get(id.0 as usize).copied().unwrap_or(0),
-            Value::Func(f) => f.0 as i64,
-        }
-    }
-
     fn trap(&mut self, msg: impl Into<String>) -> InstOutcome {
         self.failure = Some(Failure::Trap(msg.into()));
         InstOutcome::Failed
     }
 
-    /// Is an access to `addr` by `tid` visible to other threads?
-    /// Own-stack traffic is invisible (shared data must live in globals or
-    /// on the heap for the checker's interleaving reduction to be sound;
-    /// all bundled workloads respect this).
-    #[inline]
-    fn is_visible(&self, tid: usize, addr: u64) -> bool {
-        stack_owner(addr) != Some(tid)
+    /// Writes register `id` of `tid`'s innermost frame.
+    fn set_reg(&mut self, tid: usize, id: InstId, v: i64) {
+        unshare(&mut self.threads[tid]).frame_mut().set(id, v);
     }
 
     /// Performs one pending internal memory step (e.g. a TSO buffer
@@ -355,10 +399,10 @@ impl<'m, M: MemModel> Machine<'m, M> {
     pub fn step_visible(&mut self, tid: usize, ch: &mut dyn Chooser) -> StepOutcome {
         // Wake a join-blocked thread whose target finished.
         if let ThreadState::Join(target) = self.threads[tid].state {
-            match self.threads.get(target).map(|t| t.state.clone()) {
+            match self.threads.get(target).map(|t| &t.state) {
                 Some(ThreadState::Done(_)) => {
                     self.mem.on_join(tid, target);
-                    self.threads[tid].state = ThreadState::Runnable;
+                    unshare(&mut self.threads[tid]).state = ThreadState::Runnable;
                 }
                 _ => return StepOutcome::Blocked,
             }
@@ -403,62 +447,44 @@ impl<'m, M: MemModel> Machine<'m, M> {
     }
 
     fn step_inst(&mut self, tid: usize, ch: &mut dyn Chooser) -> InstOutcome {
-        let prog = Arc::clone(&self.prog);
-        let (func, block, ip) = {
-            let frame = self.threads[tid].frames.last().expect("live frame");
-            (frame.func, frame.block, frame.ip as usize)
-        };
-        let cblock = &prog.funcs[func.0 as usize].blocks[block.0 as usize];
-
-        if ip >= cblock.insts.len() {
+        let program = self.program;
+        let layout = &program.layout;
+        let thread = unshare(&mut self.threads[tid]);
+        let frame = thread.frame_mut();
+        let cblock = &program.code.funcs[frame.func.0 as usize].blocks[frame.block.0 as usize];
+        let Some(inst) = cblock.insts.get(frame.ip as usize) else {
             return self.step_terminator(tid, cblock.term);
-        }
-        self.threads[tid].frames.last_mut().expect("frame").ip += 1;
+        };
+        frame.ip += 1;
 
-        match &cblock.insts[ip] {
+        match inst {
             CInst::Alloca { id, slots } => {
-                let known = self.threads[tid]
-                    .frames
-                    .last()
-                    .expect("frame")
-                    .allocas
-                    .get(id)
-                    .copied();
-                if let Some(addr) = known {
-                    self.threads[tid]
-                        .frames
-                        .last_mut()
-                        .expect("frame")
-                        .set(*id, addr as i64);
+                // Re-running an alloca (a loop back through its block)
+                // keeps the slot it got first.
+                if frame.regs[id.0 as usize] != 0 {
                     return InstOutcome::Invisible;
                 }
-                let addr = self.threads[tid].sp;
-                if addr + slots > self.threads[tid].stack_end {
+                let addr = thread.sp;
+                if addr + slots > thread.stack_end {
                     return self.trap("stack overflow");
                 }
-                self.threads[tid].sp += slots;
-                let frame = self.threads[tid].frames.last_mut().expect("frame");
-                frame.allocas.insert(*id, addr);
-                frame.set(*id, addr as i64);
+                thread.sp += slots;
+                thread.frame_mut().set(*id, addr as i64);
                 self.stats.other_ops += 1;
                 InstOutcome::Invisible
             }
             CInst::Load { id, ptr, ord } => {
-                let addr = self.eval(tid, *ptr) as u64;
+                let addr = frame.eval(layout, *ptr) as u64;
                 if addr == 0 {
                     return self.trap("null pointer load");
                 }
                 let own_stack = stack_owner(addr) == Some(tid);
                 let val = if own_stack {
-                    self.stack_mem.get(&addr).copied().unwrap_or(0)
+                    thread.stack_mem.get(&addr).copied().unwrap_or(0)
                 } else {
                     self.mem.load(tid, addr, *ord, ch)
                 };
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(*id, val);
+                thread.frame_mut().set(*id, val);
                 if own_stack {
                     self.stats.stack_ops += 1;
                 } else if ord.is_atomic() {
@@ -472,26 +498,25 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 visibility(!own_stack)
             }
             CInst::Store { ptr, val, ord } => {
-                let addr = self.eval(tid, *ptr) as u64;
+                let addr = frame.eval(layout, *ptr) as u64;
                 if addr == 0 {
                     return self.trap("null pointer store");
                 }
-                let v = self.eval(tid, *val);
+                let v = frame.eval(layout, *val);
                 let own_stack = stack_owner(addr) == Some(tid);
                 if own_stack {
-                    self.stack_mem.insert(addr, v);
+                    thread.stack_mem.insert(addr, v);
+                    self.stats.stack_ops += 1;
                 } else {
                     self.mem.store(tid, addr, v, *ord);
-                }
-                if own_stack {
-                    self.stats.stack_ops += 1;
-                } else if ord.is_atomic() {
-                    self.stats.atomic_stores += 1;
-                    if *ord != Ordering::SeqCst {
-                        self.stats.rel_stores += 1;
+                    if ord.is_atomic() {
+                        self.stats.atomic_stores += 1;
+                        if *ord != Ordering::SeqCst {
+                            self.stats.rel_stores += 1;
+                        }
+                    } else {
+                        self.stats.plain_stores += 1;
                     }
-                } else {
-                    self.stats.plain_stores += 1;
                 }
                 visibility(!own_stack)
             }
@@ -502,28 +527,25 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 new,
                 ord,
             } => {
-                let addr = self.eval(tid, *ptr) as u64;
+                let addr = frame.eval(layout, *ptr) as u64;
                 if addr == 0 {
                     return self.trap("null pointer cmpxchg");
                 }
-                let e = self.eval(tid, *expected);
-                let n = self.eval(tid, *new);
-                let old = if stack_owner(addr) == Some(tid) {
-                    let old = self.stack_mem.get(&addr).copied().unwrap_or(0);
+                let e = frame.eval(layout, *expected);
+                let n = frame.eval(layout, *new);
+                let own_stack = stack_owner(addr) == Some(tid);
+                let old = if own_stack {
+                    let old = thread.stack_mem.get(&addr).copied().unwrap_or(0);
                     if old == e {
-                        self.stack_mem.insert(addr, n);
+                        thread.stack_mem.insert(addr, n);
                     }
                     old
                 } else {
                     self.mem.cmpxchg(tid, addr, e, n, *ord)
                 };
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(*id, old);
+                thread.frame_mut().set(*id, old);
                 self.stats.rmws += 1;
-                visibility(self.is_visible(tid, addr))
+                visibility(!own_stack)
             }
             CInst::Rmw {
                 id,
@@ -532,25 +554,22 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 val,
                 ord,
             } => {
-                let addr = self.eval(tid, *ptr) as u64;
+                let addr = frame.eval(layout, *ptr) as u64;
                 if addr == 0 {
                     return self.trap("null pointer rmw");
                 }
-                let v = self.eval(tid, *val);
-                let old = if stack_owner(addr) == Some(tid) {
-                    let old = self.stack_mem.get(&addr).copied().unwrap_or(0);
-                    self.stack_mem.insert(addr, op.apply(old, v));
+                let v = frame.eval(layout, *val);
+                let own_stack = stack_owner(addr) == Some(tid);
+                let old = if own_stack {
+                    let old = thread.stack_mem.get(&addr).copied().unwrap_or(0);
+                    thread.stack_mem.insert(addr, op.apply(old, v));
                     old
                 } else {
                     self.mem.rmw(tid, addr, *op, v, *ord)
                 };
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(*id, old);
+                thread.frame_mut().set(*id, old);
                 self.stats.rmws += 1;
-                visibility(self.is_visible(tid, addr))
+                visibility(!own_stack)
             }
             CInst::Fence { ord } => {
                 self.mem.fence(tid, *ord);
@@ -567,23 +586,19 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 const_off,
                 dyn_terms,
             } => {
-                let mut addr = self.eval(tid, *base).wrapping_add(*const_off);
+                let mut addr = frame.eval(layout, *base).wrapping_add(*const_off);
                 for t in dyn_terms.iter() {
-                    addr = addr.wrapping_add(self.eval(tid, t.value).wrapping_mul(t.stride));
+                    addr = addr.wrapping_add(frame.eval(layout, t.value).wrapping_mul(t.stride));
                 }
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(*id, addr);
+                frame.set(*id, addr);
                 // Address arithmetic folds into addressing modes on Arm;
                 // price it with the register class.
                 self.stats.stack_ops += 1;
                 InstOutcome::Invisible
             }
             CInst::Bin { id, op, lhs, rhs } => {
-                let l = self.eval(tid, *lhs);
-                let r = self.eval(tid, *rhs);
+                let l = frame.eval(layout, *lhs);
+                let r = frame.eval(layout, *rhs);
                 use atomig_mir::BinOp::*;
                 let res = match op {
                     Add => l.wrapping_add(r),
@@ -607,47 +622,34 @@ impl<'m, M: MemModel> Machine<'m, M> {
                     Shl => l.wrapping_shl(r as u32),
                     Shr => l.wrapping_shr(r as u32),
                 };
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(*id, res);
+                frame.set(*id, res);
                 self.stats.other_ops += 1;
                 InstOutcome::Invisible
             }
             CInst::Cmp { id, pred, lhs, rhs } => {
-                let l = self.eval(tid, *lhs);
-                let r = self.eval(tid, *rhs);
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(*id, pred.eval(l, r) as i64);
+                let l = frame.eval(layout, *lhs);
+                let r = frame.eval(layout, *rhs);
+                frame.set(*id, pred.eval(l, r) as i64);
                 self.stats.other_ops += 1;
                 InstOutcome::Invisible
             }
             CInst::Cast { id, value, mask } => {
-                let v = self.eval(tid, *value);
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(*id, (v as u64 & mask) as i64);
+                let v = frame.eval(layout, *value);
+                frame.set(*id, (v as u64 & mask) as i64);
                 self.stats.other_ops += 1;
                 InstOutcome::Invisible
             }
             CInst::CallFunc { id, func, args } => {
-                let arg_vals: Vec<i64> = args.iter().map(|a| self.eval(tid, *a)).collect();
+                let params: Vec<i64> = args.iter().map(|a| frame.eval(layout, *a)).collect();
                 self.stats.other_ops += 1;
-                let mut frame = Frame::new(&prog, *func, arg_vals, *id);
-                frame.saved_sp = self.threads[tid].sp;
-                self.threads[tid].frames.push(frame);
+                let callee = Frame::new(&program.code, *func, params, *id, thread.sp);
+                thread.frames.push(callee);
                 InstOutcome::Invisible
             }
             CInst::CallBuiltin { id, builtin, args } => {
-                let arg_vals: Vec<i64> = args.iter().map(|a| self.eval(tid, *a)).collect();
+                let vals: Vec<i64> = args.iter().map(|a| frame.eval(layout, *a)).collect();
                 self.stats.other_ops += 1;
-                self.step_builtin(tid, *id, *builtin, &arg_vals, ch)
+                self.step_builtin(tid, *id, *builtin, &vals, ch)
             }
         }
     }
@@ -663,39 +665,30 @@ impl<'m, M: MemModel> Machine<'m, M> {
         match b {
             Builtin::Spawn => {
                 let fid = FuncId(args[0] as u32);
-                if fid.0 as usize >= self.module.funcs.len() {
+                if fid.0 as usize >= self.program.module.funcs.len() {
                     return self.trap("spawn of unknown function");
                 }
                 let child = self.threads.len();
                 self.mem.ensure_threads(child + 1);
                 self.mem.on_spawn(tid, child);
-                let mut frame = Frame::new(&self.prog.clone(), fid, vec![args[1]], None);
-                frame.saved_sp = stack_base(child);
-                self.threads.push(Thread {
-                    frames: vec![frame],
-                    state: ThreadState::Runnable,
-                    sp: stack_base(child),
-                    stack_end: stack_base(child) + STACK_SIZE,
-                });
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(id, child as i64);
+                let thread = Thread::new(&self.program.code, child, fid, vec![args[1]]);
+                self.threads.push(Arc::new(thread));
+                self.set_reg(tid, id, child as i64);
                 // Spawning is a visible (synchronizing) event.
                 InstOutcome::Visible
             }
             Builtin::Join => {
                 let target = args[0] as usize;
-                match self.threads.get(target).map(|t| t.state.clone()) {
+                match self.threads.get(target).map(|t| &t.state) {
                     Some(ThreadState::Done(_)) => {
                         self.mem.on_join(tid, target);
                         InstOutcome::Visible
                     }
                     Some(_) => {
                         // Re-execute the join when we are next scheduled.
-                        self.threads[tid].frames.last_mut().expect("frame").ip -= 1;
-                        self.threads[tid].state = ThreadState::Join(target);
+                        let thread = unshare(&mut self.threads[tid]);
+                        thread.frame_mut().ip -= 1;
+                        thread.state = ThreadState::Join(target);
                         InstOutcome::Blocked
                     }
                     None => self.trap("join of unknown thread"),
@@ -703,10 +696,8 @@ impl<'m, M: MemModel> Machine<'m, M> {
             }
             Builtin::Assert => {
                 if args[0] == 0 {
-                    let fname = {
-                        let frame = self.threads[tid].frames.last().expect("frame");
-                        self.prog.funcs[frame.func.0 as usize].name.clone()
-                    };
+                    let func = self.threads[tid].frame().func;
+                    let fname = self.program.code.funcs[func.0 as usize].name.clone();
                     self.failure = Some(Failure::Assert { func: fname });
                     InstOutcome::Failed
                 } else {
@@ -731,13 +722,13 @@ impl<'m, M: MemModel> Machine<'m, M> {
                     for t in 0..self.threads.len() {
                         if matches!(self.threads[t].state, ThreadState::Barrier) {
                             self.mem.fence(t, Ordering::SeqCst);
-                            self.threads[t].state = ThreadState::Runnable;
+                            unshare(&mut self.threads[t]).state = ThreadState::Runnable;
                         }
                     }
                     self.mem.fence(tid, Ordering::SeqCst);
                     InstOutcome::Visible
                 } else {
-                    self.threads[tid].state = ThreadState::Barrier;
+                    unshare(&mut self.threads[tid]).state = ThreadState::Barrier;
                     self.mem.fence(tid, Ordering::SeqCst);
                     InstOutcome::Blocked
                 }
@@ -746,11 +737,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 let slots = (args[0].max(1)) as u64;
                 let addr = self.heap_next;
                 self.heap_next += slots;
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(id, addr as i64);
+                self.set_reg(tid, id, addr as i64);
                 InstOutcome::Invisible
             }
             Builtin::Free => InstOutcome::Invisible,
@@ -762,11 +749,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
             Builtin::CompilerBarrier => InstOutcome::Invisible,
             Builtin::Nondet => {
                 let v = ch.choose(2) as i64;
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame")
-                    .set(id, v);
+                self.set_reg(tid, id, v);
                 InstOutcome::Invisible
             }
             Builtin::Print => {
@@ -777,9 +760,12 @@ impl<'m, M: MemModel> Machine<'m, M> {
     }
 
     fn step_terminator(&mut self, tid: usize, term: CTerm) -> InstOutcome {
+        let program = self.program;
+        let layout = &program.layout;
+        let thread = unshare(&mut self.threads[tid]);
         match term {
             CTerm::Br(b) => {
-                let frame = self.threads[tid].frames.last_mut().expect("frame");
+                let frame = thread.frame_mut();
                 frame.block = b;
                 frame.ip = 0;
                 InstOutcome::Invisible
@@ -789,25 +775,28 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 then_bb,
                 else_bb,
             } => {
-                let c = self.eval(tid, cond);
-                let frame = self.threads[tid].frames.last_mut().expect("frame");
-                frame.block = if c != 0 { then_bb } else { else_bb };
+                let frame = thread.frame_mut();
+                frame.block = if frame.eval(layout, cond) != 0 {
+                    then_bb
+                } else {
+                    else_bb
+                };
                 frame.ip = 0;
                 self.stats.other_ops += 1;
                 InstOutcome::Invisible
             }
             CTerm::Ret(v) => {
-                let val = v.map(|v| self.eval(tid, v)).unwrap_or(0);
-                let frame = self.threads[tid].frames.pop().expect("frame");
-                self.threads[tid].sp = frame.saved_sp;
-                if let Some(parent) = self.threads[tid].frames.last_mut() {
+                let val = v.map(|v| thread.frame().eval(layout, v)).unwrap_or(0);
+                let frame = thread.frames.pop().expect("frame");
+                thread.sp = frame.saved_sp;
+                if let Some(parent) = thread.frames.last_mut() {
                     if let Some(dst) = frame.ret_to {
                         parent.set(dst, val);
                     }
                     InstOutcome::Invisible
                 } else {
+                    thread.state = ThreadState::Done(val);
                     self.mem.on_exit(tid);
-                    self.threads[tid].state = ThreadState::Done(val);
                     InstOutcome::Finished
                 }
             }
@@ -816,30 +805,42 @@ impl<'m, M: MemModel> Machine<'m, M> {
     }
 }
 
-/// A fast multiply-rotate hasher (FxHash-style) for state fingerprints.
-struct FxHasher {
-    state: u64,
+/// A multiply-rotate hasher (FxHash-style) for state fingerprints, with
+/// one independently seeded 64-bit lane per seed. Every write mixes into
+/// all lanes, so one pass over a state yields what one pass per seed
+/// would.
+struct FxHasher<const LANES: usize> {
+    state: [u64; LANES],
 }
 
-impl FxHasher {
-    fn new(seed: u64) -> FxHasher {
-        FxHasher { state: seed }
+impl<const LANES: usize> FxHasher<LANES> {
+    fn new(seeds: [u64; LANES]) -> Self {
+        FxHasher { state: seeds }
     }
 
     #[inline]
     fn mix(&mut self, w: u64) {
-        self.state = (self.state.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        for s in &mut self.state {
+            *s = (s.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
+
+    /// Each lane's finalized hash.
+    fn lanes(&self) -> [u64; LANES] {
+        self.state.map(|mut x| {
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xff51afd7ed558ccd);
+            x ^= x >> 33;
+            x
+        })
     }
 }
 
-impl Hasher for FxHasher {
+impl<const LANES: usize> Hasher for FxHasher<LANES> {
+    /// The first lane.
     #[inline]
     fn finish(&self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xff51afd7ed558ccd);
-        x ^= x >> 33;
-        x
+        self.lanes()[0]
     }
 
     #[inline]
@@ -908,9 +909,10 @@ mod tests {
     use atomig_mir::parse_module;
 
     fn run_to_completion(src: &str) -> Machine<'_, ScMem> {
-        // Leak the module so the machine can borrow it in tests.
+        // Leak the program so the machine can borrow it in tests.
         let m = Box::leak(Box::new(parse_module(src).unwrap()));
-        let mut machine = Machine::for_main(m, ScMem::default());
+        let program = Box::leak(Box::new(Program::new(m)));
+        let mut machine = Machine::for_main(program, ScMem::default());
         let mut ch = FirstChoice;
         let mut guard = 0;
         while !machine.all_done() && machine.failure.is_none() && !machine.pruned {
@@ -924,6 +926,32 @@ mod tests {
             assert!(guard < 100_000, "test did not terminate");
         }
         machine
+    }
+
+    /// The two-lane hasher's lanes equal two single-lane passes seeded
+    /// with the fingerprint seeds, for every kind of write a state hash
+    /// makes.
+    #[test]
+    fn two_lane_hasher_matches_two_single_lane_passes() {
+        fn feed<H: Hasher>(h: &mut H) {
+            h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+            h.write_u64(0xdead_beef_0bad_f00d);
+            h.write_u32(7);
+            h.write_u8(255);
+            h.write_usize(1 << 40);
+            h.write_i64(-3);
+            vec![4i64, -5, 6].hash(h);
+            BTreeMap::from([(0x1000u64, 1i64), (0x1001, -1)]).hash(h);
+        }
+        let mut both = FxHasher::new(FINGERPRINT_SEEDS);
+        feed(&mut both);
+        let lanes = FINGERPRINT_SEEDS.map(|seed| {
+            let mut one = FxHasher::new([seed]);
+            feed(&mut one);
+            one.finish()
+        });
+        assert_eq!(both.lanes(), lanes);
+        assert_ne!(lanes[0], lanes[1]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! abstract cost and relative slowdowns. Deterministic by construction:
 //! the same module and config always produce the same counts.
 
-use crate::exec::{ExecStats, Failure, Machine, StepOutcome};
+use crate::exec::{ExecStats, Failure, Machine, Program, StepOutcome};
 use crate::models::{LastChoice, ScMem};
 use atomig_mir::Module;
 
@@ -58,7 +58,8 @@ pub fn run(module: &Module, config: &InterpConfig) -> RunResult {
     let fid = module
         .func_by_name(&config.entry)
         .unwrap_or_else(|| panic!("no function @{}", config.entry));
-    let mut machine = Machine::new(module, fid, vec![], ScMem::default());
+    let program = Program::new(module);
+    let mut machine = Machine::new(&program, fid, vec![], ScMem::default());
     // Long purely-local computations are legitimate under the
     // interpreter; `max_steps` (which also bills invisible work coarsely)
     // is the runaway guard instead of the per-visible-step budget.

@@ -43,7 +43,7 @@ pub mod models;
 
 pub use checker::{Checker, CheckerConfig, Limit, ModelKind, Verdict};
 pub use cost::CostModel;
-pub use exec::{ExecStats, Failure, Machine, StepOutcome, Thread, ThreadState};
+pub use exec::{ExecStats, Failure, Machine, Program, StepOutcome, Thread, ThreadState};
 pub use interp::{run, run_default, InterpConfig, RunResult};
 pub use mem::Layout;
 pub use models::{Chooser, FirstChoice, LastChoice, MemModel, ScMem, ScMode, TsoMem, ViewMem};

@@ -17,6 +17,7 @@
 use atomig_mir::{Ordering, RmwOp};
 use std::collections::BTreeMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// A source of nondeterministic decisions (scheduling-independent inner
 /// choices such as which write a relaxed load reads).
@@ -288,27 +289,67 @@ fn view_join(dst: &mut View, src: &View) {
     }
 }
 
+/// [`view_join`] on shared views: copies `dst` only when the join changes
+/// it. A key of `src` that `dst` lacks is a change even at ts 0, because
+/// the join inserts it, and states hash their views' keys.
+fn join_shared(dst: &mut Arc<View>, src: &Arc<View>) {
+    if Arc::ptr_eq(dst, src) {
+        return;
+    }
+    if dst.is_empty() {
+        // Joining into an empty view yields `src` itself.
+        *dst = Arc::clone(src);
+    } else if src.iter().any(|(a, ts)| dst.get(a).is_none_or(|d| ts > d)) {
+        view_join(Arc::make_mut(dst), src);
+    }
+}
+
 /// One write in a location's history.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Msg {
     ts: u64,
     val: i64,
-    /// View attached by a release-or-stronger store (empty otherwise).
-    view: View,
+    /// The releasing thread's view, shared, when a release-or-stronger
+    /// store wrote the message, and `None` otherwise. Such a view holds
+    /// this write, so it is never empty: `None` stands for exactly the
+    /// empty view, and equal states still hash equal.
+    view: Option<Arc<View>>,
     released: bool,
 }
 
+impl Msg {
+    /// The write every location starts from (`ts 0`).
+    fn init(val: i64) -> Msg {
+        Msg {
+            ts: 0,
+            val,
+            view: None,
+            released: true,
+        }
+    }
+}
+
+/// The write history at `addr`, created with a 0-valued initial write.
+fn history(hist: &mut BTreeMap<u64, Arc<Vec<Msg>>>, addr: u64) -> &mut Arc<Vec<Msg>> {
+    hist.entry(addr)
+        .or_insert_with(|| Arc::new(vec![Msg::init(0)]))
+}
+
 /// The view machine for weak memory.
+///
+/// Histories and views are shared between cloned machines: a clone
+/// copies only reference counts, and a step copies the history or view
+/// it changes.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ViewMem {
     /// Per-location write histories, timestamps ascending (`ts 0` = init).
-    hist: BTreeMap<u64, Vec<Msg>>,
+    hist: BTreeMap<u64, Arc<Vec<Msg>>>,
     /// Per-thread views.
-    views: Vec<View>,
+    views: Vec<Arc<View>>,
     /// Views of exited threads, kept for `on_join`.
-    exit_views: BTreeMap<usize, View>,
+    exit_views: BTreeMap<usize, Arc<View>>,
     /// The global SC view.
-    sc_view: View,
+    sc_view: Arc<View>,
     /// SC-access interpretation.
     sc_mode: ScMode,
 }
@@ -323,91 +364,98 @@ impl ViewMem {
         }
     }
 
-    fn sc_access_couples(&self) -> bool {
-        self.sc_mode == ScMode::Strong
-    }
-    fn history(&mut self, addr: u64) -> &mut Vec<Msg> {
-        self.hist.entry(addr).or_insert_with(|| {
-            vec![Msg {
-                ts: 0,
-                val: 0,
-                view: View::new(),
-                released: true,
-            }]
-        })
+    /// Whether an access with `ord` synchronizes through the SC view.
+    fn couples(&self, ord: Ordering) -> bool {
+        ord == Ordering::SeqCst && self.sc_mode == ScMode::Strong
     }
 
-    fn view_of(&mut self, tid: usize) -> &mut View {
-        self.ensure_threads(tid + 1);
-        &mut self.views[tid]
+    /// Before a coupled SC access by `tid`: joins the SC view into the
+    /// thread's view.
+    fn sc_enter(&mut self, tid: usize) {
+        join_shared(&mut self.views[tid], &self.sc_view);
+    }
+
+    /// After a coupled SC access (or an SC fence) by `tid`: joins the
+    /// thread's view into the SC view. Since [`Self::sc_enter`] the
+    /// thread's view has only grown, so it now contains the SC view and
+    /// the join equals the thread's view: share it.
+    fn sc_exit(&mut self, tid: usize) {
+        self.sc_view = Arc::clone(&self.views[tid]);
     }
 
     /// The number of writes a load by `tid` could read at `addr` (used by
     /// the checker to enumerate read choices).
     pub fn eligible_count(&mut self, tid: usize, addr: u64, ord: Ordering) -> usize {
-        let mut floor = *self.view_of(tid).get(&addr).unwrap_or(&0);
-        if ord == Ordering::SeqCst && self.sc_access_couples() {
+        self.ensure_threads(tid + 1);
+        let mut floor = *self.views[tid].get(&addr).unwrap_or(&0);
+        if self.couples(ord) {
             floor = floor.max(*self.sc_view.get(&addr).unwrap_or(&0));
         }
-        self.history(addr).iter().filter(|m| m.ts >= floor).count()
+        history(&mut self.hist, addr)
+            .iter()
+            .filter(|m| m.ts >= floor)
+            .count()
+    }
+
+    /// Raises `tid`'s view to a read of `msg` at `addr`: the key is set to
+    /// at least `msg.ts` (inserted even at ts 0), and an acquiring read of
+    /// a released message joins its view. Copies the view only if that
+    /// changes it.
+    fn observe(view: &mut Arc<View>, addr: u64, msg: &Msg, acquire: bool) {
+        let attached = msg.view.as_ref().filter(|_| acquire && msg.released);
+        let raise = view.get(&addr).is_none_or(|&cur| msg.ts > cur);
+        if raise {
+            Arc::make_mut(view).insert(addr, msg.ts);
+        }
+        if let Some(mview) = attached {
+            join_shared(view, mview);
+        }
     }
 
     fn do_load(&mut self, tid: usize, addr: u64, ord: Ordering, ch: &mut dyn Chooser) -> i64 {
-        if ord == Ordering::SeqCst && self.sc_access_couples() {
-            let sc = self.sc_view.clone();
-            view_join(self.view_of(tid), &sc);
+        self.ensure_threads(tid + 1);
+        if self.couples(ord) {
+            self.sc_enter(tid);
         }
-        let floor = *self.view_of(tid).get(&addr).unwrap_or(&0);
-        let hist = self.history(addr);
-        let eligible: Vec<usize> = hist
+        let floor = *self.views[tid].get(&addr).unwrap_or(&0);
+        let hist = history(&mut self.hist, addr);
+        // Timestamps ascend, so the eligible writes are a suffix.
+        let first = hist
             .iter()
-            .enumerate()
-            .filter(|(_, m)| m.ts >= floor)
-            .map(|(i, _)| i)
-            .collect();
-        debug_assert!(!eligible.is_empty(), "view beyond history");
-        let pick = eligible[ch.choose(eligible.len())];
-        let (ts, val, released, mview) = {
-            let m = &hist[pick];
-            (m.ts, m.val, m.released, m.view.clone())
-        };
-        let view = self.view_of(tid);
-        let e = view.entry(addr).or_insert(0);
-        if ts > *e {
-            *e = ts;
-        }
-        if ord.has_acquire() && released {
-            view_join(view, &mview);
-        }
-        if ord == Ordering::SeqCst && self.sc_access_couples() {
-            let v = self.views[tid].clone();
-            view_join(&mut self.sc_view, &v);
+            .position(|m| m.ts >= floor)
+            .expect("view beyond history");
+        let msg = &hist[first + ch.choose(hist.len() - first)];
+        Self::observe(&mut self.views[tid], addr, msg, ord.has_acquire());
+        let val = msg.val;
+        if self.couples(ord) {
+            self.sc_exit(tid);
         }
         val
     }
 
-    fn do_store(&mut self, tid: usize, addr: u64, val: i64, ord: Ordering) {
-        if ord == Ordering::SeqCst && self.sc_access_couples() {
-            let sc = self.sc_view.clone();
-            view_join(self.view_of(tid), &sc);
-        }
-        let ts = self.history(addr).last().expect("init msg").ts + 1;
-        self.view_of(tid).insert(addr, ts);
+    /// Appends a write by `tid` at `ts` and raises the thread's view to
+    /// it; a release-or-stronger write shares the raised view.
+    fn append(&mut self, tid: usize, addr: u64, ts: u64, val: i64, ord: Ordering) {
+        Arc::make_mut(&mut self.views[tid]).insert(addr, ts);
         let released = ord.has_release();
-        let view = if released {
-            self.views[tid].clone()
-        } else {
-            View::new()
-        };
-        self.history(addr).push(Msg {
+        let view = released.then(|| Arc::clone(&self.views[tid]));
+        Arc::make_mut(history(&mut self.hist, addr)).push(Msg {
             ts,
             val,
             view,
             released,
         });
-        if ord == Ordering::SeqCst && self.sc_access_couples() {
-            let v = self.views[tid].clone();
-            view_join(&mut self.sc_view, &v);
+    }
+
+    fn do_store(&mut self, tid: usize, addr: u64, val: i64, ord: Ordering) {
+        self.ensure_threads(tid + 1);
+        if self.couples(ord) {
+            self.sc_enter(tid);
+        }
+        let ts = history(&mut self.hist, addr).last().expect("init msg").ts + 1;
+        self.append(tid, addr, ts, val, ord);
+        if self.couples(ord) {
+            self.sc_exit(tid);
         }
     }
 
@@ -425,43 +473,18 @@ impl ViewMem {
         ord: Ordering,
         f: F,
     ) -> i64 {
-        if ord == Ordering::SeqCst && self.sc_access_couples() {
-            let sc = self.sc_view.clone();
-            view_join(self.view_of(tid), &sc);
+        self.ensure_threads(tid + 1);
+        if self.couples(ord) {
+            self.sc_enter(tid);
         }
-        let (old_ts, old, released, mview) = {
-            let m = self.history(addr).last().expect("init msg");
-            (m.ts, m.val, m.released, m.view.clone())
-        };
-        {
-            let view = self.view_of(tid);
-            let e = view.entry(addr).or_insert(0);
-            if old_ts > *e {
-                *e = old_ts;
-            }
-            if ord.has_acquire() && released {
-                view_join(view, &mview);
-            }
-        }
+        let latest = history(&mut self.hist, addr).last().expect("init msg");
+        let (old_ts, old) = (latest.ts, latest.val);
+        Self::observe(&mut self.views[tid], addr, latest, ord.has_acquire());
         if let Some(new) = f(old) {
-            let ts = old_ts + 1;
-            self.view_of(tid).insert(addr, ts);
-            let rel = ord.has_release();
-            let view = if rel {
-                self.views[tid].clone()
-            } else {
-                View::new()
-            };
-            self.history(addr).push(Msg {
-                ts,
-                val: new,
-                view,
-                released: rel,
-            });
+            self.append(tid, addr, old_ts + 1, new, ord);
         }
-        if ord == Ordering::SeqCst && self.sc_access_couples() {
-            let v = self.views[tid].clone();
-            view_join(&mut self.sc_view, &v);
+        if self.couples(ord) {
+            self.sc_exit(tid);
         }
         old
     }
@@ -469,20 +492,12 @@ impl ViewMem {
 
 impl MemModel for ViewMem {
     fn init(&mut self, addr: u64, val: i64) {
-        self.hist.insert(
-            addr,
-            vec![Msg {
-                ts: 0,
-                val,
-                view: View::new(),
-                released: true,
-            }],
-        );
+        self.hist.insert(addr, Arc::new(vec![Msg::init(val)]));
     }
 
     fn ensure_threads(&mut self, n: usize) {
         while self.views.len() < n {
-            self.views.push(View::new());
+            self.views.push(Arc::default());
         }
     }
 
@@ -510,10 +525,9 @@ impl MemModel for ViewMem {
 
     fn fence(&mut self, tid: usize, ord: Ordering) {
         if ord == Ordering::SeqCst {
-            let sc = self.sc_view.clone();
-            view_join(self.view_of(tid), &sc);
-            let v = self.views[tid].clone();
-            view_join(&mut self.sc_view, &v);
+            self.ensure_threads(tid + 1);
+            self.sc_enter(tid);
+            self.sc_exit(tid);
         }
         // Plain acquire/release fences never occur in AtoMig output; they
         // are treated as no-ops here (documented model restriction).
@@ -521,18 +535,19 @@ impl MemModel for ViewMem {
 
     fn on_spawn(&mut self, parent: usize, child: usize) {
         self.ensure_threads(child.max(parent) + 1);
-        let pv = self.views[parent].clone();
-        view_join(&mut self.views[child], &pv);
+        let pv = Arc::clone(&self.views[parent]);
+        join_shared(&mut self.views[child], &pv);
     }
 
     fn on_exit(&mut self, tid: usize) {
         self.ensure_threads(tid + 1);
-        self.exit_views.insert(tid, self.views[tid].clone());
+        self.exit_views.insert(tid, Arc::clone(&self.views[tid]));
     }
 
     fn on_join(&mut self, joiner: usize, target: usize) {
         if let Some(tv) = self.exit_views.get(&target).cloned() {
-            view_join(self.view_of(joiner), &tv);
+            self.ensure_threads(joiner + 1);
+            join_shared(&mut self.views[joiner], &tv);
         }
     }
 
@@ -544,19 +559,16 @@ impl MemModel for ViewMem {
         if self.views.is_empty() {
             return;
         }
-        let addresses: Vec<u64> = self.hist.keys().copied().collect();
-        for addr in addresses {
+        for (addr, h) in self.hist.iter_mut() {
             let floor = self
                 .views
                 .iter()
-                .map(|v| *v.get(&addr).unwrap_or(&0))
+                .map(|v| *v.get(addr).unwrap_or(&0))
                 .min()
                 .unwrap_or(0);
-            if let Some(h) = self.hist.get_mut(&addr) {
-                let keep_from = h.iter().position(|m| m.ts >= floor).unwrap_or(h.len() - 1);
-                if keep_from > 0 {
-                    h.drain(..keep_from);
-                }
+            let keep_from = h.iter().position(|m| m.ts >= floor).unwrap_or(h.len() - 1);
+            if keep_from > 0 {
+                Arc::make_mut(h).drain(..keep_from);
             }
         }
     }

@@ -4,9 +4,11 @@
 //! The files were produced by the `atomig` binary with
 //! `ATOMIG_DETERMINISTIC=1`, which makes every timing field a count of
 //! clock reads, so a change that reads the clock more or less often shows
-//! up here too. Each `.txt` file is the command's standard output; each
-//! `.jsonl` file is the stream `--emit-metrics` wrote. To regenerate one
-//! after an intended output change, run the command it names, e.g.
+//! up here too. Each `.txt` file is the command's standard output, or,
+//! for a `check` that finds a violation, the error text `atomig` prints
+//! after `error: `. Each `.jsonl` file is the stream `--emit-metrics`
+//! wrote. To regenerate one after an intended output change, run the
+//! command it names, e.g.
 //!
 //! ```text
 //! ATOMIG_DETERMINISTIC=1 atomig lint examples/mp.c --alias points-to > tests/golden/mp.lint-pt.txt
@@ -28,6 +30,9 @@ const TEXT_VARIANTS: &[(&str, &str)] = &[
     ("lint-pt-ported", "lint {} --alias points-to --ported"),
     ("explain", "explain {}"),
     ("explain-pt", "explain {} --alias points-to"),
+    ("check-arm", "check {} --model arm"),
+    ("check-arm-ported", "check {} --model arm --ported"),
+    ("check-tso", "check {} --model tso"),
 ];
 
 /// Golden file suffix → command line whose `--emit-metrics` stream is
@@ -40,6 +45,10 @@ const METRICS_VARIANTS: &[(&str, &str)] = &[
         "port {} --alias points-to --report --emit-metrics {out}",
     ),
     ("lint-pt", "lint {} --alias points-to --emit-metrics {out}"),
+    (
+        "check-arm-ported",
+        "check {} --model arm --ported --emit-metrics {out}",
+    ),
 ];
 
 fn root() -> &'static Path {
@@ -51,15 +60,19 @@ fn command(variant: &str, example: &str) -> String {
     variant.replace("{}", &format!("examples/{example}.c"))
 }
 
-/// Runs one command line the way the binary does and returns its stdout.
+/// Runs one command line the way the binary does and returns its stdout
+/// (or a `check`'s violation text).
 fn run(line: &str, example: &str) -> String {
     std::env::set_var("ATOMIG_DETERMINISTIC", "1");
     let file = format!("examples/{example}.c");
     let args: Vec<String> = line.split_whitespace().map(String::from).collect();
     let cmd = parse_args(&args).unwrap_or_else(|e| panic!("`{line}`: {e}"));
     let source = std::fs::read_to_string(root().join(&file)).expect("example exists");
-    let out =
-        execute(&cmd, &source, module_name(&file)).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+    let out = match execute(&cmd, &source, module_name(&file)) {
+        Ok(out) => out,
+        Err(e) if line.starts_with("check ") => e,
+        Err(e) => panic!("`{line}`: {e}"),
+    };
     format!("{out}\n")
 }
 
