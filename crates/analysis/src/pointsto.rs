@@ -44,11 +44,11 @@
 
 use crate::escape::EscapeInfo;
 use atomig_mir::{
-    Builtin, Callee, FuncId, Function, GlobalId, InstId, InstKind, Module, Terminator, Value,
+    Builtin, Callee, FuncId, Function, FxBuild, GlobalId, InstId, InstKind, Module, Terminator,
+    Value,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Field paths longer than this are truncated into summary cells, which
@@ -111,32 +111,6 @@ const NONE: u32 = u32::MAX;
 
 /// Tag bit of [`NodeState::pts`]: the set has spilled to `Solver::big`.
 const BIG: u32 = 1 << 31;
-
-/// The Fx hash of rustc: one rotate, xor and multiply per word. Keys are
-/// node pairs and short field paths of the module being analysed, so a
-/// collision attack could only slow down the analysis of its own input.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// A constraint node named symbolically, so constraint *generation* can
 /// run per function on worker threads without touching the solver's

@@ -119,7 +119,7 @@ fn natural_loop_invariants() {
             let has_backedge = l
                 .body
                 .iter()
-                .any(|&b| f.block(b).term.successors().contains(&l.header));
+                .any(|&b| f.block(b).term.successors().any(|s| s == l.header));
             assert!(
                 has_backedge,
                 "case {case}: loop at {} has no backedge",

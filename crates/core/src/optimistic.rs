@@ -8,7 +8,7 @@
 use crate::annotations::loc_of;
 use crate::spinloop::SpinLoopInfo;
 use atomig_analysis::InfluenceAnalysis;
-use atomig_mir::{Function, InstId, InstKind, MemLoc};
+use atomig_mir::{Function, InstId, InstKind, MemLoc, Value};
 use std::collections::HashSet;
 
 /// A spinloop classified as optimistic.
@@ -130,6 +130,7 @@ fn value_used_outside_loop(
     }
 
     // Any direct use of a carrier value outside the loop?
+    let carried = |op: Value| op.as_inst().is_some_and(|vid| is(&carrier_insts, vid));
     for (_, inst) in func.insts() {
         if in_loop[inst.id.0 as usize] {
             continue;
@@ -142,10 +143,8 @@ fn value_used_outside_loop(
                 }
             }
         }
-        for op in inst.kind.operands() {
-            if op.as_inst().is_some_and(|vid| is(&carrier_insts, vid)) {
-                return true;
-            }
+        if inst.kind.operands().any(carried) {
+            return true;
         }
     }
     // Terminator uses (e.g. `ret data`).
@@ -153,10 +152,8 @@ fn value_used_outside_loop(
         if body.contains(&b) {
             continue;
         }
-        for op in func.block(b).term.operands() {
-            if op.as_inst().is_some_and(|vid| is(&carrier_insts, vid)) {
-                return true;
-            }
+        if func.block(b).term.operands().any(carried) {
+            return true;
         }
     }
     false

@@ -44,63 +44,25 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 
-pub use ast::{BinaryOp, Expr, Item, Program, Stmt, StmtKind, UnaryOp};
+pub use ast::{
+    BinaryOp, CType, Decl, Expr, ExprId, IfArm, Item, List, Program, Stmt, StmtId, StmtKind, Sym,
+    TyId, Types, UnaryOp,
+};
 pub use lexer::{lex, LexError, Token, TokenKind};
 pub use lower::{lower, LowerError};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_DEPTH};
 
-/// Per-stage wall-clock timings of one [`compile_timed`] run, feeding the
-/// frontend rows of the observability pipeline metrics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FrontcMetrics {
-    /// Lexing time.
-    pub lex: std::time::Duration,
-    /// Parsing time.
-    pub parse: std::time::Duration,
-    /// AST → MIR lowering time.
-    pub lower: std::time::Duration,
-    /// MIR verification time.
-    pub verify: std::time::Duration,
-}
-
-impl FrontcMetrics {
-    /// Sum of all stages.
-    pub fn total(&self) -> std::time::Duration {
-        self.lex + self.parse + self.lower + self.verify
-    }
-}
-
-/// Compiles MiniC source into a verified MIR module.
+/// Compiles MiniC source into a verified MIR module: lex, parse, lower
+/// and verify.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for lexical, syntactic, semantic, or
 /// verification failures.
 pub fn compile(source: &str, name: &str) -> Result<atomig_mir::Module, String> {
-    compile_timed(source, name).map(|(m, _)| m)
-}
-
-/// [`compile`], also reporting per-stage timings.
-///
-/// # Errors
-///
-/// Same as [`compile`].
-pub fn compile_timed(
-    source: &str,
-    name: &str,
-) -> Result<(atomig_mir::Module, FrontcMetrics), String> {
-    let mut metrics = FrontcMetrics::default();
-    let t0 = std::time::Instant::now();
     let tokens = lex(source).map_err(|e| e.to_string())?;
-    metrics.lex = t0.elapsed();
-    let t1 = std::time::Instant::now();
     let program = parse(&tokens).map_err(|e| e.to_string())?;
-    metrics.parse = t1.elapsed();
-    let t2 = std::time::Instant::now();
     let module = lower(&program, name).map_err(|e| e.to_string())?;
-    metrics.lower = t2.elapsed();
-    let t3 = std::time::Instant::now();
     atomig_mir::verify_module(&module).map_err(|e| e.to_string())?;
-    metrics.verify = t3.elapsed();
-    Ok((module, metrics))
+    Ok(module)
 }

@@ -2,12 +2,17 @@
 //! every local variable and parameter gets a stack slot, all data flow
 //! goes through loads and stores, and no optimization is performed —
 //! exactly the IR shape AtoMig analyses (§3.1).
+//!
+//! Module-level names resolve through tables indexed by [`Sym`], locals
+//! through one binding stack, and struct fields through a
+//! `(StructId, Sym)` map. Types stay [`TyId`]s throughout; the MIR type of
+//! each is built once and cloned where an instruction needs it.
 
 use crate::asm::{classify, AsmIdiom};
 use crate::ast::*;
 use atomig_mir::{
-    Builtin, Callee, CmpPred, FuncId, FunctionBuilder, GepIndex, GlobalDef, GlobalId, Module,
-    Ordering, RmwOp, StructDef, StructId, Type, Value,
+    BlockId, Builtin, Callee, CmpPred, FuncId, FunctionBuilder, FxBuild, GepIndex, GlobalDef,
+    GlobalId, Module, Ordering, RmwOp, StructDef, StructId, Type, Value,
 };
 use std::collections::HashMap;
 use std::error::Error;
@@ -34,249 +39,337 @@ fn err<T>(msg: impl Into<String>) -> Result<T, LowerError> {
 
 /// Lowers a parsed program into a MIR module named `name`.
 pub fn lower(program: &Program, name: &str) -> Result<Module, LowerError> {
-    let mut cx = Cx::collect(program, name)?;
+    let (mut cx, mut module) = Cx::collect(program, name)?;
     for item in &program.items {
         if let Item::Function {
             ret,
             name,
             params,
             body,
-        } = item
+        } = *item
         {
-            let f = FnLower::lower_function(&cx, ret, name, params, body)?;
-            let fid = cx.funcs[name].0;
-            cx.module.funcs[fid.0 as usize] = f;
+            let f = FnLower::lower_function(&mut cx, ret, name, params, body)?;
+            let fid = cx.funcs[name.0 as usize].expect("collected").0;
+            module.funcs[fid.0 as usize] = f;
         }
     }
     // Normalize global initializers to slot counts.
-    let sizes = cx.module.struct_slot_sizes();
-    for g in &mut cx.module.globals {
+    let sizes = module.struct_slot_sizes();
+    for g in &mut module.globals {
         let n = g.ty.slot_count(&sizes) as usize;
         g.init.resize(n.max(1), 0);
     }
-    Ok(cx.module)
+    Ok(module)
 }
 
-/// Module-wide context: declared structs, globals, functions.
-struct Cx {
-    module: Module,
-    structs: HashMap<String, StructId>,
-    struct_fields: HashMap<String, Vec<(CType, String)>>,
-    globals: HashMap<String, (GlobalId, CType, Quals)>,
-    funcs: HashMap<String, (FuncId, CType, Vec<CType>)>,
+/// A function's signature: id, return type and parameters.
+type Signature = (FuncId, TyId, List<Decl>);
+
+/// Module-wide context: declared structs, globals, functions, and the
+/// types lowering has met.
+struct Cx<'p> {
+    prog: &'p Program,
+    /// The program's types plus the pointer types lowering forms.
+    types: Types,
+    /// The MIR type of each `TyId`, once built.
+    mir: Vec<Option<Type>>,
+    /// Module-level meanings of each name, indexed by `Sym`.
+    structs: Vec<Option<StructId>>,
+    globals: Vec<Option<(GlobalId, TyId, Quals)>>,
+    funcs: Vec<Option<Signature>>,
+    /// Index and type of each field.
+    fields: HashMap<(StructId, Sym), (u32, TyId), FxBuild>,
     struct_sizes: Vec<u32>,
+    /// Local variables in scope, innermost last.
+    locals: Scopes,
 }
 
-impl Cx {
-    fn collect(program: &Program, name: &str) -> Result<Cx, LowerError> {
+impl<'p> Cx<'p> {
+    fn collect(program: &'p Program, name: &str) -> Result<(Cx<'p>, Module), LowerError> {
+        let names = program.names.len();
+        let mut module = Module::new(name);
         let mut cx = Cx {
-            module: Module::new(name),
-            structs: HashMap::new(),
-            struct_fields: HashMap::new(),
-            globals: HashMap::new(),
-            funcs: HashMap::new(),
+            prog: program,
+            types: program.types.clone(),
+            mir: Vec::new(),
+            structs: vec![None; names],
+            globals: vec![None; names],
+            funcs: vec![None; names],
+            fields: HashMap::default(),
             struct_sizes: Vec::new(),
+            locals: Scopes {
+                stack: Vec::new(),
+                innermost: vec![NOT_BOUND; names],
+            },
         };
         // Phase 1: struct names.
         for item in &program.items {
-            if let Item::Struct { name, .. } = item {
-                if cx.structs.contains_key(name) {
-                    return err(format!("duplicate struct `{name}`"));
+            if let Item::Struct { name, .. } = *item {
+                if cx.structs[name.0 as usize].is_some() {
+                    return err(format!("duplicate struct `{}`", &program[name]));
                 }
-                let sid = cx.module.add_struct(StructDef {
-                    name: name.clone(),
+                let sid = module.add_struct(StructDef {
+                    name: program[name].to_string(),
                     fields: vec![],
                 });
-                cx.structs.insert(name.clone(), sid);
+                cx.structs[name.0 as usize] = Some(sid);
             }
         }
         // Phase 2: struct bodies.
         for item in &program.items {
-            if let Item::Struct { name, fields } = item {
-                let mir_fields: Result<Vec<Type>, LowerError> =
-                    fields.iter().map(|(t, _)| cx.mir_type(t)).collect();
-                let sid = cx.structs[name];
-                cx.module.structs[sid.0 as usize].fields = mir_fields?;
-                cx.struct_fields.insert(name.clone(), fields.clone());
+            if let Item::Struct { name, fields } = *item {
+                let sid = cx.structs[name.0 as usize].expect("collected");
+                let mut mir_fields = Vec::with_capacity(fields.len());
+                for (i, f) in program[fields].iter().enumerate() {
+                    mir_fields.push(cx.mir_type(f.ty)?);
+                    // A repeated field name resolves to its first declaration.
+                    cx.fields.entry((sid, f.name)).or_insert((i as u32, f.ty));
+                }
+                module.structs[sid.0 as usize].fields = mir_fields;
             }
         }
-        cx.struct_sizes = cx.module.struct_slot_sizes();
+        cx.struct_sizes = module.struct_slot_sizes();
         // Phase 3: globals and function signatures.
         for item in &program.items {
-            match item {
+            match *item {
                 Item::Global {
                     ty,
                     quals,
                     name,
                     init,
                 } => {
-                    if cx.globals.contains_key(name) {
-                        return err(format!("duplicate global `{name}`"));
+                    if cx.globals[name.0 as usize].is_some() {
+                        return err(format!("duplicate global `{}`", &program[name]));
                     }
                     let mty = cx.mir_type(ty)?;
-                    let gid = cx.module.add_global(GlobalDef {
-                        name: name.clone(),
+                    let gid = module.add_global(GlobalDef {
+                        name: program[name].to_string(),
                         ty: mty,
-                        init: init.clone(),
+                        init: program[init].to_vec(),
                     });
-                    cx.globals.insert(name.clone(), (gid, ty.clone(), *quals));
+                    cx.globals[name.0 as usize] = Some((gid, ty, quals));
                 }
                 Item::Function {
                     ret, name, params, ..
                 } => {
-                    if cx.funcs.contains_key(name) {
-                        return err(format!("duplicate function `{name}`"));
+                    if cx.funcs[name.0 as usize].is_some() {
+                        return err(format!("duplicate function `{}`", &program[name]));
                     }
-                    let mir_params: Result<Vec<(String, Type)>, LowerError> = params
-                        .iter()
-                        .map(|(t, n)| Ok((n.clone(), cx.mir_type(t)?)))
-                        .collect();
-                    let fid = cx.module.add_func(atomig_mir::Function::new(
-                        name.clone(),
-                        mir_params?,
+                    let mir_params = cx.mir_params(params)?;
+                    let fid = module.add_func(atomig_mir::Function::new(
+                        &program[name],
+                        mir_params,
                         cx.mir_type(ret)?,
                     ));
-                    cx.funcs.insert(
-                        name.clone(),
-                        (
-                            fid,
-                            ret.clone(),
-                            params.iter().map(|(t, _)| t.clone()).collect(),
-                        ),
-                    );
+                    cx.funcs[name.0 as usize] = Some((fid, ret, params));
                 }
                 Item::Struct { .. } => {}
             }
         }
-        Ok(cx)
+        Ok((cx, module))
     }
 
-    fn mir_type(&self, t: &CType) -> Result<Type, LowerError> {
-        Ok(match t {
+    /// The MIR type of `t`, built on first use.
+    fn mir_ref(&mut self, t: TyId) -> Result<&Type, LowerError> {
+        let i = t.0 as usize;
+        if self.mir.get(i).is_some_and(Option::is_some) {
+            return Ok(self.mir[i].as_ref().expect("just checked"));
+        }
+        let ty = match self.types[t] {
             CType::Void => Type::Void,
             CType::Char => Type::I8,
             CType::Short => Type::I16,
             CType::Int => Type::I32,
             CType::Long => Type::I64,
-            CType::Struct(name) => match self.structs.get(name) {
-                Some(sid) => Type::Struct(*sid),
-                None => return err(format!("unknown struct `{name}`")),
+            CType::Struct(name) => match self.structs[name.0 as usize] {
+                Some(sid) => Type::Struct(sid),
+                None => return err(format!("unknown struct `{}`", &self.prog[name])),
             },
             CType::Ptr(p) => Type::ptr_to(self.mir_type(p)?),
-            CType::Array(e, n) => Type::array_of(self.mir_type(e)?, *n),
-        })
+            CType::Array(e, n) => Type::array_of(self.mir_type(e)?, n),
+        };
+        if self.mir.len() <= i {
+            self.mir.resize(self.types.len(), None);
+        }
+        Ok(self.mir[i].insert(ty))
     }
 
-    fn slots_of(&self, t: &CType) -> Result<u32, LowerError> {
-        Ok(self.mir_type(t)?.slot_count(&self.struct_sizes).max(1))
+    fn mir_type(&mut self, t: TyId) -> Result<Type, LowerError> {
+        self.mir_ref(t).cloned()
     }
 
-    fn field_index(&self, strukt: &str, field: &str) -> Result<(u32, CType), LowerError> {
-        match self.struct_fields.get(strukt) {
-            Some(fields) => fields
-                .iter()
-                .position(|(_, n)| n == field)
-                .map(|i| (i as u32, fields[i].0.clone()))
-                .ok_or(LowerError {
-                    msg: format!("struct `{strukt}` has no field `{field}`"),
-                }),
-            None => err(format!("unknown struct `{strukt}`")),
+    fn mir_params(&mut self, params: List<Decl>) -> Result<Vec<(String, Type)>, LowerError> {
+        let prog = self.prog;
+        prog[params]
+            .iter()
+            .map(|p| Ok((prog[p.name].to_string(), self.mir_type(p.ty)?)))
+            .collect()
+    }
+
+    fn slots_of(&mut self, t: TyId) -> Result<u32, LowerError> {
+        self.mir_ref(t)?;
+        let ty = self.mir[t.0 as usize].as_ref().expect("built above");
+        Ok(ty.slot_count(&self.struct_sizes).max(1))
+    }
+
+    fn struct_id(&self, strukt: Sym) -> Result<StructId, LowerError> {
+        match self.structs[strukt.0 as usize] {
+            Some(sid) => Ok(sid),
+            None => err(format!("unknown struct `{}`", &self.prog[strukt])),
+        }
+    }
+
+    fn field_index(
+        &self,
+        sid: StructId,
+        strukt: Sym,
+        field: Sym,
+    ) -> Result<(u32, TyId), LowerError> {
+        match self.fields.get(&(sid, field)) {
+            Some(&found) => Ok(found),
+            None => err(format!(
+                "struct `{}` has no field `{}`",
+                &self.prog[strukt], &self.prog[field]
+            )),
+        }
+    }
+
+    /// `Debug`-style text of `t`, for error messages.
+    fn show(&self, t: TyId) -> String {
+        self.types.render(&self.prog.names, t)
+    }
+}
+
+/// `Scopes::innermost` of a name no local binds.
+const NOT_BOUND: u32 = u32::MAX;
+
+/// Local variables as one stack of bindings, truncated when a scope
+/// ends. `innermost[sym]` is the stack slot of the binding of `sym` in
+/// scope, and each binding remembers the one it shadows.
+struct Scopes {
+    stack: Vec<(Sym, LocalVar, u32)>,
+    innermost: Vec<u32>,
+}
+
+impl Scopes {
+    fn len(&self) -> usize {
+        self.stack.len()
+    }
+
+    fn bind(&mut self, name: Sym, var: LocalVar) {
+        let slot = &mut self.innermost[name.0 as usize];
+        self.stack.push((name, var, *slot));
+        *slot = self.stack.len() as u32 - 1;
+    }
+
+    fn lookup(&self, name: Sym) -> Option<&LocalVar> {
+        let slot = self.innermost[name.0 as usize];
+        self.stack.get(slot as usize).map(|(_, v, _)| v)
+    }
+
+    /// Ends every scope opened since the stack held `len` bindings.
+    fn truncate(&mut self, len: usize) {
+        while self.stack.len() > len {
+            let (name, _, shadowed) = self.stack.pop().expect("non-empty");
+            self.innermost[name.0 as usize] = shadowed;
         }
     }
 }
 
 /// A typed rvalue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RV {
     val: Value,
-    ty: CType,
+    ty: TyId,
 }
 
 /// A typed lvalue (address + access qualifiers).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct LV {
     addr: Value,
-    ty: CType,
+    ty: TyId,
     volatile: bool,
     atomic: bool,
 }
 
+#[derive(Debug, Clone, Copy)]
 struct LocalVar {
     addr: Value,
-    ty: CType,
+    ty: TyId,
     quals: Quals,
 }
 
-struct FnLower<'c> {
-    cx: &'c Cx,
+struct FnLower<'c, 'p> {
+    cx: &'c mut Cx<'p>,
+    prog: &'p Program,
     b: FunctionBuilder,
-    scopes: Vec<HashMap<String, LocalVar>>,
     /// `(continue_target, break_target)` innermost last.
-    loops: Vec<(atomig_mir::BlockId, atomig_mir::BlockId)>,
-    ret: CType,
+    loops: Vec<(BlockId, BlockId)>,
+    /// `if.end` blocks of the `if` arms being lowered, innermost last.
+    if_ends: Vec<BlockId>,
+    ret: TyId,
 }
 
-impl<'c> FnLower<'c> {
+impl<'c, 'p> FnLower<'c, 'p> {
     fn lower_function(
-        cx: &'c Cx,
-        ret: &CType,
-        name: &str,
-        params: &[(CType, String)],
-        body: &[Stmt],
+        cx: &'c mut Cx<'p>,
+        ret: TyId,
+        name: Sym,
+        params: List<Decl>,
+        body: List<StmtId>,
     ) -> Result<atomig_mir::Function, LowerError> {
-        let mir_params: Result<Vec<(String, Type)>, LowerError> = params
-            .iter()
-            .map(|(t, n)| Ok((n.clone(), cx.mir_type(t)?)))
-            .collect();
+        let prog = cx.prog;
+        let mir_params = cx.mir_params(params)?;
+        let mir_ret = cx.mir_type(ret)?;
         let mut fl = FnLower {
             cx,
-            b: FunctionBuilder::new(name, mir_params?, cx.mir_type(ret)?),
-            scopes: vec![HashMap::new()],
+            prog,
+            b: FunctionBuilder::new(&prog[name], mir_params, mir_ret),
             loops: vec![],
-            ret: ret.clone(),
+            if_ends: vec![],
+            ret,
         };
         // clang -O0: copy every parameter into a stack slot.
-        for (i, (pty, pname)) in params.iter().enumerate() {
-            let mty = fl.cx.mir_type(pty)?;
-            let slot = fl.b.alloca(mty.clone(), pname.clone());
+        for (i, p) in prog[params].iter().enumerate() {
+            let mty = fl.cx.mir_type(p.ty)?;
+            let slot = fl.b.alloca(mty.clone(), &prog[p.name]);
             fl.b.store(mty, slot, Value::Param(i as u32));
-            fl.scopes[0].insert(
-                pname.clone(),
+            fl.cx.locals.bind(
+                p.name,
                 LocalVar {
                     addr: slot,
-                    ty: pty.clone(),
+                    ty: p.ty,
                     quals: Quals::default(),
                 },
             );
         }
-        for s in body {
+        for &s in &prog[body] {
             fl.stmt(s)?;
         }
+        fl.cx.locals.truncate(0);
         if !fl.b.is_terminated() {
             match ret {
-                CType::Void => fl.b.ret(None),
+                Types::VOID => fl.b.ret(None),
                 _ => fl.b.ret(Some(Value::Const(0))),
             }
         }
         Ok(fl.b.finish())
     }
 
-    fn lookup(&self, name: &str) -> Option<&LocalVar> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
     // ---- statements ----
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), LowerError> {
+    fn stmt(&mut self, s: StmtId) -> Result<(), LowerError> {
         if self.b.is_terminated() {
             // Dead code after return/break: still lower into a fresh block
             // so labels resolve, but simplest is to skip it.
             return Ok(());
         }
+        let prog = self.prog;
+        let s = prog[s];
         if s.line != 0 {
             self.b.set_line(s.line);
         }
-        match &s.kind {
+        match s.kind {
             StmtKind::Decl {
                 ty,
                 quals,
@@ -284,19 +377,19 @@ impl<'c> FnLower<'c> {
                 init,
             } => {
                 let mty = self.cx.mir_type(ty)?;
-                let slot = self.b.alloca(mty, name.clone());
-                self.scopes.last_mut().expect("scope").insert(
-                    name.clone(),
+                let slot = self.b.alloca(mty, &prog[name]);
+                self.cx.locals.bind(
+                    name,
                     LocalVar {
                         addr: slot,
-                        ty: ty.clone(),
-                        quals: *quals,
+                        ty,
+                        quals,
                     },
                 );
                 if let Some(e) = init {
                     let rv = self.rvalue(e)?;
                     let sty = self.cx.mir_type(ty)?;
-                    self.store_qualified(slot, rv.val, sty, *quals);
+                    self.store_qualified(slot, rv.val, sty, quals);
                 }
                 Ok(())
             }
@@ -305,36 +398,44 @@ impl<'c> FnLower<'c> {
                 Ok(())
             }
             StmtKind::Block(stmts) => {
-                self.scopes.push(HashMap::new());
-                for s in stmts {
+                let scope = self.cx.locals.len();
+                for &s in &prog[stmts] {
                     self.stmt(s)?;
                 }
-                self.scopes.pop();
+                self.cx.locals.truncate(scope);
                 Ok(())
             }
-            StmtKind::If {
-                cond,
-                then_s,
-                else_s,
-            } => {
-                let c = self.cond_value(cond)?;
-                let then_bb = self.b.new_block("if.then");
-                let else_bb = self.b.new_block("if.else");
-                let end_bb = self.b.new_block("if.end");
-                self.b.cond_br(c, then_bb, else_bb);
-                self.b.switch_to(then_bb);
-                self.stmt(then_s)?;
-                if !self.b.is_terminated() {
-                    self.b.br(end_bb);
+            StmtKind::If { arms, else_s } => {
+                // Each `else if` arm lowers as the `if` statement nested in
+                // the previous arm's `else` block that it stands for.
+                let outer = self.if_ends.len();
+                for (k, arm) in prog[arms].iter().enumerate() {
+                    if k > 0 && arm.line != 0 {
+                        self.b.set_line(arm.line);
+                    }
+                    let c = self.cond_value(arm.cond)?;
+                    let then_bb = self.b.new_block("if.then");
+                    let else_bb = self.b.new_block("if.else");
+                    let end_bb = self.b.new_block("if.end");
+                    self.b.cond_br(c, then_bb, else_bb);
+                    self.b.switch_to(then_bb);
+                    self.stmt(arm.then_s)?;
+                    if !self.b.is_terminated() {
+                        self.b.br(end_bb);
+                    }
+                    self.b.switch_to(else_bb);
+                    self.if_ends.push(end_bb);
                 }
-                self.b.switch_to(else_bb);
                 if let Some(e) = else_s {
                     self.stmt(e)?;
                 }
-                if !self.b.is_terminated() {
-                    self.b.br(end_bb);
+                while self.if_ends.len() > outer {
+                    let end_bb = self.if_ends.pop().expect("non-empty");
+                    if !self.b.is_terminated() {
+                        self.b.br(end_bb);
+                    }
+                    self.b.switch_to(end_bb);
                 }
-                self.b.switch_to(end_bb);
                 Ok(())
             }
             StmtKind::While { cond, body } => {
@@ -379,7 +480,7 @@ impl<'c> FnLower<'c> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                let scope = self.cx.locals.len();
                 if let Some(i) = init {
                     self.stmt(i)?;
                 }
@@ -409,14 +510,14 @@ impl<'c> FnLower<'c> {
                 }
                 self.b.br(header);
                 self.b.switch_to(end_bb);
-                self.scopes.pop();
+                self.cx.locals.truncate(scope);
                 Ok(())
             }
             StmtKind::Return(e) => {
-                match (e, &self.ret) {
-                    (None, CType::Void) => self.b.ret(None),
+                match (e, self.ret) {
+                    (None, Types::VOID) => self.b.ret(None),
                     (None, _) => return err("missing return value"),
-                    (Some(e), CType::Void) => {
+                    (Some(e), Types::VOID) => {
                         self.rvalue(e)?;
                         self.b.ret(None);
                     }
@@ -446,49 +547,53 @@ impl<'c> FnLower<'c> {
 
     // ---- lvalues ----
 
-    fn lvalue(&mut self, e: &Expr) -> Result<LV, LowerError> {
-        match e {
+    fn lvalue(&mut self, e: ExprId) -> Result<LV, LowerError> {
+        let prog = self.prog;
+        match prog[e] {
             Expr::Ident(name) => {
-                if let Some(v) = self.lookup(name) {
+                if let Some(v) = self.cx.locals.lookup(name) {
                     return Ok(LV {
                         addr: v.addr,
-                        ty: v.ty.clone(),
+                        ty: v.ty,
                         volatile: v.quals.volatile,
                         atomic: v.quals.atomic,
                     });
                 }
-                if let Some((gid, ty, quals)) = self.cx.globals.get(name) {
+                if let Some((gid, ty, quals)) = self.cx.globals[name.0 as usize] {
                     return Ok(LV {
-                        addr: Value::Global(*gid),
-                        ty: ty.clone(),
+                        addr: Value::Global(gid),
+                        ty,
                         volatile: quals.volatile,
                         atomic: quals.atomic,
                     });
                 }
-                err(format!("unknown variable `{name}`"))
+                err(format!("unknown variable `{}`", &prog[name]))
             }
             Expr::Unary {
                 op: UnaryOp::Deref,
                 operand,
             } => {
                 let rv = self.rvalue(operand)?;
-                match rv.ty {
+                match self.cx.types[rv.ty] {
                     CType::Ptr(inner) => Ok(LV {
                         addr: rv.val,
-                        ty: *inner,
+                        ty: inner,
                         volatile: false,
                         atomic: false,
                     }),
-                    other => err(format!("dereference of non-pointer ({other:?})")),
+                    _ => err(format!(
+                        "dereference of non-pointer ({})",
+                        self.cx.show(rv.ty)
+                    )),
                 }
             }
             Expr::Index { base, index } => {
                 let idx = self.rvalue(index)?;
                 // Array lvalue or pointer rvalue?
                 let base_info = self.base_address(base)?;
-                match base_info.ty {
-                    CType::Array(elem, n) => {
-                        let mty = self.cx.mir_type(&CType::Array(elem.clone(), n))?;
+                match self.cx.types[base_info.ty] {
+                    CType::Array(elem, _) => {
+                        let mty = self.cx.mir_type(base_info.ty)?;
                         let addr = self.b.gep(
                             mty,
                             base_info.addr,
@@ -496,50 +601,45 @@ impl<'c> FnLower<'c> {
                         );
                         Ok(LV {
                             addr,
-                            ty: *elem,
+                            ty: elem,
                             volatile: base_info.volatile,
                             atomic: base_info.atomic,
                         })
                     }
                     CType::Ptr(elem) => {
                         // base is a pointer value: load it, then index.
-                        let p = self.load_lv(&LV {
-                            addr: base_info.addr,
-                            ty: CType::Ptr(elem.clone()),
-                            volatile: base_info.volatile,
-                            atomic: base_info.atomic,
-                        })?;
-                        let emty = self.cx.mir_type(&elem)?;
+                        let p = self.load_lv(&base_info)?;
+                        let emty = self.cx.mir_type(elem)?;
                         let addr = self.b.gep(emty, p.val, vec![GepIndex::Dyn(idx.val)]);
                         Ok(LV {
                             addr,
-                            ty: *elem,
+                            ty: elem,
                             volatile: false,
                             atomic: false,
                         })
                     }
-                    other => err(format!("cannot index into {other:?}")),
+                    _ => err(format!("cannot index into {}", self.cx.show(base_info.ty))),
                 }
             }
             Expr::Member { base, field, arrow } => {
-                let (struct_name, base_addr) = if *arrow {
+                let (struct_name, base_addr) = if arrow {
                     let rv = self.rvalue(base)?;
-                    match rv.ty {
-                        CType::Ptr(inner) => match *inner {
+                    match self.cx.types[rv.ty] {
+                        CType::Ptr(inner) => match self.cx.types[inner] {
                             CType::Struct(s) => (s, rv.val),
-                            other => return err(format!("`->` on pointer to {other:?}")),
+                            _ => return err(format!("`->` on pointer to {}", self.cx.show(inner))),
                         },
-                        other => return err(format!("`->` on non-pointer ({other:?})")),
+                        _ => return err(format!("`->` on non-pointer ({})", self.cx.show(rv.ty))),
                     }
                 } else {
                     let lv = self.lvalue(base)?;
-                    match lv.ty {
+                    match self.cx.types[lv.ty] {
                         CType::Struct(s) => (s, lv.addr),
-                        other => return err(format!("`.` on non-struct ({other:?})")),
+                        _ => return err(format!("`.` on non-struct ({})", self.cx.show(lv.ty))),
                     }
                 };
-                let (fi, fty) = self.cx.field_index(&struct_name, field)?;
-                let sid: StructId = self.cx.structs[&struct_name];
+                let sid = self.cx.struct_id(struct_name)?;
+                let (fi, fty) = self.cx.field_index(sid, struct_name, field)?;
                 let addr = self.b.field_addr(Type::Struct(sid), base_addr, fi);
                 Ok(LV {
                     addr,
@@ -548,28 +648,31 @@ impl<'c> FnLower<'c> {
                     atomic: false,
                 })
             }
-            other => err(format!("expression is not an lvalue: {other:?}")),
+            _ => err(format!(
+                "expression is not an lvalue: {}",
+                prog.render_expr(e)
+            )),
         }
     }
 
     /// Address + type of a base expression without loading (used by
     /// indexing to distinguish arrays from pointers).
-    fn base_address(&mut self, e: &Expr) -> Result<LV, LowerError> {
-        match e {
+    fn base_address(&mut self, e: ExprId) -> Result<LV, LowerError> {
+        match self.prog[e] {
             Expr::Ident(_)
             | Expr::Member { .. }
             | Expr::Index { .. }
             | Expr::Unary {
                 op: UnaryOp::Deref, ..
             } => self.lvalue(e),
-            other => {
+            _ => {
                 // A computed pointer value.
-                let rv = self.rvalue(other)?;
-                match &rv.ty {
+                let rv = self.rvalue(e)?;
+                match self.cx.types[rv.ty] {
                     CType::Ptr(_) => {
                         // Fabricate an lvalue holding the pointer by
                         // spilling it (rare path).
-                        let mty = self.cx.mir_type(&rv.ty)?;
+                        let mty = self.cx.mir_type(rv.ty)?;
                         let slot = self.b.alloca(mty.clone(), "ptr.tmp");
                         self.b.store(mty, slot, rv.val);
                         Ok(LV {
@@ -579,38 +682,35 @@ impl<'c> FnLower<'c> {
                             atomic: false,
                         })
                     }
-                    other => err(format!("cannot take address of {other:?}")),
+                    _ => err(format!("cannot take address of {}", self.cx.show(rv.ty))),
                 }
             }
         }
     }
 
     fn load_lv(&mut self, lv: &LV) -> Result<RV, LowerError> {
-        match &lv.ty {
-            CType::Array(elem, n) => {
+        match self.cx.types[lv.ty] {
+            CType::Array(elem, _) => {
                 // Array-to-pointer decay: the value is the address.
-                let aty = self.cx.mir_type(&CType::Array(elem.clone(), *n))?;
+                let aty = self.cx.mir_type(lv.ty)?;
                 let addr = self
                     .b
                     .gep(aty, lv.addr, vec![GepIndex::Const(0), GepIndex::Const(0)]);
                 Ok(RV {
                     val: addr,
-                    ty: CType::Ptr(elem.clone()),
+                    ty: self.cx.types.ptr(elem),
                 })
             }
-            CType::Struct(s) => err(format!("cannot load whole struct `{s}`")),
-            scalar => {
-                let mty = self.cx.mir_type(scalar)?;
+            CType::Struct(s) => err(format!("cannot load whole struct `{}`", &self.prog[s])),
+            _ => {
+                let mty = self.cx.mir_type(lv.ty)?;
                 let ord = if lv.atomic {
                     Ordering::SeqCst
                 } else {
                     Ordering::NotAtomic
                 };
                 let v = self.b.load_ord(mty, lv.addr, ord, lv.volatile);
-                Ok(RV {
-                    val: v,
-                    ty: scalar.clone(),
-                })
+                Ok(RV { val: v, ty: lv.ty })
             }
         }
     }
@@ -625,7 +725,7 @@ impl<'c> FnLower<'c> {
     }
 
     fn store_lv(&mut self, lv: &LV, val: Value) -> Result<(), LowerError> {
-        let mty = self.cx.mir_type(&lv.ty)?;
+        let mty = self.cx.mir_type(lv.ty)?;
         if !mty.is_scalar() {
             return err("store to non-scalar lvalue");
         }
@@ -644,28 +744,31 @@ impl<'c> FnLower<'c> {
     // ---- rvalues ----
 
     /// Lowers `e` to an `i1` condition value.
-    fn cond_value(&mut self, e: &Expr) -> Result<Value, LowerError> {
+    fn cond_value(&mut self, e: ExprId) -> Result<Value, LowerError> {
         let rv = self.rvalue(e)?;
         Ok(self.b.cmp(CmpPred::Ne, rv.val, Value::Const(0)))
     }
 
-    fn rvalue(&mut self, e: &Expr) -> Result<RV, LowerError> {
-        match e {
+    fn rvalue(&mut self, e: ExprId) -> Result<RV, LowerError> {
+        let prog = self.prog;
+        match prog[e] {
             Expr::Int(v) => Ok(RV {
-                val: Value::Const(*v),
-                ty: CType::Long,
+                val: Value::Const(v),
+                ty: Types::LONG,
             }),
             Expr::SizeOf(t) => Ok(RV {
                 val: Value::Const(self.cx.slots_of(t)? as i64),
-                ty: CType::Long,
+                ty: Types::LONG,
             }),
             Expr::Ident(name) => {
-                if self.lookup(name).is_none() && !self.cx.globals.contains_key(name) {
+                if self.cx.locals.lookup(name).is_none()
+                    && self.cx.globals[name.0 as usize].is_none()
+                {
                     // A bare function name (spawn target).
-                    if let Some((fid, _, _)) = self.cx.funcs.get(name) {
+                    if let Some((fid, _, _)) = self.cx.funcs[name.0 as usize] {
                         return Ok(RV {
-                            val: Value::Func(*fid),
-                            ty: CType::Long,
+                            val: Value::Func(fid),
+                            ty: Types::LONG,
                         });
                     }
                 }
@@ -684,7 +787,7 @@ impl<'c> FnLower<'c> {
                     let v = self.b.cast(c, Type::I32);
                     Ok(RV {
                         val: v,
-                        ty: CType::Int,
+                        ty: Types::INT,
                     })
                 }
                 UnaryOp::BitNot => {
@@ -700,11 +803,11 @@ impl<'c> FnLower<'c> {
                     let lv = self.lvalue(operand)?;
                     Ok(RV {
                         val: lv.addr,
-                        ty: lv.ty.ptr(),
+                        ty: self.cx.types.ptr(lv.ty),
                     })
                 }
             },
-            Expr::Binary { op, lhs, rhs } => self.binary(*op, lhs, rhs),
+            Expr::Binary { op, lhs, rhs } => self.binary(op, lhs, rhs),
             Expr::Assign { lhs, rhs, op } => {
                 let lv = self.lvalue(lhs)?;
                 let val = match op {
@@ -712,14 +815,11 @@ impl<'c> FnLower<'c> {
                     Some(bop) => {
                         let old = self.load_lv(&lv)?;
                         let r = self.rvalue(rhs)?;
-                        self.arith(*bop, old.val, r.val, &old.ty, &r.ty)?.val
+                        self.arith(bop, old.val, r.val, old.ty, r.ty)?.val
                     }
                 };
                 self.store_lv(&lv, val)?;
-                Ok(RV {
-                    val,
-                    ty: lv.ty.clone(),
-                })
+                Ok(RV { val, ty: lv.ty })
             }
             Expr::IncDec {
                 target,
@@ -728,22 +828,22 @@ impl<'c> FnLower<'c> {
             } => {
                 let lv = self.lvalue(target)?;
                 let old = self.load_lv(&lv)?;
-                let new = match &lv.ty {
+                let new = match self.cx.types[lv.ty] {
                     CType::Ptr(inner) => {
                         let mty = self.cx.mir_type(inner)?;
-                        self.b.gep(mty, old.val, vec![GepIndex::Const(*delta)])
+                        self.b.gep(mty, old.val, vec![GepIndex::Const(delta)])
                     }
                     _ => self
                         .b
-                        .bin(atomig_mir::BinOp::Add, old.val, Value::Const(*delta)),
+                        .bin(atomig_mir::BinOp::Add, old.val, Value::Const(delta)),
                 };
                 self.store_lv(&lv, new)?;
                 Ok(RV {
-                    val: if *prefix { new } else { old.val },
-                    ty: lv.ty.clone(),
+                    val: if prefix { new } else { old.val },
+                    ty: lv.ty,
                 })
             }
-            Expr::Call { name, args } => self.call(name, args),
+            Expr::Call { name, args } => self.call(name, &prog[args]),
             Expr::Index { .. } | Expr::Member { .. } => {
                 let lv = self.lvalue(e)?;
                 self.load_lv(&lv)
@@ -772,7 +872,7 @@ impl<'c> FnLower<'c> {
                 Ok(RV { val: v, ty: tv.ty })
             }
             Expr::Asm(text) => {
-                match classify(text) {
+                match classify(&prog[text]) {
                     AsmIdiom::FullFence => self.b.fence(Ordering::SeqCst),
                     AsmIdiom::Pause => {
                         self.b.call_builtin(Builtin::Pause, vec![], Type::Void);
@@ -790,7 +890,7 @@ impl<'c> FnLower<'c> {
                 }
                 Ok(RV {
                     val: Value::Const(0),
-                    ty: CType::Int,
+                    ty: Types::INT,
                 })
             }
             Expr::Cast { ty, expr } => {
@@ -800,15 +900,12 @@ impl<'c> FnLower<'c> {
                     return err("cast to non-scalar type");
                 }
                 let v = self.b.cast(rv.val, mty);
-                Ok(RV {
-                    val: v,
-                    ty: ty.clone(),
-                })
+                Ok(RV { val: v, ty })
             }
         }
     }
 
-    fn binary(&mut self, op: BinaryOp, lhs: &Expr, rhs: &Expr) -> Result<RV, LowerError> {
+    fn binary(&mut self, op: BinaryOp, lhs: ExprId, rhs: ExprId) -> Result<RV, LowerError> {
         match op {
             BinaryOp::LAnd | BinaryOp::LOr => {
                 let slot = self.b.alloca(Type::I32, "logic.tmp");
@@ -830,13 +927,13 @@ impl<'c> FnLower<'c> {
                 let v = self.b.load(Type::I32, slot);
                 Ok(RV {
                     val: v,
-                    ty: CType::Int,
+                    ty: Types::INT,
                 })
             }
             _ => {
                 let l = self.rvalue(lhs)?;
                 let r = self.rvalue(rhs)?;
-                self.arith(op, l.val, r.val, &l.ty, &r.ty)
+                self.arith(op, l.val, r.val, l.ty, r.ty)
             }
         }
     }
@@ -846,12 +943,12 @@ impl<'c> FnLower<'c> {
         op: BinaryOp,
         l: Value,
         r: Value,
-        lty: &CType,
-        rty: &CType,
+        lty: TyId,
+        rty: TyId,
     ) -> Result<RV, LowerError> {
         use atomig_mir::BinOp as B;
         // Pointer arithmetic: p + n / p - n scale by the pointee size.
-        if let (CType::Ptr(inner), BinaryOp::Add | BinaryOp::Sub) = (lty, op) {
+        if let (CType::Ptr(inner), BinaryOp::Add | BinaryOp::Sub) = (self.cx.types[lty], op) {
             let mty = self.cx.mir_type(inner)?;
             let idx = if op == BinaryOp::Sub {
                 self.b.bin(B::Sub, Value::Const(0), r)
@@ -859,10 +956,7 @@ impl<'c> FnLower<'c> {
                 r
             };
             let v = self.b.gep(mty, l, vec![GepIndex::Dyn(idx)]);
-            return Ok(RV {
-                val: v,
-                ty: lty.clone(),
-            });
+            return Ok(RV { val: v, ty: lty });
         }
         let cmp = |p: CmpPred| Some(p);
         let pred = match op {
@@ -879,7 +973,7 @@ impl<'c> FnLower<'c> {
             let v = self.b.cast(c, Type::I32);
             return Ok(RV {
                 val: v,
-                ty: CType::Int,
+                ty: Types::INT,
             });
         }
         let bop = match op {
@@ -896,19 +990,20 @@ impl<'c> FnLower<'c> {
             _ => unreachable!("handled above"),
         };
         let v = self.b.bin(bop, l, r);
-        let ty = if matches!(lty, CType::Long) || matches!(rty, CType::Long) {
-            CType::Long
+        let ty = if lty == Types::LONG || rty == Types::LONG {
+            Types::LONG
         } else {
-            lty.clone()
+            lty
         };
         Ok(RV { val: v, ty })
     }
 
     // ---- calls ----
 
-    fn ord_arg(&self, e: &Expr) -> Result<Ordering, LowerError> {
-        match e {
-            Expr::Ident(s) => match s.as_str() {
+    fn ord_arg(&self, e: ExprId) -> Result<Ordering, LowerError> {
+        let prog = self.prog;
+        match prog[e] {
+            Expr::Ident(s) => match &prog[s] {
                 "relaxed" | "memory_order_relaxed" => Ok(Ordering::Relaxed),
                 "acquire" | "memory_order_acquire" => Ok(Ordering::Acquire),
                 "release" | "memory_order_release" => Ok(Ordering::Release),
@@ -916,19 +1011,28 @@ impl<'c> FnLower<'c> {
                 "seq_cst" | "memory_order_seq_cst" => Ok(Ordering::SeqCst),
                 other => err(format!("unknown memory order `{other}`")),
             },
-            other => err(format!("memory order must be a keyword, got {other:?}")),
+            _ => err(format!(
+                "memory order must be a keyword, got {}",
+                prog.render_expr(e)
+            )),
         }
     }
 
-    fn ptr_arg(&mut self, e: &Expr) -> Result<(Value, CType), LowerError> {
+    fn ptr_arg(&mut self, e: ExprId) -> Result<(Value, TyId), LowerError> {
         let rv = self.rvalue(e)?;
-        match rv.ty {
-            CType::Ptr(inner) => Ok((rv.val, *inner)),
-            other => err(format!("expected pointer argument, got {other:?}")),
+        match self.cx.types[rv.ty] {
+            CType::Ptr(inner) => Ok((rv.val, inner)),
+            _ => err(format!(
+                "expected pointer argument, got {}",
+                self.cx.show(rv.ty)
+            )),
         }
     }
 
-    fn call(&mut self, name: &str, args: &[Expr]) -> Result<RV, LowerError> {
+    fn call(&mut self, name: Sym, args: &[ExprId]) -> Result<RV, LowerError> {
+        let prog = self.prog;
+        let sym = name;
+        let name = &prog[sym];
         let argc = args.len();
         let need = |n: usize| -> Result<(), LowerError> {
             if argc != n {
@@ -942,42 +1046,42 @@ impl<'c> FnLower<'c> {
             "atomic_load" | "atomic_load_explicit" => {
                 let ord = if name.ends_with("explicit") {
                     need(2)?;
-                    self.ord_arg(&args[1])?
+                    self.ord_arg(args[1])?
                 } else {
                     need(1)?;
                     Ordering::SeqCst
                 };
-                let (p, ty) = self.ptr_arg(&args[0])?;
-                let mty = self.cx.mir_type(&ty)?;
+                let (p, ty) = self.ptr_arg(args[0])?;
+                let mty = self.cx.mir_type(ty)?;
                 let v = self.b.load_ord(mty, p, ord, false);
                 Ok(RV { val: v, ty })
             }
             "atomic_store" | "atomic_store_explicit" => {
                 let ord = if name.ends_with("explicit") {
                     need(3)?;
-                    self.ord_arg(&args[2])?
+                    self.ord_arg(args[2])?
                 } else {
                     need(2)?;
                     Ordering::SeqCst
                 };
-                let (p, ty) = self.ptr_arg(&args[0])?;
-                let v = self.rvalue(&args[1])?;
-                let mty = self.cx.mir_type(&ty)?;
+                let (p, ty) = self.ptr_arg(args[0])?;
+                let v = self.rvalue(args[1])?;
+                let mty = self.cx.mir_type(ty)?;
                 self.b.store_ord(mty, p, v.val, ord, false);
                 Ok(RV { val: v.val, ty })
             }
             "cmpxchg" | "cmpxchg_explicit" => {
                 let ord = if name.ends_with("explicit") {
                     need(4)?;
-                    self.ord_arg(&args[3])?
+                    self.ord_arg(args[3])?
                 } else {
                     need(3)?;
                     Ordering::SeqCst
                 };
-                let (p, ty) = self.ptr_arg(&args[0])?;
-                let e = self.rvalue(&args[1])?;
-                let n = self.rvalue(&args[2])?;
-                let mty = self.cx.mir_type(&ty)?;
+                let (p, ty) = self.ptr_arg(args[0])?;
+                let e = self.rvalue(args[1])?;
+                let n = self.rvalue(args[2])?;
+                let mty = self.cx.mir_type(ty)?;
                 let old = self.b.cmpxchg(mty, p, e.val, n.val, ord);
                 Ok(RV { val: old, ty })
             }
@@ -994,14 +1098,14 @@ impl<'c> FnLower<'c> {
                 };
                 let ord = if name.ends_with("explicit") {
                     need(base_args + 1)?;
-                    self.ord_arg(&args[base_args])?
+                    self.ord_arg(args[base_args])?
                 } else {
                     need(base_args)?;
                     Ordering::SeqCst
                 };
-                let (p, ty) = self.ptr_arg(&args[0])?;
-                let v = self.rvalue(&args[1])?;
-                let mty = self.cx.mir_type(&ty)?;
+                let (p, ty) = self.ptr_arg(args[0])?;
+                let v = self.rvalue(args[1])?;
+                let mty = self.cx.mir_type(ty)?;
                 let old = self.b.rmw(op, mty, p, v.val, ord);
                 Ok(RV { val: old, ty })
             }
@@ -1010,34 +1114,34 @@ impl<'c> FnLower<'c> {
                 self.b.fence(Ordering::SeqCst);
                 Ok(RV {
                     val: Value::Const(0),
-                    ty: CType::Void,
+                    ty: Types::VOID,
                 })
             }
             "fence_explicit" => {
                 need(1)?;
-                let ord = self.ord_arg(&args[0])?;
+                let ord = self.ord_arg(args[0])?;
                 self.b.fence(ord);
                 Ok(RV {
                     val: Value::Const(0),
-                    ty: CType::Void,
+                    ty: Types::VOID,
                 })
             }
             // -- runtime builtins --
             "spawn" => {
                 need(2)?;
-                let f = self.rvalue(&args[0])?;
-                let a = self.rvalue(&args[1])?;
+                let f = self.rvalue(args[0])?;
+                let a = self.rvalue(args[1])?;
                 let v = self
                     .b
                     .call_builtin(Builtin::Spawn, vec![f.val, a.val], Type::I64);
                 Ok(RV {
                     val: v,
-                    ty: CType::Long,
+                    ty: Types::LONG,
                 })
             }
             "join" | "assert" | "assume" | "barrier_wait" | "free" | "print" => {
                 need(1)?;
-                let a = self.rvalue(&args[0])?;
+                let a = self.rvalue(args[0])?;
                 let b = match name {
                     "join" => Builtin::Join,
                     "assert" => Builtin::Assert,
@@ -1049,16 +1153,16 @@ impl<'c> FnLower<'c> {
                 self.b.call_builtin(b, vec![a.val], Type::Void);
                 Ok(RV {
                     val: Value::Const(0),
-                    ty: CType::Void,
+                    ty: Types::VOID,
                 })
             }
             "malloc" => {
                 need(1)?;
-                let a = self.rvalue(&args[0])?;
+                let a = self.rvalue(args[0])?;
                 let v = self.b.call_builtin(Builtin::Malloc, vec![a.val], Type::I64);
                 Ok(RV {
                     val: v,
-                    ty: CType::Long,
+                    ty: Types::LONG,
                 })
             }
             "pause" | "cpu_relax" => {
@@ -1066,7 +1170,7 @@ impl<'c> FnLower<'c> {
                 self.b.call_builtin(Builtin::Pause, vec![], Type::Void);
                 Ok(RV {
                     val: Value::Const(0),
-                    ty: CType::Void,
+                    ty: Types::VOID,
                 })
             }
             "nondet" => {
@@ -1074,14 +1178,13 @@ impl<'c> FnLower<'c> {
                 let v = self.b.call_builtin(Builtin::Nondet, vec![], Type::I64);
                 Ok(RV {
                     val: v,
-                    ty: CType::Long,
+                    ty: Types::LONG,
                 })
             }
             // -- user functions --
             _ => {
-                let (fid, ret, params) = match self.cx.funcs.get(name) {
-                    Some(t) => t.clone(),
-                    None => return err(format!("unknown function `{name}`")),
+                let Some((fid, ret, params)) = self.cx.funcs[sym.0 as usize] else {
+                    return err(format!("unknown function `{name}`"));
                 };
                 if params.len() != argc {
                     return err(format!(
@@ -1090,10 +1193,10 @@ impl<'c> FnLower<'c> {
                     ));
                 }
                 let mut vals = Vec::with_capacity(argc);
-                for a in args {
+                for &a in args {
                     vals.push(self.rvalue(a)?.val);
                 }
-                let rty = self.cx.mir_type(&ret)?;
+                let rty = self.cx.mir_type(ret)?;
                 let v = self.b.call(Callee::Func(fid), vals, rty);
                 Ok(RV { val: v, ty: ret })
             }
@@ -1363,5 +1466,92 @@ mod tests {
     #[test]
     fn break_outside_loop_is_an_error() {
         assert!(compile("void f() { break; }", "e").is_err());
+    }
+
+    /// Builds a program that nests `k` levels of one construct.
+    type Nest = fn(usize) -> String;
+
+    const DEEP: &[(&str, Nest)] = &[
+        ("parentheses", |k| {
+            format!("long f() {{ return {}1{}; }}", "(".repeat(k), ")".repeat(k))
+        }),
+        ("prefix minus", |k| {
+            format!("long f() {{ return {}1; }}", "- ".repeat(k))
+        }),
+        ("casts", |k| {
+            format!("long f() {{ return {}1; }}", "(long)".repeat(k))
+        }),
+        ("sum", |k| {
+            format!("long f() {{ return 1{}; }}", " + 1".repeat(k))
+        }),
+        ("logical and", |k| {
+            format!("long f(long a) {{ return a{}; }}", " && a".repeat(k))
+        }),
+        ("conditional", |k| {
+            format!("long f(long a) {{ return {}0; }}", "a ? 1 : ".repeat(k))
+        }),
+        ("assignment", |k| {
+            format!("long f(long a) {{ {}1; return a; }}", "a = ".repeat(k))
+        }),
+        ("calls", |k| {
+            format!(
+                "long g(long a) {{ return a; }} long f() {{ return {}1{}; }}",
+                "g(".repeat(k),
+                ")".repeat(k)
+            )
+        }),
+        ("pointer index", |k| {
+            format!("long f(long *p) {{ return p{}; }}", "[0]".repeat(k))
+        }),
+        ("blocks", |k| {
+            format!("void f() {{ {}{} }}", "{".repeat(k), "}".repeat(k))
+        }),
+        ("ifs", |k| {
+            format!("void f(long a) {{ {}a = 1; }}", "if (a) ".repeat(k))
+        }),
+        ("loops", |k| {
+            format!("void f(long a) {{ {}a = 1; }}", "while (a) ".repeat(k))
+        }),
+    ];
+
+    #[test]
+    fn the_deepest_accepted_programs_lower_on_a_small_stack() {
+        let depth_error = |src: &str| {
+            let toks = crate::lex(src).unwrap();
+            matches!(crate::parse(&toks), Err(e) if e.msg.contains("nest deeper"))
+        };
+        // Worker threads get 2 MiB stacks; the frontend must fit in one.
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        let outcomes = worker
+            .spawn(move || {
+                DEEP.iter()
+                    .map(|(what, make)| {
+                        let max = crate::MAX_DEPTH as usize;
+                        let k = (1..=max + 1)
+                            .rev()
+                            .find(|&k| !depth_error(&make(k)))
+                            .unwrap();
+                        assert!(depth_error(&make(k + 1)), "{what}: {k} levels accepted");
+                        (*what, k, compile(&make(k), "deep").map(|_| ()))
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        for (what, k, outcome) in outcomes {
+            assert!(
+                k + 8 >= crate::MAX_DEPTH as usize,
+                "{what}: only {k} levels"
+            );
+            match outcome {
+                Ok(()) => {}
+                // Indexing a `long` is a type error, found on the way back up.
+                Err(e) => assert!(
+                    what == "pointer index" && e.contains("cannot index into Long"),
+                    "{what}: {e}"
+                ),
+            }
+        }
     }
 }

@@ -1,9 +1,26 @@
 //! Recursive-descent parser for MiniC.
+//!
+//! The parser builds the flat [`Program`] directly: names are interned as
+//! they are read, each node is pushed onto its vector once, and child
+//! lists gather on shared stacks until their closing token, then move to
+//! the program as one range.
+//!
+//! Everything downstream walks the tree recursively, so the parser bounds
+//! its depth: statement nesting plus expression nesting may not exceed
+//! [`MAX_DEPTH`], counting the levels of left-associative chains such as
+//! `a + b + c` as well as bracketed ones. A chain of `else if` arms is one
+//! statement and does not count against the bound.
 
 use crate::ast::*;
 use crate::lexer::{Token, TokenKind};
+use atomig_mir::FxBuild;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+
+/// How deeply statements and expressions may nest, and how many `*` and
+/// `[N]` a declared type may carry.
+pub const MAX_DEPTH: u32 = 512;
 
 /// A syntax error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,17 +41,41 @@ impl Error for ParseError {}
 
 /// Parses a token stream into a [`Program`].
 pub fn parse(tokens: &[Token<'_>]) -> Result<Program, ParseError> {
-    let mut p = Parser { tokens, pos: 0 };
-    let mut items = Vec::new();
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        prog: Program::default(),
+        syms: HashMap::default(),
+        heights: Vec::new(),
+        depth: 0,
+        pending_exprs: Vec::new(),
+        pending_stmts: Vec::new(),
+        pending_arms: Vec::new(),
+        dims: Vec::new(),
+    };
     while !p.at_end() {
-        items.push(p.item()?);
+        let item = p.item()?;
+        p.prog.items.push(item);
     }
-    Ok(Program { items })
+    Ok(p.prog)
 }
 
 struct Parser<'t, 's> {
     tokens: &'t [Token<'s>],
     pos: usize,
+    prog: Program,
+    /// The name interner's lookup side, keyed by slices of the source.
+    syms: HashMap<&'s str, Sym, FxBuild>,
+    /// Height of each expression in `prog.exprs` (a leaf is 1).
+    heights: Vec<u32>,
+    /// Statement and expression levels currently open.
+    depth: u32,
+    /// Call arguments, block bodies and `if` arms not yet closed.
+    pending_exprs: Vec<ExprId>,
+    pending_stmts: Vec<StmtId>,
+    pending_arms: Vec<IfArm>,
+    /// Array dimensions of the declarator being read.
+    dims: Vec<u32>,
 }
 
 const TYPE_KEYWORDS: &[&str] = &[
@@ -59,6 +100,29 @@ impl<'s> Parser<'_, 's> {
             msg: msg.into(),
             line: self.line(),
         }
+    }
+
+    /// Fails if `levels` more levels below the open ones would pass
+    /// [`MAX_DEPTH`].
+    fn within_bound(&self, levels: u32) -> Result<(), ParseError> {
+        if self.depth.saturating_add(levels) > MAX_DEPTH {
+            return Err(self.err(format!(
+                "statements and expressions nest deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Runs `f` one level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.within_bound(1)?;
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> Option<TokenKind<'s>> {
@@ -109,9 +173,14 @@ impl<'s> Parser<'_, 's> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn intern(&mut self, s: &'s str) -> Sym {
+        let names = &mut self.prog.names;
+        *self.syms.entry(s).or_insert_with(|| names.push(s))
+    }
+
+    fn ident(&mut self) -> Result<Sym, ParseError> {
         match self.next() {
-            Some(TokenKind::Ident(s)) => Ok(s.to_string()),
+            Some(TokenKind::Ident(s)) => Ok(self.intern(s)),
             got => Err(self.err(format!("expected identifier, got {got:?}"))),
         }
     }
@@ -120,8 +189,41 @@ impl<'s> Parser<'_, 's> {
         matches!(self.peek(), Some(TokenKind::Ident(s)) if TYPE_KEYWORDS.contains(&s))
     }
 
+    /// Pushes expression `e`, failing if its height would pass the bound.
+    fn expr_node(&mut self, e: Expr) -> Result<ExprId, ParseError> {
+        let h = |id: ExprId| self.heights[id.0 as usize];
+        let below = match e {
+            Expr::Int(_) | Expr::Ident(_) | Expr::Asm(_) | Expr::SizeOf(_) => 0,
+            Expr::Unary { operand: a, .. }
+            | Expr::IncDec { target: a, .. }
+            | Expr::Member { base: a, .. }
+            | Expr::Cast { expr: a, .. } => h(a),
+            Expr::Binary { lhs, rhs, .. }
+            | Expr::Assign { lhs, rhs, .. }
+            | Expr::Index {
+                base: lhs,
+                index: rhs,
+            } => h(lhs).max(h(rhs)),
+            Expr::Ternary {
+                cond,
+                then_e,
+                else_e,
+            } => h(cond).max(h(then_e)).max(h(else_e)),
+            Expr::Call { args, .. } => self.prog[args].iter().map(|&a| h(a)).max().unwrap_or(0),
+        };
+        self.within_bound(below + 1)?;
+        self.heights.push(below + 1);
+        self.prog.exprs.push(e);
+        Ok(ExprId(self.prog.exprs.len() as u32 - 1))
+    }
+
+    fn stmt_node(&mut self, line: u32, kind: StmtKind) -> StmtId {
+        self.prog.stmts.push(Stmt { line, kind });
+        StmtId(self.prog.stmts.len() as u32 - 1)
+    }
+
     /// Parses qualifiers + base type + pointer stars.
-    fn type_and_quals(&mut self) -> Result<(CType, Quals), ParseError> {
+    fn type_and_quals(&mut self) -> Result<(TyId, Quals), ParseError> {
         let mut quals = Quals::default();
         let mut base: Option<CType> = None;
         while let Some(TokenKind::Ident(s)) = self.peek() {
@@ -171,9 +273,15 @@ impl<'s> Parser<'_, 's> {
                 _ => break,
             }
         }
-        let mut ty = base.ok_or_else(|| self.err("expected a type"))?;
+        let base = base.ok_or_else(|| self.err("expected a type"))?;
+        let mut ty = self.prog.types.intern(base);
+        let mut stars = 0;
         while self.eat_punct("*") {
-            ty = ty.ptr();
+            stars += 1;
+            if stars > MAX_DEPTH {
+                return Err(self.err(format!("a type has more than {MAX_DEPTH} levels")));
+            }
+            ty = self.prog.types.ptr(ty);
             // `T * volatile p` — qualifier after the star.
             while self.eat_ident("volatile") {
                 quals.volatile = true;
@@ -189,15 +297,16 @@ impl<'s> Parser<'_, 's> {
                 self.pos += 1;
                 let name = self.ident()?;
                 self.expect_punct("{")?;
-                let mut fields = Vec::new();
+                let start = self.prog.decls.len();
                 while !self.eat_punct("}") {
                     let (ty, _q) = self.type_and_quals()?;
                     let fname = self.ident()?;
                     let ty = self.array_dims(ty)?;
                     self.expect_punct(";")?;
-                    fields.push((ty, fname));
+                    self.prog.decls.push(Decl { ty, name: fname });
                 }
                 self.eat_punct(";");
+                let fields = List::since(&self.prog.decls, start);
                 return Ok(Item::Struct { name, fields });
             }
         }
@@ -206,7 +315,7 @@ impl<'s> Parser<'_, 's> {
         if self.is_punct("(") {
             // Function.
             self.expect_punct("(")?;
-            let mut params = Vec::new();
+            let start = self.prog.decls.len();
             if !self.eat_punct(")") {
                 if self.is_ident("void") && matches!(self.peek_at(1), Some(TokenKind::Punct(")"))) {
                     self.pos += 1;
@@ -215,7 +324,10 @@ impl<'s> Parser<'_, 's> {
                     loop {
                         let (pty, _q) = self.type_and_quals()?;
                         let pname = self.ident()?;
-                        params.push((pty, pname));
+                        self.prog.decls.push(Decl {
+                            ty: pty,
+                            name: pname,
+                        });
                         if self.eat_punct(")") {
                             break;
                         }
@@ -223,11 +335,9 @@ impl<'s> Parser<'_, 's> {
                     }
                 }
             }
+            let params = List::since(&self.prog.decls, start);
             self.expect_punct("{")?;
-            let mut body = Vec::new();
-            while !self.eat_punct("}") {
-                body.push(self.stmt()?);
-            }
+            let body = self.stmts_until_close()?;
             Ok(Item::Function {
                 ret: ty,
                 name,
@@ -237,22 +347,22 @@ impl<'s> Parser<'_, 's> {
         } else {
             // Global.
             let ty = self.array_dims(ty)?;
-            let init = if self.eat_punct("=") {
+            let start = self.prog.inits.len();
+            if self.eat_punct("=") {
                 if self.eat_punct("{") {
-                    let mut vals = Vec::new();
                     while !self.eat_punct("}") {
-                        vals.push(self.int_lit()?);
+                        let v = self.int_lit()?;
+                        self.prog.inits.push(v);
                         if !self.is_punct("}") {
                             self.expect_punct(",")?;
                         }
                     }
-                    vals
                 } else {
-                    vec![self.int_lit()?]
+                    let v = self.int_lit()?;
+                    self.prog.inits.push(v);
                 }
-            } else {
-                vec![]
-            };
+            }
+            let init = List::since(&self.prog.inits, start);
             self.expect_punct(";")?;
             Ok(Item::Global {
                 ty,
@@ -265,16 +375,19 @@ impl<'s> Parser<'_, 's> {
 
     /// Parses trailing `[N][M]...` dimensions onto a declared type.
     /// `T x[N][M]` is an N-array of M-arrays of T.
-    fn array_dims(&mut self, base: CType) -> Result<CType, ParseError> {
-        let mut dims = Vec::new();
+    fn array_dims(&mut self, base: TyId) -> Result<TyId, ParseError> {
+        self.dims.clear();
         while self.eat_punct("[") {
             let n = self.int_lit()?;
             self.expect_punct("]")?;
-            dims.push(n as u32);
+            if self.dims.len() as u32 == MAX_DEPTH {
+                return Err(self.err(format!("a type has more than {MAX_DEPTH} levels")));
+            }
+            self.dims.push(n as u32);
         }
         let mut ty = base;
-        for &d in dims.iter().rev() {
-            ty = CType::Array(Box::new(ty), d);
+        for &d in self.dims.iter().rev() {
+            ty = self.prog.types.intern(CType::Array(ty, d));
         }
         Ok(ty)
     }
@@ -287,52 +400,69 @@ impl<'s> Parser<'_, 's> {
         }
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
+    /// Statements up to the `}` closing the current block, as one list.
+    fn stmts_until_close(&mut self) -> Result<List<StmtId>, ParseError> {
+        let mark = self.pending_stmts.len();
+        while !self.eat_punct("}") {
+            let s = self.stmt()?;
+            self.pending_stmts.push(s);
+        }
+        Ok(seal(
+            &mut self.prog.stmt_lists,
+            &mut self.pending_stmts,
+            mark,
+        ))
+    }
+
+    fn stmt(&mut self) -> Result<StmtId, ParseError> {
+        self.nested(Self::stmt_here)
+    }
+
+    fn stmt_here(&mut self) -> Result<StmtId, ParseError> {
         let line = self.line();
         if self.eat_punct("{") {
-            let mut stmts = Vec::new();
-            while !self.eat_punct("}") {
-                stmts.push(self.stmt()?);
-            }
-            return Ok(Stmt::at(line, StmtKind::Block(stmts)));
+            let body = self.stmts_until_close()?;
+            return Ok(self.stmt_node(line, StmtKind::Block(body)));
         }
         if self.eat_ident("if") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then_s = Box::new(self.stmt()?);
-            let else_s = if self.eat_ident("else") {
-                Some(Box::new(self.stmt()?))
-            } else {
-                None
-            };
-            return Ok(Stmt::at(
-                line,
-                StmtKind::If {
+            let mark = self.pending_arms.len();
+            let mut arm_line = line;
+            let else_s = loop {
+                self.expect_punct("(")?;
+                let cond = self.expr()?;
+                self.expect_punct(")")?;
+                let then_s = self.stmt()?;
+                self.pending_arms.push(IfArm {
+                    line: arm_line,
                     cond,
                     then_s,
-                    else_s,
-                },
-            ));
+                });
+                if !self.eat_ident("else") {
+                    break None;
+                }
+                if self.is_ident("if") {
+                    arm_line = self.line();
+                    self.pos += 1;
+                } else {
+                    break Some(self.stmt()?);
+                }
+            };
+            let arms = seal(&mut self.prog.arms, &mut self.pending_arms, mark);
+            return Ok(self.stmt_node(line, StmtKind::If { arms, else_s }));
         }
         if self.eat_ident("while") {
             self.expect_punct("(")?;
             let cond = self.expr()?;
             self.expect_punct(")")?;
-            if self.eat_punct(";") {
-                return Ok(Stmt::at(
-                    line,
-                    StmtKind::While {
-                        cond,
-                        body: Box::new(Stmt::at(line, StmtKind::Block(vec![]))),
-                    },
-                ));
-            }
-            let body = Box::new(self.stmt()?);
-            return Ok(Stmt::at(line, StmtKind::While { cond, body }));
+            let body = if self.eat_punct(";") {
+                self.stmt_node(line, StmtKind::Block(List::default()))
+            } else {
+                self.stmt()?
+            };
+            return Ok(self.stmt_node(line, StmtKind::While { cond, body }));
         }
         if self.eat_ident("do") {
-            let body = Box::new(self.stmt()?);
+            let body = self.stmt()?;
             if !self.eat_ident("while") {
                 return Err(self.err("expected `while` after do-body"));
             }
@@ -340,19 +470,18 @@ impl<'s> Parser<'_, 's> {
             let cond = self.expr()?;
             self.expect_punct(")")?;
             self.expect_punct(";")?;
-            return Ok(Stmt::at(line, StmtKind::DoWhile { body, cond }));
+            return Ok(self.stmt_node(line, StmtKind::DoWhile { body, cond }));
         }
         if self.eat_ident("for") {
             self.expect_punct("(")?;
             let init = if self.eat_punct(";") {
                 None
             } else if self.starts_type() {
-                let s = self.decl_stmt()?;
-                Some(Box::new(s))
+                Some(self.decl_stmt()?)
             } else {
                 let e = self.expr()?;
                 self.expect_punct(";")?;
-                Some(Box::new(Stmt::at(line, StmtKind::Expr(e))))
+                Some(self.stmt_node(line, StmtKind::Expr(e)))
             };
             let cond = if self.is_punct(";") {
                 None
@@ -367,11 +496,11 @@ impl<'s> Parser<'_, 's> {
             };
             self.expect_punct(")")?;
             let body = if self.eat_punct(";") {
-                Box::new(Stmt::at(line, StmtKind::Block(vec![])))
+                self.stmt_node(line, StmtKind::Block(List::default()))
             } else {
-                Box::new(self.stmt()?)
+                self.stmt()?
             };
-            return Ok(Stmt::at(
+            return Ok(self.stmt_node(
                 line,
                 StmtKind::For {
                     init,
@@ -383,29 +512,29 @@ impl<'s> Parser<'_, 's> {
         }
         if self.eat_ident("return") {
             if self.eat_punct(";") {
-                return Ok(Stmt::at(line, StmtKind::Return(None)));
+                return Ok(self.stmt_node(line, StmtKind::Return(None)));
             }
             let e = self.expr()?;
             self.expect_punct(";")?;
-            return Ok(Stmt::at(line, StmtKind::Return(Some(e))));
+            return Ok(self.stmt_node(line, StmtKind::Return(Some(e))));
         }
         if self.eat_ident("break") {
             self.expect_punct(";")?;
-            return Ok(Stmt::at(line, StmtKind::Break));
+            return Ok(self.stmt_node(line, StmtKind::Break));
         }
         if self.eat_ident("continue") {
             self.expect_punct(";")?;
-            return Ok(Stmt::at(line, StmtKind::Continue));
+            return Ok(self.stmt_node(line, StmtKind::Continue));
         }
         if self.starts_type() {
             return self.decl_stmt();
         }
         let e = self.expr()?;
         self.expect_punct(";")?;
-        Ok(Stmt::at(line, StmtKind::Expr(e)))
+        Ok(self.stmt_node(line, StmtKind::Expr(e)))
     }
 
-    fn decl_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn decl_stmt(&mut self) -> Result<StmtId, ParseError> {
         let line = self.line();
         let (ty, quals) = self.type_and_quals()?;
         let name = self.ident()?;
@@ -416,7 +545,7 @@ impl<'s> Parser<'_, 's> {
             None
         };
         self.expect_punct(";")?;
-        Ok(Stmt::at(
+        Ok(self.stmt_node(
             line,
             StmtKind::Decl {
                 ty,
@@ -429,11 +558,11 @@ impl<'s> Parser<'_, 's> {
 
     // ---- expressions, precedence climbing ----
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.assignment()
+    fn expr(&mut self) -> Result<ExprId, ParseError> {
+        self.nested(Self::assignment)
     }
 
-    fn assignment(&mut self) -> Result<Expr, ParseError> {
+    fn assignment(&mut self) -> Result<ExprId, ParseError> {
         let lhs = self.ternary()?;
         let compound = |p: &str| -> Option<BinaryOp> {
             Some(match p {
@@ -450,44 +579,32 @@ impl<'s> Parser<'_, 's> {
                 _ => return None,
             })
         };
-        if self.eat_punct("=") {
-            let rhs = self.assignment()?;
-            return Ok(Expr::Assign {
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                op: None,
-            });
-        }
-        if let Some(TokenKind::Punct(p)) = self.peek() {
-            if let Some(op) = compound(p) {
-                self.pos += 1;
-                let rhs = self.assignment()?;
-                return Ok(Expr::Assign {
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                    op: Some(op),
-                });
-            }
-        }
-        Ok(lhs)
+        let op = match self.peek() {
+            Some(TokenKind::Punct("=")) => None,
+            Some(TokenKind::Punct(p)) if compound(p).is_some() => compound(p),
+            _ => return Ok(lhs),
+        };
+        self.pos += 1;
+        let rhs = self.nested(Self::assignment)?;
+        self.expr_node(Expr::Assign { lhs, rhs, op })
     }
 
-    fn ternary(&mut self) -> Result<Expr, ParseError> {
+    fn ternary(&mut self) -> Result<ExprId, ParseError> {
         let cond = self.binary(0)?;
         if self.eat_punct("?") {
             let then_e = self.expr()?;
             self.expect_punct(":")?;
-            let else_e = self.ternary()?;
-            return Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then_e: Box::new(then_e),
-                else_e: Box::new(else_e),
+            let else_e = self.nested(Self::ternary)?;
+            return self.expr_node(Expr::Ternary {
+                cond,
+                then_e,
+                else_e,
             });
         }
         Ok(cond)
     }
 
-    fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+    fn binary(&mut self, min_prec: u8) -> Result<ExprId, ParseError> {
         let mut lhs = self.unary()?;
         while let Some(tok) = self.peek() {
             let (op, prec) = match tok {
@@ -520,16 +637,12 @@ impl<'s> Parser<'_, 's> {
             }
             self.pos += 1;
             let rhs = self.binary(prec + 1)?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.expr_node(Expr::Binary { op, lhs, rhs })?;
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<ExprId, ParseError> {
         // Cast: `(type) expr`.
         if self.is_punct("(") {
             if let Some(TokenKind::Ident(s)) = self.peek_at(1) {
@@ -537,107 +650,83 @@ impl<'s> Parser<'_, 's> {
                     self.pos += 1; // '('
                     let (ty, _q) = self.type_and_quals()?;
                     self.expect_punct(")")?;
-                    let inner = self.unary()?;
-                    return Ok(Expr::Cast {
-                        ty,
-                        expr: Box::new(inner),
-                    });
+                    let expr = self.nested(Self::unary)?;
+                    return self.expr_node(Expr::Cast { ty, expr });
                 }
             }
         }
-        if self.eat_punct("-") {
-            return Ok(Expr::Unary {
-                op: UnaryOp::Neg,
-                operand: Box::new(self.unary()?),
-            });
-        }
-        if self.eat_punct("!") {
-            return Ok(Expr::Unary {
-                op: UnaryOp::Not,
-                operand: Box::new(self.unary()?),
-            });
-        }
-        if self.eat_punct("~") {
-            return Ok(Expr::Unary {
-                op: UnaryOp::BitNot,
-                operand: Box::new(self.unary()?),
-            });
-        }
-        if self.eat_punct("*") {
-            return Ok(Expr::Unary {
-                op: UnaryOp::Deref,
-                operand: Box::new(self.unary()?),
-            });
-        }
-        if self.eat_punct("&") {
-            return Ok(Expr::Unary {
-                op: UnaryOp::AddrOf,
-                operand: Box::new(self.unary()?),
-            });
-        }
-        if self.eat_punct("++") {
-            return Ok(Expr::IncDec {
-                target: Box::new(self.unary()?),
-                delta: 1,
+        let prefix = match self.peek() {
+            Some(TokenKind::Punct(p)) => match p {
+                "-" => Some(Ok(UnaryOp::Neg)),
+                "!" => Some(Ok(UnaryOp::Not)),
+                "~" => Some(Ok(UnaryOp::BitNot)),
+                "*" => Some(Ok(UnaryOp::Deref)),
+                "&" => Some(Ok(UnaryOp::AddrOf)),
+                "++" => Some(Err(1)),
+                "--" => Some(Err(-1)),
+                _ => None,
+            },
+            _ => None,
+        };
+        let Some(prefix) = prefix else {
+            return self.postfix();
+        };
+        self.pos += 1;
+        let operand = self.nested(Self::unary)?;
+        self.expr_node(match prefix {
+            Ok(op) => Expr::Unary { op, operand },
+            Err(delta) => Expr::IncDec {
+                target: operand,
+                delta,
                 prefix: true,
-            });
-        }
-        if self.eat_punct("--") {
-            return Ok(Expr::IncDec {
-                target: Box::new(self.unary()?),
-                delta: -1,
-                prefix: true,
-            });
-        }
-        self.postfix()
+            },
+        })
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
+    fn postfix(&mut self) -> Result<ExprId, ParseError> {
         let mut e = self.primary()?;
         loop {
-            if self.eat_punct("[") {
-                let idx = self.expr()?;
+            let node = if self.eat_punct("[") {
+                let index = self.expr()?;
                 self.expect_punct("]")?;
-                e = Expr::Index {
-                    base: Box::new(e),
-                    index: Box::new(idx),
-                };
+                Expr::Index { base: e, index }
             } else if self.eat_punct(".") {
                 let field = self.ident()?;
-                e = Expr::Member {
-                    base: Box::new(e),
+                Expr::Member {
+                    base: e,
                     field,
                     arrow: false,
-                };
+                }
             } else if self.eat_punct("->") {
                 let field = self.ident()?;
-                e = Expr::Member {
-                    base: Box::new(e),
+                Expr::Member {
+                    base: e,
                     field,
                     arrow: true,
-                };
+                }
             } else if self.eat_punct("++") {
-                e = Expr::IncDec {
-                    target: Box::new(e),
+                Expr::IncDec {
+                    target: e,
                     delta: 1,
                     prefix: false,
-                };
+                }
             } else if self.eat_punct("--") {
-                e = Expr::IncDec {
-                    target: Box::new(e),
+                Expr::IncDec {
+                    target: e,
                     delta: -1,
                     prefix: false,
-                };
+                }
             } else {
                 break;
-            }
+            };
+            e = self.expr_node(node)?;
         }
         Ok(e)
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<ExprId, ParseError> {
         match self.next() {
-            Some(TokenKind::Int(v)) => Ok(Expr::Int(v)),
+            Some(TokenKind::Int(v)) => self.expr_node(Expr::Int(v)),
             Some(TokenKind::Punct("(")) => {
                 let e = self.expr()?;
                 self.expect_punct(")")?;
@@ -648,14 +737,14 @@ impl<'s> Parser<'_, 's> {
                     self.expect_punct("(")?;
                     let (ty, _q) = self.type_and_quals()?;
                     self.expect_punct(")")?;
-                    return Ok(Expr::SizeOf(ty));
+                    return self.expr_node(Expr::SizeOf(ty));
                 }
                 // Inline assembly.
                 if name == "asm" || name == "__asm__" || name == "__asm" {
                     self.eat_ident("volatile");
                     self.expect_punct("(")?;
                     let text = match self.next() {
-                        Some(TokenKind::Str(s)) => s.to_string(),
+                        Some(TokenKind::Str(s)) => self.intern(s),
                         got => return Err(self.err(format!("expected asm string, got {got:?}"))),
                     };
                     // Skip extended operand clauses until the closing paren.
@@ -668,26 +757,26 @@ impl<'s> Parser<'_, 's> {
                             None => return Err(self.err("unterminated asm()")),
                         }
                     }
-                    return Ok(Expr::Asm(text));
+                    return self.expr_node(Expr::Asm(text));
                 }
+                let name = self.intern(name);
                 if self.is_punct("(") {
                     self.expect_punct("(")?;
-                    let mut args = Vec::new();
+                    let mark = self.pending_exprs.len();
                     if !self.eat_punct(")") {
                         loop {
-                            args.push(self.expr()?);
+                            let arg = self.expr()?;
+                            self.pending_exprs.push(arg);
                             if self.eat_punct(")") {
                                 break;
                             }
                             self.expect_punct(",")?;
                         }
                     }
-                    return Ok(Expr::Call {
-                        name: name.to_string(),
-                        args,
-                    });
+                    let args = seal(&mut self.prog.expr_lists, &mut self.pending_exprs, mark);
+                    return self.expr_node(Expr::Call { name, args });
                 }
-                Ok(Expr::Ident(name.to_string()))
+                self.expr_node(Expr::Ident(name))
             }
             got => Err(self.err(format!("expected expression, got {got:?}"))),
         }
@@ -703,6 +792,24 @@ mod tests {
         parse(&lex(src).unwrap()).unwrap()
     }
 
+    /// The body of the program's only (or first) function.
+    fn body(p: &Program) -> Vec<Stmt> {
+        p.items
+            .iter()
+            .find_map(|item| match *item {
+                Item::Function { body, .. } => Some(p[body].iter().map(|&s| p[s]).collect()),
+                _ => None,
+            })
+            .expect("a function")
+    }
+
+    fn returned(p: &Program, s: Stmt) -> Expr {
+        match s.kind {
+            StmtKind::Return(Some(e)) => p[e],
+            other => panic!("expected a return, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_globals_and_function() {
         let p = parse_src(
@@ -713,19 +820,19 @@ mod tests {
             "#,
         );
         assert_eq!(p.items.len(), 3);
-        match &p.items[0] {
+        match p.items[0] {
             Item::Global {
                 quals, name, init, ..
             } => {
                 assert!(quals.volatile);
-                assert_eq!(name, "flag");
-                assert_eq!(init, &vec![0]);
+                assert_eq!(&p[name], "flag");
+                assert_eq!(&p[init], &[0]);
             }
             other => panic!("expected global, got {other:?}"),
         }
-        match &p.items[1] {
+        match p.items[1] {
             Item::Global { ty, init, .. } => {
-                assert_eq!(*ty, CType::Array(Box::new(CType::Int), 4));
+                assert_eq!(p[ty], CType::Array(Types::INT, 4));
                 assert_eq!(init.len(), 4);
             }
             other => panic!("expected global, got {other:?}"),
@@ -740,47 +847,38 @@ mod tests {
             long get_key(struct Node *n) { return n->key; }
             "#,
         );
-        match &p.items[0] {
+        match p.items[0] {
             Item::Struct { name, fields } => {
-                assert_eq!(name, "Node");
+                assert_eq!(&p[name], "Node");
                 assert_eq!(fields.len(), 2);
-                assert_eq!(fields[1].0, CType::Struct("Node".into()).ptr());
+                let next = p[fields][1].ty;
+                assert_eq!(p.types.render(&p.names, next), "Ptr(Struct(\"Node\"))");
             }
             other => panic!("expected struct, got {other:?}"),
         }
-        match &p.items[1] {
-            Item::Function { body, .. } => {
-                assert!(matches!(
-                    &body[0].kind,
-                    StmtKind::Return(Some(Expr::Member { arrow: true, .. }))
-                ));
-            }
-            other => panic!("expected function, got {other:?}"),
-        }
+        assert!(matches!(
+            returned(&p, body(&p)[0]),
+            Expr::Member { arrow: true, .. }
+        ));
     }
 
     #[test]
     fn precedence_is_c_like() {
         let p = parse_src("int f() { return 1 + 2 * 3 == 7 && 4 < 5; }");
         // ((1 + (2*3)) == 7) && (4 < 5)
-        match &p.items[0] {
-            Item::Function { body, .. } => match &body[0].kind {
-                StmtKind::Return(Some(Expr::Binary {
-                    op: BinaryOp::LAnd,
-                    lhs,
+        match returned(&p, body(&p)[0]) {
+            Expr::Binary {
+                op: BinaryOp::LAnd,
+                lhs,
+                ..
+            } => assert!(matches!(
+                p[lhs],
+                Expr::Binary {
+                    op: BinaryOp::Eq,
                     ..
-                })) => {
-                    assert!(matches!(
-                        **lhs,
-                        Expr::Binary {
-                            op: BinaryOp::Eq,
-                            ..
-                        }
-                    ));
                 }
-                other => panic!("unexpected {other:?}"),
-            },
-            _ => unreachable!(),
+            )),
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -800,9 +898,32 @@ mod tests {
             }
             "#,
         );
-        match &p.items[0] {
-            Item::Function { body, .. } => assert_eq!(body.len(), 5),
-            _ => unreachable!(),
+        assert_eq!(body(&p).len(), 5);
+    }
+
+    #[test]
+    fn else_if_chains_are_one_statement() {
+        let p = parse_src(
+            "int f(int x) {\n if (x == 1) return 1;\n else if (x == 2) return 2;\n else if (x == 3) { return 3; }\n else return 0;\n}",
+        );
+        let stmts = body(&p);
+        assert_eq!(stmts.len(), 1);
+        match stmts[0].kind {
+            StmtKind::If { arms, else_s } => {
+                let lines: Vec<u32> = p[arms].iter().map(|a| a.line).collect();
+                assert_eq!(lines, [2, 3, 4]);
+                assert!(matches!(p[else_s.unwrap()].kind, StmtKind::Return(Some(_))));
+            }
+            other => panic!("expected an if, got {other:?}"),
+        }
+        // An `if` inside an `else` block starts a statement of its own.
+        let p = parse_src("void f(int x) { if (x) {} else { if (x) {} } }");
+        match body(&p)[0].kind {
+            StmtKind::If { arms, else_s } => {
+                assert_eq!(arms.len(), 1);
+                assert!(matches!(p[else_s.unwrap()].kind, StmtKind::Block(_)));
+            }
+            other => panic!("expected an if, got {other:?}"),
         }
     }
 
@@ -828,44 +949,65 @@ mod tests {
             }
             "#,
         );
-        match &p.items[0] {
-            Item::Function { body, .. } => {
-                assert_eq!(body.len(), 2);
-                assert!(matches!(&body[0].kind, StmtKind::Expr(Expr::Asm(s)) if s == "mfence"));
-                assert!(matches!(&body[1].kind, StmtKind::Expr(Expr::Asm(s)) if s == "pause"));
-            }
-            _ => unreachable!(),
-        }
+        let stmts = body(&p);
+        assert_eq!(stmts.len(), 2);
+        let asm = |s: Stmt| match s.kind {
+            StmtKind::Expr(e) => match p[e] {
+                Expr::Asm(text) => p[text].to_string(),
+                other => panic!("expected asm, got {other:?}"),
+            },
+            other => panic!("expected an expression, got {other:?}"),
+        };
+        assert_eq!(asm(stmts[0]), "mfence");
+        assert_eq!(asm(stmts[1]), "pause");
     }
 
     #[test]
     fn parses_casts_and_ternary() {
         let p = parse_src("long f(int x) { return (long)x > 0 ? x : -x; }");
-        match &p.items[0] {
-            Item::Function { body, .. } => {
-                assert!(matches!(
-                    &body[0].kind,
-                    StmtKind::Return(Some(Expr::Ternary { .. }))
-                ));
-            }
-            _ => unreachable!(),
-        }
+        assert!(matches!(returned(&p, body(&p)[0]), Expr::Ternary { .. }));
     }
 
     #[test]
     fn parses_pointer_params_and_deref() {
         let p = parse_src("void set(int *p, int v) { *p = v; }");
-        match &p.items[0] {
-            Item::Function { params, body, .. } => {
-                assert_eq!(params[0].0, CType::Int.ptr());
-                assert!(matches!(
-                    &body[0].kind,
-                    StmtKind::Expr(Expr::Assign { lhs, .. })
-                        if matches!(**lhs, Expr::Unary { op: UnaryOp::Deref, .. })
-                ));
+        match p.items[0] {
+            Item::Function { params, .. } => {
+                assert_eq!(p[p[params][0].ty], CType::Ptr(Types::INT));
             }
             _ => unreachable!(),
         }
+        match body(&p)[0].kind {
+            StmtKind::Expr(e) => match p[e] {
+                Expr::Assign { lhs, .. } => assert!(matches!(
+                    p[lhs],
+                    Expr::Unary {
+                        op: UnaryOp::Deref,
+                        ..
+                    }
+                )),
+                other => panic!("expected an assignment, got {other:?}"),
+            },
+            other => panic!("expected an expression, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn names_and_types_are_interned_once() {
+        let p = parse_src("struct S { long a; }; struct S *x; struct S *y; long f(struct S *x) { return x->a + x->a; }");
+        let xs = (0..p.names.len() as u32)
+            .filter(|&i| &p[Sym(i)] == "x")
+            .count();
+        assert_eq!(xs, 1);
+        let globals: Vec<TyId> = p
+            .items
+            .iter()
+            .filter_map(|item| match *item {
+                Item::Global { ty, .. } => Some(ty),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(globals[0], globals[1]);
     }
 
     #[test]
@@ -877,12 +1019,45 @@ mod tests {
     #[test]
     fn volatile_pointer_decl() {
         let p = parse_src("volatile int *p; int f() { return *p; }");
-        match &p.items[0] {
+        match p.items[0] {
             Item::Global { ty, quals, .. } => {
-                assert_eq!(*ty, CType::Int.ptr());
+                assert_eq!(p[ty], CType::Ptr(Types::INT));
                 assert!(quals.volatile);
             }
             _ => unreachable!(),
+        }
+    }
+
+    fn depth_error(src: &str) -> String {
+        parse(&lex(src).unwrap()).unwrap_err().msg
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error() {
+        let n = 2 * MAX_DEPTH as usize;
+        let limit = format!("nest deeper than {MAX_DEPTH} levels");
+        let parens = format!("int f() {{ return {}1{}; }}", "(".repeat(n), ")".repeat(n));
+        assert!(depth_error(&parens).contains(&limit));
+        let negs = format!("int f() {{ return {}1; }}", "- ".repeat(n));
+        assert!(depth_error(&negs).contains(&limit));
+        let blocks = format!("void f() {}{}", "{".repeat(n), "}".repeat(n));
+        assert!(depth_error(&blocks).contains(&limit));
+        let chain = format!("int f() {{ return 1{}; }}", "+1".repeat(n));
+        assert!(depth_error(&chain).contains(&limit));
+        let index = format!("int a[2]; int f() {{ return a{}; }}", "[0]".repeat(n));
+        assert!(depth_error(&index).contains(&limit));
+        let stars = format!("int {}p;", "*".repeat(n));
+        assert!(depth_error(&stars).contains(&format!("more than {MAX_DEPTH} levels")));
+    }
+
+    #[test]
+    fn else_if_arms_do_not_count_against_the_bound() {
+        let n = 4 * MAX_DEPTH as usize;
+        let arms = "else if (x == 1) x = 2; ".repeat(n);
+        let p = parse_src(&format!("void f(int x) {{ if (x) x = 1; {arms} }}"));
+        match body(&p)[0].kind {
+            StmtKind::If { arms, .. } => assert_eq!(arms.len(), n + 1),
+            other => panic!("expected an if, got {other:?}"),
         }
     }
 }

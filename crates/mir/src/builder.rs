@@ -264,8 +264,8 @@ mod tests {
         assert_eq!(f.blocks.len(), 3);
         assert_eq!(f.inst_count(), 2);
         assert_eq!(
-            f.block(BlockId(1)).term.successors(),
-            vec![BlockId(1), BlockId(2)]
+            f.block(BlockId(1)).term.successors().collect::<Vec<_>>(),
+            [BlockId(1), BlockId(2)]
         );
     }
 

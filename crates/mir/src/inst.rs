@@ -554,26 +554,29 @@ impl InstKind {
     }
 
     /// All value operands of the instruction, in a fixed order.
-    pub fn operands(&self) -> Vec<Value> {
-        match self {
-            InstKind::Alloca { .. } | InstKind::Fence { .. } => vec![],
-            InstKind::Load { ptr, .. } => vec![*ptr],
-            InstKind::Store { ptr, val, .. } => vec![*ptr, *val],
+    pub fn operands(&self) -> impl Iterator<Item = Value> + '_ {
+        let none = [None; 3];
+        let (fixed, indices, args): ([Option<Value>; 3], &[GepIndex], &[Value]) = match self {
+            InstKind::Alloca { .. } | InstKind::Fence { .. } => (none, &[], &[]),
+            InstKind::Load { ptr, .. } => ([Some(*ptr), None, None], &[], &[]),
+            InstKind::Store { ptr, val, .. } | InstKind::Rmw { ptr, val, .. } => {
+                ([Some(*ptr), Some(*val), None], &[], &[])
+            }
             InstKind::Cmpxchg {
                 ptr, expected, new, ..
-            } => vec![*ptr, *expected, *new],
-            InstKind::Rmw { ptr, val, .. } => vec![*ptr, *val],
-            InstKind::Gep { base, indices, .. } => {
-                let mut v = vec![*base];
-                v.extend(indices.iter().filter_map(GepIndex::as_value));
-                v
-            }
+            } => ([Some(*ptr), Some(*expected), Some(*new)], &[], &[]),
+            InstKind::Gep { base, indices, .. } => ([Some(*base), None, None], indices, &[]),
             InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
-                vec![*lhs, *rhs]
+                ([Some(*lhs), Some(*rhs), None], &[], &[])
             }
-            InstKind::Cast { value, .. } => vec![*value],
-            InstKind::Call { args, .. } => args.clone(),
-        }
+            InstKind::Cast { value, .. } => ([Some(*value), None, None], &[], &[]),
+            InstKind::Call { args, .. } => (none, &[], args),
+        };
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(indices.iter().filter_map(GepIndex::as_value))
+            .chain(args.iter().copied())
     }
 }
 
@@ -625,23 +628,25 @@ pub enum Terminator {
 
 impl Terminator {
     /// Successor blocks in order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br(b) => vec![*b],
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let succs = match self {
+            Terminator::Br(b) => [Some(*b), None],
             Terminator::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Ret(_) | Terminator::Unreachable => vec![],
-        }
+            } => [Some(*then_bb), Some(*else_bb)],
+            Terminator::Ret(_) | Terminator::Unreachable => [None, None],
+        };
+        succs.into_iter().flatten()
     }
 
     /// Value operands of the terminator (condition / return value).
-    pub fn operands(&self) -> Vec<Value> {
+    pub fn operands(&self) -> impl Iterator<Item = Value> {
         match self {
-            Terminator::CondBr { cond, .. } => vec![*cond],
-            Terminator::Ret(Some(v)) => vec![*v],
-            _ => vec![],
+            Terminator::CondBr { cond, .. } => Some(*cond),
+            Terminator::Ret(v) => *v,
+            _ => None,
         }
+        .into_iter()
     }
 
     /// Rewrites successor block ids through `map` (used by inlining).
@@ -763,9 +768,30 @@ mod tests {
             base_ty: Type::I32,
             indices: vec![GepIndex::Const(0), GepIndex::Dyn(Value::Inst(InstId(4)))],
         };
+        let ops = |k: &InstKind| k.operands().collect::<Vec<_>>();
+        assert_eq!(ops(&gep), [Value::Param(0), Value::Inst(InstId(4))]);
+        let cas = InstKind::Cmpxchg {
+            ty: Type::I64,
+            ptr: Value::Param(0),
+            expected: Value::Const(1),
+            new: Value::Const(2),
+            ord: Ordering::SeqCst,
+        };
         assert_eq!(
-            gep.operands(),
-            vec![Value::Param(0), Value::Inst(InstId(4))]
+            ops(&cas),
+            [Value::Param(0), Value::Const(1), Value::Const(2)]
+        );
+        let call = InstKind::Call {
+            callee: Callee::Builtin(Builtin::Spawn),
+            args: vec![Value::Param(1), Value::Const(7)],
+            ret_ty: Type::I64,
+        };
+        assert_eq!(ops(&call), [Value::Param(1), Value::Const(7)]);
+        assert_eq!(
+            ops(&InstKind::Fence {
+                ord: Ordering::SeqCst
+            }),
+            []
         );
     }
 
@@ -776,8 +802,11 @@ mod tests {
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Terminator::Ret(None).successors(), vec![]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), [BlockId(1), BlockId(2)]);
+        assert_eq!(t.operands().collect::<Vec<_>>(), [Value::Const(1)]);
+        assert_eq!(Terminator::Ret(None).successors().count(), 0);
+        let ret = Terminator::Ret(Some(Value::Param(0)));
+        assert_eq!(ret.operands().collect::<Vec<_>>(), [Value::Param(0)]);
     }
 
     #[test]

@@ -50,6 +50,7 @@
 
 pub mod builder;
 pub mod func;
+pub mod fxhash;
 pub mod inst;
 pub mod loc;
 pub mod module;
@@ -61,6 +62,7 @@ pub mod verify;
 
 pub use builder::FunctionBuilder;
 pub use func::{Block, BlockId, Function, InstId, InstIndex};
+pub use fxhash::{FxBuild, FxHasher};
 pub use inst::{
     BinOp, Builtin, Callee, CmpPred, GepIndex, Inst, InstKind, Ordering, RmwOp, Terminator,
 };

@@ -852,8 +852,8 @@ mod tests {
         let reader = &m.funcs[1];
         assert_eq!(reader.blocks.len(), 2);
         assert_eq!(
-            reader.blocks[0].term.successors(),
-            vec![BlockId(0), BlockId(1)]
+            reader.blocks[0].term.successors().collect::<Vec<_>>(),
+            [BlockId(0), BlockId(1)]
         );
         // The seq_cst ordering survived.
         let (_, first) = reader.insts().next().unwrap();
