@@ -127,11 +127,10 @@ enum RawNode {
     Global(GlobalId),
 }
 
-/// One base constraint of a function, generated in parallel and applied
-/// sequentially in `FuncId` order. Applying names each constraint's nodes
-/// in field order, which replays the node- and cell-numbering of a
-/// single-threaded walk, so solver statistics (constraints, iterations,
-/// passes) are the same for any job count.
+/// One base constraint of a function, generated per function and applied
+/// in `FuncId` order. Applying names each constraint's nodes in field
+/// order, which fixes the node and cell numbering, and with it the solver
+/// statistics (constraints, iterations, passes).
 #[derive(Debug, Clone, Copy)]
 enum RawConstraint {
     /// `alloca` or `malloc`: an object and its address-of constraint.
@@ -166,8 +165,7 @@ struct FuncConstraints {
     paths: Vec<i64>,
 }
 
-/// Generates the base constraints of function `fid`. Pure — safe to run
-/// for many functions in parallel.
+/// Generates the base constraints of function `fid`.
 fn gen_func(fid: FuncId, func: &Function) -> FuncConstraints {
     // The node a value resolves to, or `None` for non-pointers.
     let raw_of = |v: Value| match v {
@@ -608,15 +606,11 @@ impl Solver {
         self.stats.constraints += 1;
     }
 
-    /// Walks every function's instructions — in parallel across `jobs`
-    /// workers — and installs the resulting constraints sequentially in
-    /// `FuncId` order, so the constraint system is identical for any job
-    /// count.
-    fn generate(&mut self, m: &Module, jobs: usize) {
-        let fids: Vec<FuncId> = m.func_ids().collect();
-        let pool = atomig_par::WorkerPool::new(jobs);
-        let funcs = pool.map(&fids, |_, &fid| gen_func(fid, m.func(fid)));
-        for (&fid, fc) in fids.iter().zip(&funcs) {
+    /// Walks every function's instructions and installs the resulting
+    /// constraints, in `FuncId` order.
+    fn generate(&mut self, m: &Module) {
+        for fid in m.func_ids() {
+            let fc = gen_func(fid, m.func(fid));
             for &c in &fc.cons {
                 self.apply(fid, c, &fc.paths);
             }
@@ -761,20 +755,12 @@ pub struct PointsTo {
 }
 
 impl PointsTo {
-    /// Generates and solves the constraint system for `m` on one thread.
-    /// `m` must be verified: every instruction id below its function's
-    /// `next_inst`.
+    /// Generates and solves the constraint system for `m`. `m` must be
+    /// verified: every instruction id below its function's `next_inst`.
     pub fn analyze(m: &Module) -> PointsTo {
-        PointsTo::analyze_with_jobs(m, 1)
-    }
-
-    /// Like [`PointsTo::analyze`], but generates constraints with up to
-    /// `jobs` workers. The solved system — including every statistic —
-    /// is identical for any job count; only wall time differs.
-    pub fn analyze_with_jobs(m: &Module, jobs: usize) -> PointsTo {
         let t0 = Instant::now();
         let mut s = Solver::new(m);
-        s.generate(m, jobs);
+        s.generate(m);
         s.solve();
         let (access_start, access_cells) = s.resolve_accesses(m);
         let mut stats = s.stats;
@@ -1209,48 +1195,6 @@ mod tests {
         .unwrap();
         let pt = PointsTo::analyze(&m);
         assert!(pt.stats.cells < 100, "cell universe stays bounded");
-    }
-
-    /// The deterministic-merge contract: parallel constraint generation
-    /// produces the same solved system — including every statistic — as
-    /// the sequential path.
-    #[test]
-    fn parallel_generation_matches_sequential_exactly() {
-        let m = atomig_frontc::compile(
-            r#"
-            struct Node { long state; long key; };
-            long use_node(struct Node *n) { return n->state; }
-            void deleter(long addr) {
-              struct Node *n = (struct Node*)addr;
-              n->key = 0;
-            }
-            int main() {
-              struct Node *n = (struct Node*)malloc(2);
-              n->key = 7;
-              n->state = 1;
-              long s = use_node(n);
-              long t = spawn(deleter, (long)n);
-              join(t);
-              return (int)s;
-            }
-            "#,
-            "t",
-        )
-        .unwrap();
-        let seq = PointsTo::analyze(&m);
-        for jobs in [2, 4, 8] {
-            let par = PointsTo::analyze_with_jobs(&m, jobs);
-            assert_eq!(par.stats.nodes, seq.stats.nodes, "jobs={jobs}");
-            assert_eq!(par.stats.cells, seq.stats.cells, "jobs={jobs}");
-            assert_eq!(par.stats.constraints, seq.stats.constraints, "jobs={jobs}");
-            assert_eq!(par.stats.iterations, seq.stats.iterations, "jobs={jobs}");
-            assert_eq!(par.stats.passes, seq.stats.passes, "jobs={jobs}");
-            assert_eq!(par.slot_base, seq.slot_base, "jobs={jobs}");
-            assert_eq!(par.access_start, seq.access_start, "jobs={jobs}");
-            assert_eq!(par.access_cells, seq.access_cells, "jobs={jobs}");
-            assert_eq!(par.cells, seq.cells, "jobs={jobs}");
-            assert_eq!(par.shareable, seq.shareable, "jobs={jobs}");
-        }
     }
 
     /// Edge cases of the flat per-slot access table.

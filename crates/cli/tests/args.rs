@@ -34,21 +34,16 @@ const ERRORS: &[(&str, &str)] = &[
     ("port a.c --stage", "--stage needs a value"),
     ("port a.c --alias", "--alias needs a value"),
     ("port a.c --emit-metrics", "--emit-metrics needs a path"),
-    ("port a.c --jobs", "--jobs needs a value"),
-    ("port a.c --cache-dir", "--cache-dir needs a directory"),
     ("check a.c --model", "--model needs a value"),
     ("check a.c --emit-metrics", "--emit-metrics needs a path"),
     ("check a.c --jobs", "--jobs needs a value"),
     ("lint a.c --alias", "--alias needs a value"),
     ("lint a.c --deny", "--deny needs a value"),
     ("lint a.c --emit-metrics", "--emit-metrics needs a path"),
-    ("lint a.c --jobs", "--jobs needs a value"),
-    ("lint a.c --cache-dir", "--cache-dir needs a directory"),
     ("batch d --stage", "--stage needs a value"),
     ("batch d --alias", "--alias needs a value"),
     ("batch d --jobs", "--jobs needs a value"),
     ("batch d --emit-metrics", "--emit-metrics needs a path"),
-    ("batch d --cache-dir", "--cache-dir needs a directory"),
     ("explain a.c --alias", "--alias needs a value"),
     ("port --stage", "--stage needs a value"),
     // Bad values.
@@ -76,15 +71,14 @@ const ERRORS: &[(&str, &str)] = &[
         "explain a.c --alias x",
         "unknown alias mode `x` (accepted: type-based, points-to)",
     ),
-    ("port a.c --jobs 0", "--jobs must be at least 1"),
+    ("check a.c --jobs 0", "--jobs must be at least 1"),
     (
-        "port a.c --jobs many",
+        "check a.c --jobs many",
         "--jobs: `many` is not a thread count",
     ),
-    ("port a.c --jobs -1", "--jobs: `-1` is not a thread count"),
-    ("check a.c --jobs 0", "--jobs must be at least 1"),
-    ("lint a.c --jobs x", "--jobs: `x` is not a thread count"),
+    ("check a.c --jobs -1", "--jobs: `-1` is not a thread count"),
     ("batch d --jobs 0", "--jobs must be at least 1"),
+    ("batch d --jobs x", "--jobs: `x` is not a thread count"),
     (
         "check a.c --model fast",
         "unknown model `fast` (accepted: sc, tso, wmm, arm)",
@@ -103,6 +97,9 @@ const ERRORS: &[(&str, &str)] = &[
         "unknown argument `--deny`",
     ),
     ("port a.c --no-cache", "unknown argument `--no-cache`"),
+    ("port a.c --cache-dir c", "unknown argument `--cache-dir`"),
+    ("port a.c --jobs 2", "unknown argument `--jobs`"),
+    ("port a.c --jobs", "unknown argument `--jobs`"),
     ("check a.c --bogus", "unknown argument `--bogus`"),
     ("check a.c b.c", "unknown argument `b.c`"),
     ("check a.c --stage spin", "unknown argument `--stage`"),
@@ -122,10 +119,14 @@ const ERRORS: &[(&str, &str)] = &[
     ("lint a.c --stage spin", "unknown argument `--stage`"),
     ("lint a.c --trace", "unknown argument `--trace`"),
     ("lint a.c --no-cache", "unknown argument `--no-cache`"),
+    ("lint a.c --cache-dir c", "unknown argument `--cache-dir`"),
+    ("lint a.c --jobs 2", "unknown argument `--jobs`"),
     ("batch d --bogus", "unknown argument `--bogus`"),
     ("batch d e", "unknown argument `e`"),
     ("batch d --ported", "unknown argument `--ported`"),
     ("batch d --report", "unknown argument `--report`"),
+    ("batch d --no-cache", "unknown argument `--no-cache`"),
+    ("batch d --cache-dir c", "unknown argument `--cache-dir`"),
     ("explain a.c --bogus", "unknown argument `--bogus`"),
     ("explain a.c b.c", "unknown argument `b.c`"),
     ("explain a.c --jobs 2", "unknown argument `--jobs`"),
@@ -144,14 +145,6 @@ const ERRORS: &[(&str, &str)] = &[
     (
         "port --lasagne --naive",
         "--naive and --lasagne are mutually exclusive",
-    ),
-    (
-        "batch d --cache-dir c --no-cache",
-        "--cache-dir and --no-cache are mutually exclusive",
-    ),
-    (
-        "batch --no-cache --cache-dir c",
-        "--cache-dir and --no-cache are mutually exclusive",
     ),
     (
         "port a.c --naive --lasagne --bogus",
@@ -201,7 +194,6 @@ const VOCAB: &[&str] = &[
     "--alias",
     "--jobs",
     "--emit-metrics",
-    "--cache-dir",
     "--ported",
     "--report",
     "--naive",
@@ -209,7 +201,6 @@ const VOCAB: &[&str] = &[
     "--trace",
     "--model",
     "--deny",
-    "--no-cache",
     "a.c",
     "b.c",
     "a.c:41",
@@ -250,12 +241,12 @@ fn token(rng: &mut Rng) -> String {
 /// deletions, replacements and swaps.
 fn mutant(rng: &mut Rng) -> Vec<String> {
     const SEEDS: &[&str] = &[
-        "port a.c --stage spin --alias points-to --jobs 2 --report --trace",
+        "port a.c --stage spin --alias points-to --report --trace",
         "port a.c --naive --report",
         "check a.c --model arm --ported --jobs 1 --emit-metrics m.jsonl",
         "run a.c --ported",
-        "lint a.c --ported --alias points-to --deny race-candidate --cache-dir c",
-        "batch dir --stage full --jobs 4 --no-cache --emit-metrics m.jsonl",
+        "lint a.c --ported --alias points-to --deny race-candidate",
+        "batch dir --stage full --jobs 4 --emit-metrics m.jsonl",
         "explain a.c:41 --alias points-to",
         "metrics m.jsonl",
     ];

@@ -86,16 +86,14 @@ pub struct AtomigConfig {
     /// via [`crate::trace::Clock::from_fn`] to keep reports
     /// byte-comparable.
     pub clock: crate::trace::Clock,
-    /// Worker threads for the parallel phases (per-function detection and
-    /// points-to constraint generation). Defaults to the host's available
-    /// parallelism; output is byte-identical for any value (the
-    /// deterministic-merge contract in `atomig_par`).
+    /// Unused: port, lint and explain analyze on one thread. Kept only
+    /// because the benchmark harness in `perfbench/` still sets it; the
+    /// next change to that harness deletes the field.
     pub jobs: usize,
-    /// Content-addressed artifact store consulted before per-function
-    /// detection ([`crate::cache`]). `None` (the default) analyzes every
-    /// function from scratch; warm-cache output is byte-identical to cold
-    /// by construction, so sharing one store across runs is always safe.
-    pub cache: Option<std::sync::Arc<atomig_cache::CacheStore>>,
+    /// Unused and always `None`: the artifact cache is gone. Kept only
+    /// because the benchmark harness in `perfbench/` still sets it; the
+    /// next change to that harness deletes the field.
+    pub cache: Option<std::convert::Infallible>,
 }
 
 impl AtomigConfig {
@@ -111,7 +109,7 @@ impl AtomigConfig {
             compiler_barrier_hints: false,
             volatile_blacklist: Vec::new(),
             clock: crate::trace::Clock::system(),
-            jobs: atomig_par::available_parallelism(),
+            jobs: 1,
             cache: None,
         }
     }
@@ -144,7 +142,7 @@ impl AtomigConfig {
             compiler_barrier_hints: false,
             volatile_blacklist: Vec::new(),
             clock: crate::trace::Clock::system(),
-            jobs: atomig_par::available_parallelism(),
+            jobs: 1,
             cache: None,
         }
     }

@@ -54,7 +54,6 @@
 
 pub mod alias;
 pub mod annotations;
-pub mod cache;
 pub mod config;
 pub mod hints;
 pub mod json;
@@ -78,6 +77,6 @@ pub use pipeline::Pipeline;
 pub use report::{approach_matrix, BarrierCensus, PortReport};
 pub use spinloop::{detect_spinloops, SpinLoopInfo};
 pub use trace::{
-    validate_metrics_jsonl, CacheMetrics, CheckerMetrics, Clock, Decision, DecisionLedger,
-    MetricsTally, PhaseStat, PipelineMetrics, SolverMetrics, TraceAction, TraceCause,
+    validate_metrics_jsonl, CheckerMetrics, Clock, Decision, DecisionLedger, MetricsTally,
+    PhaseStat, PipelineMetrics, SolverMetrics, TraceAction, TraceCause,
 };

@@ -357,7 +357,6 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     report
         .metrics
         .record("dry-run", clock.now() - d0, marks.sc_mark_count());
-    report.metrics.cache = plan.metrics.cache;
     let reach = ThreadReach::new(m);
     report.thread_roots = reach.roots.len();
 

@@ -105,38 +105,37 @@ pub struct Pipeline {
     config: AtomigConfig,
 }
 
-/// Per-function detection results. Computed in parallel on the worker
-/// pool (plain owned data, no marks or ledger writes) and merged on the
-/// coordinating thread in `FuncId` order.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub(crate) struct FuncDetect {
+/// Per-function detection results: plain owned data, no marks or ledger
+/// writes, merged into the plan in `FuncId` order.
+#[derive(Debug, Default)]
+struct FuncDetect {
     /// §3.2 annotation marks, paired with whether they came from a
     /// volatile access.
-    pub(crate) ann_marks: Vec<(crate::annotations::Mark, bool)>,
+    ann_marks: Vec<(crate::annotations::Mark, bool)>,
     /// §6 compiler-barrier hint marks (opt-in).
-    pub(crate) hint_marks: Vec<crate::annotations::Mark>,
+    hint_marks: Vec<crate::annotations::Mark>,
     /// §3.3 spinloops, with header spans pre-resolved.
-    pub(crate) spins: Vec<SpinDetect>,
+    spins: Vec<SpinDetect>,
     /// Optimistic (seqlock-style) loops, with per-control load-ness
     /// pre-resolved so the merge needs no instruction index.
-    pub(crate) opts: Vec<OptDetect>,
+    opts: Vec<OptDetect>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SpinDetect {
-    pub(crate) controls: Vec<InstId>,
-    pub(crate) control_locs: Vec<MemLoc>,
-    pub(crate) header_span: u32,
+#[derive(Debug)]
+struct SpinDetect {
+    controls: Vec<InstId>,
+    control_locs: Vec<MemLoc>,
+    header_span: u32,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct OptDetect {
-    pub(crate) spin_index: usize,
-    pub(crate) header_span: u32,
+#[derive(Debug)]
+struct OptDetect {
+    spin_index: usize,
+    header_span: u32,
     /// (control, is-load): loads get an explicit fence before them, the
     /// rest only seed alias exploration.
-    pub(crate) controls: Vec<(InstId, bool)>,
-    pub(crate) control_locs: Vec<MemLoc>,
+    controls: Vec<(InstId, bool)>,
+    control_locs: Vec<MemLoc>,
 }
 
 impl Pipeline {
@@ -151,9 +150,8 @@ impl Pipeline {
     }
 
     /// Runs the staged detection passes on one function. Pure with
-    /// respect to the module — safe to run for many functions in
-    /// parallel.
-    pub(crate) fn detect_func(&self, m: &Module, fid: FuncId) -> FuncDetect {
+    /// respect to the module.
+    fn detect_func(&self, m: &Module, fid: FuncId) -> FuncDetect {
         let func = m.func(fid);
         // The one instruction index of this function: annotations and
         // hints read it here, the influence analysis keeps it for the
@@ -214,51 +212,6 @@ impl Pipeline {
         det
     }
 
-    /// Runs [`Pipeline::detect_func`] over every function on the worker
-    /// pool, consulting the configured artifact cache first. Results come
-    /// back in `FuncId` order; cache bookkeeping (puts for misses, the
-    /// counter snapshot) happens in the sequential merge, and the path
-    /// reads no clock at all, so hit and miss runs stay byte-identical
-    /// under a deterministic clock.
-    pub(crate) fn detect_all(
-        &self,
-        m: &Module,
-    ) -> (Vec<FuncDetect>, Option<crate::trace::CacheMetrics>) {
-        let fids: Vec<FuncId> = m.func_ids().collect();
-        let pool = atomig_par::WorkerPool::new(self.config.jobs);
-        let Some(store) = &self.config.cache else {
-            return (pool.map(&fids, |_, &fid| self.detect_func(m, fid)), None);
-        };
-        let seed = crate::cache::full_seed(&self.config, m);
-        let results = pool.map(&fids, |_, &fid| {
-            let body = atomig_mir::printer::print_function(m, m.func(fid));
-            let key = crate::cache::func_fingerprint(&seed, &body);
-            let cached = store
-                .get(key)
-                .and_then(|payload| crate::cache::decode_detect(&payload, m.func(fid)));
-            match cached {
-                Some(det) => (det, None),
-                None => (self.detect_func(m, fid), Some(key)),
-            }
-        });
-        let mut metrics = crate::trace::CacheMetrics {
-            evictions: store.evictions(),
-            ..Default::default()
-        };
-        let mut dets = Vec::with_capacity(results.len());
-        for (det, miss_key) in results {
-            match miss_key {
-                None => metrics.hits += 1,
-                Some(key) => {
-                    store.put(key, &crate::cache::encode_detect(&det));
-                    metrics.misses += 1;
-                }
-            }
-            dets.push(det);
-        }
-        (dets, Some(metrics))
-    }
-
     /// Ports `m` in place and reports what happened: inlining, then the
     /// plan (seed, expand), then [`transform::apply`] of its marks.
     pub fn port_module(&self, m: &mut Module) -> PortReport {
@@ -285,8 +238,7 @@ impl Pipeline {
         }
 
         // Planning reads the module as inlining left it, so provenance
-        // names the analyzed module. Detection is timed as one phase: the
-        // injected clock is only read on the coordinating thread.
+        // names the analyzed module. Detection is timed as one phase.
         let d0 = clock.now();
         let mut planner = self.seed(m, report);
         let r = &mut planner.plan.report;
@@ -334,9 +286,6 @@ impl Pipeline {
     /// Planning, step one: per-function detection (passes 1–2 and
     /// optimistic loops), merged in `FuncId` order into marks, ledger
     /// records, counters in `report`, and the seeds of alias expansion.
-    /// Detection runs on the worker pool; everything order-sensitive
-    /// happens in the merge, so the plan is byte-identical for any job
-    /// count.
     pub(crate) fn seed<'m>(&self, m: &'m Module, report: PortReport) -> Planner<'m> {
         let mut p = Planner {
             indexes: LazyIndexes::new(m),
@@ -356,10 +305,9 @@ impl Pipeline {
         if self.config.stage == Stage::Original {
             return p;
         }
-        let (dets, cache) = self.detect_all(m);
-        p.plan.report.metrics.cache = cache;
-        for (fid, det) in m.func_ids().zip(&dets) {
-            p.merge(fid, det);
+        for fid in m.func_ids() {
+            let det = self.detect_func(m, fid);
+            p.merge(fid, &det);
         }
         p
     }
@@ -392,7 +340,7 @@ pub(crate) fn points_to_alias(
 ) -> (PointsTo, AliasMap) {
     let clock = &config.clock;
     let s0 = clock.now();
-    let pt = PointsTo::analyze_with_jobs(m, config.jobs);
+    let pt = PointsTo::analyze(m);
     let solve = clock.now() - s0;
     let mut solver = SolverMetrics::from(pt.stats);
     // Re-measure with the injected clock so metrics stay byte-comparable
@@ -407,8 +355,8 @@ pub(crate) fn points_to_alias(
 }
 
 /// What planning decided: the marks the transform applies (and the lint
-/// audits), and a report holding the ledger that explains each mark, the
-/// detection and expansion counters, and the artifact-cache counters.
+/// audits), and a report holding the ledger that explains each mark and
+/// the detection and expansion counters.
 pub(crate) struct Plan {
     pub(crate) marks: MarkSet,
     pub(crate) report: PortReport,

@@ -157,18 +157,6 @@ pub struct CheckerMetrics {
     pub truncated: bool,
 }
 
-/// Artifact-cache counters for one pipeline (or lint) run, mirrored from
-/// the `atomig-cache` store consulted during per-function detection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheMetrics {
-    /// Functions whose detection artifact was served from the cache.
-    pub hits: usize,
-    /// Functions that were analyzed and stored.
-    pub misses: usize,
-    /// Stale-format entries evicted when the store was opened.
-    pub evictions: usize,
-}
-
 /// Phase timings and counters of one pipeline (or lint, or check) run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineMetrics {
@@ -178,11 +166,6 @@ pub struct PipelineMetrics {
     pub solver: Option<SolverMetrics>,
     /// Checker counters, when a check ran.
     pub checker: Option<CheckerMetrics>,
-    /// Artifact-cache counters, when a cache store was configured.
-    /// Deliberately excluded from `Display`: reports must stay
-    /// byte-identical between cold and warm cache runs, so the counters
-    /// surface only through `--trace` and the JSONL sink.
-    pub cache: Option<CacheMetrics>,
 }
 
 impl PipelineMetrics {
@@ -523,7 +506,7 @@ impl DecisionLedger {
 
 /// The `event` kinds the metrics JSONL schema defines.
 pub const EVENT_KINDS: &[&str] = &[
-    "meta", "phase", "solver", "checker", "cache", "decision", "finding", "summary",
+    "meta", "phase", "solver", "checker", "decision", "finding", "summary",
 ];
 
 /// A `meta` event: which command produced this stream.
@@ -574,16 +557,6 @@ pub fn checker_event(c: &CheckerMetrics) -> Value {
         ("revisits", c.revisits.into()),
         ("peak_tracked", c.peak_tracked.into()),
         ("truncated", c.truncated.into()),
-    ])
-}
-
-/// A `cache` event (artifact-cache counters of one run).
-pub fn cache_event(c: &CacheMetrics) -> Value {
-    Value::obj(vec![
-        ("event", "cache".into()),
-        ("hits", c.hits.into()),
-        ("misses", c.misses.into()),
-        ("evictions", c.evictions.into()),
     ])
 }
 
@@ -678,12 +651,6 @@ pub struct MetricsTally {
     pub solvers: usize,
     /// `checker` events.
     pub checkers: usize,
-    /// `cache` events.
-    pub caches: usize,
-    /// Sum of all `cache.hits`.
-    pub cache_hits: usize,
-    /// Sum of all `cache.misses`.
-    pub cache_misses: usize,
     /// Sum of all `phase.nanos`.
     pub total_phase_nanos: u128,
     /// Names of the phases seen, in order.
@@ -762,14 +729,6 @@ pub fn validate_metrics_jsonl(text: &str) -> Result<MetricsTally, String> {
                     expect_num(&v, k, line)?;
                 }
                 tally.checkers += 1;
-            }
-            "cache" => {
-                for k in ["hits", "misses", "evictions"] {
-                    expect_num(&v, k, line)?;
-                }
-                tally.caches += 1;
-                tally.cache_hits += expect_num(&v, "hits", line)? as usize;
-                tally.cache_misses += expect_num(&v, "misses", line)? as usize;
             }
             "decision" => {
                 expect_str(&v, "func", line)?;
@@ -892,11 +851,6 @@ mod tests {
         };
         let mut events = vec![meta_event("port", "mp", Some("type-based"))];
         events.extend(metrics.phases.iter().map(phase_event));
-        events.push(cache_event(&CacheMetrics {
-            hits: 3,
-            misses: 1,
-            evictions: 0,
-        }));
         events.extend(ledger.decisions().iter().map(decision_event));
         events.push(summary_event(
             Duration::from_nanos(2000),
@@ -904,11 +858,9 @@ mod tests {
         ));
         let text = to_jsonl(&events);
         let tally = validate_metrics_jsonl(&text).unwrap();
-        assert_eq!(tally.events, 6);
+        assert_eq!(tally.events, 5);
         assert_eq!(tally.phases, 2);
         assert_eq!(tally.decisions, 1);
-        assert_eq!(tally.caches, 1);
-        assert_eq!((tally.cache_hits, tally.cache_misses), (3, 1));
         assert_eq!(tally.total_phase_nanos, 2000);
         assert_eq!(tally.phase_names, vec!["spin-detect", "transform"]);
     }
@@ -929,6 +881,14 @@ mod tests {
         // Must open with meta.
         let bad = "{\"event\":\"summary\",\"total_nanos\":1}\n";
         assert!(validate_metrics_jsonl(bad).is_err());
+        // A stream written before the artifact cache was removed.
+        let old = "{\"event\":\"meta\",\"command\":\"batch\",\"module\":\"m\"}\n\
+                   {\"event\":\"cache\",\"hits\":3,\"misses\":1,\"evictions\":0}\n\
+                   {\"event\":\"summary\",\"total_nanos\":1}\n";
+        assert_eq!(
+            validate_metrics_jsonl(old),
+            Err("line 2: unknown event kind `cache`".to_string())
+        );
     }
 
     #[test]

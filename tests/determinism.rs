@@ -1,7 +1,8 @@
-//! The deterministic-merge contract, end to end: every user-visible
-//! artifact — port reports, transformed IR, decision-ledger dumps,
-//! metrics JSONL, lint reports, checker verdicts — is byte-identical
-//! for any `--jobs` value and across repeated runs.
+//! Determinism, end to end: every user-visible artifact — port reports,
+//! transformed IR, decision-ledger dumps, metrics JSONL, lint reports,
+//! checker verdicts, batch reports — is byte-identical across repeated
+//! runs, and, where a command runs on a worker pool (`check`, `batch`),
+//! for any `--jobs` value.
 //!
 //! Wall-clock timings are the one inherently nondeterministic field, so
 //! each run injects an [`atomig_testutil::ManualClock`] (core API tests)
@@ -30,9 +31,8 @@ const MP: &str = r#"
     }
 "#;
 
-fn manual_config(jobs: usize, alias: AliasMode) -> AtomigConfig {
+fn manual_config(alias: AliasMode) -> AtomigConfig {
     let mut cfg = AtomigConfig::full();
-    cfg.jobs = jobs;
     cfg.alias_mode = alias;
     let clock = Arc::new(ManualClock::new(1000));
     cfg.clock = Clock::from_fn(move || clock.now());
@@ -42,9 +42,9 @@ fn manual_config(jobs: usize, alias: AliasMode) -> AtomigConfig {
 /// Ports the seqlock example and renders every artifact the CLI can
 /// print: the report, the transformed IR, the ledger tree, and the
 /// metrics JSONL stream (the same event list `--emit-metrics` writes).
-fn port_artifacts(jobs: usize, alias: AliasMode) -> String {
+fn port_artifacts(alias: AliasMode) -> String {
     let mut m = atomig_frontc::compile(SEQLOCK, "seqlock_alias").expect("example compiles");
-    let report = Pipeline::new(manual_config(jobs, alias)).port_module(&mut m);
+    let report = Pipeline::new(manual_config(alias)).port_module(&mut m);
     let mut events = vec![meta_event("port", "seqlock_alias", Some(alias.name()))];
     if let Some(s) = &report.metrics.solver {
         events.push(solver_event(s));
@@ -67,9 +67,9 @@ fn port_artifacts(jobs: usize, alias: AliasMode) -> String {
     )
 }
 
-fn lint_artifacts(jobs: usize, alias: AliasMode) -> String {
+fn lint_artifacts(alias: AliasMode) -> String {
     let m = atomig_frontc::compile(SEQLOCK, "seqlock_alias").expect("example compiles");
-    let report = lint_module(&m, &manual_config(jobs, alias));
+    let report = lint_module(&m, &manual_config(alias));
     let mut events = vec![meta_event("lint", "seqlock_alias", Some(alias.name()))];
     if let Some(s) = &report.metrics.solver {
         events.push(solver_event(s));
@@ -86,34 +86,26 @@ fn lint_artifacts(jobs: usize, alias: AliasMode) -> String {
     )
 }
 
+/// Port analyzes on one thread, so the check is across repeated runs.
 #[test]
 fn port_artifacts_are_byte_identical_across_jobs_and_runs() {
     for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
-        let want = port_artifacts(1, alias);
-        for jobs in [1, 4] {
-            for run in 0..2 {
-                let got = port_artifacts(jobs, alias);
-                assert_eq!(
-                    got, want,
-                    "port output diverged ({alias:?}, jobs={jobs}, run={run})"
-                );
-            }
+        let want = port_artifacts(alias);
+        for run in 0..4 {
+            let got = port_artifacts(alias);
+            assert_eq!(got, want, "port output diverged ({alias:?}, run={run})");
         }
     }
 }
 
+/// Lint analyzes on one thread, so the check is across repeated runs.
 #[test]
 fn lint_artifacts_are_byte_identical_across_jobs_and_runs() {
     for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
-        let want = lint_artifacts(1, alias);
-        for jobs in [1, 4] {
-            for run in 0..2 {
-                let got = lint_artifacts(jobs, alias);
-                assert_eq!(
-                    got, want,
-                    "lint output diverged ({alias:?}, jobs={jobs}, run={run})"
-                );
-            }
+        let want = lint_artifacts(alias);
+        for run in 0..4 {
+            let got = lint_artifacts(alias);
+            assert_eq!(got, want, "lint output diverged ({alias:?}, run={run})");
         }
     }
 }
@@ -125,7 +117,7 @@ fn check_verdicts_and_counts_are_jobs_invariant() {
     for ported in [false, true] {
         let mut m = atomig_frontc::compile(MP, "mp").expect("litmus compiles");
         if ported {
-            Pipeline::new(manual_config(1, AliasMode::TypeBased)).port_module(&mut m);
+            Pipeline::new(manual_config(AliasMode::TypeBased)).port_module(&mut m);
         }
         let verdict_at = |jobs: usize| {
             let mut checker = atomig_wmm::Checker::new(atomig_wmm::ModelKind::Arm);
@@ -150,10 +142,10 @@ fn check_verdicts_and_counts_are_jobs_invariant() {
     }
 }
 
-/// The CLI acceptance path: `atomig port seqlock_alias.c --report
-/// --emit-metrics` under `ATOMIG_DETERMINISTIC=1` is byte-identical
-/// across `--jobs 1`, `--jobs 4`, and repeated runs — including the
-/// metrics file on disk.
+/// The CLI acceptance path: `atomig port`, `lint` and `check` with
+/// `--emit-metrics` under `ATOMIG_DETERMINISTIC=1` are byte-identical
+/// across repeated runs, and `check` also across `--jobs 1` and
+/// `--jobs 4` — including the metrics file on disk.
 #[test]
 fn cli_port_and_check_are_byte_identical_across_jobs() {
     std::env::set_var("ATOMIG_DETERMINISTIC", "1");
@@ -185,13 +177,21 @@ fn cli_port_and_check_are_byte_identical_across_jobs() {
             "seqlock_alias",
         ),
         ("lint seqlock_alias.c", SEQLOCK, "seqlock_alias"),
-        ("check mp.c --model arm --ported", MP, "mp"),
-        ("check mp.c --model arm", MP, "mp"),
     ] {
-        let want = run(&format!("{argv} --jobs 1"), source, name);
+        let want = run(argv, source, name);
+        for rerun in 0..4 {
+            assert_eq!(
+                run(argv, source, name),
+                want,
+                "`{argv}` diverged at run={rerun}"
+            );
+        }
+    }
+    for argv in ["check mp.c --model arm --ported", "check mp.c --model arm"] {
+        let want = run(&format!("{argv} --jobs 1"), MP, "mp");
         for jobs in [1, 4] {
             for rerun in 0..2 {
-                let got = run(&format!("{argv} --jobs {jobs}"), source, name);
+                let got = run(&format!("{argv} --jobs {jobs}"), MP, "mp");
                 assert_eq!(got, want, "`{argv}` diverged at jobs={jobs}, run={rerun}");
             }
         }
@@ -199,9 +199,8 @@ fn cli_port_and_check_are_byte_identical_across_jobs() {
 }
 
 /// The batch leg of the same contract: `atomig batch` over two modules
-/// is byte-identical across `--jobs {1,4}` AND across cache temperature
-/// — the cold populating run, warm all-hit reruns, and a no-cache run
-/// all print the same combined report under `ATOMIG_DETERMINISTIC=1`.
+/// prints the same combined report under `ATOMIG_DETERMINISTIC=1` at
+/// `--jobs 1` and `--jobs 4`, run after run.
 #[test]
 fn cli_batch_is_byte_identical_across_jobs_and_cache_temperature() {
     use atomig_cli::{execute_batch, BatchInput, Command};
@@ -217,37 +216,23 @@ fn cli_batch_is_byte_identical_across_jobs_and_cache_temperature() {
         },
     ];
     for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
-        let dir = std::env::temp_dir().join(format!(
-            "atomig-determinism-batch-{}-{}",
-            alias.name(),
-            std::process::id()
-        ));
-        let dir = dir.to_string_lossy().into_owned();
-        let cmd = |jobs: usize, no_cache: bool| Command::Batch {
+        let cmd = |jobs: usize| Command::Batch {
             path: "mem".into(),
             stage: atomig_core::Stage::Full,
             alias,
             jobs: Some(jobs),
             emit_metrics: None,
-            cache_dir: (!no_cache).then(|| dir.clone()),
-            no_cache,
         };
-        // The report header names the cache state, so compare the
-        // scheduling-sensitive body below it.
-        let body = |out: String| out.split_once('\n').map(|(_, b)| b.to_string()).unwrap();
-        let want = body(execute_batch(&cmd(1, true), &inputs).unwrap());
-        let cold = body(execute_batch(&cmd(1, false), &inputs).unwrap());
-        assert_eq!(cold, want, "{alias:?}: cold cached run diverged");
+        let want = execute_batch(&cmd(1), &inputs).unwrap();
         for jobs in [1, 4] {
             for rerun in 0..2 {
-                let warm = body(execute_batch(&cmd(jobs, false), &inputs).unwrap());
+                let got = execute_batch(&cmd(jobs), &inputs).unwrap();
                 assert_eq!(
-                    warm, want,
-                    "{alias:?}: warm batch diverged at jobs={jobs}, run={rerun}"
+                    got, want,
+                    "{alias:?}: batch diverged at jobs={jobs}, run={rerun}"
                 );
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
     // Deliberately left set: the CLI determinism test above also relies
     // on it, and tests in this binary run concurrently.
