@@ -138,11 +138,6 @@ impl EscapeInfo {
     pub fn is_nonlocal(&self, ptr: Value) -> bool {
         self.private_root(ptr).is_none()
     }
-
-    /// Number of escaping allocas (diagnostics).
-    pub fn escaping_count(&self) -> usize {
-        self.escaping.iter().filter(|&&e| e).count()
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@ use atomig_mir::{
     Block, BlockId, Callee, FuncId, Function, GepIndex, Inst, InstId, InstKind, Module, Terminator,
     Type, Value,
 };
-use std::collections::HashMap;
 
 /// Inlining thresholds.
 #[derive(Debug, Clone)]
@@ -390,13 +389,6 @@ pub fn direct_call_count(m: &Module) -> usize {
         }
     }
     n
-}
-
-/// A map from function name to id for tests and tools.
-pub fn func_name_map(m: &Module) -> HashMap<String, FuncId> {
-    m.func_ids()
-        .map(|id| (m.func(id).name.clone(), id))
-        .collect()
 }
 
 #[cfg(test)]

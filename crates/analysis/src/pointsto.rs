@@ -78,8 +78,8 @@ pub struct Cell {
     pub base: ObjBase,
     /// Field/element path below the base.
     pub path: Vec<i64>,
-    /// The path was truncated at [`MAX_PATH`]: this cell summarizes the
-    /// entire subtree below `path`.
+    /// The path was truncated at `MAX_PATH` steps: this cell summarizes
+    /// the entire subtree below `path`.
     pub summary: bool,
 }
 
@@ -111,180 +111,6 @@ const NONE: u32 = u32::MAX;
 
 /// Tag bit of [`NodeState::pts`]: the set has spilled to `Solver::big`.
 const BIG: u32 = 1 << 31;
-
-/// A constraint node named symbolically, so constraint *generation* can
-/// run per function on worker threads without touching the solver's
-/// tables. `Var` names an instruction of the function being generated.
-#[derive(Debug, Clone, Copy)]
-enum RawNode {
-    /// The SSA result of an instruction.
-    Var(InstId),
-    /// A parameter of a function.
-    Param(FuncId, u32),
-    /// The return value of a function.
-    Ret(FuncId),
-    /// A global used as a literal address.
-    Global(GlobalId),
-}
-
-/// One base constraint of a function, generated per function and applied
-/// in `FuncId` order. Applying names each constraint's nodes in field
-/// order, which fixes the node and cell numbering, and with it the solver
-/// statistics (constraints, iterations, passes).
-#[derive(Debug, Clone, Copy)]
-enum RawConstraint {
-    /// `alloca` or `malloc`: an object and its address-of constraint.
-    Obj {
-        i: InstId,
-        heap: bool,
-        shareable: bool,
-    },
-    /// Names a node without constraining it: a store with only one
-    /// resolvable side, or the result of pointer arithmetic before its
-    /// operands. Node numbering and counts include it.
-    Touch(RawNode),
-    /// `dst ⊇ src`: casts, pointer arithmetic, and the argument, return
-    /// and `spawn` bindings.
-    Copy { src: RawNode, dst: RawNode },
-    /// `dst ⊇ *(pts p)`.
-    Load { p: RawNode, dst: RawNode },
-    /// `*(pts p) ⊇ src`.
-    Store { p: RawNode, src: RawNode },
-    /// `dst ⊇ { c.path ++ path | c ∈ pts base }`, where `path` is a range
-    /// of the function's path arena.
-    Gep {
-        base: RawNode,
-        dst: RawNode,
-        path: (u32, u32),
-    },
-}
-
-/// The constraints of one function plus the arena their GEP paths index.
-struct FuncConstraints {
-    cons: Vec<RawConstraint>,
-    paths: Vec<i64>,
-}
-
-/// Generates the base constraints of function `fid`.
-fn gen_func(fid: FuncId, func: &Function) -> FuncConstraints {
-    // The node a value resolves to, or `None` for non-pointers.
-    let raw_of = |v: Value| match v {
-        Value::Inst(id) => Some(RawNode::Var(id)),
-        Value::Param(i) => Some(RawNode::Param(fid, i)),
-        Value::Global(g) => Some(RawNode::Global(g)),
-        Value::Const(_) | Value::Null | Value::Func(_) => None,
-    };
-    let mut out = Vec::new();
-    let mut paths = Vec::new();
-    let mut escape: Option<EscapeInfo> = None;
-    for (_, inst) in func.insts() {
-        assert!(
-            inst.id.0 < func.next_inst,
-            "points-to needs a verified module: {} is not below next_inst",
-            inst.id
-        );
-        let var = RawNode::Var(inst.id);
-        match &inst.kind {
-            InstKind::Alloca { .. } => {
-                let escape = escape.get_or_insert_with(|| EscapeInfo::new(&func.inst_index()));
-                out.push(RawConstraint::Obj {
-                    i: inst.id,
-                    heap: false,
-                    shareable: !escape.is_private_slot(inst.id),
-                });
-            }
-            InstKind::Load { ptr, .. } => {
-                if let Some(p) = raw_of(*ptr) {
-                    out.push(RawConstraint::Load { p, dst: var });
-                }
-            }
-            InstKind::Store { ptr, val, .. } => match (raw_of(*ptr), raw_of(*val)) {
-                (Some(p), Some(src)) => out.push(RawConstraint::Store { p, src }),
-                (Some(n), None) | (None, Some(n)) => out.push(RawConstraint::Touch(n)),
-                (None, None) => {}
-            },
-            // The result is the old contents; on success `cmpxchg` stores
-            // its `new` value, `xchg` its operand verbatim, and the
-            // arithmetic `rmw` ops over-approximate by the operand.
-            InstKind::Cmpxchg { ptr, new: val, .. } | InstKind::Rmw { ptr, val, .. } => {
-                if let Some(p) = raw_of(*ptr) {
-                    out.push(RawConstraint::Load { p, dst: var });
-                    if let Some(src) = raw_of(*val) {
-                        out.push(RawConstraint::Store { p, src });
-                    }
-                }
-            }
-            InstKind::Gep { base, indices, .. } => {
-                // The leading index scales whole objects (LLVM semantics)
-                // and is dropped, which also makes pointer arithmetic
-                // `p + n` alias `p` — sound for a may-analysis.
-                if let Some(base) = raw_of(*base) {
-                    let lo = paths.len() as u32;
-                    let path = indices.iter().skip(1).map(|i| i.as_const());
-                    paths.extend(path.map(|c| c.unwrap_or(ANY_INDEX)));
-                    out.push(RawConstraint::Gep {
-                        base,
-                        dst: var,
-                        path: (lo, paths.len() as u32),
-                    });
-                }
-            }
-            InstKind::Cast { value, .. } => {
-                // Type-agnostic copy: pointers survive laundering through
-                // integers (`(long)p` … `(T*)v`).
-                if let Some(src) = raw_of(*value) {
-                    out.push(RawConstraint::Copy { src, dst: var });
-                }
-            }
-            InstKind::Bin { op, lhs, rhs, .. } => {
-                // Pointer ± integer arithmetic on laundered pointers:
-                // propagate through add/sub only.
-                if matches!(op, atomig_mir::BinOp::Add | atomig_mir::BinOp::Sub) {
-                    out.push(RawConstraint::Touch(var));
-                    for src in [*lhs, *rhs].into_iter().filter_map(raw_of) {
-                        out.push(RawConstraint::Copy { src, dst: var });
-                    }
-                }
-            }
-            InstKind::Cmp { .. } | InstKind::Fence { .. } => {}
-            InstKind::Call { callee, args, .. } => match callee {
-                Callee::Func(t) => {
-                    for (j, a) in args.iter().enumerate() {
-                        if let Some(src) = raw_of(*a) {
-                            let dst = RawNode::Param(*t, j as u32);
-                            out.push(RawConstraint::Copy { src, dst });
-                        }
-                    }
-                    let src = RawNode::Ret(*t);
-                    out.push(RawConstraint::Copy { src, dst: var });
-                }
-                Callee::Builtin(Builtin::Malloc) => out.push(RawConstraint::Obj {
-                    i: inst.id,
-                    heap: true,
-                    shareable: true,
-                }),
-                Callee::Builtin(Builtin::Spawn) => {
-                    if let (Some(Value::Func(t)), Some(a)) = (args.first(), args.get(1)) {
-                        if let Some(src) = raw_of(*a) {
-                            let dst = RawNode::Param(*t, 0);
-                            out.push(RawConstraint::Copy { src, dst });
-                        }
-                    }
-                }
-                Callee::Builtin(_) => {}
-            },
-        }
-    }
-    for b in func.block_ids() {
-        if let Terminator::Ret(Some(v)) = &func.block(b).term {
-            if let Some(src) = raw_of(*v) {
-                let dst = RawNode::Ret(fid);
-                out.push(RawConstraint::Copy { src, dst });
-            }
-        }
-    }
-    FuncConstraints { cons: out, paths }
-}
 
 /// Solver state of one constraint node.
 #[derive(Debug, Clone, Copy)]
@@ -374,7 +200,7 @@ struct Solver {
     edges: Vec<(u32, u32)>,
     /// `src << 32 | dst` of every copy edge.
     copy_seen: HashSet<u64, FxBuild>,
-    /// Complex constraints with their pointer node, in apply order.
+    /// Complex constraints with their pointer node, in generation order.
     complex: Vec<(u32, Complex)>,
     worklist: Vec<u32>,
     /// Scratch buffers, reused so the solve loop never allocates.
@@ -544,82 +370,179 @@ impl Solver {
         n
     }
 
-    /// The node behind `r` (a node of function `f` if it is a `Var`),
-    /// numbered next if it is new.
-    fn raw(&mut self, f: FuncId, r: RawNode) -> u32 {
-        match r {
-            RawNode::Var(i) => {
-                let slot = (self.slot_base[f.0 as usize] + i.0) as usize;
-                lazy_node(&mut self.nodes, &mut self.var[slot])
-            }
-            RawNode::Param(g, j) => {
-                let slots = &mut self.param[g.0 as usize];
-                if slots.len() <= j as usize {
-                    slots.resize(j as usize + 1, NONE);
-                }
-                lazy_node(&mut self.nodes, &mut slots[j as usize])
-            }
-            RawNode::Ret(g) => lazy_node(&mut self.nodes, &mut self.ret[g.0 as usize]),
-            RawNode::Global(g) => self.lit(g),
+    /// The node of instruction `i` of `f`, numbered next if it is new.
+    fn var(&mut self, f: FuncId, i: InstId) -> u32 {
+        let slot = (self.slot_base[f.0 as usize] + i.0) as usize;
+        lazy_node(&mut self.nodes, &mut self.var[slot])
+    }
+
+    /// The node of parameter `j` of `f`, numbered next if it is new.
+    fn param(&mut self, f: FuncId, j: u32) -> u32 {
+        let slots = &mut self.param[f.0 as usize];
+        if slots.len() <= j as usize {
+            slots.resize(j as usize + 1, NONE);
+        }
+        lazy_node(&mut self.nodes, &mut slots[j as usize])
+    }
+
+    /// The return node of `f`, numbered next if it is new.
+    fn ret(&mut self, f: FuncId) -> u32 {
+        lazy_node(&mut self.nodes, &mut self.ret[f.0 as usize])
+    }
+
+    /// The node `v` resolves to in function `f`, or `None` for
+    /// non-pointers.
+    fn node(&mut self, f: FuncId, v: Value) -> Option<u32> {
+        match v {
+            Value::Inst(i) => Some(self.var(f, i)),
+            Value::Param(j) => Some(self.param(f, j)),
+            Value::Global(g) => Some(self.lit(g)),
+            Value::Const(_) | Value::Null | Value::Func(_) => None,
         }
     }
 
-    /// Installs one generated constraint of function `f`.
-    fn apply(&mut self, f: FuncId, c: RawConstraint, paths: &[i64]) {
-        match c {
-            RawConstraint::Obj { i, heap, shareable } => {
-                let base = if heap {
-                    ObjBase::Heap(f, i)
-                } else {
-                    ObjBase::Stack(f, i)
-                };
-                let c = self.intern_cell(base, 0, false, shareable);
-                let n = self.raw(f, RawNode::Var(i));
-                self.insert(n, c);
-            }
-            RawConstraint::Touch(n) => {
-                self.raw(f, n);
-                return;
-            }
-            RawConstraint::Copy { src, dst } => {
-                let src = self.raw(f, src);
-                let dst = self.raw(f, dst);
-                self.add_copy(src, dst);
-            }
-            RawConstraint::Load { p, dst } => {
-                let p = self.raw(f, p);
-                let dst = self.raw(f, dst);
-                self.complex.push((p, Complex::Load { dst }));
-            }
-            RawConstraint::Store { p, src } => {
-                let p = self.raw(f, p);
-                let src = self.raw(f, src);
-                self.complex.push((p, Complex::Store { src }));
-            }
-            RawConstraint::Gep { base, dst, path } => {
-                let base = self.raw(f, base);
-                let dst = self.raw(f, dst);
-                let path = self.intern_path(&paths[path.0 as usize..path.1 as usize]);
-                self.complex.push((base, Complex::Gep { dst, path }));
-            }
-        }
+    /// An object at `base`, pointed to by instruction `i` of `f`.
+    fn add_obj(&mut self, f: FuncId, i: InstId, base: ObjBase, shareable: bool) {
+        let c = self.intern_cell(base, 0, false, shareable);
+        let n = self.var(f, i);
+        self.insert(n, c);
         self.stats.constraints += 1;
     }
 
-    /// Walks every function's instructions and installs the resulting
-    /// constraints, in `FuncId` order.
-    fn generate(&mut self, m: &Module) {
-        for fid in m.func_ids() {
-            let fc = gen_func(fid, m.func(fid));
-            for &c in &fc.cons {
-                self.apply(fid, c, &fc.paths);
+    /// The base constraint `dst ⊇ src`.
+    fn add_base_copy(&mut self, src: u32, dst: u32) {
+        self.add_copy(src, dst);
+        self.stats.constraints += 1;
+    }
+
+    /// A `load`, `store` or `gep` constraint on pointer node `p`.
+    fn add_complex(&mut self, p: u32, e: Complex) {
+        self.complex.push((p, e));
+        self.stats.constraints += 1;
+    }
+
+    /// Generates the base constraints of function `f`. Each constraint
+    /// names its nodes as it goes — pointer before value, argument before
+    /// callee parameter, callee return before call result — which fixes
+    /// the node and cell numbering, and with it the solver statistics.
+    fn gen_func(&mut self, f: FuncId, func: &Function) {
+        let mut escape: Option<EscapeInfo> = None;
+        for (_, inst) in func.insts() {
+            assert!(
+                inst.id.0 < func.next_inst,
+                "points-to needs a verified module: {} is not below next_inst",
+                inst.id
+            );
+            let id = inst.id;
+            match &inst.kind {
+                InstKind::Alloca { .. } => {
+                    let escape = escape.get_or_insert_with(|| EscapeInfo::new(&func.inst_index()));
+                    let shareable = !escape.is_private_slot(id);
+                    self.add_obj(f, id, ObjBase::Stack(f, id), shareable);
+                }
+                InstKind::Load { ptr, .. } => {
+                    if let Some(p) = self.node(f, *ptr) {
+                        let dst = self.var(f, id);
+                        self.add_complex(p, Complex::Load { dst });
+                    }
+                }
+                InstKind::Store { ptr, val, .. } => {
+                    // With only one pointer side the store still names
+                    // that node, but adds no constraint.
+                    let p = self.node(f, *ptr);
+                    if let (Some(p), Some(src)) = (p, self.node(f, *val)) {
+                        self.add_complex(p, Complex::Store { src });
+                    }
+                }
+                // The result is the old contents; on success `cmpxchg` stores
+                // its `new` value, `xchg` its operand verbatim, and the
+                // arithmetic `rmw` ops over-approximate by the operand.
+                InstKind::Cmpxchg { ptr, new: val, .. } | InstKind::Rmw { ptr, val, .. } => {
+                    if let Some(p) = self.node(f, *ptr) {
+                        let dst = self.var(f, id);
+                        self.add_complex(p, Complex::Load { dst });
+                        if let Some(src) = self.node(f, *val) {
+                            self.add_complex(p, Complex::Store { src });
+                        }
+                    }
+                }
+                InstKind::Gep { base, indices, .. } => {
+                    // The leading index scales whole objects (LLVM semantics)
+                    // and is dropped, which also makes pointer arithmetic
+                    // `p + n` alias `p` — sound for a may-analysis.
+                    if let Some(base) = self.node(f, *base) {
+                        let dst = self.var(f, id);
+                        let mut path = std::mem::take(&mut self.path_buf);
+                        path.clear();
+                        let steps = indices.iter().skip(1).map(|i| i.as_const());
+                        path.extend(steps.map(|c| c.unwrap_or(ANY_INDEX)));
+                        let path_id = self.intern_path(&path);
+                        self.path_buf = path;
+                        self.add_complex(base, Complex::Gep { dst, path: path_id });
+                    }
+                }
+                InstKind::Cast { value, .. } => {
+                    // Type-agnostic copy: pointers survive laundering through
+                    // integers (`(long)p` … `(T*)v`).
+                    if let Some(src) = self.node(f, *value) {
+                        let dst = self.var(f, id);
+                        self.add_base_copy(src, dst);
+                    }
+                }
+                InstKind::Bin { op, lhs, rhs, .. } => {
+                    // Pointer ± integer arithmetic on laundered pointers:
+                    // propagate through add/sub only. The result is named
+                    // before its operands.
+                    if matches!(op, atomig_mir::BinOp::Add | atomig_mir::BinOp::Sub) {
+                        let dst = self.var(f, id);
+                        for v in [*lhs, *rhs] {
+                            if let Some(src) = self.node(f, v) {
+                                self.add_base_copy(src, dst);
+                            }
+                        }
+                    }
+                }
+                InstKind::Cmp { .. } | InstKind::Fence { .. } => {}
+                InstKind::Call { callee, args, .. } => match callee {
+                    Callee::Func(t) => {
+                        for (j, a) in args.iter().enumerate() {
+                            if let Some(src) = self.node(f, *a) {
+                                let dst = self.param(*t, j as u32);
+                                self.add_base_copy(src, dst);
+                            }
+                        }
+                        let src = self.ret(*t);
+                        let dst = self.var(f, id);
+                        self.add_base_copy(src, dst);
+                    }
+                    Callee::Builtin(Builtin::Malloc) => {
+                        self.add_obj(f, id, ObjBase::Heap(f, id), true);
+                    }
+                    Callee::Builtin(Builtin::Spawn) => {
+                        if let (Some(Value::Func(t)), Some(a)) = (args.first(), args.get(1)) {
+                            if let Some(src) = self.node(f, *a) {
+                                let dst = self.param(*t, 0);
+                                self.add_base_copy(src, dst);
+                            }
+                        }
+                    }
+                    Callee::Builtin(_) => {}
+                },
+            }
+        }
+        for b in func.block_ids() {
+            if let Terminator::Ret(Some(v)) = &func.block(b).term {
+                if let Some(src) = self.node(f, *v) {
+                    let dst = self.ret(f);
+                    self.add_base_copy(src, dst);
+                }
             }
         }
     }
 
     /// Files the complex constraints under their pointer nodes: node `n`'s
     /// are `list[start[n]..start[n + 1]]`, geps first, then loads, then
-    /// stores, each in apply order.
+    /// stores, each in generation order.
     fn group_complex(&mut self) -> (Vec<u32>, Vec<Complex>) {
         let complex = std::mem::take(&mut self.complex);
         let mut start = vec![0u32; self.nodes.len() + 1];
@@ -760,7 +683,9 @@ impl PointsTo {
     pub fn analyze(m: &Module) -> PointsTo {
         let t0 = Instant::now();
         let mut s = Solver::new(m);
-        s.generate(m);
+        for fid in m.func_ids() {
+            s.gen_func(fid, m.func(fid));
+        }
         s.solve();
         let (access_start, access_cells) = s.resolve_accesses(m);
         let mut stats = s.stats;

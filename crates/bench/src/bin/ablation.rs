@@ -310,13 +310,7 @@ fn main() {
     ];
     // The ten (program, alias-mode) port+check units are independent:
     // fan them out over ATOMIG_JOBS workers, merge in unit order.
-    let jobs = match atomig_par::jobs_from_env("ATOMIG_JOBS") {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let jobs = atomig_bench::jobs_or_exit();
     let pool = atomig_par::WorkerPool::new(jobs);
     let units: Vec<(&str, &str, bool, AliasMode)> = programs
         .iter()

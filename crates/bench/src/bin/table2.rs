@@ -45,13 +45,7 @@ fn main() {
     // Every (benchmark, stage) compile+check is independent: fan the 20
     // units out over ATOMIG_JOBS workers and merge in unit order, so the
     // table and record are identical to the sequential run.
-    let jobs = match atomig_par::jobs_from_env("ATOMIG_JOBS") {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let jobs = atomig_bench::jobs_or_exit();
     let pool = atomig_par::WorkerPool::new(jobs);
     let units: Vec<(&str, &str, atomig_core::Stage)> = benchmarks
         .iter()

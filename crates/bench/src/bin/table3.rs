@@ -20,13 +20,7 @@ fn main() {
     // Each application profile builds and ports independently: fan them
     // out over ATOMIG_JOBS workers, then record and render in profile
     // order so the table and the JSON record stay deterministic.
-    let jobs = match atomig_par::jobs_from_env("ATOMIG_JOBS") {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let jobs = atomig_bench::jobs_or_exit();
     let pool = atomig_par::WorkerPool::new(jobs);
     rec.put("jobs", Value::from(jobs));
     let all = profiles::all();

@@ -15,13 +15,7 @@ fn main() {
 
     // The original and the ported build+run are independent: do both
     // concurrently on the worker pool.
-    let jobs = match atomig_par::jobs_from_env("ATOMIG_JOBS") {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let jobs = atomig_bench::jobs_or_exit();
     let pool = atomig_par::WorkerPool::new(jobs);
     let mut results = pool
         .map(&[false, true], |_, &port| {

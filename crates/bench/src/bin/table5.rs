@@ -165,13 +165,7 @@ fn main() {
         RowSpec::plain("clht_lf", "clht_lf", clht::clht_lf_perf(2, 150), 2.01, 1.40),
     ];
 
-    let jobs = match atomig_par::jobs_from_env("ATOMIG_JOBS") {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let jobs = atomig_bench::jobs_or_exit();
     let pool = atomig_par::WorkerPool::new(jobs);
     let rows: Vec<Vec<String>> = pool.map(&specs, |_, spec| row_of(spec));
 

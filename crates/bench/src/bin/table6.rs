@@ -18,13 +18,7 @@ fn main() {
 
     // The five kernels are independent: compute each row's cost triple on
     // the worker pool and fold the geometric mean in kernel order.
-    let jobs = match atomig_par::jobs_from_env("ATOMIG_JOBS") {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let jobs = atomig_bench::jobs_or_exit();
     let pool = atomig_par::WorkerPool::new(jobs);
     let factors = pool.map(&paper, |_, &(name, ..)| {
         let src = phoenix::kernel(name, 2);

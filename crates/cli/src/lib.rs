@@ -417,12 +417,7 @@ fn parse_model(s: &str) -> Result<ModelKind, String> {
 /// given alias backend, on the deterministic clock when
 /// `ATOMIG_DETERMINISTIC` asks for it.
 fn pipeline_config(stage: Stage, alias: AliasMode) -> AtomigConfig {
-    let mut cfg = match stage {
-        Stage::Original => AtomigConfig::original(),
-        Stage::Explicit => AtomigConfig::explicit_only(),
-        Stage::Spin => AtomigConfig::spin(),
-        Stage::Full => AtomigConfig::full(),
-    };
+    let mut cfg = AtomigConfig::for_stage(stage);
     cfg.alias_mode = alias;
     if let Some(c) = deterministic_clock() {
         cfg.clock = c;

@@ -15,7 +15,7 @@
 //! The pass only *collects* marks; [`crate::transform`] applies them, so
 //! that alias exploration can expand the mark set first.
 
-use atomig_mir::{InstId, InstIndex, InstKind, MemLoc, Module};
+use atomig_mir::{InstId, InstIndex, InstKind, MemLoc};
 
 /// An access marked for SC-atomic conversion, with the location key used
 /// for sticky-buddy expansion.
@@ -72,13 +72,6 @@ pub fn loc_of(index: &InstIndex<'_>, kind: &InstKind) -> MemLoc {
         Some(ptr) => atomig_mir::loc::resolve_loc(index, ptr),
         None => MemLoc::Unknown,
     }
-}
-
-/// Scans a whole module.
-pub fn scan_module(m: &Module, blacklist: &[MemLoc]) -> Vec<(atomig_mir::FuncId, AnnotationMarks)> {
-    m.func_ids()
-        .map(|fid| (fid, scan_annotations(&m.func(fid).inst_index(), blacklist)))
-        .collect()
 }
 
 #[cfg(test)]

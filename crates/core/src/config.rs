@@ -97,6 +97,18 @@ pub struct AtomigConfig {
 }
 
 impl AtomigConfig {
+    /// The preset of a Table 2 stage: [`original`](Self::original),
+    /// [`explicit_only`](Self::explicit_only), [`spin`](Self::spin) or
+    /// [`full`](Self::full).
+    pub fn for_stage(stage: Stage) -> AtomigConfig {
+        match stage {
+            Stage::Original => AtomigConfig::original(),
+            Stage::Explicit => AtomigConfig::explicit_only(),
+            Stage::Spin => AtomigConfig::spin(),
+            Stage::Full => AtomigConfig::full(),
+        }
+    }
+
     /// The identity configuration (Table 2 "Original").
     pub fn original() -> AtomigConfig {
         AtomigConfig {

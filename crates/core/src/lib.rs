@@ -78,5 +78,5 @@ pub use report::{approach_matrix, BarrierCensus, PortReport};
 pub use spinloop::{detect_spinloops, SpinLoopInfo};
 pub use trace::{
     validate_metrics_jsonl, CheckerMetrics, Clock, Decision, DecisionLedger, MetricsTally,
-    PhaseStat, PipelineMetrics, SolverMetrics, TraceAction, TraceCause,
+    PhaseStat, PipelineMetrics, TraceAction, TraceCause,
 };

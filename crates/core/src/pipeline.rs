@@ -4,14 +4,15 @@
 use crate::alias::AliasMap;
 use crate::annotations::{loc_of, scan_annotations};
 use crate::config::{AliasMode, AtomigConfig, Stage};
+use crate::hints::barrier_adjacent_accesses;
 use crate::optimistic::detect_optimistic;
 use crate::report::{BarrierCensus, PortReport};
-use crate::spinloop::detect_spinloops;
+use crate::spinloop::{detect_spinloops, SpinLoopInfo};
 use crate::trace::{
-    AliasClass, Decision, DecisionLedger, PipelineMetrics, SolverMetrics, TraceAction, TraceCause,
+    AliasClass, Decision, DecisionLedger, PipelineMetrics, TraceAction, TraceCause,
 };
 use crate::transform::{self, MarkSet};
-use atomig_analysis::{inline_module, InfluenceAnalysis, PointsTo};
+use atomig_analysis::{inline_module, InfluenceAnalysis, PointsTo, PointsToStats};
 use atomig_mir::{FuncId, InstId, InstIndex, InstKind, MemLoc, Module};
 use std::collections::{HashMap, HashSet};
 
@@ -105,39 +106,6 @@ pub struct Pipeline {
     config: AtomigConfig,
 }
 
-/// Per-function detection results: plain owned data, no marks or ledger
-/// writes, merged into the plan in `FuncId` order.
-#[derive(Debug, Default)]
-struct FuncDetect {
-    /// §3.2 annotation marks, paired with whether they came from a
-    /// volatile access.
-    ann_marks: Vec<(crate::annotations::Mark, bool)>,
-    /// §6 compiler-barrier hint marks (opt-in).
-    hint_marks: Vec<crate::annotations::Mark>,
-    /// §3.3 spinloops, with header spans pre-resolved.
-    spins: Vec<SpinDetect>,
-    /// Optimistic (seqlock-style) loops, with per-control load-ness
-    /// pre-resolved so the merge needs no instruction index.
-    opts: Vec<OptDetect>,
-}
-
-#[derive(Debug)]
-struct SpinDetect {
-    controls: Vec<InstId>,
-    control_locs: Vec<MemLoc>,
-    header_span: u32,
-}
-
-#[derive(Debug)]
-struct OptDetect {
-    spin_index: usize,
-    header_span: u32,
-    /// (control, is-load): loads get an explicit fence before them, the
-    /// rest only seed alias exploration.
-    controls: Vec<(InstId, bool)>,
-    control_locs: Vec<MemLoc>,
-}
-
 impl Pipeline {
     /// Creates a pipeline with the given configuration.
     pub fn new(config: AtomigConfig) -> Pipeline {
@@ -147,69 +115,6 @@ impl Pipeline {
     /// The active configuration.
     pub fn config(&self) -> &AtomigConfig {
         &self.config
-    }
-
-    /// Runs the staged detection passes on one function. Pure with
-    /// respect to the module.
-    fn detect_func(&self, m: &Module, fid: FuncId) -> FuncDetect {
-        let func = m.func(fid);
-        // The one instruction index of this function: annotations and
-        // hints read it here, the influence analysis keeps it for the
-        // pattern passes.
-        let index = func.inst_index();
-        let ann = scan_annotations(&index, &self.config.volatile_blacklist);
-        let mut det = FuncDetect {
-            ann_marks: ann
-                .atomics
-                .into_iter()
-                .map(|mk| (mk, false))
-                .chain(ann.volatiles.into_iter().map(|mk| (mk, true)))
-                .collect(),
-            ..FuncDetect::default()
-        };
-        if self.config.compiler_barrier_hints {
-            det.hint_marks = crate::hints::barrier_adjacent_accesses(&index);
-        }
-        if self.config.stage < Stage::Spin {
-            return det;
-        }
-        let inf = InfluenceAnalysis::with_index(index);
-        let spins = detect_spinloops(func, &inf);
-        let header_span_of = |s: &crate::spinloop::SpinLoopInfo| {
-            func.block(s.natural.header)
-                .insts
-                .iter()
-                .map(|i| i.span)
-                .find(|&sp| sp != 0)
-                .unwrap_or(0)
-        };
-        det.spins = spins
-            .iter()
-            .map(|s| SpinDetect {
-                controls: s.controls.clone(),
-                control_locs: s.control_locs.clone(),
-                header_span: header_span_of(s),
-            })
-            .collect();
-        if self.config.stage < Stage::Full {
-            return det;
-        }
-        let opts = detect_optimistic(func, &inf, &spins);
-        let index = inf.index();
-        det.opts = opts
-            .iter()
-            .map(|o| OptDetect {
-                spin_index: o.spin_index,
-                header_span: det.spins[o.spin_index].header_span,
-                controls: o
-                    .optimistic_controls
-                    .iter()
-                    .map(|&c| (c, matches!(index.get(c), Some(InstKind::Load { .. }))))
-                    .collect(),
-                control_locs: o.control_locs.clone(),
-            })
-            .collect();
-        det
     }
 
     /// Ports `m` in place and reports what happened: inlining, then the
@@ -283,9 +188,8 @@ impl Pipeline {
         report
     }
 
-    /// Planning, step one: per-function detection (passes 1–2 and
-    /// optimistic loops), merged in `FuncId` order into marks, ledger
-    /// records, counters in `report`, and the seeds of alias expansion.
+    /// Planning, step one: [`Planner::detect`] on every function, in
+    /// `FuncId` order.
     pub(crate) fn seed<'m>(&self, m: &'m Module, report: PortReport) -> Planner<'m> {
         let mut p = Planner {
             indexes: LazyIndexes::new(m),
@@ -306,8 +210,7 @@ impl Pipeline {
             return p;
         }
         for fid in m.func_ids() {
-            let det = self.detect_func(m, fid);
-            p.merge(fid, &det);
+            p.detect(&self.config, fid);
         }
         p
     }
@@ -342,11 +245,12 @@ pub(crate) fn points_to_alias(
     let s0 = clock.now();
     let pt = PointsTo::analyze(m);
     let solve = clock.now() - s0;
-    let mut solver = SolverMetrics::from(pt.stats);
     // Re-measure with the injected clock so metrics stay byte-comparable
     // under a deterministic clock.
-    solver.solve_time = solve;
-    metrics.solver = Some(solver);
+    metrics.solver = Some(PointsToStats {
+        solve_time: solve,
+        ..pt.stats
+    });
     metrics.record("points-to-solve", solve, pt.stats.iterations);
     let a0 = clock.now();
     let am = AliasMap::build_points_to(m, &pt);
@@ -389,10 +293,11 @@ impl Planner<'_> {
         record(&mut self.plan.report.ledger, index, f, i, action, cause);
     }
 
-    /// Marks access `i` of `f` SC and records why.
-    fn upgrade(&mut self, f: FuncId, i: InstId, cause: TraceCause) {
+    /// Marks access `i` of `f` SC and records why; `index` indexes `f`.
+    fn upgrade(&mut self, index: &InstIndex<'_>, f: FuncId, i: InstId, cause: TraceCause) {
         self.plan.marks.mark_sc(f, i);
-        self.record(f, i, TraceAction::UpgradeSc, cause);
+        let ledger = &mut self.plan.report.ledger;
+        record(ledger, index, f, i, TraceAction::UpgradeSc, cause);
     }
 
     /// Marks a sticky buddy SC; whether it was not marked before.
@@ -425,61 +330,94 @@ impl Planner<'_> {
         }
     }
 
-    /// Merges one function's detection results.
-    fn merge(&mut self, fid: FuncId, det: &FuncDetect) {
+    /// Runs the staged detection passes on function `fid` and records each
+    /// mark, its ledger decision, the report counters and the alias seeds
+    /// as it finds them: annotations, then barrier hints, then spinloop
+    /// controls loop by loop, then optimistic controls.
+    pub(crate) fn detect(&mut self, config: &AtomigConfig, fid: FuncId) {
+        let func = self.m.func(fid);
+        // The one instruction index of this function: annotations, hints
+        // and the ledger read it here, the influence analysis keeps it for
+        // the pattern passes.
+        let index = func.inst_index();
+        let ann = scan_annotations(&index, &config.volatile_blacklist);
+        let hints = if config.compiler_barrier_hints {
+            barrier_adjacent_accesses(&index)
+        } else {
+            Vec::new()
+        };
         let r = &mut self.plan.report;
-        r.explicit_annotations += det.ann_marks.len();
-        r.barrier_hints += det.hint_marks.len();
-        r.spinloops += det.spins.len();
-        r.optiloops += det.opts.len();
-
-        // Pass 1: explicit annotations (§3.2).
-        for &(ref mk, volatile) in &det.ann_marks {
-            self.upgrade(fid, mk.inst, TraceCause::Annotation { volatile });
+        r.explicit_annotations += ann.atomics.len() + ann.volatiles.len();
+        r.barrier_hints += hints.len();
+        // Pass 1: explicit annotations (§3.2), then the opt-in §6
+        // extension: compiler barriers as entry points.
+        let atomics = ann.atomics.iter().map(|mk| (mk, false));
+        let volatiles = ann.volatiles.iter().map(|mk| (mk, true));
+        for (mk, volatile) in atomics.chain(volatiles) {
+            self.upgrade(&index, fid, mk.inst, TraceCause::Annotation { volatile });
             self.add_seed(&mk.loc, Some((fid, mk.inst)));
         }
-
-        // §6 extension (opt-in): compiler barriers as entry points.
-        for mk in &det.hint_marks {
-            self.upgrade(fid, mk.inst, TraceCause::BarrierHint);
+        for mk in &hints {
+            self.upgrade(&index, fid, mk.inst, TraceCause::BarrierHint);
             self.add_seed(&mk.loc, Some((fid, mk.inst)));
+        }
+        if config.stage < Stage::Spin {
+            return;
         }
 
         // Pass 2: implicit synchronization patterns (§3.3).
-        for (loop_index, s) in det.spins.iter().enumerate() {
-            let header_span = s.header_span;
+        let inf = InfluenceAnalysis::with_index(index);
+        let index = inf.index();
+        let spins = detect_spinloops(func, &inf);
+        self.plan.report.spinloops += spins.len();
+        let header_span = |s: &SpinLoopInfo| {
+            let header = &func.block(s.natural.header).insts;
+            header
+                .iter()
+                .map(|i| i.span)
+                .find(|&sp| sp != 0)
+                .unwrap_or(0)
+        };
+        for (loop_index, s) in spins.iter().enumerate() {
+            let header_span = header_span(s);
             for &c in &s.controls {
                 let cause = TraceCause::SpinControl {
                     loop_index,
                     header_span,
                 };
-                self.upgrade(fid, c, cause);
+                self.upgrade(index, fid, c, cause);
             }
             let c0 = s.controls.first().map(|&c| (fid, c));
             for l in &s.control_locs {
                 self.add_seed(l, c0);
             }
         }
+        if config.stage < Stage::Full {
+            return;
+        }
 
-        for o in &det.opts {
+        let opts = detect_optimistic(func, &inf, &spins);
+        self.plan.report.optiloops += opts.len();
+        for o in &opts {
             let cause = TraceCause::OptimisticControl {
                 loop_index: o.spin_index,
-                header_span: o.header_span,
+                header_span: header_span(&spins[o.spin_index]),
             };
-            for &(c, is_load) in &o.controls {
+            for &c in &o.optimistic_controls {
                 // Explicit barrier before each optimistic-control load
                 // within the optimistic loop (Figure 6, reader side); the
                 // other controls only seed alias exploration.
-                let action = if is_load {
+                let action = if matches!(index.get(c), Some(InstKind::Load { .. })) {
                     self.plan.marks.mark_fence_before(fid, c);
                     TraceAction::FenceBefore
                 } else {
                     TraceAction::Seed
                 };
-                self.record(fid, c, action, cause.clone());
+                let ledger = &mut self.plan.report.ledger;
+                record(ledger, index, fid, c, action, cause.clone());
                 self.optimistic_accesses.push((fid, c));
             }
-            let c0 = o.controls.first().map(|&(c, _)| (fid, c));
+            let c0 = o.optimistic_controls.first().map(|&c| (fid, c));
             for l in &o.control_locs {
                 self.plan.marks.optimistic_locs.insert(l.clone());
                 if let Some(s) = c0 {
@@ -1104,6 +1042,55 @@ mod extension_tests {
         assert_eq!(r2.barrier_hints, 2);
         // payload store, ready store, plus the buddy load in @consume.
         assert!(r2.implicit_barriers_added >= 3, "{r2}");
+    }
+
+    /// Detection records one function's decisions in a fixed order,
+    /// whatever the source order: atomics, volatiles, barrier hints, then
+    /// spin controls loop by loop, then optimistic controls.
+    #[test]
+    fn detection_records_in_ledger_order() {
+        let src = r#"
+            volatile int vflag; _Atomic int aflag;
+            int h1; int h2; int flag; int seq; int payload;
+            int all() {
+                h1 = 1;
+                asm("" ::: "memory");
+                h2 = 1;
+                vflag = 1;
+                aflag = 2;
+                while (flag == 0) { }
+                int s; int data;
+                do {
+                    s = seq;
+                    data = payload;
+                } while (s % 2 != 0 || s != seq);
+                return data;
+            }
+        "#;
+        let mut m = atomig_frontc::compile(src, "order").unwrap();
+        let mut cfg = AtomigConfig::full();
+        cfg.inline = false;
+        cfg.alias_exploration = false;
+        cfg.compiler_barrier_hints = true;
+        let r = Pipeline::new(cfg).port_module(&mut m);
+        let rank = |c: &TraceCause| match c {
+            TraceCause::Annotation { volatile: false } => (0, 0),
+            TraceCause::Annotation { volatile: true } => (1, 0),
+            TraceCause::BarrierHint => (2, 0),
+            TraceCause::SpinControl { loop_index, .. } => (3, *loop_index),
+            TraceCause::OptimisticControl { .. } => (4, 0),
+            other => panic!("not a detection cause: {other:?}"),
+        };
+        let ranks: Vec<(u8, usize)> = r
+            .ledger
+            .decisions()
+            .iter()
+            .map(|d| rank(&d.cause))
+            .collect();
+        let kinds: HashSet<u8> = ranks.iter().map(|&(k, _)| k).collect();
+        assert_eq!(kinds.len(), 5, "every detection cause occurs: {ranks:?}");
+        assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "{ranks:?}");
+        assert!(ranks.contains(&(3, 1)), "two spinloops: {ranks:?}");
     }
 
     /// The volatile blacklist excludes device-style locations from the

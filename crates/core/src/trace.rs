@@ -30,6 +30,7 @@
 use crate::config::AliasMode;
 use crate::json::{parse, Value};
 use crate::lint::Lint;
+use atomig_analysis::PointsToStats;
 use atomig_mir::{FuncId, InstId, MemLoc};
 use std::collections::HashMap;
 use std::fmt;
@@ -106,39 +107,6 @@ pub struct PhaseStat {
     pub items: usize,
 }
 
-/// Points-to solver statistics, mirrored from
-/// [`atomig_analysis::PointsToStats`] so reports do not expose the solver
-/// internals directly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverMetrics {
-    /// Constraint-graph nodes.
-    pub nodes: usize,
-    /// Distinct abstract memory cells.
-    pub cells: usize,
-    /// Base constraints generated from the MIR.
-    pub constraints: usize,
-    /// Worklist pops until fixpoint.
-    pub iterations: usize,
-    /// Fixpoint passes: the maximum number of times any single node was
-    /// re-popped from the worklist.
-    pub passes: usize,
-    /// Constraint generation + solving time.
-    pub solve_time: Duration,
-}
-
-impl From<atomig_analysis::PointsToStats> for SolverMetrics {
-    fn from(s: atomig_analysis::PointsToStats) -> SolverMetrics {
-        SolverMetrics {
-            nodes: s.nodes,
-            cells: s.cells,
-            constraints: s.constraints,
-            iterations: s.iterations,
-            passes: s.passes,
-            solve_time: s.solve_time,
-        }
-    }
-}
-
 /// Model-checker exploration counters (filled in by `atomig check`; the
 /// core crate does not depend on the checker, so the fields are plain).
 #[derive(Debug, Clone, Default)]
@@ -163,7 +131,7 @@ pub struct PipelineMetrics {
     /// Timed phases, in execution order.
     pub phases: Vec<PhaseStat>,
     /// Points-to solver statistics, when that backend ran.
-    pub solver: Option<SolverMetrics>,
+    pub solver: Option<PointsToStats>,
     /// Checker counters, when a check ran.
     pub checker: Option<CheckerMetrics>,
 }
@@ -535,7 +503,7 @@ pub fn phase_event(p: &PhaseStat) -> Value {
 }
 
 /// A `solver` event.
-pub fn solver_event(s: &SolverMetrics) -> Value {
+pub fn solver_event(s: &PointsToStats) -> Value {
     Value::obj(vec![
         ("event", "solver".into()),
         ("nodes", s.nodes.into()),
@@ -655,15 +623,6 @@ pub struct MetricsTally {
     pub total_phase_nanos: u128,
     /// Names of the phases seen, in order.
     pub phase_names: Vec<String>,
-}
-
-impl MetricsTally {
-    /// The summed nanoseconds of one named phase.
-    pub fn phase_nanos(&self, _name: &str) -> u128 {
-        // Per-phase sums are not tracked; use total_phase_nanos or parse
-        // the stream directly for finer queries.
-        self.total_phase_nanos
-    }
 }
 
 fn expect_num(v: &Value, key: &str, line: usize) -> Result<f64, String> {

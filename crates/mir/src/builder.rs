@@ -50,11 +50,6 @@ impl FunctionBuilder {
         self.cur_line = line;
     }
 
-    /// The block instructions are currently appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Creates a new (empty, unterminated) block and returns its id without
     /// switching to it.
     pub fn new_block(&mut self, name: impl Into<String>) -> BlockId {

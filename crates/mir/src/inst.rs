@@ -544,15 +544,6 @@ impl InstKind {
         }
     }
 
-    /// Whether the instruction produces a result value.
-    pub fn has_result(&self) -> bool {
-        match self {
-            InstKind::Store { .. } | InstKind::Fence { .. } => false,
-            InstKind::Call { ret_ty, .. } => *ret_ty != Type::Void,
-            _ => true,
-        }
-    }
-
     /// All value operands of the instruction, in a fixed order.
     pub fn operands(&self) -> impl Iterator<Item = Value> + '_ {
         let none = [None; 3];
@@ -647,20 +638,6 @@ impl Terminator {
             _ => None,
         }
         .into_iter()
-    }
-
-    /// Rewrites successor block ids through `map` (used by inlining).
-    pub fn remap_blocks(&mut self, map: &dyn Fn(BlockId) -> BlockId) {
-        match self {
-            Terminator::Br(b) => *b = map(*b),
-            Terminator::CondBr {
-                then_bb, else_bb, ..
-            } => {
-                *then_bb = map(*then_bb);
-                *else_bb = map(*else_bb);
-            }
-            _ => {}
-        }
     }
 }
 

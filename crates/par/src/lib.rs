@@ -52,11 +52,6 @@ impl WorkerPool {
         WorkerPool { jobs: jobs.max(1) }
     }
 
-    /// A pool sized to the host.
-    pub fn host() -> WorkerPool {
-        WorkerPool::new(available_parallelism())
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs

@@ -376,11 +376,21 @@ mod tests {
         let m = parse_module(
             r#"
             struct %Node { i64, i64, [4 x i32] }
+            struct %Inner { i32, i32 }
+            struct %Outer { i64, %Inner, [3 x i32] }
             fn @f(%n: ptr %Node, %i: i64) : void {
             bb0:
               %a = gep %Node, %n, 0, 1
               %b = gep %Node, %n, 0, 2, %i
               %c = gep %Node, %n, 1, 0
+              ret
+            }
+            fn @g(%o: ptr %Outer) : void {
+            bb0:
+              %a = gep %Outer, %o, 0, 0
+              %b = gep %Outer, %o, 0, 1, 1
+              %c = gep %Outer, %o, 0, 2, 2
+              %d = gep %Outer, %o, 1, 0
               ret
             }
             "#,
@@ -419,6 +429,21 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // Constant paths through a nested struct and an array; Outer is
+        // 1 + 2 + 3 = 6 slots: .0 = 0, .inner.1 = 2, .arr[2] = 5, [1].0 = 6.
+        let offsets: Vec<i64> = p.funcs[1].blocks[0]
+            .insts
+            .iter()
+            .map(|i| match i {
+                CInst::Gep {
+                    const_off,
+                    dyn_terms,
+                    ..
+                } if dyn_terms.is_empty() => *const_off,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(offsets, [0, 2, 5, 6]);
     }
 
     #[test]

@@ -82,39 +82,6 @@ impl Layout {
     }
 }
 
-/// Computes the flat slot offset for a GEP index path, starting at
-/// `base_ty`. The first index scales whole `base_ty` objects; subsequent
-/// indices navigate struct fields / array elements. Returns the offset and
-/// needs the module for struct field types.
-pub fn gep_offset(m: &Module, layout: &Layout, base_ty: &Type, indices: &[i64]) -> u64 {
-    let mut off: i64 = 0;
-    let mut cur = base_ty.clone();
-    for (i, &idx) in indices.iter().enumerate() {
-        if i == 0 {
-            off += idx * layout.slots(&cur) as i64;
-            continue;
-        }
-        match &cur {
-            Type::Struct(sid) => {
-                let fields = &m.strukt(*sid).fields;
-                let fi = idx.clamp(0, fields.len() as i64 - 1) as usize;
-                let prefix: u64 = fields[..fi].iter().map(|t| layout.slots(t)).sum();
-                off += prefix as i64;
-                cur = fields[fi].clone();
-            }
-            Type::Array(elem, _) => {
-                off += idx * layout.slots(elem) as i64;
-                cur = (**elem).clone();
-            }
-            other => {
-                // Pointer arithmetic on a scalar: scale by its size (1).
-                off += idx * layout.slots(other).max(1) as i64;
-            }
-        }
-    }
-    off as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,31 +124,6 @@ mod tests {
         let l = Layout::new(&m);
         let vals: Vec<(u64, i64)> = l.initial_values(&m).collect();
         assert_eq!(vals, vec![(GLOBAL_BASE + 2, 7)]);
-    }
-
-    #[test]
-    fn gep_offsets_into_structs_and_arrays() {
-        let m = parse_module(
-            r#"
-            struct %Inner { i32, i32 }
-            struct %Node { i64, %Inner, [3 x i32] }
-            fn @f() : void {
-            bb0:
-              ret
-            }
-            "#,
-        )
-        .unwrap();
-        let l = Layout::new(&m);
-        let node = Type::Struct(atomig_mir::StructId(1));
-        // node[0].field0 -> 0
-        assert_eq!(gep_offset(&m, &l, &node, &[0, 0]), 0);
-        // node[0].inner.y -> 1 + 1 = 2
-        assert_eq!(gep_offset(&m, &l, &node, &[0, 1, 1]), 2);
-        // node[0].arr[2] -> 1 + 2 + 2 = 5
-        assert_eq!(gep_offset(&m, &l, &node, &[0, 2, 2]), 5);
-        // node[1].field0 -> sizeof(Node) = 6
-        assert_eq!(gep_offset(&m, &l, &node, &[1, 0]), 6);
     }
 
     #[test]

@@ -39,13 +39,7 @@ use atomig_wmm::{Checker, ModelKind};
 pub fn compile_stage(source: &str, name: &str, stage: Stage) -> (Module, PortReport) {
     let mut module = atomig_frontc::compile(source, name)
         .unwrap_or_else(|e| panic!("workload `{name}` failed to compile: {e}"));
-    let config = match stage {
-        Stage::Original => AtomigConfig::original(),
-        Stage::Explicit => AtomigConfig::explicit_only(),
-        Stage::Spin => AtomigConfig::spin(),
-        Stage::Full => AtomigConfig::full(),
-    };
-    let report = Pipeline::new(config).port_module(&mut module);
+    let report = Pipeline::new(AtomigConfig::for_stage(stage)).port_module(&mut module);
     (module, report)
 }
 

@@ -27,11 +27,7 @@ fn main() {
     println!("\n== what the intermediate stages would do ==");
     for stage in [Stage::Explicit, Stage::Spin] {
         let mut m = original.clone();
-        let cfg = match stage {
-            Stage::Explicit => AtomigConfig::explicit_only(),
-            _ => AtomigConfig::spin(),
-        };
-        Pipeline::new(cfg).port_module(&mut m);
+        Pipeline::new(AtomigConfig::for_stage(stage)).port_module(&mut m);
         let v = Checker::new(ModelKind::Arm).check(&m, "main");
         println!("{stage:?}: {v}  (insufficient — matches Table 2)");
         assert!(v.violation.is_some());
