@@ -351,14 +351,12 @@ impl Planner<'_> {
         r.barrier_hints += hints.len();
         // Pass 1: explicit annotations (§3.2), then the opt-in §6
         // extension: compiler barriers as entry points.
-        let atomics = ann.atomics.iter().map(|mk| (mk, false));
-        let volatiles = ann.volatiles.iter().map(|mk| (mk, true));
-        for (mk, volatile) in atomics.chain(volatiles) {
-            self.upgrade(&index, fid, mk.inst, TraceCause::Annotation { volatile });
-            self.add_seed(&mk.loc, Some((fid, mk.inst)));
-        }
-        for mk in &hints {
-            self.upgrade(&index, fid, mk.inst, TraceCause::BarrierHint);
+        let annotation = |volatile| TraceCause::Annotation { volatile };
+        let atomics = ann.atomics.iter().map(|mk| (mk, annotation(false)));
+        let volatiles = ann.volatiles.iter().map(|mk| (mk, annotation(true)));
+        let hinted = hints.iter().map(|mk| (mk, TraceCause::BarrierHint));
+        for (mk, cause) in atomics.chain(volatiles).chain(hinted) {
+            self.upgrade(&index, fid, mk.inst, cause);
             self.add_seed(&mk.loc, Some((fid, mk.inst)));
         }
         if config.stage < Stage::Spin {
