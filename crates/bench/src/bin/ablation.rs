@@ -308,36 +308,22 @@ fn main() {
         ("lf_hash", &lf_hash_src, true),
         ("seqlock_alias", seqlock_alias, false),
     ];
-    // The ten (program, alias-mode) port+check units are independent:
-    // fan them out over ATOMIG_JOBS workers, merge in unit order.
-    let jobs = atomig_bench::jobs_or_exit();
-    let pool = atomig_par::WorkerPool::new(jobs);
-    let units: Vec<(&str, &str, bool, AliasMode)> = programs
-        .iter()
-        .flat_map(|&(name, src, inline)| {
-            [AliasMode::TypeBased, AliasMode::PointsTo]
-                .into_iter()
-                .map(move |mode| (name, src, inline, mode))
-        })
-        .collect();
-    let checked = pool.map(&units, |_, &(name, src, inline, mode)| {
-        let cfg = AtomigConfig {
-            inline,
-            alias_mode: mode,
-            ..AtomigConfig::full()
-        };
-        let (m, report) = port_with(src, name, cfg);
-        let verdict = Checker::new(ModelKind::Arm).check(&m, "main");
-        (report, verdict)
-    });
-
     let mut rows = Vec::new();
     let mut equivalent = true;
     let mut seqlock_impl = [0usize; 2];
-    for (chunk_units, chunk) in units.chunks(2).zip(checked.chunks(2)) {
-        let name = chunk_units[0].0;
+    for (name, src, inline) in programs {
         let mut verdicts = Vec::new();
-        for (mi, ((.., mode), (report, verdict))) in chunk_units.iter().zip(chunk).enumerate() {
+        for (mi, mode) in [AliasMode::TypeBased, AliasMode::PointsTo]
+            .into_iter()
+            .enumerate()
+        {
+            let cfg = AtomigConfig {
+                inline,
+                alias_mode: mode,
+                ..AtomigConfig::full()
+            };
+            let (m, report) = port_with(src, name, cfg);
+            let verdict = Checker::new(ModelKind::Arm).check(&m, "main");
             if name == "seqlock_alias" {
                 seqlock_impl[mi] = report.implicit_barriers_added;
             }
@@ -381,10 +367,8 @@ fn main() {
     println!();
 
     // ---- Wall time: what the points-to fixpoint costs at Table-3 scale.
-    // Profiles run concurrently; records merge in profile order.
     let mut rec = BenchRecorder::new("ablation");
     rec.put("profile", Value::from(profile.as_str()));
-    rec.put("jobs", Value::from(jobs));
     rec.put(
         "seqlock_implicit",
         Value::obj(vec![
@@ -393,13 +377,13 @@ fn main() {
         ]),
     );
     rec.put("verdicts_equivalent", Value::from(equivalent));
-    let walls = pool.map(&wall_profiles, |_, p| {
+    let mut rows = Vec::new();
+    for p in &wall_profiles {
         let app = synth::generate_for(p, 100);
         let m0 = atomig_frontc::compile(&app.source, p.name).expect("synthetic app compiles");
         let t = Instant::now();
         let pt = PointsTo::analyze(&m0);
         let pt_time = t.elapsed();
-        let mut ports = Vec::new();
         for mode in [AliasMode::TypeBased, AliasMode::PointsTo] {
             let cfg = AtomigConfig {
                 alias_mode: mode,
@@ -408,13 +392,7 @@ fn main() {
             let mut m = m0.clone();
             let t = Instant::now();
             let report = Pipeline::new(cfg).port_module(&mut m);
-            ports.push((mode, t.elapsed(), report));
-        }
-        (app, pt, pt_time, ports)
-    });
-    let mut rows = Vec::new();
-    for (p, (app, pt, pt_time, ports)) in wall_profiles.iter().zip(walls) {
-        for (mode, port_time, report) in ports {
+            let port_time = t.elapsed();
             rec.put(
                 &format!("{}_{}_port_nanos", p.name, mode.name()),
                 Value::from(port_time.as_nanos()),

@@ -42,30 +42,14 @@ fn main() {
     ];
 
     let mut rec = BenchRecorder::new("table2");
-    // Every (benchmark, stage) compile+check is independent: fan the 20
-    // units out over ATOMIG_JOBS workers and merge in unit order, so the
-    // table and record are identical to the sequential run.
-    let jobs = atomig_bench::jobs_or_exit();
-    let pool = atomig_par::WorkerPool::new(jobs);
-    let units: Vec<(&str, &str, atomig_core::Stage)> = benchmarks
-        .iter()
-        .flat_map(|(name, src, _)| {
-            STAGES
-                .iter()
-                .map(move |&stage| (*name, src.as_str(), stage))
-        })
-        .collect();
-    let verdicts = pool.map(&units, |_, &(name, src, stage)| {
-        let (module, _) = compile_stage(src, name, stage);
-        check_arm(&module)
-    });
-
     let mut rows = Vec::new();
     let mut records = Vec::new();
     let mut mismatches = Vec::new();
-    for ((name, _, paper), chunk) in benchmarks.iter().zip(verdicts.chunks(STAGES.len())) {
+    for (name, src, paper) in &benchmarks {
         let mut row = vec![name.to_string()];
-        for ((stage, verdict), want) in STAGES.iter().zip(chunk).zip(paper) {
+        for (&stage, want) in STAGES.iter().zip(paper) {
+            let (module, _) = compile_stage(src, name, stage);
+            let verdict = check_arm(&module);
             assert!(!verdict.truncated, "{name} at {stage:?}: {verdict}");
             let got = glyph(verdict.violation.is_none());
             if got != *want {
@@ -99,7 +83,6 @@ fn main() {
             &rows,
         )
     );
-    rec.put("jobs", jobs.into());
     rec.put("checks", Value::Arr(records));
     let path = rec.write().expect("write bench record");
     println!("wrote {path}");

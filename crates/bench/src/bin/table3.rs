@@ -17,14 +17,8 @@ const SCALE: u32 = 100;
 
 fn main() {
     let mut rec = BenchRecorder::new("table3");
-    // Each application profile builds and ports independently: fan them
-    // out over ATOMIG_JOBS workers, then record and render in profile
-    // order so the table and the JSON record stay deterministic.
-    let jobs = atomig_bench::jobs_or_exit();
-    let pool = atomig_par::WorkerPool::new(jobs);
-    rec.put("jobs", Value::from(jobs));
-    let all = profiles::all();
-    let built = pool.map(&all, |_, profile| {
+    let mut rows = Vec::new();
+    for profile in &profiles::all() {
         let app = synth::generate_for(profile, SCALE);
 
         // Original build: frontend only.
@@ -48,11 +42,7 @@ fn main() {
         let mut naive = module.clone();
         naive_port(&mut naive);
         let naive_census = atomig_core::BarrierCensus::of(&naive);
-        (app, build_time, atomig_time, report, naive_census)
-    });
 
-    let mut rows = Vec::new();
-    for (profile, (app, build_time, atomig_time, report, naive_census)) in all.iter().zip(built) {
         rec.put(
             &format!("{}_build_nanos", profile.name),
             Value::from(build_time.as_nanos()),

@@ -13,26 +13,10 @@ fn main() {
     let mut rec = BenchRecorder::new("table4");
     let src = apps::memcached_like(400);
 
-    // The original and the ported build+run are independent: do both
-    // concurrently on the worker pool.
-    let jobs = atomig_bench::jobs_or_exit();
-    let pool = atomig_par::WorkerPool::new(jobs);
-    let mut results = pool
-        .map(&[false, true], |_, &port| {
-            if port {
-                let (ported, report) = compile_atomig(&src, "memcached");
-                (atomig_wmm::run_default(&ported), Some(report))
-            } else {
-                let original = compile_baseline(&src, "memcached");
-                (atomig_wmm::run_default(&original), None)
-            }
-        })
-        .into_iter();
-    let (ro, _) = results.next().expect("original run");
-    let (rp, port_report) = results.next().expect("ported run");
-    let port_report = port_report.expect("ported unit carries the report");
+    let ro = atomig_wmm::run_default(&compile_baseline(&src, "memcached"));
+    let (ported, port_report) = compile_atomig(&src, "memcached");
+    let rp = atomig_wmm::run_default(&ported);
     assert!(ro.ok() && rp.ok(), "{:?} / {:?}", ro.failure, rp.failure);
-    rec.put("jobs", Value::from(jobs));
 
     let row = |name: &str, orig: u64, atomig: u64| {
         vec![name.to_string(), orig.to_string(), atomig.to_string()]

@@ -7,10 +7,6 @@
 //! AtoMig's implicit-barrier output lands **below 1.0** there; CLHT has
 //! no WMM-correct version, so its baseline is the (incorrect) plain
 //! recompile.
-//!
-//! Every row is an independent compile+run-cost triple, so the rows are
-//! computed on `ATOMIG_JOBS` workers and merged in row order — the table
-//! is identical to the sequential run.
 
 use atomig_bench::{factor, render_table, BenchRecorder};
 use atomig_core::json::Value;
@@ -165,9 +161,7 @@ fn main() {
         RowSpec::plain("clht_lf", "clht_lf", clht::clht_lf_perf(2, 150), 2.01, 1.40),
     ];
 
-    let jobs = atomig_bench::jobs_or_exit();
-    let pool = atomig_par::WorkerPool::new(jobs);
-    let rows: Vec<Vec<String>> = pool.map(&specs, |_, spec| row_of(spec));
+    let rows: Vec<Vec<String>> = specs.iter().map(row_of).collect();
 
     print!(
         "{}",
@@ -192,7 +186,6 @@ fn main() {
             ])
         })
         .collect();
-    rec.put("jobs", jobs.into());
     rec.put("slowdowns", Value::Arr(records));
     let path = rec.write().expect("write bench record");
     println!("wrote {path}");

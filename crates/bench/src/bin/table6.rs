@@ -16,26 +16,19 @@ fn main() {
         ("string_match", 1.70, 1.35, 1.01),
     ];
 
-    // The five kernels are independent: compute each row's cost triple on
-    // the worker pool and fold the geometric mean in kernel order.
-    let jobs = atomig_bench::jobs_or_exit();
-    let pool = atomig_par::WorkerPool::new(jobs);
-    let factors = pool.map(&paper, |_, &(name, ..)| {
+    let mut rows = Vec::new();
+    let (mut gn, mut gl, mut ga) = (1.0f64, 1.0f64, 1.0f64);
+    for (name, p_naive, p_lasagne, p_atomig) in paper {
         let src = phoenix::kernel(name, 2);
         let (_, base) = run_cost(&compile_baseline(&src, name), name);
         let (_, naive) = run_cost(&compile_naive(&src, name).0, name);
         let (_, lasagne) = run_cost(&compile_lasagne(&src, name).0, name);
         let (_, atomig) = run_cost(&compile_atomig(&src, name).0, name);
-        (
+        let (n, l, a) = (
             naive as f64 / base as f64,
             lasagne as f64 / base as f64,
             atomig as f64 / base as f64,
-        )
-    });
-
-    let mut rows = Vec::new();
-    let (mut gn, mut gl, mut ga) = (1.0f64, 1.0f64, 1.0f64);
-    for ((name, p_naive, p_lasagne, p_atomig), (n, l, a)) in paper.into_iter().zip(factors) {
+        );
         gn *= n;
         gl *= l;
         ga *= a;
@@ -76,7 +69,6 @@ fn main() {
             ])
         })
         .collect();
-    rec.put("jobs", jobs.into());
     rec.put("slowdowns", Value::Arr(records));
     let path = rec.write().expect("write bench record");
     println!("wrote {path}");

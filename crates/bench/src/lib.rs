@@ -21,15 +21,6 @@ use atomig_core::{BarrierCensus, PipelineMetrics};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// The worker count `ATOMIG_JOBS` asks for (unset, empty or `0`: the host's
-/// parallelism). Prints the error and exits with status 2 on a bad value.
-pub fn jobs_or_exit() -> usize {
-    atomig_par::jobs_from_env("ATOMIG_JOBS").unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
 /// Renders an ASCII table: a header row plus data rows.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();

@@ -47,8 +47,7 @@ pub enum Command {
         /// Write the JSONL metrics stream to this path.
         emit_metrics: Option<String>,
     },
-    /// `atomig check <file> [--model m] [--ported] [--emit-metrics out]
-    /// [--jobs n]`
+    /// `atomig check <file> [--model m] [--ported] [--emit-metrics out]`
     Check {
         /// Input path.
         file: String,
@@ -58,9 +57,6 @@ pub enum Command {
         ported: bool,
         /// Write the JSONL metrics stream to this path.
         emit_metrics: Option<String>,
-        /// Worker threads; `None` means host parallelism. The verdict is
-        /// identical for any value.
-        jobs: Option<usize>,
     },
     /// `atomig run <file> [--ported]`
     Run {
@@ -83,7 +79,7 @@ pub enum Command {
         /// Write the JSONL metrics stream to this path.
         emit_metrics: Option<String>,
     },
-    /// `atomig batch <manifest|dir> [--stage s] [--alias a] [--jobs n]
+    /// `atomig batch <manifest|dir> [--stage s] [--alias a]
     /// [--emit-metrics out]`
     Batch {
         /// A directory scanned recursively for `.c` files, a single `.c`
@@ -93,9 +89,6 @@ pub enum Command {
         stage: Stage,
         /// Alias backend applied to every module.
         alias: AliasMode,
-        /// Worker threads fanning out across modules; `None` resolves
-        /// `ATOMIG_JOBS`, then host parallelism.
-        jobs: Option<usize>,
         /// Write the combined JSONL metrics stream to this path.
         emit_metrics: Option<String>,
     },
@@ -127,14 +120,14 @@ USAGE:
                           [--naive | --lasagne] [--trace]
                           [--emit-metrics <out.jsonl>]
     atomig check <file.c> [--model sc|tso|wmm|arm] [--ported]
-                          [--emit-metrics <out.jsonl>] [--jobs <N>]
+                          [--emit-metrics <out.jsonl>]
     atomig run   <file.c> [--ported]
     atomig lint  <file.c> [--ported] [--alias type-based|points-to]
                           [--deny race-candidate|fence-placement]
                           [--emit-metrics <out.jsonl>]
     atomig batch <dir|manifest|file.c>
                           [--stage original|expl|spin|full]
-                          [--alias type-based|points-to] [--jobs <N>]
+                          [--alias type-based|points-to]
                           [--emit-metrics <out.jsonl>]
     atomig explain <file.c[:LINE]> [--alias type-based|points-to]
     atomig metrics <run.jsonl>
@@ -158,14 +151,10 @@ every rewrite is traced back through sticky-buddy alias classes to the
 annotation or loop pattern that seeded it, with pre-port race-candidate
 context. `metrics` validates a JSONL stream and prints its tally.
 
-Parallelism: `--jobs N` sets the worker-thread count of `check`'s
-exploration rounds and of the modules `batch` ports at once (default:
-host parallelism; `batch` also reads ATOMIG_JOBS). `port`, `lint` and
-`explain` analyze on one thread. Reports, metrics, ledgers, and verdicts
-are byte-identical for every N — workers only compute, and results are
-merged in a fixed order. Set ATOMIG_DETERMINISTIC=1 to replace the
-phase-timing clock with a fixed-step counter so the output is also
-byte-identical across *runs* (for diffing in CI).
+Determinism: every subcommand runs on one thread. Set
+ATOMIG_DETERMINISTIC=1 to replace the phase-timing clock with a
+fixed-step counter so the output is byte-identical across runs (for
+diffing in CI).
 
 Batches: `batch` ports every `.c` file under a directory (or listed in
 a manifest, one path per line, `#` comments) and prints one combined
@@ -214,13 +203,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "check" => {
-            let f = Flags::parse(rest, "--ported --model --emit-metrics --jobs")?;
+            let f = Flags::parse(rest, "--ported --model --emit-metrics")?;
             Ok(Command::Check {
                 ported: f.ported,
                 file: f.input.ok_or("check: missing input file")?,
                 model: f.model,
                 emit_metrics: f.emit_metrics,
-                jobs: f.jobs,
             })
         }
         "run" => {
@@ -241,14 +229,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "batch" => {
-            let f = Flags::parse(rest, "--stage --alias --jobs --emit-metrics")?;
+            let f = Flags::parse(rest, "--stage --alias --emit-metrics")?;
             Ok(Command::Batch {
                 path: f
                     .input
                     .ok_or("batch: missing input directory, manifest, or file")?,
                 stage: f.stage,
                 alias: f.alias,
-                jobs: f.jobs,
                 emit_metrics: f.emit_metrics,
             })
         }
@@ -306,7 +293,6 @@ struct Flags {
     seen: Vec<&'static str>,
     stage: Stage,
     alias: AliasMode,
-    jobs: Option<usize>,
     emit_metrics: Option<String>,
     ported: bool,
     model: ModelKind,
@@ -323,7 +309,6 @@ impl Flags {
             seen: Vec::new(),
             stage: Stage::Full,
             alias: AliasMode::TypeBased,
-            jobs: None,
             emit_metrics: None,
             ported: false,
             model: ModelKind::Arm,
@@ -343,7 +328,6 @@ impl Flags {
             match flag {
                 "--stage" => f.stage = parse_stage(value("a value")?)?,
                 "--alias" => f.alias = parse_alias(value("a value")?)?,
-                "--jobs" => f.jobs = Some(parse_jobs(value("a value")?)?),
                 "--model" => f.model = parse_model(value("a value")?)?,
                 "--emit-metrics" => f.emit_metrics = Some(value("a path")?.clone()),
                 "--ported" => f.ported = true,
@@ -389,14 +373,6 @@ fn parse_stage(s: &str) -> Result<Stage, String> {
 fn parse_alias(s: &str) -> Result<AliasMode, String> {
     AliasMode::from_name(s)
         .ok_or_else(|| format!("unknown alias mode `{s}` (accepted: type-based, points-to)"))
-}
-
-fn parse_jobs(s: &str) -> Result<usize, String> {
-    match s.parse::<usize>() {
-        Ok(0) => Err("--jobs must be at least 1".into()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("--jobs: `{s}` is not a thread count")),
-    }
 }
 
 fn parse_model(s: &str) -> Result<ModelKind, String> {
@@ -574,9 +550,7 @@ pub fn discover_batch_inputs(path: &str) -> Result<Vec<BatchInput>, String> {
 /// Executes `atomig batch` over already-loaded inputs, returning the
 /// combined report (discovery is separate for testability).
 ///
-/// Modules fan out across the worker pool; each worker runs the pipeline
-/// with its own deterministic clock, so per-module output is independent
-/// of scheduling and the sequential merge below is order-fixed.
+/// Modules are ported in input order, each with a fresh pipeline.
 ///
 /// # Errors
 ///
@@ -587,7 +561,6 @@ pub fn execute_batch(cmd: &Command, inputs: &[BatchInput]) -> Result<String, Str
         path,
         stage,
         alias,
-        jobs,
         emit_metrics,
     } = cmd
     else {
@@ -596,20 +569,17 @@ pub fn execute_batch(cmd: &Command, inputs: &[BatchInput]) -> Result<String, Str
     if inputs.is_empty() {
         return Err(format!("batch: no .c files found under `{path}`"));
     }
-    let jobs = jobs.map_or_else(|| atomig_par::jobs_from_env("ATOMIG_JOBS"), Ok)?;
-    let pool = atomig_par::WorkerPool::new(jobs);
-    let results = pool.map(inputs, |_, inp| {
-        let cfg = pipeline_config(*stage, *alias);
+    let port = |inp: &BatchInput| {
         let mut m = atomig_frontc::compile(&inp.source, &inp.name)?;
-        let report = Pipeline::new(cfg).port_module(&mut m);
+        let report = Pipeline::new(pipeline_config(*stage, *alias)).port_module(&mut m);
         atomig_mir::verify_module(&m).map_err(|e| e.to_string())?;
         Ok::<_, String>(report)
-    });
+    };
 
     let mut failures = Vec::new();
     let mut reports = Vec::new();
-    for (inp, res) in inputs.iter().zip(results) {
-        match res {
+    for inp in inputs {
+        match port(inp) {
             Ok(r) => reports.push((inp.name.as_str(), r)),
             Err(e) => failures.push(format!("  {}: {e}", inp.name)),
         }
@@ -761,7 +731,6 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             model,
             ported,
             emit_metrics,
-            jobs,
             ..
         } => {
             let mut module = atomig_frontc::compile(source, name)?;
@@ -772,10 +741,7 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             if module.func_by_name("main").is_none() {
                 return Err("check: the program has no `main`".into());
             }
-            let mut checker = Checker::new(*model);
-            if let Some(j) = jobs {
-                checker.config.jobs = *j;
-            }
+            let checker = Checker::new(*model);
             let t0 = clock.now();
             let verdict = checker.check(&module, "main");
             let explore = clock.now() - t0;
@@ -1027,7 +993,6 @@ mod tests {
                 model: ModelKind::Tso,
                 ported: true,
                 emit_metrics: None,
-                jobs: None,
             }
         );
         assert!(parse_args(&args("port")).is_err());
@@ -1235,22 +1200,17 @@ mod tests {
     }
 
     #[test]
-    fn jobs_flag_parses_and_rejects_bad_counts() {
-        match parse_args(&args("check a.c --jobs 2")).unwrap() {
-            Command::Check { jobs, .. } => assert_eq!(jobs, Some(2)),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&args("batch d --jobs 4")).unwrap() {
-            Command::Batch { jobs, .. } => assert_eq!(jobs, Some(4)),
-            other => panic!("{other:?}"),
-        }
-        let err = parse_args(&args("check a.c --jobs 0")).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = parse_args(&args("batch d --jobs many")).unwrap_err();
-        assert!(err.contains("many"), "{err}");
-        assert!(parse_args(&args("check a.c --jobs")).is_err());
-        // Only `check` and `batch` run on a worker pool.
-        for cmd in ["port a.c", "lint a.c", "run a.c", "explain a.c"] {
+    fn every_subcommand_rejects_jobs() {
+        // Everything runs on one thread: there is no worker count to set.
+        for cmd in [
+            "port a.c",
+            "check a.c",
+            "run a.c",
+            "lint a.c",
+            "batch d",
+            "explain a.c",
+            "metrics m.jsonl",
+        ] {
             let err = parse_args(&args(&format!("{cmd} --jobs 2"))).unwrap_err();
             assert_eq!(err, "unknown argument `--jobs`", "{cmd}");
         }
@@ -1407,12 +1367,11 @@ mod tests {
     #[test]
     fn parses_batch_command() {
         assert_eq!(
-            parse_args(&args("batch examples --jobs 2 --alias points-to")).unwrap(),
+            parse_args(&args("batch examples --alias points-to")).unwrap(),
             Command::Batch {
                 path: "examples".into(),
                 stage: Stage::Full,
                 alias: AliasMode::PointsTo,
-                jobs: Some(2),
                 emit_metrics: None,
             }
         );
@@ -1422,7 +1381,6 @@ mod tests {
                 path: "list.txt".into(),
                 stage: Stage::Spin,
                 alias: AliasMode::TypeBased,
-                jobs: None,
                 emit_metrics: Some("b.jsonl".into()),
             }
         );
@@ -1507,7 +1465,6 @@ mod tests {
             path: "n".into(),
             stage: Stage::Full,
             alias: AliasMode::TypeBased,
-            jobs: Some(1),
             emit_metrics: None,
         };
         let out = execute_batch(&cmd, &inputs).unwrap();
@@ -1522,7 +1479,6 @@ mod tests {
             path: "mem".into(),
             stage: Stage::Full,
             alias: AliasMode::TypeBased,
-            jobs: Some(2),
             emit_metrics: Some(p.clone()),
         };
         let inputs = vec![
@@ -1559,7 +1515,6 @@ mod tests {
             path: "empty".into(),
             stage: Stage::Full,
             alias: AliasMode::TypeBased,
-            jobs: Some(1),
             emit_metrics: None,
         };
         let err = execute_batch(&cmd, &[]).unwrap_err();

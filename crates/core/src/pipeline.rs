@@ -134,9 +134,16 @@ impl Pipeline {
             return report;
         }
 
+        // The after-census is this census plus the transform's counts.
+        let mut base = report.before;
         let i0 = clock.now();
         if self.config.inline {
             report.inlined_calls = inline_module(m, &self.config.inline_options);
+            // Inlining copies callee bodies and adds return-slot accesses,
+            // so its census is taken again when it inlined anything.
+            if report.inlined_calls > 0 {
+                base = BarrierCensus::of(m);
+            }
             report
                 .metrics
                 .record("inline", clock.now() - i0, report.inlined_calls);
@@ -176,11 +183,15 @@ impl Pipeline {
         report.metrics.record(
             "transform",
             clock.now() - x0,
-            stats.sc_upgraded + stats.fences_inserted,
+            stats.sc_upgraded() + stats.fences_inserted,
         );
-        report.implicit_barriers_added = stats.sc_upgraded;
+        report.implicit_barriers_added = stats.sc_upgraded();
         report.explicit_barriers_added = stats.fences_inserted;
-        report.after = BarrierCensus::of(m);
+        report.after = BarrierCensus {
+            explicit: base.explicit + stats.fences_inserted,
+            implicit: base.implicit + stats.plain_to_sc,
+            plain: base.plain - stats.plain_to_sc,
+        };
         report.porting_time = clock.now() - t0;
         report
             .metrics
@@ -204,6 +215,7 @@ impl Pipeline {
             seed_seen: HashSet::new(),
             seed_of_loc: HashMap::new(),
             seed_of_optimistic: HashMap::new(),
+            optimistic_locs: HashSet::new(),
             optimistic_accesses: Vec::new(),
         };
         if self.config.stage == Stage::Original {
@@ -283,6 +295,9 @@ pub(crate) struct Planner<'m> {
     /// and writer-fence provenance.
     seed_of_loc: HashMap<MemLoc, (FuncId, InstId)>,
     seed_of_optimistic: HashMap<MemLoc, (FuncId, InstId)>,
+    /// Alias keys promoted to *optimistic* locations: type-based
+    /// expansion fences every store to one of them.
+    optimistic_locs: HashSet<MemLoc>,
     optimistic_accesses: Vec<(FuncId, InstId)>,
 }
 
@@ -417,7 +432,7 @@ impl Planner<'_> {
             }
             let c0 = o.optimistic_controls.first().map(|&c| (fid, c));
             for l in &o.control_locs {
-                self.plan.marks.optimistic_locs.insert(l.clone());
+                self.optimistic_locs.insert(l.clone());
                 if let Some(s) = c0 {
                     self.seed_of_optimistic.entry(l.clone()).or_insert(s);
                 }
@@ -439,7 +454,6 @@ impl Planner<'_> {
     pub(crate) fn expand_type_based(&mut self, am: Option<&AliasMap>) {
         if let Some(am) = am {
             let seed_locs = std::mem::take(&mut self.seed_locs);
-            self.plan.report.seed_locations = seed_locs.len();
             for loc in &seed_locs {
                 for &(f, i) in am.buddies(loc) {
                     if !self.mark_buddy(f, i) {
@@ -458,7 +472,7 @@ impl Planner<'_> {
                 }
             }
         }
-        if self.plan.marks.optimistic_locs.is_empty() {
+        if self.optimistic_locs.is_empty() {
             return;
         }
         let m = self.m;
@@ -472,7 +486,7 @@ impl Planner<'_> {
                     continue;
                 }
                 let loc = loc_of(&index, &inst.kind);
-                if self.plan.marks.optimistic_locs.contains(&loc) {
+                if self.optimistic_locs.contains(&loc) {
                     self.fence_writer(fid, inst.id);
                     let seed = self.seed_of_optimistic.get(&loc).copied();
                     let cause = TraceCause::OptimisticStore { seed };
@@ -498,7 +512,6 @@ impl Planner<'_> {
                 .collect();
             seeds.sort_unstable_by_key(|&(f, i)| (f.0, i.0));
             seeds.extend(optimistic.iter().copied());
-            self.plan.report.seed_locations = seeds.len();
             for (f, i) in seeds {
                 for &(bf, bi) in am.buddies_of_access(f, i) {
                     if self.mark_buddy(bf, bi) {

@@ -58,8 +58,6 @@ pub struct PortReport {
     pub barrier_hints: usize,
     /// Call sites inlined before analysis (§3.5).
     pub inlined_calls: usize,
-    /// Distinct alias keys seeded for sticky-buddy expansion.
-    pub seed_locations: usize,
     /// Accesses marked through sticky-buddy expansion (beyond the seeds).
     pub buddy_marks: usize,
     /// Accesses actually upgraded to SC (implicit barriers added).

@@ -6,7 +6,7 @@
 //! inside an optimistic loop, and after every store to an optimistic
 //! location anywhere in the module (Figure 6's orange marks).
 
-use atomig_mir::{FuncId, Inst, InstId, InstKind, MemLoc, Module, Ordering};
+use atomig_mir::{FuncId, Inst, InstId, InstKind, Module, Ordering};
 use std::collections::{HashMap, HashSet};
 
 /// The accumulated marks of all detection passes, to be applied at once.
@@ -14,8 +14,6 @@ use std::collections::{HashMap, HashSet};
 pub struct MarkSet {
     /// Per function: accesses to upgrade to `SeqCst`.
     pub sc_marks: HashMap<FuncId, HashSet<InstId>>,
-    /// Alias keys promoted to *optimistic* locations.
-    pub optimistic_locs: HashSet<MemLoc>,
     /// Per function: loads that get an explicit fence inserted before them.
     pub fence_before: HashMap<FuncId, HashSet<InstId>>,
     /// Per function: stores that get an explicit fence inserted after them.
@@ -47,12 +45,23 @@ impl MarkSet {
 /// What the transformation changed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransformStats {
-    /// Accesses whose ordering was actually raised to `SeqCst`.
-    pub sc_upgraded: usize,
+    /// Plain accesses made `SeqCst`: each moves from the plain to the
+    /// implicit-barrier column of the [`crate::BarrierCensus`].
+    pub plain_to_sc: usize,
+    /// Weaker atomic accesses raised to `SeqCst`: each already counted
+    /// as an implicit barrier.
+    pub atomic_to_sc: usize,
     /// Accesses already `SeqCst` that were marked (idempotence).
     pub already_sc: usize,
     /// Explicit fences inserted.
     pub fences_inserted: usize,
+}
+
+impl TransformStats {
+    /// Accesses whose ordering was actually raised to `SeqCst`.
+    pub fn sc_upgraded(&self) -> usize {
+        self.plain_to_sc + self.atomic_to_sc
+    }
 }
 
 /// Applies `marks` to the module.
@@ -98,13 +107,12 @@ pub fn apply(m: &mut Module, marks: &MarkSet) -> TransformStats {
                     stats.fences_inserted += 1;
                 }
                 if sc.contains(&inst.id) {
-                    let prev = inst.kind.ordering();
-                    inst.kind.upgrade_ordering(Ordering::SeqCst);
-                    if prev == Some(Ordering::SeqCst) {
-                        stats.already_sc += 1;
-                    } else {
-                        stats.sc_upgraded += 1;
+                    match inst.kind.ordering() {
+                        Some(Ordering::SeqCst) => stats.already_sc += 1,
+                        Some(o) if o.is_atomic() => stats.atomic_to_sc += 1,
+                        _ => stats.plain_to_sc += 1,
                     }
+                    inst.kind.upgrade_ordering(Ordering::SeqCst);
                 }
                 let followed_by_fence = old.get(pos + 1).map(is_sc_fence).unwrap_or(false);
                 let fence_here = after.contains(&inst.id) && !followed_by_fence;
@@ -142,21 +150,23 @@ mod tests {
             fn @w() : void {
             bb0:
               store i32 1, @flag
+              store i32 2, @flag release
               ret
             }
             "#,
         )
         .unwrap();
-        let sid = m.funcs[0].blocks[0].insts[0].id;
         let mut marks = MarkSet::default();
-        marks.mark_sc(FuncId(0), sid);
+        for inst in &m.funcs[0].blocks[0].insts {
+            marks.mark_sc(FuncId(0), inst.id);
+        }
         let stats = apply(&mut m, &marks);
-        assert_eq!(stats.sc_upgraded, 1);
+        assert_eq!((stats.plain_to_sc, stats.atomic_to_sc), (1, 1));
+        assert_eq!(stats.sc_upgraded(), 2);
         assert_eq!(stats.fences_inserted, 0);
-        assert_eq!(
-            m.funcs[0].blocks[0].insts[0].kind.ordering(),
-            Some(Ordering::SeqCst)
-        );
+        for inst in &m.funcs[0].blocks[0].insts {
+            assert_eq!(inst.kind.ordering(), Some(Ordering::SeqCst));
+        }
         verify_module(&m).unwrap();
     }
 
@@ -207,7 +217,7 @@ mod tests {
         let mut marks = MarkSet::default();
         marks.mark_sc(FuncId(0), sid);
         let stats = apply(&mut m, &marks);
-        assert_eq!(stats.sc_upgraded, 0);
+        assert_eq!(stats.sc_upgraded(), 0);
         assert_eq!(stats.already_sc, 1);
     }
 

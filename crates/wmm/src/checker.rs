@@ -72,10 +72,9 @@ pub struct CheckerConfig {
     pub max_states: usize,
     /// Abort a single path after this many visible steps.
     pub max_depth: u64,
-    /// Worker threads sharding the frontier expansion. The verdict —
-    /// violation, state/execution/revisit counts, peak tracked — is
-    /// identical for any value: workers only *expand* states, and the
-    /// results are merged into the visited set in frontier order.
+    /// Inert: read by nothing, since exploration runs on one thread. It
+    /// stays only because the benchmark harness still sets it; the
+    /// benchmark change that drops `AtomigConfig::jobs` deletes it too.
     pub jobs: usize,
 }
 
@@ -85,7 +84,7 @@ impl Default for CheckerConfig {
             model: ModelKind::Wmm,
             max_states: 2_000_000,
             max_depth: 20_000,
-            jobs: atomig_par::available_parallelism(),
+            jobs: 1,
         }
     }
 }
@@ -252,14 +251,12 @@ impl Checker {
         }
     }
 
-    /// Round-based frontier exploration. Each round, the frontier is
-    /// expanded by the worker pool, which reads the visited set but never
-    /// writes it, and the per-state [`Expanded`] results are merged into
-    /// the visited set *in frontier order*, so the verdict is
-    /// byte-identical for any `jobs` value. Terminal events (failure,
-    /// deadlock) end the exploration at the lowest frontier index that
-    /// produced one.
-    fn explore<'m, M: MemModel + Send + Sync>(&self, mut initial: Machine<'m, M>) -> Verdict {
+    /// Breadth-first exploration, one round per depth. Each frontier
+    /// state is expanded in frontier order, and its successors are merged
+    /// into the visited set before the next state is expanded. A failure
+    /// or deadlock ends the exploration at the first state that produced
+    /// one, before that state's successors are counted.
+    fn explore<'m, M: MemModel>(&self, mut initial: Machine<'m, M>) -> Verdict {
         let mut visited = Visited::with_capacity_and_hasher(1 << 16, Default::default());
         let mut verdict = Verdict {
             violation: None,
@@ -275,52 +272,36 @@ impl Checker {
             return verdict;
         }
         verdict.states += 1;
-        let pool = atomig_par::WorkerPool::new(self.config.jobs);
         // The frontier holds fresh (deduplicated, counted) states only.
         let mut frontier: Vec<Machine<'m, M>> = vec![initial];
 
         while !frontier.is_empty() {
             verdict.peak_tracked = verdict.peak_tracked.max(frontier.len());
-            // Spawning workers only pays off once the round is wide;
-            // narrow rounds expand inline. The merge below is identical
-            // either way, so this is purely a latency knob.
-            let round_pool = if frontier.len() >= 2 * pool.jobs() {
-                pool
-            } else {
-                atomig_par::WorkerPool::new(1)
-            };
-            let expansions = round_pool.map(&frontier, |_, machine| self.expand(machine, &visited));
             let mut next_frontier: Vec<Machine<'m, M>> = Vec::new();
-            for exp in expansions {
-                match exp {
-                    Expanded::Done => verdict.executions += 1,
-                    Expanded::Truncated => verdict.truncate(Limit::MaxDepth),
-                    Expanded::Deadlock => {
-                        verdict.violation = Some(Failure::Deadlock);
-                        return verdict;
-                    }
-                    Expanded::Failed(failure) => {
+            for machine in std::mem::take(&mut frontier) {
+                if machine.all_done() {
+                    verdict.executions += 1;
+                    continue;
+                }
+                if machine.steps >= self.config.max_depth {
+                    verdict.truncate(Limit::MaxDepth);
+                    continue;
+                }
+                let successors = match self.successors(&machine) {
+                    Ok(successors) => successors,
+                    Err(failure) => {
                         verdict.violation = failure;
                         return verdict;
                     }
-                    Expanded::Successors(succ) => {
-                        for (fingerprint, machine) in succ {
-                            if verdict.states >= self.config.max_states {
-                                verdict.truncate(Limit::MaxStates);
-                                continue;
-                            }
-                            // A fingerprint the worker found visited
-                            // comes without its machine, and the
-                            // insert below fails for it, as for any
-                            // revisit.
-                            if visited.insert(fingerprint) {
-                                verdict.states += 1;
-                                next_frontier
-                                    .push(machine.expect("a fresh fingerprint carries its state"));
-                            } else {
-                                verdict.revisits += 1;
-                            }
-                        }
+                };
+                for (fingerprint, next) in successors {
+                    if verdict.states >= self.config.max_states {
+                        verdict.truncate(Limit::MaxStates);
+                    } else if visited.insert(fingerprint) {
+                        verdict.states += 1;
+                        next_frontier.push(next);
+                    } else {
+                        verdict.revisits += 1;
                     }
                 }
             }
@@ -329,25 +310,15 @@ impl Checker {
         verdict
     }
 
-    /// Expands one frontier state: enumerates every scheduling option and
-    /// every inner (read/nondet) choice via preset replay. Pure with
-    /// respect to the exploration — it only reads `visited`, which stays
-    /// frozen while a round is expanded, so it can run on any worker
-    /// thread. A successor already in `visited` is dropped here, and only
-    /// its fingerprint is returned.
-    fn expand<'m, M: MemModel>(
+    /// Every fingerprinted successor of a running state, in enumeration
+    /// order: each scheduling option, then each inner (read/nondet)
+    /// choice via preset replay. `Err` carries the violation that ends
+    /// the exploration: a failed step, or a deadlock when nothing is
+    /// runnable and no internal step is available.
+    fn successors<'m, M: MemModel>(
         &self,
         machine: &Machine<'m, M>,
-        visited: &Visited,
-    ) -> Expanded<'m, M> {
-        if machine.all_done() {
-            return Expanded::Done;
-        }
-        if machine.steps >= self.config.max_depth {
-            return Expanded::Truncated;
-        }
-
-        // Enumerate scheduling options.
+    ) -> Result<Vec<(u128, Machine<'m, M>)>, Option<Failure>> {
         let mut options: Vec<SchedChoice> = Vec::new();
         for tid in machine.runnable() {
             options.push(SchedChoice::Step(tid));
@@ -358,13 +329,11 @@ impl Checker {
             }
         }
         if options.is_empty() {
-            return Expanded::Deadlock;
+            return Err(Some(Failure::Deadlock));
         }
 
-        let mut successors: Vec<(u128, Option<Machine<'m, M>>)> = Vec::new();
+        let mut successors = Vec::new();
         for &opt in &options {
-            // Enumerate the inner choice tree of this scheduling option
-            // via preset replay.
             let mut presets: Vec<Vec<usize>> = vec![Vec::new()];
             while let Some(preset) = presets.pop() {
                 let fixed = preset.len();
@@ -387,37 +356,17 @@ impl Checker {
                     }
                 }
                 match outcome {
-                    StepOutcome::Failed => {
-                        return Expanded::Failed(next.failure.clone());
-                    }
+                    StepOutcome::Failed => return Err(next.failure),
                     StepOutcome::Pruned => {}
                     _ => {
                         next.mem.gc();
-                        let fingerprint = next.fingerprint();
-                        let fresh = !visited.contains(&fingerprint);
-                        successors.push((fingerprint, fresh.then_some(next)));
+                        successors.push((next.fingerprint(), next));
                     }
                 }
             }
         }
-        Expanded::Successors(successors)
+        Ok(successors)
     }
-}
-
-/// What expanding one frontier state produced. Workers compute these;
-/// the coordinating thread merges them in frontier order.
-enum Expanded<'m, M: MemModel> {
-    /// All threads finished: one completed execution.
-    Done,
-    /// The path hit the depth limit.
-    Truncated,
-    /// Nothing runnable and no internal step available.
-    Deadlock,
-    /// A step failed (assert/trap); carries the failure.
-    Failed(Option<Failure>),
-    /// Fingerprinted candidate successors, in enumeration order; the
-    /// state is `None` when the fingerprint was already visited.
-    Successors(Vec<(u128, Option<Machine<'m, M>>)>),
 }
 
 #[cfg(test)]
@@ -692,25 +641,6 @@ mod tests {
         assert_eq!(v.truncated_by, None);
     }
 
-    /// The deterministic-merge contract: the whole verdict — violation,
-    /// states, executions, revisits, peak tracked — is identical for any
-    /// worker count, on both passing and violating programs.
-    #[test]
-    fn verdict_is_identical_for_any_job_count() {
-        for (src, model) in [(MP_SC, ModelKind::Wmm), (MP_PLAIN, ModelKind::Wmm)] {
-            let m = parse_module(src).unwrap();
-            let mut baseline = Checker::new(model);
-            baseline.config.jobs = 1;
-            let want = baseline.check(&m, "main").to_string();
-            for jobs in [2, 4, 8] {
-                let mut checker = Checker::new(model);
-                checker.config.jobs = jobs;
-                let got = checker.check(&m, "main").to_string();
-                assert_eq!(got, want, "jobs={jobs} diverged");
-            }
-        }
-    }
-
     /// A single thread spinning on a lock it already holds never
     /// finishes, but it always stays runnable, so this is no deadlock:
     /// the spin converges by state pruning, with no violation and no
@@ -741,8 +671,7 @@ mod tests {
     }
 
     /// A barrier for two that only one thread reaches leaves nothing
-    /// runnable and nothing to flush: a deadlock, under every model and
-    /// for any job count.
+    /// runnable and nothing to flush: a deadlock, under every model.
     #[test]
     fn barrier_short_of_participants_deadlocks() {
         let m = parse_module(
@@ -761,21 +690,13 @@ mod tests {
             ModelKind::Wmm,
             ModelKind::Arm,
         ] {
-            for jobs in [1, 4] {
-                let mut checker = Checker::new(model);
-                checker.config.jobs = jobs;
-                let v = checker.check(&m, "main");
-                assert_eq!(
-                    v.violation,
-                    Some(Failure::Deadlock),
-                    "{model} jobs={jobs}: {v}"
-                );
-                assert!(!v.passed());
-                assert_eq!(
-                    v.to_string(),
-                    "VIOLATION: deadlock (2 states, 0 revisits, peak 1 tracked)"
-                );
-            }
+            let v = Checker::new(model).check(&m, "main");
+            assert_eq!(v.violation, Some(Failure::Deadlock), "{model}: {v}");
+            assert!(!v.passed());
+            assert_eq!(
+                v.to_string(),
+                "VIOLATION: deadlock (2 states, 0 revisits, peak 1 tracked)"
+            );
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Pins the checker's full verdict — violation, states, executions,
-//! revisits and peak tracked — on a fixed set of programs, at jobs 1 and
-//! 4, against `tests/verdict_pin.txt`.
+//! revisits and peak tracked — on a fixed set of programs against
+//! `tests/verdict_pin.txt`.
 //!
-//! A change to the checker's state representation, hashing or merge must
-//! leave every line byte-identical. The cases are Table 2's grid under
+//! A change to the checker's state representation, hashing or search
+//! order must leave every line byte-identical. The cases are Table 2's grid under
 //! Arm and its clients at Original under TSO, three wide clients ported
 //! at the full stage, the litmus library and every `examples/*.c` (as
 //! written and ported) under all four models, and 50 seeded programs
@@ -18,7 +18,7 @@ mod common;
 use atomig_core::Stage;
 use atomig_mir::Module;
 use atomig_testutil::Rng;
-use atomig_wmm::{litmus, Checker, CheckerConfig, ModelKind};
+use atomig_wmm::{litmus, Checker, ModelKind};
 use atomig_workloads::{ck, compile_stage, lf_hash, STAGES};
 use std::path::Path;
 
@@ -92,32 +92,12 @@ fn cases() -> Vec<(String, Module, ModelKind)> {
 }
 
 #[test]
-fn verdicts_match_the_pinned_lines_at_jobs_1_and_4() {
+fn verdicts_match_the_pinned_lines() {
     let mut got = String::new();
-    let mut diverged = Vec::new();
     for (label, module, model) in cases() {
-        let line = |jobs: usize| {
-            let checker = Checker {
-                config: CheckerConfig {
-                    jobs,
-                    ..CheckerConfig::for_model(model)
-                },
-            };
-            format!("{label} {model}: {}", checker.check(&module, "main"))
-        };
-        let one = line(1);
-        let four = line(4);
-        if one != four {
-            diverged.push(format!("jobs 1: {one}\njobs 4: {four}"));
-        }
-        got.push_str(&one);
-        got.push('\n');
+        let verdict = Checker::new(model).check(&module, "main");
+        got.push_str(&format!("{label} {model}: {verdict}\n"));
     }
-    assert!(
-        diverged.is_empty(),
-        "verdicts differ across jobs:\n{}",
-        diverged.join("\n")
-    );
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/verdict_pin.txt");
     let want = std::fs::read_to_string(&golden).unwrap_or_default();
     if got != want {

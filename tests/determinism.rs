@@ -1,8 +1,9 @@
 //! Determinism, end to end: every user-visible artifact — port reports,
 //! transformed IR, decision-ledger dumps, metrics JSONL, lint reports,
 //! checker verdicts, batch reports — is byte-identical across repeated
-//! runs, and, where a command runs on a worker pool (`check`, `batch`),
-//! for any `--jobs` value.
+//! runs. Every command runs on one thread, so repeated runs are the
+//! whole contract. The test names still say `jobs` so that the ids the
+//! suite prints stay stable.
 //!
 //! Wall-clock timings are the one inherently nondeterministic field, so
 //! each run injects an [`atomig_testutil::ManualClock`] (core API tests)
@@ -86,7 +87,6 @@ fn lint_artifacts(alias: AliasMode) -> String {
     )
 }
 
-/// Port analyzes on one thread, so the check is across repeated runs.
 #[test]
 fn port_artifacts_are_byte_identical_across_jobs_and_runs() {
     for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
@@ -98,7 +98,6 @@ fn port_artifacts_are_byte_identical_across_jobs_and_runs() {
     }
 }
 
-/// Lint analyzes on one thread, so the check is across repeated runs.
 #[test]
 fn lint_artifacts_are_byte_identical_across_jobs_and_runs() {
     for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
@@ -119,20 +118,18 @@ fn check_verdicts_and_counts_are_jobs_invariant() {
         if ported {
             Pipeline::new(manual_config(AliasMode::TypeBased)).port_module(&mut m);
         }
-        let verdict_at = |jobs: usize| {
-            let mut checker = atomig_wmm::Checker::new(atomig_wmm::ModelKind::Arm);
-            checker.config.jobs = jobs;
-            checker.check(&m, "main").to_string()
+        let verdict = || {
+            atomig_wmm::Checker::new(atomig_wmm::ModelKind::Arm)
+                .check(&m, "main")
+                .to_string()
         };
-        let want = verdict_at(1);
-        for jobs in [1, 4] {
-            for run in 0..2 {
-                assert_eq!(
-                    verdict_at(jobs),
-                    want,
-                    "verdict diverged (ported={ported}, jobs={jobs}, run={run})"
-                );
-            }
+        let want = verdict();
+        for run in 0..4 {
+            assert_eq!(
+                verdict(),
+                want,
+                "verdict diverged (ported={ported}, run={run})"
+            );
         }
         if ported {
             assert!(want.starts_with("PASS"), "{want}");
@@ -144,8 +141,7 @@ fn check_verdicts_and_counts_are_jobs_invariant() {
 
 /// The CLI acceptance path: `atomig port`, `lint` and `check` with
 /// `--emit-metrics` under `ATOMIG_DETERMINISTIC=1` are byte-identical
-/// across repeated runs, and `check` also across `--jobs 1` and
-/// `--jobs 4` — including the metrics file on disk.
+/// across repeated runs, including the metrics file on disk.
 #[test]
 fn cli_port_and_check_are_byte_identical_across_jobs() {
     std::env::set_var("ATOMIG_DETERMINISTIC", "1");
@@ -177,6 +173,8 @@ fn cli_port_and_check_are_byte_identical_across_jobs() {
             "seqlock_alias",
         ),
         ("lint seqlock_alias.c", SEQLOCK, "seqlock_alias"),
+        ("check mp.c --model arm --ported", MP, "mp"),
+        ("check mp.c --model arm", MP, "mp"),
     ] {
         let want = run(argv, source, name);
         for rerun in 0..4 {
@@ -187,20 +185,11 @@ fn cli_port_and_check_are_byte_identical_across_jobs() {
             );
         }
     }
-    for argv in ["check mp.c --model arm --ported", "check mp.c --model arm"] {
-        let want = run(&format!("{argv} --jobs 1"), MP, "mp");
-        for jobs in [1, 4] {
-            for rerun in 0..2 {
-                let got = run(&format!("{argv} --jobs {jobs}"), MP, "mp");
-                assert_eq!(got, want, "`{argv}` diverged at jobs={jobs}, run={rerun}");
-            }
-        }
-    }
 }
 
 /// The batch leg of the same contract: `atomig batch` over two modules
-/// prints the same combined report under `ATOMIG_DETERMINISTIC=1` at
-/// `--jobs 1` and `--jobs 4`, run after run.
+/// prints the same combined report under `ATOMIG_DETERMINISTIC=1`, run
+/// after run.
 #[test]
 fn cli_batch_is_byte_identical_across_jobs_and_cache_temperature() {
     use atomig_cli::{execute_batch, BatchInput, Command};
@@ -216,22 +205,16 @@ fn cli_batch_is_byte_identical_across_jobs_and_cache_temperature() {
         },
     ];
     for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
-        let cmd = |jobs: usize| Command::Batch {
+        let cmd = Command::Batch {
             path: "mem".into(),
             stage: atomig_core::Stage::Full,
             alias,
-            jobs: Some(jobs),
             emit_metrics: None,
         };
-        let want = execute_batch(&cmd(1), &inputs).unwrap();
-        for jobs in [1, 4] {
-            for rerun in 0..2 {
-                let got = execute_batch(&cmd(jobs), &inputs).unwrap();
-                assert_eq!(
-                    got, want,
-                    "{alias:?}: batch diverged at jobs={jobs}, run={rerun}"
-                );
-            }
+        let want = execute_batch(&cmd, &inputs).unwrap();
+        for rerun in 0..4 {
+            let got = execute_batch(&cmd, &inputs).unwrap();
+            assert_eq!(got, want, "{alias:?}: batch diverged at run={rerun}");
         }
     }
     // Deliberately left set: the CLI determinism test above also relies

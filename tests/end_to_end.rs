@@ -127,3 +127,36 @@ fn porting_is_idempotent_on_workloads() {
         assert_eq!(once, twice, "{name}: port is not idempotent");
     }
 }
+
+/// Porthos's notion of a portability bug, as a gate: each perf client,
+/// at a small size, passes as written under TSO and passes ported under
+/// Arm.
+#[test]
+fn perf_clients_pass_under_tso_and_ported_under_arm() {
+    for (name, src) in [
+        ("ck_ring", ck::ring_perf(2)),
+        ("ck_spinlock_cas", ck::spinlock_cas_perf(2, 1)),
+        ("ck_spinlock_mcs", ck::spinlock_mcs_perf(2, 1)),
+        ("ck_sequence", ck::sequence_perf(1)),
+        ("clht_lb", clht::clht_lb_perf(2, 1)),
+        ("clht_lf", clht::clht_lf_perf(2, 1)),
+    ] {
+        let (original, _) = compile_stage(&src, name, Stage::Original);
+        let tso = Checker::new(ModelKind::Tso).check(&original, "main");
+        let (ported, _) = compile_stage(&src, name, Stage::Full);
+        let arm = Checker::new(ModelKind::Arm).check(&ported, "main");
+        assert!(tso.passed(), "{name} as written under TSO: {tso}");
+        assert!(arm.passed(), "{name} ported under Arm: {arm}");
+    }
+    // The seventh client is unsound as written: an ABA between
+    // `l_delete` and `l_insert` lets a reader see `state == 1` around a
+    // zeroed `key`, so it fails even under SC. ROADMAP item 1 fixes the
+    // client; that change must flip this verdict on purpose.
+    let src = lf_hash::lf_hash_perf(2, 1);
+    let (original, _) = compile_stage(&src, "lf_hash", Stage::Original);
+    let sc = Checker::new(ModelKind::Sc).check(&original, "main");
+    assert_eq!(
+        sc.to_string(),
+        "VIOLATION: assertion violated in @l_find (952 states, 1142 revisits, peak 226 tracked)"
+    );
+}
