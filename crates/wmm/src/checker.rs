@@ -298,6 +298,12 @@ impl Checker {
                     if verdict.states >= self.config.max_states {
                         verdict.truncate(Limit::MaxStates);
                     } else if visited.insert(fingerprint) {
+                        #[cfg(debug_assertions)]
+                        assert_eq!(
+                            fingerprint,
+                            next.uncached_fingerprint(),
+                            "a cached digest is stale"
+                        );
                         verdict.states += 1;
                         next_frontier.push(next);
                     } else {

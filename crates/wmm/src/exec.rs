@@ -4,18 +4,19 @@
 //! registers, stack pointers, stack memory), the memory model state, and
 //! bookkeeping. The model checker clones machines to branch over
 //! nondeterminism; the interpreter drives a single machine
-//! deterministically. Threads sit behind [`Arc`]s, so a clone shares them
-//! and a step copies only the thread it runs. Execution runs over a
+//! deterministically. Threads sit behind [`Shared`] nodes, so a clone
+//! shares them, a step copies only the thread it runs, and a fingerprint
+//! re-hashes only the threads a step copied. Execution runs over a
 //! [`Program`] that every machine borrows, so the hot path never
 //! allocates.
 
 use crate::compiled::{CInst, CTerm, CompiledProgram};
 use crate::mem::{stack_base, stack_owner, Layout, HEAP_BASE, STACK_SIZE};
 use crate::models::{Chooser, MemModel};
+use crate::shared::{digest, Shared};
 use atomig_mir::{BlockId, Builtin, FuncId, InstId, Module, Ordering, Value};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Why a machine stopped making progress.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -177,13 +178,6 @@ impl Thread {
     }
 }
 
-/// The one way to mutate a thread: copies it first if another machine
-/// shares it.
-#[inline]
-fn unshare(thread: &mut Arc<Thread>) -> &mut Thread {
-    Arc::make_mut(thread)
-}
-
 /// Dynamic execution counters (Table 4's rows and the cost model's input).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ExecStats {
@@ -242,7 +236,7 @@ pub struct Machine<'m, M: MemModel> {
     pub mem: M,
     /// All threads ever created (tid = index), shared with the machines
     /// this one was cloned from or into until a step changes them.
-    pub threads: Vec<Arc<Thread>>,
+    pub threads: Vec<Shared<Thread>>,
     heap_next: u64,
     barrier_waiting: u64,
     /// Set on assertion violation / trap / deadlock.
@@ -262,9 +256,6 @@ pub struct Machine<'m, M: MemModel> {
     pub invisible_budget: u64,
 }
 
-/// The two seeds of a state fingerprint's 64-bit lanes.
-const FINGERPRINT_SEEDS: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f];
-
 impl<'m, M: MemModel> Machine<'m, M> {
     /// Creates a machine about to run `entry(args...)` on thread 0.
     pub fn new(program: &'m Program<'m>, entry: FuncId, args: Vec<i64>, mut mem: M) -> Self {
@@ -275,7 +266,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
         Machine {
             program,
             mem,
-            threads: vec![Arc::new(Thread::new(&program.code, 0, entry, args))],
+            threads: vec![Shared::new(Thread::new(&program.code, 0, entry, args))],
             heap_next: HEAP_BASE,
             barrier_waiting: 0,
             failure: None,
@@ -353,14 +344,20 @@ impl<'m, M: MemModel> Machine<'m, M> {
     }
 
     /// A 128-bit fingerprint of the whole state, for visited-state pruning.
-    /// One pass of a two-lane multiply-rotate hasher gives both 64-bit
-    /// halves — much faster than SipHash on the register files, with 128
-    /// bits against collisions.
+    /// It hashes each [`Shared`] node (thread, history, view) through the
+    /// node's cached digest, so only the nodes changed since the last
+    /// fingerprint are hashed in full.
     pub fn fingerprint(&self) -> u128 {
-        let mut h = FxHasher::new(FINGERPRINT_SEEDS);
-        self.hash_state(&mut h);
-        let [hi, lo] = h.lanes();
+        let [hi, lo] = digest(|h| self.hash_state(h));
         ((hi as u128) << 64) | lo as u128
+    }
+
+    /// [`Self::fingerprint`] with every digest recomputed from the
+    /// contents: it differs from the fingerprint only if a cached digest
+    /// is stale.
+    #[cfg(debug_assertions)]
+    pub(crate) fn uncached_fingerprint(&self) -> u128 {
+        crate::shared::without_cache(|| self.fingerprint())
     }
 
     fn hash_state<H: Hasher>(&self, h: &mut H) {
@@ -379,7 +376,9 @@ impl<'m, M: MemModel> Machine<'m, M> {
 
     /// Writes register `id` of `tid`'s innermost frame.
     fn set_reg(&mut self, tid: usize, id: InstId, v: i64) {
-        unshare(&mut self.threads[tid]).frame_mut().set(id, v);
+        Shared::make_mut(&mut self.threads[tid])
+            .frame_mut()
+            .set(id, v);
     }
 
     /// Performs one pending internal memory step (e.g. a TSO buffer
@@ -400,9 +399,10 @@ impl<'m, M: MemModel> Machine<'m, M> {
         // Wake a join-blocked thread whose target finished.
         if let ThreadState::Join(target) = self.threads[tid].state {
             match self.threads.get(target).map(|t| &t.state) {
+                // The `join` re-executes (its `ip` was rewound) and
+                // synchronizes with the target then.
                 Some(ThreadState::Done(_)) => {
-                    self.mem.on_join(tid, target);
-                    unshare(&mut self.threads[tid]).state = ThreadState::Runnable;
+                    Shared::make_mut(&mut self.threads[tid]).state = ThreadState::Runnable;
                 }
                 _ => return StepOutcome::Blocked,
             }
@@ -449,7 +449,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
     fn step_inst(&mut self, tid: usize, ch: &mut dyn Chooser) -> InstOutcome {
         let program = self.program;
         let layout = &program.layout;
-        let thread = unshare(&mut self.threads[tid]);
+        let thread = Shared::make_mut(&mut self.threads[tid]);
         let frame = thread.frame_mut();
         let cblock = &program.code.funcs[frame.func.0 as usize].blocks[frame.block.0 as usize];
         let Some(inst) = cblock.insts.get(frame.ip as usize) else {
@@ -672,7 +672,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 self.mem.ensure_threads(child + 1);
                 self.mem.on_spawn(tid, child);
                 let thread = Thread::new(&self.program.code, child, fid, vec![args[1]]);
-                self.threads.push(Arc::new(thread));
+                self.threads.push(Shared::new(thread));
                 self.set_reg(tid, id, child as i64);
                 // Spawning is a visible (synchronizing) event.
                 InstOutcome::Visible
@@ -686,7 +686,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
                     }
                     Some(_) => {
                         // Re-execute the join when we are next scheduled.
-                        let thread = unshare(&mut self.threads[tid]);
+                        let thread = Shared::make_mut(&mut self.threads[tid]);
                         thread.frame_mut().ip -= 1;
                         thread.state = ThreadState::Join(target);
                         InstOutcome::Blocked
@@ -722,13 +722,13 @@ impl<'m, M: MemModel> Machine<'m, M> {
                     for t in 0..self.threads.len() {
                         if matches!(self.threads[t].state, ThreadState::Barrier) {
                             self.mem.fence(t, Ordering::SeqCst);
-                            unshare(&mut self.threads[t]).state = ThreadState::Runnable;
+                            Shared::make_mut(&mut self.threads[t]).state = ThreadState::Runnable;
                         }
                     }
                     self.mem.fence(tid, Ordering::SeqCst);
                     InstOutcome::Visible
                 } else {
-                    unshare(&mut self.threads[tid]).state = ThreadState::Barrier;
+                    Shared::make_mut(&mut self.threads[tid]).state = ThreadState::Barrier;
                     self.mem.fence(tid, Ordering::SeqCst);
                     InstOutcome::Blocked
                 }
@@ -762,7 +762,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
     fn step_terminator(&mut self, tid: usize, term: CTerm) -> InstOutcome {
         let program = self.program;
         let layout = &program.layout;
-        let thread = unshare(&mut self.threads[tid]);
+        let thread = Shared::make_mut(&mut self.threads[tid]);
         match term {
             CTerm::Br(b) => {
                 let frame = thread.frame_mut();
@@ -802,84 +802,6 @@ impl<'m, M: MemModel> Machine<'m, M> {
             }
             CTerm::Unreachable => self.trap("reached unreachable"),
         }
-    }
-}
-
-/// A multiply-rotate hasher (FxHash-style) for state fingerprints, with
-/// one independently seeded 64-bit lane per seed. Every write mixes into
-/// all lanes, so one pass over a state yields what one pass per seed
-/// would.
-struct FxHasher<const LANES: usize> {
-    state: [u64; LANES],
-}
-
-impl<const LANES: usize> FxHasher<LANES> {
-    fn new(seeds: [u64; LANES]) -> Self {
-        FxHasher { state: seeds }
-    }
-
-    #[inline]
-    fn mix(&mut self, w: u64) {
-        for s in &mut self.state {
-            *s = (s.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-        }
-    }
-
-    /// Each lane's finalized hash.
-    fn lanes(&self) -> [u64; LANES] {
-        self.state.map(|mut x| {
-            x ^= x >> 33;
-            x = x.wrapping_mul(0xff51afd7ed558ccd);
-            x ^= x >> 33;
-            x
-        })
-    }
-}
-
-impl<const LANES: usize> Hasher for FxHasher<LANES> {
-    /// The first lane.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.lanes()[0]
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.mix(u64::from_le_bytes(c.try_into().expect("8 bytes")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut w = [0u8; 8];
-            w[..rem.len()].copy_from_slice(rem);
-            self.mix(u64::from_le_bytes(w));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn write_i64(&mut self, v: i64) {
-        self.mix(v as u64);
     }
 }
 
@@ -926,32 +848,6 @@ mod tests {
             assert!(guard < 100_000, "test did not terminate");
         }
         machine
-    }
-
-    /// The two-lane hasher's lanes equal two single-lane passes seeded
-    /// with the fingerprint seeds, for every kind of write a state hash
-    /// makes.
-    #[test]
-    fn two_lane_hasher_matches_two_single_lane_passes() {
-        fn feed<H: Hasher>(h: &mut H) {
-            h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
-            h.write_u64(0xdead_beef_0bad_f00d);
-            h.write_u32(7);
-            h.write_u8(255);
-            h.write_usize(1 << 40);
-            h.write_i64(-3);
-            vec![4i64, -5, 6].hash(h);
-            BTreeMap::from([(0x1000u64, 1i64), (0x1001, -1)]).hash(h);
-        }
-        let mut both = FxHasher::new(FINGERPRINT_SEEDS);
-        feed(&mut both);
-        let lanes = FINGERPRINT_SEEDS.map(|seed| {
-            let mut one = FxHasher::new([seed]);
-            feed(&mut one);
-            one.finish()
-        });
-        assert_eq!(both.lanes(), lanes);
-        assert_ne!(lanes[0], lanes[1]);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!   (a view-based C11-style weak model with relaxed/acquire/release/SC
 //!   accesses and SC fences).
 //! * [`exec`] — the threaded MIR executor generic over a memory model.
+//! * [`shared`] — the copy-on-write, digest-caching nodes that checker
+//!   states share.
 //! * [`checker`] — exhaustive exploration of schedules × buffer flushes ×
 //!   read choices with visited-state pruning.
 //! * [`interp`] + [`cost`] — deterministic runs with dynamic operation
@@ -40,6 +42,7 @@ pub mod interp;
 pub mod litmus;
 pub mod mem;
 pub mod models;
+pub mod shared;
 
 pub use checker::{Checker, CheckerConfig, Limit, ModelKind, Verdict};
 pub use cost::CostModel;

@@ -14,10 +14,10 @@
 //!   coherence weak behaviours the paper's bugs depend on; it does not
 //!   exhibit load-buffering (none of the paper's patterns need it).
 
+use crate::shared::Shared;
 use atomig_mir::{Ordering, RmwOp};
 use std::collections::BTreeMap;
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// A source of nondeterministic decisions (scheduling-independent inner
 /// choices such as which write a relaxed load reads).
@@ -292,15 +292,15 @@ fn view_join(dst: &mut View, src: &View) {
 /// [`view_join`] on shared views: copies `dst` only when the join changes
 /// it. A key of `src` that `dst` lacks is a change even at ts 0, because
 /// the join inserts it, and states hash their views' keys.
-fn join_shared(dst: &mut Arc<View>, src: &Arc<View>) {
-    if Arc::ptr_eq(dst, src) {
+fn join_shared(dst: &mut Shared<View>, src: &Shared<View>) {
+    if Shared::ptr_eq(dst, src) {
         return;
     }
     if dst.is_empty() {
         // Joining into an empty view yields `src` itself.
-        *dst = Arc::clone(src);
+        *dst = Shared::clone(src);
     } else if src.iter().any(|(a, ts)| dst.get(a).is_none_or(|d| ts > d)) {
-        view_join(Arc::make_mut(dst), src);
+        view_join(Shared::make_mut(dst), src);
     }
 }
 
@@ -313,7 +313,7 @@ struct Msg {
     /// store wrote the message, and `None` otherwise. Such a view holds
     /// this write, so it is never empty: `None` stands for exactly the
     /// empty view, and equal states still hash equal.
-    view: Option<Arc<View>>,
+    view: Option<Shared<View>>,
     released: bool,
 }
 
@@ -330,26 +330,26 @@ impl Msg {
 }
 
 /// The write history at `addr`, created with a 0-valued initial write.
-fn history(hist: &mut BTreeMap<u64, Arc<Vec<Msg>>>, addr: u64) -> &mut Arc<Vec<Msg>> {
+fn history(hist: &mut BTreeMap<u64, Shared<Vec<Msg>>>, addr: u64) -> &mut Shared<Vec<Msg>> {
     hist.entry(addr)
-        .or_insert_with(|| Arc::new(vec![Msg::init(0)]))
+        .or_insert_with(|| Shared::new(vec![Msg::init(0)]))
 }
 
 /// The view machine for weak memory.
 ///
-/// Histories and views are shared between cloned machines: a clone
-/// copies only reference counts, and a step copies the history or view
-/// it changes.
+/// Histories and views are [`Shared`] between cloned machines: a clone
+/// copies only reference counts, a step copies the history or view it
+/// changes, and hashing reuses the digest of every one it did not.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ViewMem {
     /// Per-location write histories, timestamps ascending (`ts 0` = init).
-    hist: BTreeMap<u64, Arc<Vec<Msg>>>,
+    hist: BTreeMap<u64, Shared<Vec<Msg>>>,
     /// Per-thread views.
-    views: Vec<Arc<View>>,
+    views: Vec<Shared<View>>,
     /// Views of exited threads, kept for `on_join`.
-    exit_views: BTreeMap<usize, Arc<View>>,
+    exit_views: BTreeMap<usize, Shared<View>>,
     /// The global SC view.
-    sc_view: Arc<View>,
+    sc_view: Shared<View>,
     /// SC-access interpretation.
     sc_mode: ScMode,
 }
@@ -380,7 +380,7 @@ impl ViewMem {
     /// thread's view has only grown, so it now contains the SC view and
     /// the join equals the thread's view: share it.
     fn sc_exit(&mut self, tid: usize) {
-        self.sc_view = Arc::clone(&self.views[tid]);
+        self.sc_view = Shared::clone(&self.views[tid]);
     }
 
     /// The number of writes a load by `tid` could read at `addr` (used by
@@ -401,11 +401,11 @@ impl ViewMem {
     /// at least `msg.ts` (inserted even at ts 0), and an acquiring read of
     /// a released message joins its view. Copies the view only if that
     /// changes it.
-    fn observe(view: &mut Arc<View>, addr: u64, msg: &Msg, acquire: bool) {
+    fn observe(view: &mut Shared<View>, addr: u64, msg: &Msg, acquire: bool) {
         let attached = msg.view.as_ref().filter(|_| acquire && msg.released);
         let raise = view.get(&addr).is_none_or(|&cur| msg.ts > cur);
         if raise {
-            Arc::make_mut(view).insert(addr, msg.ts);
+            Shared::make_mut(view).insert(addr, msg.ts);
         }
         if let Some(mview) = attached {
             join_shared(view, mview);
@@ -436,10 +436,10 @@ impl ViewMem {
     /// Appends a write by `tid` at `ts` and raises the thread's view to
     /// it; a release-or-stronger write shares the raised view.
     fn append(&mut self, tid: usize, addr: u64, ts: u64, val: i64, ord: Ordering) {
-        Arc::make_mut(&mut self.views[tid]).insert(addr, ts);
+        Shared::make_mut(&mut self.views[tid]).insert(addr, ts);
         let released = ord.has_release();
-        let view = released.then(|| Arc::clone(&self.views[tid]));
-        Arc::make_mut(history(&mut self.hist, addr)).push(Msg {
+        let view = released.then(|| Shared::clone(&self.views[tid]));
+        Shared::make_mut(history(&mut self.hist, addr)).push(Msg {
             ts,
             val,
             view,
@@ -492,12 +492,12 @@ impl ViewMem {
 
 impl MemModel for ViewMem {
     fn init(&mut self, addr: u64, val: i64) {
-        self.hist.insert(addr, Arc::new(vec![Msg::init(val)]));
+        self.hist.insert(addr, Shared::new(vec![Msg::init(val)]));
     }
 
     fn ensure_threads(&mut self, n: usize) {
         while self.views.len() < n {
-            self.views.push(Arc::default());
+            self.views.push(Shared::default());
         }
     }
 
@@ -535,13 +535,13 @@ impl MemModel for ViewMem {
 
     fn on_spawn(&mut self, parent: usize, child: usize) {
         self.ensure_threads(child.max(parent) + 1);
-        let pv = Arc::clone(&self.views[parent]);
+        let pv = Shared::clone(&self.views[parent]);
         join_shared(&mut self.views[child], &pv);
     }
 
     fn on_exit(&mut self, tid: usize) {
         self.ensure_threads(tid + 1);
-        self.exit_views.insert(tid, Arc::clone(&self.views[tid]));
+        self.exit_views.insert(tid, Shared::clone(&self.views[tid]));
     }
 
     fn on_join(&mut self, joiner: usize, target: usize) {
@@ -568,7 +568,7 @@ impl MemModel for ViewMem {
                 .unwrap_or(0);
             let keep_from = h.iter().position(|m| m.ts >= floor).unwrap_or(h.len() - 1);
             if keep_from > 0 {
-                Arc::make_mut(h).drain(..keep_from);
+                Shared::make_mut(h).drain(..keep_from);
             }
         }
     }
