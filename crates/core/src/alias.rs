@@ -8,26 +8,35 @@
 //! inter-procedural alias analysis exhausts memory (§3.5).
 
 use crate::annotations::loc_of;
+use crate::config::AliasMode;
+use crate::trace::AliasClass;
 use atomig_analysis::PointsTo;
 use atomig_mir::{FuncId, InstId, MemLoc, Module};
 use std::collections::HashMap;
 
-/// A module-wide map from alias key to every memory access with that key.
+/// A module-wide grouping of memory accesses into alias classes: the
+/// accesses of one class may alias each other, so a seed's class holds
+/// its sticky buddies.
 ///
 /// Built once during initialization (the paper: "we only have to populate
-/// this map once"); queries are `O(1)` map lookups.
+/// this map once"); queries are `O(1)` map lookups. Two backends fill it
+/// (selected by [`AliasMode`]), and the planner asks both the same two
+/// questions, [`class_of`](AliasMap::class_of) an access and the
+/// [`members`](AliasMap::members) of a class:
 ///
-/// Two backends fill it (selected by
-/// [`AliasMode`](crate::config::AliasMode)):
+/// * [`AliasMap::build`] — the paper's type-based keys: a class is an
+///   [`AliasClass::Key`], the accesses whose locations are equal.
+/// * [`AliasMap::build_points_to`] — an [`AliasClass::Class`] holds
+///   accesses whose points-to cells overlap.
 ///
-/// * [`AliasMap::build`] — the paper's type-based keys; only the
-///   [`MemLoc`]-keyed `map` is populated.
-/// * [`AliasMap::build_points_to`] — equivalence classes of accesses whose
-///   points-to cells overlap; `classes` and per-access lookup are
-///   populated and [`AliasMap::buddies_of_access`] replaces key lookups.
+/// The default map is an empty type-based one: it still names every
+/// access's class, which is all the Figure 6 writer fences need when
+/// alias exploration is off.
 #[derive(Debug, Clone, Default)]
 pub struct AliasMap {
-    map: HashMap<MemLoc, Vec<(FuncId, InstId)>>,
+    backend: AliasMode,
+    /// Accesses of each kept key (type-based backend only).
+    keys: HashMap<MemLoc, Vec<(FuncId, InstId)>>,
     /// Overlap classes of shareable accesses (points-to backend only).
     classes: Vec<Vec<(FuncId, InstId)>>,
     /// Class index of each classified access (points-to backend only).
@@ -77,7 +86,7 @@ impl AliasMap {
     /// only precise keys — globals and GEP type+offset signatures —
     /// participate; coarse `Pointee` buckets are skipped.
     pub fn build(m: &Module, pointee_buddies: bool) -> AliasMap {
-        let mut map: HashMap<MemLoc, Vec<(FuncId, InstId)>> = HashMap::new();
+        let mut keys: HashMap<MemLoc, Vec<(FuncId, InstId)>> = HashMap::new();
         let mut accesses_scanned = 0;
         for fid in m.func_ids() {
             let func = m.func(fid);
@@ -91,12 +100,12 @@ impl AliasMap {
                 let eligible =
                     loc.is_buddy_key() || (pointee_buddies && matches!(loc, MemLoc::Pointee(_)));
                 if eligible {
-                    map.entry(loc).or_default().push((fid, inst.id));
+                    keys.entry(loc).or_default().push((fid, inst.id));
                 }
             }
         }
         AliasMap {
-            map,
+            keys,
             accesses_scanned,
             ..AliasMap::default()
         }
@@ -181,59 +190,68 @@ impl AliasMap {
             class.sort_unstable_by_key(|&(f, i)| (f.0, i.0));
         }
         AliasMap {
-            map: HashMap::new(),
+            backend: AliasMode::PointsTo,
             classes,
             access_class,
             accesses_scanned,
+            ..AliasMap::default()
         }
     }
 
-    /// All accesses sharing the alias key `loc` (the sticky buddies).
-    pub fn buddies(&self, loc: &MemLoc) -> &[(FuncId, InstId)] {
-        self.map.get(loc).map(Vec::as_slice).unwrap_or(&[])
+    /// The backend that built the map.
+    pub fn backend(&self) -> AliasMode {
+        self.backend
     }
 
-    /// The overlap class of an access (points-to backend). Empty when the
-    /// access was not classified — its address never resolves to a
-    /// shareable cell — or when the map was built type-based.
-    pub fn buddies_of_access(&self, f: FuncId, i: InstId) -> &[(FuncId, InstId)] {
-        self.access_class
-            .get(&(f, i))
-            .map(|&idx| self.classes[idx].as_slice())
-            .unwrap_or(&[])
+    /// The alias class of `access`, whose address resolves to `loc`. For
+    /// the type-based backend that is `loc` itself, of any kind, kept by
+    /// [`build`](AliasMap::build) or not. For points-to it is the access's
+    /// overlap class, `None` when its address never resolves to a
+    /// shareable cell.
+    pub fn class_of(&self, access: (FuncId, InstId), loc: MemLoc) -> Option<AliasClass> {
+        match self.backend {
+            AliasMode::TypeBased => Some(AliasClass::Key(loc)),
+            AliasMode::PointsTo => self
+                .access_class
+                .get(&access)
+                .map(|&c| AliasClass::Class(c)),
+        }
     }
 
-    /// All overlap classes (points-to backend).
+    /// The accesses of `class` — type-based in module order, points-to
+    /// sorted by `(function, instruction)`. Empty for a key the map does
+    /// not keep (a stack slot, or a pointee bucket without
+    /// `pointee_buddies`).
+    pub fn members(&self, class: &AliasClass) -> &[(FuncId, InstId)] {
+        let members = match class {
+            AliasClass::Key(loc) => self.keys.get(loc),
+            AliasClass::Class(c) => self.classes.get(*c),
+        };
+        members.map_or(&[], Vec::as_slice)
+    }
+
+    /// All overlap classes, indexed by [`AliasClass::Class`] (points-to
+    /// backend).
     pub fn classes(&self) -> &[Vec<(FuncId, InstId)>] {
         &self.classes
-    }
-
-    /// The overlap-class index of an access (points-to backend), the
-    /// `C<n>` the decision ledger names in sticky-buddy provenance.
-    pub fn class_index(&self, f: FuncId, i: InstId) -> Option<usize> {
-        self.access_class.get(&(f, i)).copied()
-    }
-
-    /// Number of overlap classes (points-to backend).
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Number of distinct alias keys.
-    pub fn key_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Iterates over all `(key, accesses)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&MemLoc, &Vec<(FuncId, InstId)>)> {
-        self.map.iter()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomig_mir::{parse_module, GlobalId, StructId};
+    use atomig_mir::{parse_module, GlobalId, StructId, Type};
+
+    /// The type-based class keyed by `loc`.
+    fn key(am: &AliasMap, loc: MemLoc) -> &[(FuncId, InstId)] {
+        am.members(&AliasClass::Key(loc))
+    }
+
+    /// The points-to class of access `i` of `f`.
+    fn class_of_access(am: &AliasMap, f: FuncId, i: InstId) -> &[(FuncId, InstId)] {
+        am.class_of((f, i), MemLoc::Unknown)
+            .map_or(&[], |c| am.members(&c))
+    }
 
     const SRC: &str = r#"
     struct %Node { i64, i64 }
@@ -260,7 +278,7 @@ mod tests {
     fn global_buddies_span_functions() {
         let m = parse_module(SRC).unwrap();
         let am = AliasMap::build(&m, false);
-        let buddies = am.buddies(&MemLoc::Global(GlobalId(0), vec![]));
+        let buddies = key(&am, MemLoc::Global(GlobalId(0), vec![]));
         assert_eq!(buddies.len(), 2);
         let funcs: Vec<u32> = buddies.iter().map(|(f, _)| f.0).collect();
         assert!(funcs.contains(&0) && funcs.contains(&1));
@@ -270,10 +288,10 @@ mod tests {
     fn field_buddies_keyed_by_type_and_offset() {
         let m = parse_module(SRC).unwrap();
         let am = AliasMap::build(&m, false);
-        let state = am.buddies(&MemLoc::Field(StructId(0), vec![0]));
+        let state = key(&am, MemLoc::Field(StructId(0), vec![0]));
         assert_eq!(state.len(), 2); // load in @a, store in @b
-        let key = am.buddies(&MemLoc::Field(StructId(0), vec![1]));
-        assert_eq!(key.len(), 1); // only the store in @b
+        let next = key(&am, MemLoc::Field(StructId(0), vec![1]));
+        assert_eq!(next.len(), 1); // only the store in @b
     }
 
     #[test]
@@ -281,7 +299,14 @@ mod tests {
         let m = parse_module(SRC).unwrap();
         let am = AliasMap::build(&m, false);
         assert_eq!(am.accesses_scanned, 5);
-        assert_eq!(am.key_count(), 3);
+        // Every access lands in one of the three keys.
+        let keys = [
+            MemLoc::Global(GlobalId(0), vec![]),
+            MemLoc::Field(StructId(0), vec![0]),
+            MemLoc::Field(StructId(0), vec![1]),
+        ];
+        let members: usize = keys.into_iter().map(|k| key(&am, k).len()).sum();
+        assert_eq!(members, 5);
     }
 
     #[test]
@@ -299,8 +324,18 @@ mod tests {
         )
         .unwrap();
         let am = AliasMap::build(&m, false);
-        assert_eq!(am.key_count(), 0);
         assert_eq!(am.accesses_scanned, 2);
+        // Each access still has a class — its stack slot — but the map
+        // keeps no members for it.
+        let f = &m.funcs[0];
+        let index = f.inst_index();
+        for (_, inst) in f.insts().filter(|(_, i)| i.kind.is_memory_access()) {
+            let loc = loc_of(&index, &inst.kind);
+            assert!(loc.is_stack());
+            let class = am.class_of((FuncId(0), inst.id), loc.clone());
+            assert_eq!(class, Some(AliasClass::Key(loc)));
+            assert!(am.members(&class.unwrap()).is_empty());
+        }
     }
 
     #[test]
@@ -316,10 +351,9 @@ mod tests {
         )
         .unwrap();
         let off = AliasMap::build(&m, false);
-        assert_eq!(off.key_count(), 0);
+        assert!(key(&off, MemLoc::Pointee(Type::I32)).is_empty());
         let on = AliasMap::build(&m, true);
-        assert_eq!(on.key_count(), 1);
-        assert_eq!(on.buddies(&MemLoc::Pointee(atomig_mir::Type::I32)).len(), 1);
+        assert_eq!(key(&on, MemLoc::Pointee(Type::I32)).len(), 1);
     }
 
     /// Pointee buckets are keyed by pointee type alone, so raw-pointer
@@ -347,13 +381,12 @@ mod tests {
         )
         .unwrap();
         let am = AliasMap::build(&m, true);
-        assert_eq!(am.key_count(), 2); // one bucket per pointee type
-        let i32_bucket = am.buddies(&MemLoc::Pointee(atomig_mir::Type::I32));
+        let i32_bucket = key(&am, MemLoc::Pointee(Type::I32));
         assert_eq!(i32_bucket.len(), 2, "reader + writer share the i32 bucket");
         let funcs: Vec<u32> = i32_bucket.iter().map(|(f, _)| f.0).collect();
         assert!(funcs.contains(&0) && funcs.contains(&1));
         assert_eq!(
-            am.buddies(&MemLoc::Pointee(atomig_mir::Type::I64)).len(),
+            key(&am, MemLoc::Pointee(Type::I64)).len(),
             1,
             "i64 pointer access stays in its own bucket"
         );
@@ -368,9 +401,15 @@ mod tests {
         let off = AliasMap::build(&m, false);
         let on = AliasMap::build(&m, true);
         // SRC has no raw-pointer accesses, so the same keys exist either way.
-        assert_eq!(off.key_count(), on.key_count());
+        for loc in [
+            MemLoc::Global(GlobalId(0), vec![]),
+            MemLoc::Field(StructId(0), vec![0]),
+            MemLoc::Field(StructId(0), vec![1]),
+        ] {
+            assert_eq!(key(&off, loc.clone()), key(&on, loc));
+        }
         assert_eq!(
-            on.buddies(&MemLoc::Field(StructId(0), vec![0])).len(),
+            key(&on, MemLoc::Field(StructId(0), vec![0])).len(),
             2,
             "field keys unchanged by the pointee knob"
         );
@@ -391,9 +430,8 @@ mod tests {
         let am = AliasMap::build(&m2, true);
         // The gep-resolved access keeps its precise Field key; only the
         // raw pointer falls into the coarse bucket.
-        assert_eq!(am.buddies(&MemLoc::Field(StructId(0), vec![0])).len(), 1);
-        assert_eq!(am.buddies(&MemLoc::Pointee(atomig_mir::Type::I64)).len(), 1);
-        assert_eq!(am.key_count(), 2);
+        assert_eq!(key(&am, MemLoc::Field(StructId(0), vec![0])).len(), 1);
+        assert_eq!(key(&am, MemLoc::Pointee(Type::I64)).len(), 1);
     }
 
     /// The headline precision win: two globals of the same struct type
@@ -428,11 +466,11 @@ mod tests {
         let m = parse_module(src).unwrap();
         // Type-based: one shared Field(S, [0]) bucket with both stores.
         let tb = AliasMap::build(&m, false);
-        assert_eq!(tb.buddies(&MemLoc::Field(StructId(0), vec![0])).len(), 2);
+        assert_eq!(key(&tb, MemLoc::Field(StructId(0), vec![0])).len(), 2);
         // Points-to: the two stores land in distinct classes.
         let pt = atomig_analysis::PointsTo::analyze(&m);
         let am = AliasMap::build_points_to(&m, &pt);
-        assert_eq!(am.class_count(), 2);
+        assert_eq!(am.classes().len(), 2);
         let ta = m.func_by_name("ta").unwrap();
         let store_in = |f| {
             m.func(f)
@@ -441,7 +479,7 @@ mod tests {
                 .map(|(_, i)| i.id)
                 .unwrap()
         };
-        assert_eq!(am.buddies_of_access(ta, store_in(ta)).len(), 1);
+        assert_eq!(class_of_access(&am, ta, store_in(ta)).len(), 1);
     }
 
     #[test]
@@ -472,7 +510,7 @@ mod tests {
         let am = AliasMap::build_points_to(&m, &pt);
         // g.0 (two accesses across functions) and g.1 form separate
         // classes; the private alloca is not classified at all.
-        assert_eq!(am.class_count(), 2);
+        assert_eq!(am.classes().len(), 2);
         assert_eq!(am.accesses_scanned, 5);
         let f = m.func_by_name("f").unwrap();
         let other = m.func_by_name("other").unwrap();
@@ -483,7 +521,7 @@ mod tests {
             .nth(1)
             .map(|(_, i)| i.id)
             .unwrap();
-        let class = am.buddies_of_access(f, f_field0_store);
+        let class = class_of_access(&am, f, f_field0_store);
         assert_eq!(class.len(), 2, "g.0 store pairs with the load in @other");
         assert!(class.iter().any(|&(fid, _)| fid == other));
         let alloca_store = m
@@ -492,6 +530,6 @@ mod tests {
             .find(|(_, i)| i.kind.may_write())
             .map(|(_, i)| i.id)
             .unwrap();
-        assert!(am.buddies_of_access(f, alloca_store).is_empty());
+        assert!(class_of_access(&am, f, alloca_store).is_empty());
     }
 }

@@ -22,8 +22,6 @@ pub struct OptimisticLoop {
     /// The spin controls of this loop, now promoted to *optimistic
     /// controls*: they receive explicit fences in addition to SC upgrades.
     pub optimistic_controls: Vec<InstId>,
-    /// Alias keys of the optimistic controls.
-    pub control_locs: Vec<MemLoc>,
 }
 
 /// Classifies the given spinloops of `func`, returning the optimistic ones.
@@ -75,7 +73,6 @@ pub fn detect_optimistic(
             spin_index,
             optimistic_reads,
             optimistic_controls: spin.controls.clone(),
-            control_locs: spin.control_locs.clone(),
         });
     }
     out

@@ -13,7 +13,7 @@ use crate::trace::{
 };
 use crate::transform::{self, MarkSet};
 use atomig_analysis::{inline_module, InfluenceAnalysis, PointsTo, PointsToStats};
-use atomig_mir::{FuncId, InstId, InstIndex, InstKind, MemLoc, Module};
+use atomig_mir::{FuncId, FxBuild, InstId, InstIndex, InstKind, MemLoc, Module};
 use std::collections::{HashMap, HashSet};
 
 /// Appends one ledger decision on instruction `i` of the function `index`
@@ -156,25 +156,7 @@ impl Pipeline {
         let r = &mut planner.plan.report;
         let found = r.explicit_annotations + r.barrier_hints + r.spinloops + r.optiloops;
         r.metrics.record("detect", clock.now() - d0, found);
-        match self.config.alias_mode {
-            AliasMode::TypeBased => {
-                let am = self.config.alias_exploration.then(|| {
-                    let a0 = clock.now();
-                    let am = AliasMap::build(m, self.config.pointee_buddies);
-                    let scanned = am.accesses_scanned;
-                    r.metrics.record("alias-build", clock.now() - a0, scanned);
-                    am
-                });
-                planner.expand_type_based(am.as_ref());
-            }
-            AliasMode::PointsTo => {
-                if planner.needs_points_to() {
-                    let metrics = &mut planner.plan.report.metrics;
-                    let (_, am) = points_to_alias(m, &self.config, metrics);
-                    planner.expand_points_to(&am);
-                }
-            }
-        }
+        self.expand(m, &mut planner, None);
         let Plan { marks, mut report } = planner.finish();
 
         // Pass 4: transformation.
@@ -206,17 +188,12 @@ impl Pipeline {
             indexes: LazyIndexes::new(m),
             m,
             alias_exploration: self.config.alias_exploration,
-            pointee_buddies: self.config.pointee_buddies,
             plan: Plan {
                 marks: MarkSet::default(),
                 report,
             },
-            seed_locs: Vec::new(),
-            seed_seen: HashSet::new(),
-            seed_of_loc: HashMap::new(),
-            seed_of_optimistic: HashMap::new(),
-            optimistic_locs: HashSet::new(),
-            optimistic_accesses: Vec::new(),
+            seeds: Vec::new(),
+            optimistic: Vec::new(),
         };
         if self.config.stage == Stage::Original {
             return p;
@@ -227,21 +204,47 @@ impl Pipeline {
         p
     }
 
-    /// Seed and expand with this configuration's alias arm, for callers
-    /// that time planning as one phase (the lint's `dry-run`). `am_pt` is
-    /// the points-to alias map, used when that backend is selected.
+    /// Planning, step two: builds this configuration's alias map — the one
+    /// place the backend is chosen — and [`Planner::expand`]s over it.
+    /// `solved` is the points-to map of a caller that holds one and times
+    /// planning as one phase (the lint's `dry-run`). Without it, a map is
+    /// built only when the plan needs one, and each build is timed as its
+    /// own phase.
+    fn expand(&self, m: &Module, planner: &mut Planner<'_>, solved: Option<&AliasMap>) {
+        let config = &self.config;
+        // A points-to map has work with buddies on, or writers to fence.
+        let needs_points_to = config.alias_exploration || !planner.optimistic.is_empty();
+        let metrics = &mut planner.plan.report.metrics;
+        let built;
+        let am = match (config.alias_mode, solved) {
+            (AliasMode::PointsTo, Some(solved)) => solved,
+            (AliasMode::PointsTo, None) if needs_points_to => {
+                built = points_to_alias(m, config, metrics).1;
+                &built
+            }
+            (AliasMode::TypeBased, _) if config.alias_exploration => {
+                let a0 = solved.is_none().then(|| config.clock.now());
+                built = AliasMap::build(m, config.pointee_buddies);
+                if let Some(a0) = a0 {
+                    let scanned = built.accesses_scanned;
+                    metrics.record("alias-build", config.clock.now() - a0, scanned);
+                }
+                &built
+            }
+            _ => {
+                built = AliasMap::default();
+                &built
+            }
+        };
+        planner.expand(am);
+    }
+
+    /// Seed and expand, for callers that time planning as one phase (the
+    /// lint's `dry-run`). `am_pt` is the points-to alias map, used when
+    /// that backend is selected.
     pub(crate) fn plan(&self, m: &Module, am_pt: &AliasMap) -> Plan {
         let mut planner = self.seed(m, PortReport::default());
-        match self.config.alias_mode {
-            AliasMode::TypeBased => {
-                let am = self
-                    .config
-                    .alias_exploration
-                    .then(|| AliasMap::build(m, self.config.pointee_buddies));
-                planner.expand_type_based(am.as_ref());
-            }
-            AliasMode::PointsTo => planner.expand_points_to(am_pt),
-        }
+        self.expand(m, &mut planner, Some(am_pt));
         planner.finish()
     }
 }
@@ -266,7 +269,7 @@ pub(crate) fn points_to_alias(
     metrics.record("points-to-solve", solve, pt.stats.iterations);
     let a0 = clock.now();
     let am = AliasMap::build_points_to(m, &pt);
-    metrics.record("alias-build", clock.now() - a0, am.class_count());
+    metrics.record("alias-build", clock.now() - a0, am.classes().len());
     (pt, am)
 }
 
@@ -278,27 +281,22 @@ pub(crate) struct Plan {
     pub(crate) report: PortReport,
 }
 
-/// A plan in the making: seeded by [`Pipeline::seed`], expanded by one
-/// alias arm, then [`finish`](Planner::finish)ed. It reads no clock;
-/// callers time the steps under their own phase names.
+/// A plan in the making: seeded by [`Pipeline::seed`],
+/// [`expand`](Planner::expand)ed over an alias map, then
+/// [`finish`](Planner::finish)ed. It reads no clock; callers time the
+/// steps under their own phase names.
 pub(crate) struct Planner<'m> {
     m: &'m Module,
     indexes: LazyIndexes<'m>,
     alias_exploration: bool,
-    pointee_buddies: bool,
     plan: Plan,
-    /// Seed keys in insertion order (deduplicated by `seed_seen`), so
-    /// sticky-buddy expansion, and with it the ledger, is deterministic.
-    seed_locs: Vec<MemLoc>,
-    seed_seen: HashSet<MemLoc>,
-    /// First access that seeded each key / optimistic location, for buddy
-    /// and writer-fence provenance.
-    seed_of_loc: HashMap<MemLoc, (FuncId, InstId)>,
-    seed_of_optimistic: HashMap<MemLoc, (FuncId, InstId)>,
-    /// Alias keys promoted to *optimistic* locations: type-based
-    /// expansion fences every store to one of them.
-    optimistic_locs: HashSet<MemLoc>,
-    optimistic_accesses: Vec<(FuncId, InstId)>,
+    /// Accesses that seed sticky-buddy expansion, with their locations,
+    /// in detection order, so the expansion and its ledger are
+    /// deterministic.
+    seeds: Vec<((FuncId, InstId), MemLoc)>,
+    /// Optimistic controls, with their locations, in detection order:
+    /// stores in their alias classes get fences.
+    optimistic: Vec<((FuncId, InstId), MemLoc)>,
 }
 
 impl Planner<'_> {
@@ -328,23 +326,6 @@ impl Planner<'_> {
         self.plan.marks.mark_sc(f, i);
     }
 
-    /// Records `loc` as a seed key if it may seed expansion. The paper's
-    /// scheme uses precise keys only; the coarse pointee-typed buckets are
-    /// the §3.4 alternative it rejects, kept as an ablation knob.
-    fn add_seed(&mut self, loc: &MemLoc, seeder: Option<(FuncId, InstId)>) {
-        let seedable =
-            loc.is_buddy_key() || (self.pointee_buddies && matches!(loc, MemLoc::Pointee(_)));
-        if !seedable {
-            return;
-        }
-        if let Some(s) = seeder {
-            self.seed_of_loc.entry(loc.clone()).or_insert(s);
-        }
-        if self.seed_seen.insert(loc.clone()) {
-            self.seed_locs.push(loc.clone());
-        }
-    }
-
     /// Runs the staged detection passes on function `fid` and records each
     /// mark, its ledger decision, the report counters and the alias seeds
     /// as it finds them: annotations, then barrier hints, then spinloop
@@ -367,12 +348,12 @@ impl Planner<'_> {
         // Pass 1: explicit annotations (§3.2), then the opt-in §6
         // extension: compiler barriers as entry points.
         let annotation = |volatile| TraceCause::Annotation { volatile };
-        let atomics = ann.atomics.iter().map(|mk| (mk, annotation(false)));
-        let volatiles = ann.volatiles.iter().map(|mk| (mk, annotation(true)));
-        let hinted = hints.iter().map(|mk| (mk, TraceCause::BarrierHint));
+        let atomics = ann.atomics.into_iter().map(|mk| (mk, annotation(false)));
+        let volatiles = ann.volatiles.into_iter().map(|mk| (mk, annotation(true)));
+        let hinted = hints.into_iter().map(|mk| (mk, TraceCause::BarrierHint));
         for (mk, cause) in atomics.chain(volatiles).chain(hinted) {
             self.upgrade(&index, fid, mk.inst, cause);
-            self.add_seed(&mk.loc, Some((fid, mk.inst)));
+            self.seeds.push(((fid, mk.inst), mk.loc));
         }
         if config.stage < Stage::Spin {
             return;
@@ -393,16 +374,13 @@ impl Planner<'_> {
         };
         for (loop_index, s) in spins.iter().enumerate() {
             let header_span = header_span(s);
-            for &c in &s.controls {
+            for (&c, loc) in s.controls.iter().zip(&s.control_locs) {
                 let cause = TraceCause::SpinControl {
                     loop_index,
                     header_span,
                 };
                 self.upgrade(index, fid, c, cause);
-            }
-            let c0 = s.controls.first().map(|&c| (fid, c));
-            for l in &s.control_locs {
-                self.add_seed(l, c0);
+                self.seeds.push(((fid, c), loc.clone()));
             }
         }
         if config.stage < Stage::Full {
@@ -412,11 +390,14 @@ impl Planner<'_> {
         let opts = detect_optimistic(func, &inf, &spins);
         self.plan.report.optiloops += opts.len();
         for o in &opts {
+            let spin = &spins[o.spin_index];
             let cause = TraceCause::OptimisticControl {
                 loop_index: o.spin_index,
-                header_span: header_span(&spins[o.spin_index]),
+                header_span: header_span(spin),
             };
-            for &c in &o.optimistic_controls {
+            // The optimistic controls are this loop's spin controls, so
+            // they already seed buddy expansion.
+            for (&c, loc) in o.optimistic_controls.iter().zip(&spin.control_locs) {
                 // Explicit barrier before each optimistic-control load
                 // within the optimistic loop (Figure 6, reader side); the
                 // other controls only seed alias exploration.
@@ -428,40 +409,30 @@ impl Planner<'_> {
                 };
                 let ledger = &mut self.plan.report.ledger;
                 record(ledger, index, fid, c, action, cause.clone());
-                self.optimistic_accesses.push((fid, c));
-            }
-            let c0 = o.optimistic_controls.first().map(|&c| (fid, c));
-            for l in &o.control_locs {
-                self.optimistic_locs.insert(l.clone());
-                if let Some(s) = c0 {
-                    self.seed_of_optimistic.entry(l.clone()).or_insert(s);
-                }
-                self.add_seed(l, c0);
+                self.optimistic.push(((fid, c), loc.clone()));
             }
         }
     }
 
-    /// Whether the points-to arm has any work: alias exploration, or
-    /// optimistic controls whose writers need fences.
-    pub(crate) fn needs_points_to(&self) -> bool {
-        self.alias_exploration || !self.optimistic_accesses.is_empty()
-    }
-
-    /// Planning, step two, on type-based keys (§3.4): every access sharing
-    /// a seed key becomes SC (`am` is `None` when alias exploration is
-    /// off), then every store to an optimistic location, module-wide, gets
-    /// a fence after it (Figure 6, writer side).
-    pub(crate) fn expand_type_based(&mut self, am: Option<&AliasMap>) {
-        if let Some(am) = am {
-            let seed_locs = std::mem::take(&mut self.seed_locs);
-            for loc in &seed_locs {
-                for &(f, i) in am.buddies(loc) {
-                    if !self.mark_buddy(f, i) {
-                        continue;
-                    }
-                    if let Some(&seed) = self.seed_of_loc.get(loc) {
-                        let class = AliasClass::Key(loc.clone());
-                        let backend = AliasMode::TypeBased;
+    /// Planning, step two (§3.4, Figure 6 writer side), on either backend:
+    /// each seed's alias class, visited once, makes its unmarked members
+    /// SC sticky buddies; then one module-order scan fences every store
+    /// whose class holds an optimistic control, crediting the class's
+    /// first one. The scan runs with alias exploration off too.
+    pub(crate) fn expand(&mut self, am: &AliasMap) {
+        let backend = am.backend();
+        if self.alias_exploration {
+            let mut visited: HashSet<AliasClass, FxBuild> = HashSet::default();
+            for (seed, loc) in std::mem::take(&mut self.seeds) {
+                let Some(class) = am.class_of(seed, loc) else {
+                    continue;
+                };
+                if !visited.insert(class.clone()) {
+                    continue;
+                }
+                for &(f, i) in am.members(&class) {
+                    if self.mark_buddy(f, i) {
+                        let class = class.clone();
                         let cause = TraceCause::StickyBuddy {
                             seed,
                             class,
@@ -472,7 +443,13 @@ impl Planner<'_> {
                 }
             }
         }
-        if self.optimistic_locs.is_empty() {
+        let mut seeder: HashMap<AliasClass, (FuncId, InstId), FxBuild> = HashMap::default();
+        for (c, loc) in std::mem::take(&mut self.optimistic) {
+            if let Some(class) = am.class_of(c, loc) {
+                seeder.entry(class).or_insert(c);
+            }
+        }
+        if seeder.is_empty() {
             return;
         }
         let m = self.m;
@@ -485,61 +462,14 @@ impl Planner<'_> {
                 if !inst.kind.may_write() || !inst.kind.is_memory_access() {
                     continue;
                 }
-                let loc = loc_of(&index, &inst.kind);
-                if self.optimistic_locs.contains(&loc) {
-                    self.fence_writer(fid, inst.id);
-                    let seed = self.seed_of_optimistic.get(&loc).copied();
-                    let cause = TraceCause::OptimisticStore { seed };
-                    let ledger = &mut self.plan.report.ledger;
-                    record(ledger, &index, fid, inst.id, TraceAction::FenceAfter, cause);
-                }
-            }
-        }
-    }
-
-    /// Planning, step two, on points-to classes: the seeds are the
-    /// accesses themselves (everything marked SC so far, then the
-    /// optimistic controls), and the writers that get fences are the
-    /// stores aliasing an optimistic control.
-    pub(crate) fn expand_points_to(&mut self, am: &AliasMap) {
-        let optimistic = std::mem::take(&mut self.optimistic_accesses);
-        if self.alias_exploration {
-            // Sorted so the expansion, and the ledger, is deterministic.
-            let sc = &self.plan.marks.sc_marks;
-            let mut seeds: Vec<(FuncId, InstId)> = sc
-                .iter()
-                .flat_map(|(&f, is)| is.iter().map(move |&i| (f, i)))
-                .collect();
-            seeds.sort_unstable_by_key(|&(f, i)| (f.0, i.0));
-            seeds.extend(optimistic.iter().copied());
-            for (f, i) in seeds {
-                for &(bf, bi) in am.buddies_of_access(f, i) {
-                    if self.mark_buddy(bf, bi) {
-                        let class = AliasClass::Class(am.class_index(bf, bi).unwrap_or(0));
-                        let backend = AliasMode::PointsTo;
-                        let seed = (f, i);
-                        let cause = TraceCause::StickyBuddy {
-                            seed,
-                            class,
-                            backend,
-                        };
-                        self.record(bf, bi, TraceAction::UpgradeSc, cause);
-                    }
-                }
-            }
-        }
-        let mut fenced: HashSet<(FuncId, InstId)> = HashSet::new();
-        for &(f, i) in &optimistic {
-            for &(bf, bi) in am.buddies_of_access(f, i) {
-                let kind = self.indexes.of(bf).get(bi);
-                if !kind.is_some_and(|k| k.is_memory_access() && k.may_write()) {
+                let class = am.class_of((fid, inst.id), loc_of(&index, &inst.kind));
+                let Some(&seed) = class.and_then(|c| seeder.get(&c)) else {
                     continue;
-                }
-                self.fence_writer(bf, bi);
-                if fenced.insert((bf, bi)) {
-                    let cause = TraceCause::OptimisticStore { seed: Some((f, i)) };
-                    self.record(bf, bi, TraceAction::FenceAfter, cause);
-                }
+                };
+                self.fence_writer(fid, inst.id);
+                let cause = TraceCause::OptimisticStore { seed };
+                let ledger = &mut self.plan.report.ledger;
+                record(ledger, &index, fid, inst.id, TraceAction::FenceAfter, cause);
             }
         }
     }
@@ -906,7 +836,9 @@ mod tests {
             fid,
             fence_id,
             TraceAction::FenceAfter,
-            TraceCause::OptimisticStore { seed: None },
+            TraceCause::OptimisticStore {
+                seed: (fid, fence_id),
+            },
         );
         assert_eq!(ledger.decisions()[0].span, fence_span);
 

@@ -19,7 +19,8 @@ pub struct SpinLoopInfo {
     /// Non-local reads inside the loop that the exit conditions depend on
     /// ("spin controls"). These get converted to SC atomics.
     pub controls: Vec<InstId>,
-    /// Alias keys of the control locations (for sticky-buddy expansion).
+    /// Alias keys of the control locations (for sticky-buddy expansion),
+    /// one per control, in the same order.
     pub control_locs: Vec<MemLoc>,
 }
 
@@ -107,7 +108,7 @@ pub fn detect_spinloops(func: &Function, inf: &InfluenceAnalysis<'_>) -> Vec<Spi
         }
         let control_locs: Vec<MemLoc> = controls
             .iter()
-            .filter_map(|&id| index.get(id).map(|k| loc_of(index, k)))
+            .map(|&id| index.get(id).map_or(MemLoc::Unknown, |k| loc_of(index, k)))
             .collect();
         out.push(SpinLoopInfo {
             natural,

@@ -215,7 +215,7 @@ impl TraceAction {
 }
 
 /// The alias grouping through which a sticky-buddy upgrade propagated.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AliasClass {
     /// Type-based backend: the shared [`MemLoc`] key.
     Key(MemLoc),
@@ -261,8 +261,8 @@ pub enum TraceCause {
     },
     /// A store to an optimistic-control location (Figure 6, writer side).
     OptimisticStore {
-        /// The optimistic control this store pairs with, when known.
-        seed: Option<(FuncId, InstId)>,
+        /// The first optimistic control of the store's alias class.
+        seed: (FuncId, InstId),
     },
     /// Sticky-buddy expansion from `seed` through `class` (§3.4).
     StickyBuddy {
@@ -291,8 +291,9 @@ impl TraceCause {
     /// The access this cause propagated from, if any.
     pub fn seed(&self) -> Option<(FuncId, InstId)> {
         match self {
-            TraceCause::OptimisticStore { seed } => *seed,
-            TraceCause::StickyBuddy { seed, .. } => Some(*seed),
+            TraceCause::OptimisticStore { seed } | TraceCause::StickyBuddy { seed, .. } => {
+                Some(*seed)
+            }
             _ => None,
         }
     }
@@ -561,7 +562,7 @@ pub fn decision_event(d: &Decision) -> Value {
             pairs.push(("class", class.to_string().into()));
             pairs.push(("backend", backend.name().into()));
         }
-        TraceCause::OptimisticStore { seed: Some(seed) } => {
+        TraceCause::OptimisticStore { seed } => {
             pairs.push(("seed_func", (seed.0 .0 as usize).into()));
             pairs.push(("seed_inst", (seed.1 .0 as usize).into()));
         }

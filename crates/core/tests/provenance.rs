@@ -159,3 +159,124 @@ fn injected_clock_makes_reports_byte_comparable() {
     assert!(a.metrics.phases.iter().all(|p| !p.duration.is_zero()));
     atomig_core::validate_metrics_jsonl(&ja).unwrap();
 }
+
+/// Ports a MIR module at the full stage on `alias`, without inlining.
+fn port_mir(src: &str, alias: AliasMode) -> (atomig_mir::Module, PortReport) {
+    let mut m = atomig_mir::parse_module(src).unwrap();
+    let mut cfg = AtomigConfig::full();
+    cfg.alias_mode = alias;
+    cfg.inline = false;
+    let report = Pipeline::new(cfg).port_module(&mut m);
+    (m, report)
+}
+
+/// `@waiter` seeds `@cnt` by annotation and `@flag` by its spinloop;
+/// `@other` writes both plainly (`other:0` is the `@flag` store).
+const TWO_SEEDS: &str = r#"
+global @flag: i32 = 0
+global @cnt: i64 = 0
+fn @waiter() : i64 {
+loop:
+  %f = load i32, @flag
+  %c = cmp eq %f, 0
+  condbr %c, loop, done
+done:
+  %v = load i64, @cnt seq_cst
+  ret %v
+}
+fn @other() : void {
+bb0:
+  store i32 1, @flag
+  store i64 2, @cnt
+  ret
+}
+"#;
+
+#[test]
+fn backends_record_sticky_buddies_in_the_same_order() {
+    let buddies = |alias| {
+        let (_, report) = port_mir(TWO_SEEDS, alias);
+        report
+            .ledger
+            .decisions()
+            .iter()
+            .filter(|d| d.cause.kind() == "sticky-buddy")
+            .map(|d| format!("{}:{}", d.func_name, d.inst.0))
+            .collect::<Vec<_>>()
+    };
+    let type_based = buddies(AliasMode::TypeBased);
+    // Seeds expand in detection order: the annotation before the spin
+    // control, so the `@cnt` store comes first.
+    assert_eq!(type_based, ["other:1", "other:0"]);
+    assert_eq!(buddies(AliasMode::PointsTo), type_based);
+}
+
+/// `@reader` is a seqlock on `*%s` that reads `@data`; `@unrelated`
+/// stores through another `i64*`. Pins today's behaviour: type-based
+/// writer fences match the control's `Pointee(i64)` location, a bucket
+/// that buddy expansion skips while `pointee_buddies` is off, so the
+/// unrelated store is fenced; points-to leaves it alone.
+const POINTEE_SEQLOCK: &str = r#"
+global @data: i64 = 0
+fn @reader(%s: ptr i64) : i64 {
+entry:
+  %i = alloca i64
+  %d = alloca i64
+  br loop
+loop:
+  %s1 = load i64, %s
+  store i64 %s1, %i
+  %v = load i64, @data
+  store i64 %v, %d
+  %iv = load i64, %i
+  %odd = rem %iv, 2
+  %c1 = cmp ne %odd, 0
+  condbr %c1, loop, check
+check:
+  %iv2 = load i64, %i
+  %s2 = load i64, %s
+  %c2 = cmp ne %iv2, %s2
+  condbr %c2, loop, done
+done:
+  %r = load i64, %d
+  ret %r
+}
+fn @unrelated(%p: ptr i64) : void {
+bb0:
+  store i64 1, %p
+  ret
+}
+"#;
+
+#[test]
+fn type_based_writer_fences_match_pointee_buckets() {
+    let unrelated_store = |m: &atomig_mir::Module| {
+        let f = m.func(m.func_by_name("unrelated").unwrap());
+        let kinds: Vec<_> = f.insts().map(|(_, i)| i.kind.clone()).collect();
+        let fenced = matches!(kinds.get(1), Some(atomig_mir::InstKind::Fence { .. }));
+        (kinds[0].ordering(), fenced)
+    };
+    let (m, tb) = port_mir(POINTEE_SEQLOCK, AliasMode::TypeBased);
+    assert_eq!(tb.optiloops, 1);
+    assert_eq!(
+        (tb.ledger.len(), tb.explicit_barriers_added),
+        (5, 3),
+        "{tb}"
+    );
+    assert_eq!(
+        unrelated_store(&m),
+        (Some(atomig_mir::Ordering::SeqCst), true)
+    );
+
+    let (m, pt) = port_mir(POINTEE_SEQLOCK, AliasMode::PointsTo);
+    assert_eq!(pt.optiloops, 1);
+    assert_eq!(
+        (pt.ledger.len(), pt.explicit_barriers_added),
+        (4, 2),
+        "{pt}"
+    );
+    assert_eq!(
+        unrelated_store(&m),
+        (Some(atomig_mir::Ordering::NotAtomic), false)
+    );
+}
