@@ -205,12 +205,16 @@ impl AliasMap {
 
     /// The alias class of `access`, whose address resolves to `loc`. For
     /// the type-based backend that is `loc` itself, of any kind, kept by
-    /// [`build`](AliasMap::build) or not. For points-to it is the access's
-    /// overlap class, `None` when its address never resolves to a
-    /// shareable cell.
+    /// [`build`](AliasMap::build) or not; a stack slot is scoped to the
+    /// access's function, so `%t0` of one function never matches `%t0` of
+    /// another. For points-to it is the access's overlap class, `None`
+    /// when its address never resolves to a shareable cell.
     pub fn class_of(&self, access: (FuncId, InstId), loc: MemLoc) -> Option<AliasClass> {
         match self.backend {
-            AliasMode::TypeBased => Some(AliasClass::Key(loc)),
+            AliasMode::TypeBased => Some(match loc {
+                MemLoc::Stack(slot) => AliasClass::Slot(access.0, slot),
+                loc => AliasClass::Key(loc),
+            }),
             AliasMode::PointsTo => self
                 .access_class
                 .get(&access)
@@ -225,6 +229,7 @@ impl AliasMap {
     pub fn members(&self, class: &AliasClass) -> &[(FuncId, InstId)] {
         let members = match class {
             AliasClass::Key(loc) => self.keys.get(loc),
+            AliasClass::Slot(..) => None,
             AliasClass::Class(c) => self.classes.get(*c),
         };
         members.map_or(&[], Vec::as_slice)
@@ -325,15 +330,15 @@ mod tests {
         .unwrap();
         let am = AliasMap::build(&m, false);
         assert_eq!(am.accesses_scanned, 2);
-        // Each access still has a class — its stack slot — but the map
-        // keeps no members for it.
+        // Each access still has a class — its stack slot, scoped to the
+        // function — but the map keeps no members for it.
         let f = &m.funcs[0];
         let index = f.inst_index();
         for (_, inst) in f.insts().filter(|(_, i)| i.kind.is_memory_access()) {
             let loc = loc_of(&index, &inst.kind);
-            assert!(loc.is_stack());
-            let class = am.class_of((FuncId(0), inst.id), loc.clone());
-            assert_eq!(class, Some(AliasClass::Key(loc)));
+            assert_eq!(loc, MemLoc::Stack(InstId(0)));
+            let class = am.class_of((FuncId(0), inst.id), loc);
+            assert_eq!(class, Some(AliasClass::Slot(FuncId(0), InstId(0))));
             assert!(am.members(&class.unwrap()).is_empty());
         }
     }

@@ -219,6 +219,10 @@ impl TraceAction {
 pub enum AliasClass {
     /// Type-based backend: the shared [`MemLoc`] key.
     Key(MemLoc),
+    /// Type-based backend: one function's stack slot, named by the
+    /// function and its alloca (a [`MemLoc::Stack`] key scoped to the
+    /// function, since alloca ids repeat across functions).
+    Slot(FuncId, InstId),
     /// Points-to backend: the overlap-class index (printed `C<n>`).
     Class(usize),
 }
@@ -227,6 +231,7 @@ impl fmt::Display for AliasClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AliasClass::Key(loc) => write!(f, "{loc}"),
+            AliasClass::Slot(func, slot) => write!(f, "{func}:stack({slot})"),
             AliasClass::Class(i) => write!(f, "C{i}"),
         }
     }

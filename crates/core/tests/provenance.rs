@@ -280,3 +280,94 @@ fn type_based_writer_fences_match_pointee_buckets() {
         (Some(atomig_mir::Ordering::NotAtomic), false)
     );
 }
+
+/// `@reader` is a seqlock whose control is its own escaping alloca,
+/// `%t0`; `@private` stores to a private alloca that is also `%t0`. A
+/// stack key names a slot of one function, so neither backend touches
+/// the private store, and type-based makes the decisions points-to
+/// makes.
+const STACK_SEQLOCK: &str = r#"
+global @data: i64 = 0
+fn @reader() : i64 {
+entry:
+  %s = alloca i64
+  %i = alloca i64
+  %d = alloca i64
+  %h = call i64 @spawn(@writer, %s)
+  br loop
+loop:
+  %s1 = load i64, %s
+  store i64 %s1, %i
+  %v = load i64, @data
+  store i64 %v, %d
+  %iv = load i64, %i
+  %odd = rem %iv, 2
+  %c1 = cmp ne %odd, 0
+  condbr %c1, loop, check
+check:
+  %iv2 = load i64, %i
+  %s2 = load i64, %s
+  %c2 = cmp ne %iv2, %s2
+  condbr %c2, loop, done
+done:
+  %r = load i64, %d
+  ret %r
+}
+fn @writer(%p: i64) : void {
+bb0:
+  ret
+}
+fn @private() : void {
+bb0:
+  %x = alloca i64
+  store i64 1, %x
+  ret
+}
+"#;
+
+#[test]
+fn stack_keys_do_not_match_slots_of_other_functions() {
+    let private_store = |m: &atomig_mir::Module| {
+        let f = m.func(m.func_by_name("private").unwrap());
+        let kinds: Vec<_> = f.insts().map(|(_, i)| i.kind.clone()).collect();
+        let fenced = matches!(kinds.get(2), Some(atomig_mir::InstKind::Fence { .. }));
+        (kinds[1].ordering(), fenced)
+    };
+    for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
+        let (m, report) = port_mir(STACK_SEQLOCK, alias);
+        assert_eq!(report.optiloops, 1, "{alias:?}");
+        assert_eq!(
+            (report.ledger.len(), report.explicit_barriers_added),
+            (4, 2),
+            "{alias:?}: {report}"
+        );
+        assert_eq!(
+            private_store(&m),
+            (Some(atomig_mir::Ordering::NotAtomic), false),
+            "{alias:?}"
+        );
+    }
+
+    // A store to the control's own slot, in its own function, is still
+    // an optimistic store under both backends.
+    let own_store = STACK_SEQLOCK.replace(
+        "  %d = alloca i64\n",
+        "  %d = alloca i64\n  store i64 0, %s\n",
+    );
+    for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
+        let (m, report) = port_mir(&own_store, alias);
+        let stores: Vec<_> = report
+            .ledger
+            .decisions()
+            .iter()
+            .filter(|d| d.cause.kind() == "optimistic-store")
+            .map(|d| format!("{}:{}", d.func_name, d.inst.0))
+            .collect();
+        assert_eq!(stores, ["reader:3"], "{alias:?}: {report}");
+        assert_eq!(
+            private_store(&m),
+            (Some(atomig_mir::Ordering::NotAtomic), false),
+            "{alias:?}"
+        );
+    }
+}

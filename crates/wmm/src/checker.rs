@@ -178,34 +178,78 @@ impl std::fmt::Display for Verdict {
 }
 
 /// Replays a fixed prefix of choices, then defaults to 0, recording every
-/// decision point.
-struct ReplayChooser {
-    preset: Vec<usize>,
+/// decision point in a log it borrows.
+struct ReplayChooser<'a> {
+    preset: &'a [usize],
     cursor: usize,
     /// `(taken, alternatives)` for every decision point hit.
-    log: Vec<(usize, usize)>,
+    log: &'a mut Vec<(usize, usize)>,
 }
 
-impl ReplayChooser {
-    fn new(preset: Vec<usize>) -> Self {
-        ReplayChooser {
-            preset,
-            cursor: 0,
-            log: Vec::new(),
-        }
-    }
-}
-
-impl Chooser for ReplayChooser {
+impl Chooser for ReplayChooser<'_> {
     fn choose(&mut self, n: usize) -> usize {
-        let pick = if self.cursor < self.preset.len() {
-            self.preset[self.cursor].min(n - 1)
-        } else {
-            0
+        let pick = match self.preset.get(self.cursor) {
+            Some(&p) => p.min(n - 1),
+            None => 0,
         };
         self.cursor += 1;
         self.log.push((pick, n));
         pick
+    }
+}
+
+/// How many spent machines [`Scratch`] keeps for reuse.
+const SPARE_MACHINES: usize = 32;
+
+/// Buffers that successor enumeration reuses from state to state, so
+/// that expanding a state allocates little beyond what its steps change.
+struct Scratch<'m, M: MemModel> {
+    /// The fingerprinted successors of the state being expanded.
+    successors: Vec<(u128, Machine<'m, M>)>,
+    /// Spent machines to clone the next successors into.
+    spare: Spare<'m, M>,
+    /// The presets still to replay, stored back to back: a stack whose
+    /// entries end at the offsets in `preset_ends`.
+    presets: Vec<usize>,
+    preset_ends: Vec<usize>,
+    /// The decision log of the replay in progress.
+    log: Vec<(usize, usize)>,
+}
+
+/// Spent machines (expanded states, revisits, pruned paths), kept so
+/// that a successor is cloned into their buffers (the thread list, the
+/// memory model's maps) instead of new ones.
+struct Spare<'m, M: MemModel>(Vec<Machine<'m, M>>);
+
+impl<'m, M: MemModel> Spare<'m, M> {
+    /// A copy of `machine`, made in a spare machine if there is one.
+    fn copy(&mut self, machine: &Machine<'m, M>) -> Machine<'m, M> {
+        match self.0.pop() {
+            Some(mut next) => {
+                next.clone_from(machine);
+                next
+            }
+            None => machine.clone(),
+        }
+    }
+
+    /// Keeps a spent machine for [`Self::copy`], up to a few.
+    fn recycle(&mut self, machine: Machine<'m, M>) {
+        if self.0.len() < SPARE_MACHINES {
+            self.0.push(machine);
+        }
+    }
+}
+
+impl<M: MemModel> Scratch<'_, M> {
+    fn new() -> Self {
+        Scratch {
+            successors: Vec::new(),
+            spare: Spare(Vec::new()),
+            presets: Vec::new(),
+            preset_ends: Vec::new(),
+            log: Vec::new(),
+        }
     }
 }
 
@@ -274,11 +318,12 @@ impl Checker {
         verdict.states += 1;
         // The frontier holds fresh (deduplicated, counted) states only.
         let mut frontier: Vec<Machine<'m, M>> = vec![initial];
+        let mut next_frontier: Vec<Machine<'m, M>> = Vec::new();
+        let mut scratch = Scratch::new();
 
         while !frontier.is_empty() {
             verdict.peak_tracked = verdict.peak_tracked.max(frontier.len());
-            let mut next_frontier: Vec<Machine<'m, M>> = Vec::new();
-            for machine in std::mem::take(&mut frontier) {
+            for machine in frontier.drain(..) {
                 if machine.all_done() {
                     verdict.executions += 1;
                     continue;
@@ -287,16 +332,14 @@ impl Checker {
                     verdict.truncate(Limit::MaxDepth);
                     continue;
                 }
-                let successors = match self.successors(&machine) {
-                    Ok(successors) => successors,
-                    Err(failure) => {
-                        verdict.violation = failure;
-                        return verdict;
-                    }
-                };
-                for (fingerprint, next) in successors {
+                if let Err(failure) = self.successors(&machine, &mut scratch) {
+                    verdict.violation = failure;
+                    return verdict;
+                }
+                for (fingerprint, next) in scratch.successors.drain(..) {
                     if verdict.states >= self.config.max_states {
                         verdict.truncate(Limit::MaxStates);
+                        scratch.spare.recycle(next);
                     } else if visited.insert(fingerprint) {
                         #[cfg(debug_assertions)]
                         assert_eq!(
@@ -308,43 +351,57 @@ impl Checker {
                         next_frontier.push(next);
                     } else {
                         verdict.revisits += 1;
+                        scratch.spare.recycle(next);
                     }
                 }
+                scratch.spare.recycle(machine);
             }
-            frontier = next_frontier;
+            std::mem::swap(&mut frontier, &mut next_frontier);
         }
         verdict
     }
 
-    /// Every fingerprinted successor of a running state, in enumeration
-    /// order: each scheduling option, then each inner (read/nondet)
-    /// choice via preset replay. `Err` carries the violation that ends
-    /// the exploration: a failed step, or a deadlock when nothing is
-    /// runnable and no internal step is available.
+    /// Fills `scratch.successors` with every fingerprinted successor of a
+    /// running state, in enumeration order: each runnable thread's step,
+    /// then each thread's internal step, each followed by its inner
+    /// (read/nondet) choices via preset replay. `Err` carries the
+    /// violation that ends the exploration: a failed step, or a deadlock
+    /// when nothing is runnable and no internal step is available.
     fn successors<'m, M: MemModel>(
         &self,
         machine: &Machine<'m, M>,
-    ) -> Result<Vec<(u128, Machine<'m, M>)>, Option<Failure>> {
-        let mut options: Vec<SchedChoice> = Vec::new();
-        for tid in machine.runnable() {
-            options.push(SchedChoice::Step(tid));
-        }
-        for tid in 0..machine.threads.len() {
-            if machine.internal_steps(tid) > 0 {
-                options.push(SchedChoice::Internal(tid));
-            }
-        }
-        if options.is_empty() {
+        scratch: &mut Scratch<'m, M>,
+    ) -> Result<(), Option<Failure>> {
+        let n = machine.threads.len();
+        let steps = (0..n)
+            .filter(|&tid| machine.is_runnable(tid))
+            .map(SchedChoice::Step);
+        let internal = (0..n)
+            .filter(|&tid| machine.internal_steps(tid) > 0)
+            .map(SchedChoice::Internal);
+        let mut options = steps.chain(internal).peekable();
+        if options.peek().is_none() {
             return Err(Some(Failure::Deadlock));
         }
-
-        let mut successors = Vec::new();
-        for &opt in &options {
-            let mut presets: Vec<Vec<usize>> = vec![Vec::new()];
-            while let Some(preset) = presets.pop() {
-                let fixed = preset.len();
-                let mut next = machine.clone();
-                let mut ch = ReplayChooser::new(preset);
+        let Scratch {
+            successors,
+            spare,
+            presets,
+            preset_ends,
+            log,
+        } = scratch;
+        for opt in options {
+            preset_ends.push(0);
+            while let Some(end) = preset_ends.pop() {
+                let start = preset_ends.last().copied().unwrap_or(0);
+                let fixed = end - start;
+                log.clear();
+                let mut next = spare.copy(machine);
+                let mut ch = ReplayChooser {
+                    preset: &presets[start..end],
+                    cursor: 0,
+                    log,
+                };
                 let outcome = match opt {
                     SchedChoice::Step(tid) => next.step_visible(tid, &mut ch),
                     SchedChoice::Internal(tid) => {
@@ -353,17 +410,17 @@ impl Checker {
                     }
                 };
                 // Fork alternatives for decision points defaulted to 0.
-                for i in fixed..ch.log.len() {
-                    let (_, n) = ch.log[i];
-                    for alt in 1..n {
-                        let mut p: Vec<usize> = ch.log[..i].iter().map(|(t, _)| *t).collect();
-                        p.push(alt);
-                        presets.push(p);
+                presets.truncate(start);
+                for i in fixed..log.len() {
+                    for alt in 1..log[i].1 {
+                        presets.extend(log[..i].iter().map(|&(taken, _)| taken));
+                        presets.push(alt);
+                        preset_ends.push(presets.len());
                     }
                 }
                 match outcome {
                     StepOutcome::Failed => return Err(next.failure),
-                    StepOutcome::Pruned => {}
+                    StepOutcome::Pruned => spare.recycle(next),
                     _ => {
                         next.mem.gc();
                         successors.push((next.fingerprint(), next));
@@ -371,7 +428,7 @@ impl Checker {
                 }
             }
         }
-        Ok(successors)
+        Ok(())
     }
 }
 

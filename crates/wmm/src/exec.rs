@@ -11,11 +11,11 @@
 //! allocates.
 
 use crate::compiled::{CInst, CTerm, CompiledProgram};
+use crate::flatmap::FlatMap;
 use crate::mem::{stack_base, stack_owner, Layout, HEAP_BASE, STACK_SIZE};
 use crate::models::{Chooser, MemModel};
 use crate::shared::{digest, Shared};
 use atomig_mir::{BlockId, Builtin, FuncId, InstId, Module, Ordering, Value};
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// Why a machine stopped making progress.
@@ -77,18 +77,25 @@ pub enum ThreadState {
     Done(i64),
 }
 
+/// The most arguments a builtin takes (`spawn(f, arg)`).
+const MAX_BUILTIN_ARGS: usize = 2;
+
 /// One call frame.
 ///
-/// Registers are a dense array indexed by [`InstId`] — cloning a frame is
-/// a memcpy. An alloca's register doubles as its record: it holds the
-/// slot's non-zero stack address once the alloca has run.
+/// Registers are a dense array indexed by [`InstId`], and the frame's
+/// parameters follow them in the same vector: one allocation per frame,
+/// and cloning a frame is a memcpy. An alloca's register doubles as its
+/// record: it holds the slot's non-zero stack address once the alloca
+/// has run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Frame {
     func: FuncId,
     block: BlockId,
     ip: u32,
+    /// The register count: `regs[..n_regs]` are registers, the rest are
+    /// parameters.
+    n_regs: u32,
     regs: Vec<i64>,
-    params: Vec<i64>,
     /// Caller register receiving our return value.
     ret_to: Option<InstId>,
     /// Thread stack pointer at frame entry; restored on return so
@@ -100,24 +107,34 @@ impl Frame {
     fn new(
         code: &CompiledProgram,
         func: FuncId,
-        params: Vec<i64>,
+        params: impl ExactSizeIterator<Item = i64>,
         ret_to: Option<InstId>,
         saved_sp: u64,
     ) -> Frame {
+        let n_regs = code.funcs[func.0 as usize].n_regs;
+        let mut regs = Vec::with_capacity(n_regs as usize + params.len());
+        regs.resize(n_regs as usize, 0);
+        regs.extend(params);
         Frame {
             func,
             block: BlockId(0),
             ip: 0,
-            regs: vec![0; code.funcs[func.0 as usize].n_regs as usize],
-            params,
+            n_regs,
+            regs,
             ret_to,
             saved_sp,
         }
     }
 
+    /// The registers, without the parameters after them.
+    #[inline]
+    fn regs(&self) -> &[i64] {
+        &self.regs[..self.n_regs as usize]
+    }
+
     #[inline]
     fn set(&mut self, id: InstId, v: i64) {
-        self.regs[id.0 as usize] = v;
+        self.regs[..self.n_regs as usize][id.0 as usize] = v;
     }
 
     #[inline]
@@ -126,9 +143,53 @@ impl Frame {
             Value::Const(c) => c,
             Value::Null => 0,
             Value::Global(g) => layout.global_addr(g) as i64,
-            Value::Param(i) => self.params.get(i as usize).copied().unwrap_or(0),
-            Value::Inst(id) => self.regs.get(id.0 as usize).copied().unwrap_or(0),
+            Value::Param(i) => self.regs[self.n_regs as usize..]
+                .get(i as usize)
+                .copied()
+                .unwrap_or(0),
+            Value::Inst(id) => self.regs().get(id.0 as usize).copied().unwrap_or(0),
             Value::Func(f) => f.0 as i64,
+        }
+    }
+}
+
+/// A thread's call stack. The innermost frame sits inline, so cloning a
+/// thread that runs one frame copies no frame vector.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct CallStack {
+    /// The innermost frame; `None` only when the stack is empty.
+    top: Option<Frame>,
+    /// The frames below `top`, outermost first.
+    callers: Vec<Frame>,
+}
+
+impl CallStack {
+    fn new(entry: Frame) -> CallStack {
+        CallStack {
+            top: Some(entry),
+            callers: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, frame: Frame) {
+        if let Some(caller) = self.top.replace(frame) {
+            self.callers.push(caller);
+        }
+    }
+
+    fn pop(&mut self) -> Option<Frame> {
+        let frame = self.top.take();
+        self.top = self.callers.pop();
+        frame
+    }
+}
+
+impl Hash for CallStack {
+    /// The stream a `Vec<Frame>` of the frames, outermost first, writes.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.callers.len() + usize::from(self.top.is_some()));
+        for frame in self.callers.iter().chain(&self.top) {
+            frame.hash(state);
         }
     }
 }
@@ -136,8 +197,8 @@ impl Frame {
 /// One thread.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Thread {
-    /// Call stack, innermost last.
-    pub frames: Vec<Frame>,
+    /// Call stack.
+    frames: CallStack,
     /// Scheduling state.
     pub state: ThreadState,
     /// Next free stack slot.
@@ -152,29 +213,35 @@ pub struct Thread {
     /// addresses through the memory model. Shared data must live in
     /// globals or on the heap for the interleaving reduction to be sound;
     /// all bundled workloads respect this.
-    stack_mem: BTreeMap<u64, i64>,
+    stack_mem: FlatMap<u64, i64>,
 }
 
 impl Thread {
     /// Thread `tid` about to run `func(params...)`.
-    fn new(code: &CompiledProgram, tid: usize, func: FuncId, params: Vec<i64>) -> Thread {
+    fn new(code: &CompiledProgram, tid: usize, func: FuncId, params: &[i64]) -> Thread {
         Thread {
-            frames: vec![Frame::new(code, func, params, None, stack_base(tid))],
+            frames: CallStack::new(Frame::new(
+                code,
+                func,
+                params.iter().copied(),
+                None,
+                stack_base(tid),
+            )),
             state: ThreadState::Runnable,
             sp: stack_base(tid),
             stack_end: stack_base(tid) + STACK_SIZE,
-            stack_mem: BTreeMap::new(),
+            stack_mem: FlatMap::new(),
         }
     }
 
     #[inline]
     fn frame(&self) -> &Frame {
-        self.frames.last().expect("live frame")
+        self.frames.top.as_ref().expect("live frame")
     }
 
     #[inline]
     fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("live frame")
+        self.frames.top.as_mut().expect("live frame")
     }
 }
 
@@ -229,7 +296,6 @@ pub enum StepOutcome {
 }
 
 /// An executable program state.
-#[derive(Clone)]
 pub struct Machine<'m, M: MemModel> {
     program: &'m Program<'m>,
     /// The memory model state.
@@ -256,6 +322,57 @@ pub struct Machine<'m, M: MemModel> {
     pub invisible_budget: u64,
 }
 
+impl<M: MemModel> Clone for Machine<'_, M> {
+    fn clone(&self) -> Self {
+        Machine {
+            program: self.program,
+            mem: self.mem.clone(),
+            threads: self.threads.clone(),
+            heap_next: self.heap_next,
+            barrier_waiting: self.barrier_waiting,
+            failure: self.failure.clone(),
+            pruned: self.pruned,
+            yield_requested: self.yield_requested,
+            output: self.output.clone(),
+            stats: self.stats,
+            steps: self.steps,
+            invisible_budget: self.invisible_budget,
+        }
+    }
+
+    /// Copies `source` into this machine's own buffers (the thread list,
+    /// the memory model's maps), so a machine the checker is done with
+    /// becomes the next successor without allocating them again.
+    fn clone_from(&mut self, source: &Self) {
+        let Machine {
+            program,
+            mem,
+            threads,
+            heap_next,
+            barrier_waiting,
+            failure,
+            pruned,
+            yield_requested,
+            output,
+            stats,
+            steps,
+            invisible_budget,
+        } = self;
+        *program = source.program;
+        mem.clone_from(&source.mem);
+        threads.clone_from(&source.threads);
+        *heap_next = source.heap_next;
+        *barrier_waiting = source.barrier_waiting;
+        failure.clone_from(&source.failure);
+        *pruned = source.pruned;
+        *yield_requested = source.yield_requested;
+        output.clone_from(&source.output);
+        *stats = source.stats;
+        *steps = source.steps;
+        *invisible_budget = source.invisible_budget;
+    }
+}
+
 impl<'m, M: MemModel> Machine<'m, M> {
     /// Creates a machine about to run `entry(args...)` on thread 0.
     pub fn new(program: &'m Program<'m>, entry: FuncId, args: Vec<i64>, mut mem: M) -> Self {
@@ -266,7 +383,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
         Machine {
             program,
             mem,
-            threads: vec![Shared::new(Thread::new(&program.code, 0, entry, args))],
+            threads: vec![Shared::new(Thread::new(&program.code, 0, entry, &args))],
             heap_next: HEAP_BASE,
             barrier_waiting: 0,
             failure: None,
@@ -302,24 +419,25 @@ impl<'m, M: MemModel> Machine<'m, M> {
         &self.program.layout
     }
 
-    /// Threads that can currently take a step (resolving join wake-ups).
-    pub fn runnable(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (tid, t) in self.threads.iter().enumerate() {
-            match &t.state {
-                ThreadState::Runnable => out.push(tid),
-                ThreadState::Join(target) => {
-                    if matches!(
-                        self.threads.get(*target).map(|t| &t.state),
-                        Some(ThreadState::Done(_))
-                    ) {
-                        out.push(tid);
-                    }
-                }
-                _ => {}
-            }
+    /// Whether thread `tid` can take a step now: it is runnable, or it
+    /// waits in `join` on a thread that has finished.
+    pub fn is_runnable(&self, tid: usize) -> bool {
+        match self.threads[tid].state {
+            ThreadState::Runnable => true,
+            ThreadState::Join(target) => matches!(
+                self.threads.get(target).map(|t| &t.state),
+                Some(ThreadState::Done(_))
+            ),
+            _ => false,
         }
-        out
+    }
+
+    /// Threads that can currently take a step (resolving join wake-ups),
+    /// in ascending order.
+    pub fn runnable(&self) -> Vec<usize> {
+        (0..self.threads.len())
+            .filter(|&tid| self.is_runnable(tid))
+            .collect()
     }
 
     /// Whether every thread has finished.
@@ -461,7 +579,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
             CInst::Alloca { id, slots } => {
                 // Re-running an alloca (a loop back through its block)
                 // keeps the slot it got first.
-                if frame.regs[id.0 as usize] != 0 {
+                if frame.regs()[id.0 as usize] != 0 {
                     return InstOutcome::Invisible;
                 }
                 let addr = thread.sp;
@@ -640,16 +758,21 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 InstOutcome::Invisible
             }
             CInst::CallFunc { id, func, args } => {
-                let params: Vec<i64> = args.iter().map(|a| frame.eval(layout, *a)).collect();
-                self.stats.other_ops += 1;
+                let caller = thread.frame();
+                let params = args.iter().map(|a| caller.eval(layout, *a));
                 let callee = Frame::new(&program.code, *func, params, *id, thread.sp);
                 thread.frames.push(callee);
+                self.stats.other_ops += 1;
                 InstOutcome::Invisible
             }
             CInst::CallBuiltin { id, builtin, args } => {
-                let vals: Vec<i64> = args.iter().map(|a| frame.eval(layout, *a)).collect();
+                let mut vals = [0; MAX_BUILTIN_ARGS];
+                for (val, a) in vals.iter_mut().zip(args.iter()) {
+                    *val = frame.eval(layout, *a);
+                }
+                let vals = &vals[..args.len().min(MAX_BUILTIN_ARGS)];
                 self.stats.other_ops += 1;
-                self.step_builtin(tid, *id, *builtin, &vals, ch)
+                self.step_builtin(tid, *id, *builtin, vals, ch)
             }
         }
     }
@@ -671,7 +794,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 let child = self.threads.len();
                 self.mem.ensure_threads(child + 1);
                 self.mem.on_spawn(tid, child);
-                let thread = Thread::new(&self.program.code, child, fid, vec![args[1]]);
+                let thread = Thread::new(&self.program.code, child, fid, &args[1..2]);
                 self.threads.push(Shared::new(thread));
                 self.set_reg(tid, id, child as i64);
                 // Spawning is a visible (synchronizing) event.
@@ -789,7 +912,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
                 let val = v.map(|v| thread.frame().eval(layout, v)).unwrap_or(0);
                 let frame = thread.frames.pop().expect("frame");
                 thread.sp = frame.saved_sp;
-                if let Some(parent) = thread.frames.last_mut() {
+                if let Some(parent) = thread.frames.top.as_mut() {
                     if let Some(dst) = frame.ret_to {
                         parent.set(dst, val);
                     }

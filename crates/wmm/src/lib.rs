@@ -12,6 +12,8 @@
 //! * [`exec`] — the threaded MIR executor generic over a memory model.
 //! * [`shared`] — the copy-on-write, digest-caching nodes that checker
 //!   states share.
+//! * `flatmap` (crate-private) — the sorted-vector map that holds
+//!   checker state's small maps (memory, views, histories, stack slots).
 //! * [`checker`] — exhaustive exploration of schedules × buffer flushes ×
 //!   read choices with visited-state pruning.
 //! * [`interp`] + [`cost`] — deterministic runs with dynamic operation
@@ -38,6 +40,7 @@ pub mod checker;
 pub mod compiled;
 pub mod cost;
 pub mod exec;
+mod flatmap;
 pub mod interp;
 pub mod litmus;
 pub mod mem;

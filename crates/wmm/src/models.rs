@@ -14,9 +14,9 @@
 //!   coherence weak behaviours the paper's bugs depend on; it does not
 //!   exhibit load-buffering (none of the paper's patterns need it).
 
+use crate::flatmap::FlatMap;
 use crate::shared::Shared;
 use atomig_mir::{Ordering, RmwOp};
-use std::collections::BTreeMap;
 use std::hash::Hash;
 
 /// A source of nondeterministic decisions (scheduling-independent inner
@@ -103,9 +103,22 @@ pub trait MemModel: Clone + Hash + Eq {
 // ---------------------------------------------------------------------
 
 /// Flat, immediately-consistent memory.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct ScMem {
-    mem: BTreeMap<u64, i64>,
+    mem: FlatMap<u64, i64>,
+}
+
+impl Clone for ScMem {
+    fn clone(&self) -> Self {
+        ScMem {
+            mem: self.mem.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let ScMem { mem } = self;
+        mem.clone_from(&source.mem);
+    }
 }
 
 impl MemModel for ScMem {
@@ -153,11 +166,26 @@ impl MemModel for ScMem {
 // ---------------------------------------------------------------------
 
 /// The x86-TSO store-buffer machine.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct TsoMem {
-    mem: BTreeMap<u64, i64>,
+    mem: FlatMap<u64, i64>,
     /// Per-thread FIFO store buffers (oldest first).
     buffers: Vec<Vec<(u64, i64)>>,
+}
+
+impl Clone for TsoMem {
+    fn clone(&self) -> Self {
+        TsoMem {
+            mem: self.mem.clone(),
+            buffers: self.buffers.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let TsoMem { mem, buffers } = self;
+        mem.clone_from(&source.mem);
+        buffers.clone_from(&source.buffers);
+    }
 }
 
 impl TsoMem {
@@ -259,7 +287,7 @@ impl MemModel for TsoMem {
 // View-based WMM
 // ---------------------------------------------------------------------
 
-type View = BTreeMap<u64, u64>;
+type View = FlatMap<u64, u64>;
 
 /// How the view machine interprets `SeqCst` *accesses*.
 ///
@@ -281,8 +309,8 @@ pub enum ScMode {
 }
 
 fn view_join(dst: &mut View, src: &View) {
-    for (&a, &ts) in src {
-        let e = dst.entry(a).or_insert(0);
+    for (&a, &ts) in src.iter() {
+        let e = dst.get_or_insert_with(a, || 0);
         if ts > *e {
             *e = ts;
         }
@@ -330,9 +358,8 @@ impl Msg {
 }
 
 /// The write history at `addr`, created with a 0-valued initial write.
-fn history(hist: &mut BTreeMap<u64, Shared<Vec<Msg>>>, addr: u64) -> &mut Shared<Vec<Msg>> {
-    hist.entry(addr)
-        .or_insert_with(|| Shared::new(vec![Msg::init(0)]))
+fn history(hist: &mut FlatMap<u64, Shared<Vec<Msg>>>, addr: u64) -> &mut Shared<Vec<Msg>> {
+    hist.get_or_insert_with(addr, || Shared::new(vec![Msg::init(0)]))
 }
 
 /// The view machine for weak memory.
@@ -340,18 +367,46 @@ fn history(hist: &mut BTreeMap<u64, Shared<Vec<Msg>>>, addr: u64) -> &mut Shared
 /// Histories and views are [`Shared`] between cloned machines: a clone
 /// copies only reference counts, a step copies the history or view it
 /// changes, and hashing reuses the digest of every one it did not.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct ViewMem {
     /// Per-location write histories, timestamps ascending (`ts 0` = init).
-    hist: BTreeMap<u64, Shared<Vec<Msg>>>,
+    hist: FlatMap<u64, Shared<Vec<Msg>>>,
     /// Per-thread views.
     views: Vec<Shared<View>>,
     /// Views of exited threads, kept for `on_join`.
-    exit_views: BTreeMap<usize, Shared<View>>,
+    exit_views: FlatMap<usize, Shared<View>>,
     /// The global SC view.
     sc_view: Shared<View>,
     /// SC-access interpretation.
     sc_mode: ScMode,
+}
+
+impl Clone for ViewMem {
+    fn clone(&self) -> Self {
+        ViewMem {
+            hist: self.hist.clone(),
+            views: self.views.clone(),
+            exit_views: self.exit_views.clone(),
+            sc_view: self.sc_view.clone(),
+            sc_mode: self.sc_mode,
+        }
+    }
+
+    /// Copies `source` into this machine's own maps.
+    fn clone_from(&mut self, source: &Self) {
+        let ViewMem {
+            hist,
+            views,
+            exit_views,
+            sc_view,
+            sc_mode,
+        } = self;
+        hist.clone_from(&source.hist);
+        views.clone_from(&source.views);
+        exit_views.clone_from(&source.exit_views);
+        sc_view.clone_from(&source.sc_view);
+        *sc_mode = source.sc_mode;
+    }
 }
 
 impl ViewMem {
@@ -439,12 +494,18 @@ impl ViewMem {
         Shared::make_mut(&mut self.views[tid]).insert(addr, ts);
         let released = ord.has_release();
         let view = released.then(|| Shared::clone(&self.views[tid]));
-        Shared::make_mut(history(&mut self.hist, addr)).push(Msg {
+        let msg = Msg {
             ts,
             val,
             view,
             released,
-        });
+        };
+        let h = history(&mut self.hist, addr);
+        match Shared::get_mut(h) {
+            Some(msgs) => msgs.push(msg),
+            // One copy with the new message, not a copy and a regrow.
+            None => *h = Shared::new(h.iter().cloned().chain([msg]).collect()),
+        }
     }
 
     fn do_store(&mut self, tid: usize, addr: u64, val: i64, ord: Ordering) {
@@ -560,15 +621,27 @@ impl MemModel for ViewMem {
             return;
         }
         for (addr, h) in self.hist.iter_mut() {
-            let floor = self
-                .views
-                .iter()
-                .map(|v| *v.get(addr).unwrap_or(&0))
-                .min()
-                .unwrap_or(0);
+            if h.len() < 2 {
+                continue;
+            }
+            // The floor is the least timestamp a thread view holds at
+            // `addr`. A view that still reads the oldest message keeps
+            // the whole history, so the scan stops at the first one.
+            let oldest = h[0].ts;
+            let mut floor = u64::MAX;
+            for v in &self.views {
+                floor = floor.min(*v.get(addr).unwrap_or(&0));
+                if floor <= oldest {
+                    break;
+                }
+            }
+            if floor <= oldest {
+                continue;
+            }
             let keep_from = h.iter().position(|m| m.ts >= floor).unwrap_or(h.len() - 1);
-            if keep_from > 0 {
-                Shared::make_mut(h).drain(..keep_from);
+            match Shared::get_mut(h) {
+                Some(msgs) => drop(msgs.drain(..keep_from)),
+                None => *h = Shared::new(h[keep_from..].to_vec()),
             }
         }
     }
@@ -585,6 +658,126 @@ impl MemModel for ViewMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atomig_testutil::Rng;
+
+    /// The gc before it stopped early: for every location, the minimum
+    /// over all thread views, then the drop. The oracle for
+    /// [`ViewMem::gc`].
+    fn gc_full_scan(m: &mut ViewMem) {
+        if m.views.is_empty() {
+            return;
+        }
+        for (addr, h) in m.hist.iter_mut() {
+            let floor = m
+                .views
+                .iter()
+                .map(|v| *v.get(addr).unwrap_or(&0))
+                .min()
+                .unwrap_or(0);
+            let keep_from = h.iter().position(|m| m.ts >= floor).unwrap_or(h.len() - 1);
+            if keep_from > 0 {
+                Shared::make_mut(h).drain(..keep_from);
+            }
+        }
+    }
+
+    /// Picks read choices from a seeded generator.
+    struct RandomChoice(Rng);
+
+    impl Chooser for RandomChoice {
+        fn choose(&mut self, n: usize) -> usize {
+            self.0.gen_usize(n)
+        }
+    }
+
+    const ORDERS: [Ordering; 6] = [
+        Ordering::NotAtomic,
+        Ordering::Relaxed,
+        Ordering::Acquire,
+        Ordering::Release,
+        Ordering::AcqRel,
+        Ordering::SeqCst,
+    ];
+
+    /// On seeded random runs of loads, stores, RMWs, fences, spawns and
+    /// joins over three addresses and up to four threads, the early-exit
+    /// gc leaves exactly the histories (and the whole state) the full
+    /// scan leaves, after every operation.
+    #[test]
+    fn early_exit_gc_matches_the_full_scan() {
+        let mut dropped = 0;
+        for seed in 0..200 {
+            let mut rng = Rng::new(seed);
+            let mut ch = RandomChoice(Rng::new(seed ^ 0x5eed));
+            let mut m = if seed % 2 == 0 {
+                ViewMem::default()
+            } else {
+                ViewMem::arm()
+            };
+            m.ensure_threads(1);
+            for addr in 1..=3 {
+                m.init(addr, 0);
+            }
+            let mut live = vec![0usize];
+            let mut exited: Vec<usize> = Vec::new();
+            let mut spawned = 1;
+            for step in 0..60 {
+                let tid = live[rng.gen_usize(live.len())];
+                let addr = 1 + rng.gen_usize(3) as u64;
+                let ord = ORDERS[rng.gen_usize(ORDERS.len())];
+                let val = rng.gen_range(0..4);
+                match rng.gen_usize(8) {
+                    0 | 1 => {
+                        m.load(tid, addr, ord, &mut ch);
+                    }
+                    2 | 3 => m.store(tid, addr, val, ord),
+                    4 => {
+                        m.rmw(tid, addr, RmwOp::Add, val, ord);
+                    }
+                    5 => {
+                        m.cmpxchg(tid, addr, val, val + 1, ord);
+                    }
+                    6 => m.fence(tid, ord),
+                    _ if spawned < 4 && rng.gen_ratio(1, 2) => {
+                        m.on_spawn(tid, spawned);
+                        live.push(spawned);
+                        spawned += 1;
+                    }
+                    _ if tid != 0 => {
+                        m.on_exit(tid);
+                        live.retain(|&t| t != tid);
+                        exited.push(tid);
+                    }
+                    _ => {
+                        if let Some(&target) = exited.last() {
+                            m.on_join(tid, target);
+                        }
+                    }
+                }
+                let before: usize = m.hist.iter().map(|(_, h)| h.len()).sum();
+                let mut full = m.clone();
+                // Either gc may run first: the first meets shared
+                // histories and copies what it keeps, the second drains
+                // its own.
+                if step % 2 == 0 {
+                    gc_full_scan(&mut full);
+                    m.gc();
+                } else {
+                    m.gc();
+                    gc_full_scan(&mut full);
+                }
+                assert_eq!(m, full, "seed {seed}");
+                assert_eq!(
+                    crate::shared::digest(|h| m.hash(h)),
+                    crate::shared::digest(|h| full.hash(h)),
+                    "seed {seed}"
+                );
+                dropped += before - m.hist.iter().map(|(_, h)| h.len()).sum::<usize>();
+            }
+        }
+        // The runs exercise the drop, not only the early exits.
+        assert!(dropped > 100, "only {dropped} messages dropped");
+    }
 
     #[test]
     fn sc_is_immediately_consistent() {
@@ -734,10 +927,10 @@ mod tests {
         for i in 1..=10 {
             m.store(0, 9, i, Ordering::Relaxed);
         }
-        assert_eq!(m.hist[&9].len(), 11);
+        assert_eq!(m.hist.get(&9).map(|h| h.len()), Some(11));
         m.gc();
         // Only thread 0 exists and its view is at ts 10.
-        assert_eq!(m.hist[&9].len(), 1);
+        assert_eq!(m.hist.get(&9).map(|h| h.len()), Some(1));
         assert_eq!(m.peek(9), 10);
     }
 

@@ -12,8 +12,8 @@
 //! so fingerprinting a successor hashes the contents of the nodes its
 //! step copied and one digest for each node it still shares. The digest
 //! depends on the contents only, so equal states built apart hash equal.
-//! The one `&mut` path, [`Shared::make_mut`], clears the digest, so a
-//! cached digest is never stale.
+//! The two `&mut` paths, [`Shared::make_mut`] and [`Shared::get_mut`],
+//! clear the digest, so a cached digest is never stale.
 
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
@@ -58,6 +58,15 @@ impl<T> Shared<T> {
     /// Whether two handles point at the same node.
     pub fn ptr_eq(a: &Shared<T>, b: &Shared<T>) -> bool {
         Rc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The contents, for a change, if no other handle shares the node;
+    /// clears the cached digest then. A caller that would copy the
+    /// contents only to cut or grow them builds the changed copy itself.
+    pub fn get_mut(this: &mut Shared<T>) -> Option<&mut T> {
+        let node = Rc::get_mut(&mut this.0)?;
+        node.digest.set(UNSET);
+        Some(&mut node.value)
     }
 }
 
