@@ -4,8 +4,6 @@
 //! transformation), *Expl.* (explicit annotations only), *Spin* (plus
 //! spinloop detection) and *AtoMig* (plus optimistic-loop detection).
 
-use atomig_analysis::InlineOptions;
-
 /// The cumulative detection stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
@@ -63,11 +61,10 @@ pub struct AtomigConfig {
     pub alias_exploration: bool,
     /// Alias backend used for buddy expansion.
     pub alias_mode: AliasMode,
-    /// Inline small functions first so cross-function loops are analyzable
-    /// (§3.5).
+    /// Inline small functions first, at the default
+    /// [`InlineOptions`](atomig_analysis::InlineOptions) thresholds, so
+    /// cross-function loops are analyzable (§3.5).
     pub inline: bool,
-    /// Inliner thresholds.
-    pub inline_options: InlineOptions,
     /// Also expand buddies keyed only by pointee type (coarse; off by
     /// default, matching the paper's GEP-keyed scheme).
     pub pointee_buddies: bool,
@@ -116,7 +113,6 @@ impl AtomigConfig {
             alias_exploration: false,
             alias_mode: AliasMode::TypeBased,
             inline: false,
-            inline_options: InlineOptions::default(),
             pointee_buddies: false,
             compiler_barrier_hints: false,
             volatile_blacklist: Vec::new(),
@@ -149,7 +145,6 @@ impl AtomigConfig {
             alias_exploration: true,
             alias_mode: AliasMode::TypeBased,
             inline: true,
-            inline_options: InlineOptions::default(),
             pointee_buddies: false,
             compiler_barrier_hints: false,
             volatile_blacklist: Vec::new(),

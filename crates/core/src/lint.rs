@@ -8,13 +8,14 @@
 //! 1. **fence-placement** — computes, without touching the module, the
 //!    plan that [`Pipeline::port_module`] applies (annotations,
 //!    spinloops, optimistic loops, sticky-buddy expansion: one planner
-//!    serves both) and checks that every mark in it is already realized
-//!    in the module: spin/optimistic controls `seq_cst`, every
-//!    in-loop optimistic-control load fence-preceded, every store to an
-//!    optimistic location fence-followed, every sticky buddy `seq_cst`.
-//!    A module that just went through [`Pipeline::port_module`] verifies
-//!    clean by the transform's idempotence; the original module gets one
-//!    finding per missing upgrade, i.e. "the port would fix this here".
+//!    serves both) and asks the transform which of its marks the module
+//!    does not yet realize (`transform::pending`, the very list of edits
+//!    [`transform::apply`] makes): each instruction with pending edits is
+//!    one finding, one message part per missing upgrade or fence. A
+//!    module that just went through [`Pipeline::port_module`] audits
+//!    clean; on the original module the message parts count exactly the
+//!    implicit plus explicit barriers a port without inlining adds, i.e.
+//!    "the port would fix this here".
 //!
 //! 2. **race-candidate** — a genuinely semantic race detector: it
 //!    intersects [`ThreadReach`] (which thread roots can reach each
@@ -22,12 +23,14 @@
 //!    ([`AliasMap::build_points_to`]). A class fires when two distinct
 //!    thread roots reach *aliasing* accesses of which at least one is a
 //!    plain store; within a firing class, every plain access that is not
-//!    *covered* by realized synchronization is reported. Coverage is
-//!    instruction-granular and direction-agnostic: an access is covered
+//!    *covered* by realized synchronization is reported. Coverage is one
+//!    bit per instruction and direction-agnostic: an access is covered
 //!    when a `seq_cst` access or fence executes before it on **every**
 //!    path from the entry, or after it on **every** path to the exit
 //!    (must-dataflow over the CFG), the static shape of
-//!    acquire-before-read and release-after-write protocols.
+//!    acquire-before-read and release-after-write protocols. Class
+//!    members are read through one instruction index per function, the
+//!    same one the fence-placement rule uses.
 //!
 //! Every finding carries the source span threaded through lowering, the
 //! alias key, the points-to cells the access may touch, and explanation
@@ -36,6 +39,7 @@
 //! off, nearest non-covering synchronization, …).
 //!
 //! [`Pipeline::port_module`]: crate::Pipeline::port_module
+//! [`transform::apply`]: crate::transform::apply
 //! [`ThreadReach`]: atomig_analysis::ThreadReach
 //! [`PointsTo`]: atomig_analysis::PointsTo
 //! [`AliasMap::build_points_to`]: crate::AliasMap::build_points_to
@@ -43,9 +47,9 @@
 use crate::annotations::loc_of;
 use crate::config::AtomigConfig;
 use crate::trace::{DecisionLedger, PipelineMetrics, TraceCause};
+use crate::transform::{pending, EditKind};
 use atomig_analysis::{Cfg, ThreadReach};
-use atomig_mir::{FuncId, Function, InstId, InstKind, MemLoc, Module, Ordering};
-use std::collections::HashSet;
+use atomig_mir::{FuncId, Function, Inst, InstId, InstIndex, MemLoc, Module, Ordering};
 use std::fmt;
 
 /// The rules `atomig lint` checks.
@@ -229,37 +233,23 @@ fn mark_reason(cause: &TraceCause) -> Option<&'static str> {
 /// (loops converge because the transfer functions are monotone on the
 /// two-point lattice). Within a block, position decides.
 struct Coverage {
-    /// Positions of sync points per block, ascending.
-    sync_pos: Vec<Vec<usize>>,
-    in_cov: Vec<bool>,
-    out_cov: Vec<bool>,
+    /// Per `InstId`: whether the instruction is covered.
+    covered: Vec<bool>,
     /// Source spans of sync points (for "nearest sync" notes).
     sync_spans: Vec<u32>,
 }
 
 impl Coverage {
-    fn new(func: &Function) -> Coverage {
+    fn new(index: &InstIndex<'_>) -> Coverage {
+        let func = index.func();
         let cfg = Cfg::new(func);
         let n = func.blocks.len();
-        let mut sync_pos = vec![Vec::new(); n];
-        let mut sync_spans = Vec::new();
-        for (bi, b) in func.blocks.iter().enumerate() {
-            for (pos, inst) in b.insts.iter().enumerate() {
-                let is_sync = matches!(
-                    inst.kind,
-                    InstKind::Fence {
-                        ord: Ordering::SeqCst
-                    }
-                ) || inst.kind.ordering() == Some(Ordering::SeqCst);
-                if is_sync {
-                    sync_pos[bi].push(pos);
-                    if inst.span != 0 {
-                        sync_spans.push(inst.span);
-                    }
-                }
-            }
-        }
-        let has_sync: Vec<bool> = sync_pos.iter().map(|v| !v.is_empty()).collect();
+        let is_sync = |inst: &Inst| inst.kind.ordering() == Some(Ordering::SeqCst);
+        let has_sync: Vec<bool> = func
+            .blocks
+            .iter()
+            .map(|b| b.insts.iter().any(is_sync))
+            .collect();
 
         let mut in_cov = vec![true; n];
         let mut out_cov = vec![true; n];
@@ -291,24 +281,31 @@ impl Coverage {
                 break;
             }
         }
+
+        // Within a block: a sync point strictly before, or strictly after.
+        let mut covered = vec![false; index.len()];
+        let mut sync_spans = Vec::new();
+        for (bi, b) in func.blocks.iter().enumerate() {
+            let mut before = in_cov[bi];
+            for inst in &b.insts {
+                covered[inst.id.0 as usize] = before;
+                if is_sync(inst) {
+                    before = true;
+                    if inst.span != 0 {
+                        sync_spans.push(inst.span);
+                    }
+                }
+            }
+            let mut after = out_cov[bi];
+            for inst in b.insts.iter().rev() {
+                covered[inst.id.0 as usize] |= after;
+                after |= is_sync(inst);
+            }
+        }
         Coverage {
-            sync_pos,
-            in_cov,
-            out_cov,
+            covered,
             sync_spans,
         }
-    }
-
-    /// Whether the function contains any sync point at all.
-    fn has_any_sync(&self) -> bool {
-        self.sync_pos.iter().any(|v| !v.is_empty())
-    }
-
-    /// Whether the instruction at `(block index, position)` is covered.
-    fn covered(&self, bi: usize, pos: usize) -> bool {
-        let before = self.sync_pos[bi].iter().any(|&p| p < pos) || self.in_cov[bi];
-        let after = self.sync_pos[bi].iter().any(|&p| p > pos) || self.out_cov[bi];
-        before || after
     }
 
     /// The span of a sync point nearest to source line `span` (for the
@@ -319,20 +316,6 @@ impl Coverage {
             .copied()
             .min_by_key(|&s| s.abs_diff(span))
     }
-}
-
-/// One audited memory access.
-#[derive(Debug, Clone)]
-struct Access {
-    fid: FuncId,
-    inst: InstId,
-    span: u32,
-    loc: MemLoc,
-    write: bool,
-    plain: bool,
-    /// Block index and in-block position, for coverage queries.
-    bi: usize,
-    pos: usize,
 }
 
 /// Audits `m` against the transform's contract and the race-candidate
@@ -360,81 +343,47 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     let reach = ThreadReach::new(m);
     report.thread_roots = reach.roots.len();
 
-    let is_sc_fence = |k: &InstKind| {
-        matches!(
-            k,
-            InstKind::Fence {
-                ord: Ordering::SeqCst
-            }
-        )
-    };
-
     // ---- Rule: fence-placement ----------------------------------------
-    // Every would-be mark must already be realized in the module.
+    // Every edit the transform would still make is a finding.
     let f0 = clock.now();
+    let indexes: Vec<InstIndex<'_>> = m.funcs.iter().map(Function::inst_index).collect();
     let mut lints: Vec<Lint> = Vec::new();
-    for fid in m.func_ids() {
-        let func = m.func(fid);
-        let empty = HashSet::new();
-        let sc = marks.sc_marks.get(&fid).unwrap_or(&empty);
-        let before = marks.fence_before.get(&fid).unwrap_or(&empty);
-        let after = marks.fence_after.get(&fid).unwrap_or(&empty);
-        if sc.is_empty() && before.is_empty() && after.is_empty() {
-            continue;
-        }
-        let index = func.inst_index();
-        for b in &func.blocks {
-            for (pos, inst) in b.insts.iter().enumerate() {
-                let mut notes = Vec::new();
-                let mut missing: Vec<String> = Vec::new();
-                if sc.contains(&inst.id) && inst.kind.ordering() != Some(Ordering::SeqCst) {
-                    missing.push(format!(
-                        "access is {:?} but should be seq_cst",
-                        inst.kind.ordering().unwrap_or(Ordering::NotAtomic)
-                    ));
-                    // The first decision that marked the access says why.
-                    let why = plan.ledger.for_access(fid, inst.id);
-                    if let Some(why) = why.filter_map(|d| mark_reason(&d.cause)).next() {
-                        notes.push(format!("marked because {why}"));
+    for (fid, index) in m.func_ids().zip(&indexes) {
+        let func = index.func();
+        let edits = pending(func, fid, &marks);
+        for at in edits.chunk_by(|a, b| (a.block, a.pos) == (b.block, b.pos)) {
+            let inst = &func.block(at[0].block).insts[at[0].pos];
+            let mut notes = Vec::new();
+            let missing: Vec<String> = at
+                .iter()
+                .map(|edit| match edit.kind {
+                    EditKind::Upgrade { from } => {
+                        // The first decision that marked the access says why.
+                        let why = plan.ledger.for_access(fid, inst.id);
+                        if let Some(why) = why.filter_map(|d| mark_reason(&d.cause)).next() {
+                            notes.push(format!("marked because {why}"));
+                        }
+                        format!("access is {from:?} but should be seq_cst")
                     }
-                }
-                if before.contains(&inst.id) {
-                    let fenced = pos > 0 && is_sc_fence(&b.insts[pos - 1].kind);
-                    if !fenced {
-                        missing.push(
-                            "missing `fence seq_cst` before this optimistic-control load".into(),
-                        );
+                    EditKind::FenceBefore => {
+                        "missing `fence seq_cst` before this optimistic-control load".into()
                     }
-                }
-                if after.contains(&inst.id) {
-                    let fenced = b
-                        .insts
-                        .get(pos + 1)
-                        .map(|n| is_sc_fence(&n.kind))
-                        .unwrap_or(false);
-                    if !fenced {
-                        missing.push(
-                            "missing `fence seq_cst` after this store to an optimistic location"
-                                .into(),
-                        );
+                    EditKind::FenceAfter => {
+                        "missing `fence seq_cst` after this store to an optimistic location".into()
                     }
-                }
-                if missing.is_empty() {
-                    continue;
-                }
-                let loc = loc_of(&index, &inst.kind);
-                lints.push(Lint {
-                    rule: LintRule::FencePlacement,
-                    severity: Severity::Error,
-                    func: func.name.clone(),
-                    inst: inst.id,
-                    loc,
-                    span: inst.span,
-                    message: missing.join("; "),
-                    notes,
-                    suggestion: Some("run `atomig port` to apply the missing upgrades".into()),
-                });
-            }
+                })
+                .collect();
+            lints.push(Lint {
+                rule: LintRule::FencePlacement,
+                severity: Severity::Error,
+                func: func.name.clone(),
+                inst: inst.id,
+                loc: loc_of(index, &inst.kind),
+                span: inst.span,
+                message: missing.join("; "),
+                notes,
+                suggestion: Some("run `atomig port` to apply the missing upgrades".into()),
+            });
         }
     }
 
@@ -450,59 +399,30 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     // synchronization (instruction-granular, either direction) is
     // reported.
     let r0 = clock.now();
-    // Per-function dense tables: instruction `i` of function `f` owns slot
-    // `slot_base[f] + i`, which indexes `table` (or is `NO_ACCESS`). The
-    // thread roots reaching each function are computed once, sorted.
-    const NO_ACCESS: u32 = u32::MAX;
-    let mut slot_base: Vec<usize> = Vec::with_capacity(m.funcs.len() + 1);
-    let mut slot_access: Vec<u32> = Vec::new();
-    let mut table: Vec<Access> = Vec::new();
-    let mut coverage: Vec<Coverage> = Vec::with_capacity(m.funcs.len());
-    let mut roots_of: Vec<Vec<FuncId>> = Vec::with_capacity(m.funcs.len());
-    for fid in m.func_ids() {
-        let func = m.func(fid);
-        let index = func.inst_index();
-        let base = slot_access.len();
-        slot_base.push(base);
-        slot_access.resize(base + index.len(), NO_ACCESS);
-        for (bi, b) in func.blocks.iter().enumerate() {
-            for (pos, inst) in b.insts.iter().enumerate() {
-                if !inst.kind.is_memory_access() {
-                    continue;
-                }
-                report.accesses += 1;
-                slot_access[base + inst.id.0 as usize] = table.len() as u32;
-                table.push(Access {
-                    fid,
-                    inst: inst.id,
-                    span: inst.span,
-                    loc: loc_of(&index, &inst.kind),
-                    write: inst.kind.may_write(),
-                    plain: inst.kind.ordering() == Some(Ordering::NotAtomic),
-                    bi,
-                    pos,
-                });
-            }
-        }
-        coverage.push(Coverage::new(func));
-        let mut roots: Vec<FuncId> = reach.roots_reaching(fid).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        roots_of.push(roots);
-    }
-    slot_base.push(slot_access.len());
-    let access_of = |(f, i): (FuncId, InstId)| -> Option<&Access> {
-        let slots = &slot_access[slot_base[f.0 as usize]..slot_base[f.0 as usize + 1]];
-        let slot = *slots.get(i.0 as usize)?;
-        (slot != NO_ACCESS).then(|| &table[slot as usize])
-    };
+    report.accesses = am_pt.accesses_scanned;
+    // Per function: its coverage and the thread roots reaching it, sorted.
+    let coverage: Vec<Coverage> = indexes.iter().map(Coverage::new).collect();
+    let roots_of: Vec<Vec<FuncId>> = m
+        .func_ids()
+        .map(|fid| {
+            let mut roots: Vec<FuncId> = reach.roots_reaching(fid).collect();
+            roots.sort_unstable();
+            roots.dedup();
+            roots
+        })
+        .collect();
+    let plain = |inst: &Inst| inst.kind.ordering() == Some(Ordering::NotAtomic);
+    let plain_store = |inst: &Inst| plain(inst) && inst.kind.may_write();
 
     let mut race_lints: Vec<Lint> = Vec::new();
     for class in am_pt.classes() {
-        let accesses: Vec<&Access> = class.iter().filter_map(|&k| access_of(k)).collect();
+        let accesses: Vec<(FuncId, &Inst)> = class
+            .iter()
+            .filter_map(|&(f, i)| Some((f, indexes[f.0 as usize].inst(i)?)))
+            .collect();
         let root_sets: Vec<&[FuncId]> = accesses
             .iter()
-            .map(|a| roots_of[a.fid.0 as usize].as_slice())
+            .map(|(f, _)| roots_of[f.0 as usize].as_slice())
             .collect();
         let mut union_roots: Vec<FuncId> = root_sets.concat();
         union_roots.sort_unstable();
@@ -513,9 +433,8 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
         // A plain store must be concurrent with something: either it is
         // itself reached from two roots, or a second root reaches another
         // member of the class.
-        let concurrent_store = accesses.iter().zip(&root_sets).any(|(a, rs)| {
-            a.plain
-                && a.write
+        let concurrent_store = accesses.iter().zip(&root_sets).any(|((_, a), rs)| {
+            plain_store(a)
                 && !rs.is_empty()
                 && (rs.len() >= 2
                     || root_sets
@@ -540,28 +459,24 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                 names.join(", ")
             )
         };
-        for (a, rs) in accesses.iter().zip(&root_sets) {
-            if !a.plain || rs.is_empty() {
+        for (&(fid, a), rs) in accesses.iter().zip(&root_sets) {
+            let cov = &coverage[fid.0 as usize];
+            if !plain(a) || rs.is_empty() || cov.covered[a.id.0 as usize] {
                 continue;
             }
-            let cov = &coverage[a.fid.0 as usize];
-            if cov.covered(a.bi, a.pos) {
-                continue;
-            }
-            let func = m.func(a.fid);
+            let loc = loc_of(&indexes[fid.0 as usize], &a.kind);
+            let write = a.kind.may_write();
             let mut notes = vec![context_note.clone()];
-            let cells = pt.cells_of_access(a.fid, a.inst);
+            let cells = pt.cells_of_access(fid, a.id);
             if !cells.is_empty() {
                 let descs: Vec<String> = cells.iter().map(|&c| pt.describe_cell(m, c)).collect();
                 notes.push(format!("may touch: {}", descs.join(", ")));
             }
-            if cov.has_any_sync() {
-                if let Some(s) = cov.nearest_sync_span(a.span) {
-                    notes.push(format!(
-                        "the seq_cst synchronization at line {s} does not cover this access \
-                         on every path"
-                    ));
-                }
+            if let Some(s) = cov.nearest_sync_span(a.span) {
+                notes.push(format!(
+                    "the seq_cst synchronization at line {s} does not cover this access \
+                     on every path"
+                ));
             }
             let mut suggestion = None;
             if pattern {
@@ -569,7 +484,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                     "this location participates in a detected synchronization pattern".into(),
                 );
                 suggestion = Some("run `atomig port` to promote it".into());
-            } else if matches!(a.loc, MemLoc::Pointee(_)) && !config.pointee_buddies {
+            } else if matches!(loc, MemLoc::Pointee(_)) && !config.pointee_buddies {
                 notes.push(
                     "alias key is a pointee-typed bucket; sticky-buddy expansion ignores it \
                      unless `pointee_buddies` is enabled"
@@ -584,6 +499,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                 suggestion =
                     Some("annotate the location `atomic`, or guard it with a detected lock".into());
             }
+            let racing = write || accesses.iter().any(|&(f, x)| f != fid && plain_store(x));
             race_lints.push(Lint {
                 rule: LintRule::RaceCandidate,
                 severity: if pattern {
@@ -591,18 +507,14 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                 } else {
                     Severity::Warning
                 },
-                func: func.name.clone(),
-                inst: a.inst,
-                loc: a.loc.clone(),
+                func: m.func(fid).name.clone(),
+                inst: a.id,
+                loc,
                 span: a.span,
                 message: format!(
                     "plain {} of a location shared between threads{}",
-                    if a.write { "store" } else { "load" },
-                    if accesses
-                        .iter()
-                        .any(|x| x.plain && x.write && x.fid != a.fid)
-                        || a.write
-                    {
+                    if write { "store" } else { "load" },
+                    if racing {
                         " (racing with a plain store)"
                     } else {
                         ""
@@ -614,12 +526,11 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
         }
     }
     // Deterministic order: rule, then function, then source position.
-    race_lints.sort_by(|a, b| {
+    let by_position = |a: &Lint, b: &Lint| {
         (a.func.as_str(), a.span, a.inst.0).cmp(&(b.func.as_str(), b.span, b.inst.0))
-    });
-    lints.sort_by(|a, b| {
-        (a.func.as_str(), a.span, a.inst.0).cmp(&(b.func.as_str(), b.span, b.inst.0))
-    });
+    };
+    race_lints.sort_by(by_position);
+    lints.sort_by(by_position);
     report
         .metrics
         .record("lint-race-candidate", clock.now() - r0, race_lints.len());

@@ -12,7 +12,7 @@ use crate::trace::{
     AliasClass, Decision, DecisionLedger, PipelineMetrics, TraceAction, TraceCause,
 };
 use crate::transform::{self, MarkSet};
-use atomig_analysis::{inline_module, InfluenceAnalysis, PointsTo, PointsToStats};
+use atomig_analysis::{inline_module, InfluenceAnalysis, InlineOptions, PointsTo, PointsToStats};
 use atomig_mir::{FuncId, FxBuild, InstId, InstIndex, InstKind, MemLoc, Module};
 use std::collections::{HashMap, HashSet};
 
@@ -138,7 +138,7 @@ impl Pipeline {
         let mut base = report.before;
         let i0 = clock.now();
         if self.config.inline {
-            report.inlined_calls = inline_module(m, &self.config.inline_options);
+            report.inlined_calls = inline_module(m, &InlineOptions::default());
             // Inlining copies callee bodies and adds return-slot accesses,
             // so its census is taken again when it inlined anything.
             if report.inlined_calls > 0 {

@@ -5,8 +5,13 @@
 //! explicit `fence seq_cst` barriers: before each optimistic-control load
 //! inside an optimistic loop, and after every store to an optimistic
 //! location anywhere in the module (Figure 6's orange marks).
+//!
+//! One rule decides what a mark still needs: `pending` lists the edits,
+//! [`apply`] makes them, and the lint's fence-placement rule reports
+//! them. A mark the module already realizes yields no edit, so a second
+//! application changes nothing.
 
-use atomig_mir::{FuncId, Inst, InstId, InstKind, Module, Ordering};
+use atomig_mir::{BlockId, FuncId, Function, Inst, InstId, InstKind, Module, Ordering};
 use std::collections::{HashMap, HashSet};
 
 /// The accumulated marks of all detection passes, to be applied at once.
@@ -51,8 +56,6 @@ pub struct TransformStats {
     /// Weaker atomic accesses raised to `SeqCst`: each already counted
     /// as an implicit barrier.
     pub atomic_to_sc: usize,
-    /// Accesses already `SeqCst` that were marked (idempotence).
-    pub already_sc: usize,
     /// Explicit fences inserted.
     pub fences_inserted: usize,
 }
@@ -64,74 +67,118 @@ impl TransformStats {
     }
 }
 
-/// Applies `marks` to the module.
+/// What realizing a mark takes at one instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EditKind {
+    /// Raise the access's ordering from `from` to `SeqCst`.
+    Upgrade { from: Ordering },
+    /// Insert a `fence seq_cst` before the instruction.
+    FenceBefore,
+    /// Insert a `fence seq_cst` after the instruction.
+    FenceAfter,
+}
+
+/// One edit [`apply`] makes: `kind` at instruction `pos` of `block`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Edit {
+    pub block: BlockId,
+    pub pos: usize,
+    pub kind: EditKind,
+}
+
+/// The edits that realize `marks` in function `fid`, in layout order and,
+/// per instruction, upgrade, fence before, fence after. A mark the
+/// function already realizes yields none: an access already `seq_cst`, a
+/// load right after a `fence seq_cst` (or after an instruction that gets
+/// a fence after it), a store right before a `fence seq_cst`.
+pub(crate) fn pending(func: &Function, fid: FuncId, marks: &MarkSet) -> Vec<Edit> {
+    let empty = HashSet::new();
+    let sc = marks.sc_marks.get(&fid).unwrap_or(&empty);
+    let before = marks.fence_before.get(&fid).unwrap_or(&empty);
+    let after = marks.fence_after.get(&fid).unwrap_or(&empty);
+    let mut edits = Vec::new();
+    if sc.is_empty() && before.is_empty() && after.is_empty() {
+        return edits;
+    }
+    let is_sc_fence = |i: &Inst| {
+        matches!(
+            i.kind,
+            InstKind::Fence {
+                ord: Ordering::SeqCst
+            }
+        )
+    };
+    for (block, b) in func.block_ids().zip(&func.blocks) {
+        // Whether an SC fence precedes `pos` once the edits are made.
+        let mut fenced = false;
+        for (pos, inst) in b.insts.iter().enumerate() {
+            let mut edit = |kind| edits.push(Edit { block, pos, kind });
+            if sc.contains(&inst.id) {
+                match inst.kind.ordering() {
+                    Some(Ordering::SeqCst) => {}
+                    from => edit(EditKind::Upgrade {
+                        from: from.unwrap_or(Ordering::NotAtomic),
+                    }),
+                }
+            }
+            if before.contains(&inst.id) && !fenced {
+                edit(EditKind::FenceBefore);
+            }
+            fenced = is_sc_fence(inst);
+            if after.contains(&inst.id) && !b.insts.get(pos + 1).is_some_and(is_sc_fence) {
+                edit(EditKind::FenceAfter);
+                fenced = true;
+            }
+        }
+    }
+    edits
+}
+
+/// Applies `marks` to the module: makes the `pending` edits of every
+/// function, numbering inserted fences from its `next_inst`.
 pub fn apply(m: &mut Module, marks: &MarkSet) -> TransformStats {
     let mut stats = TransformStats::default();
     for fid in 0..m.funcs.len() as u32 {
         let fid = FuncId(fid);
-        let empty = HashSet::new();
-        let sc = marks.sc_marks.get(&fid).unwrap_or(&empty);
-        let before = marks.fence_before.get(&fid).unwrap_or(&empty);
-        let after = marks.fence_after.get(&fid).unwrap_or(&empty);
-        if sc.is_empty() && before.is_empty() && after.is_empty() {
-            continue;
-        }
+        let mut edits = pending(m.func(fid), fid, marks).into_iter().peekable();
         let func = m.func_mut(fid);
-        let mut next = func.next_inst;
-        let is_sc_fence = |i: &Inst| {
-            matches!(
-                i.kind,
-                InstKind::Fence {
-                    ord: Ordering::SeqCst
-                }
-            )
+        let first = func.next_inst;
+        let mut next = first;
+        let mut fence = |span| {
+            next += 1;
+            let ord = Ordering::SeqCst;
+            Inst::with_span(InstId(next - 1), InstKind::Fence { ord }, span)
         };
-        for block in &mut func.blocks {
-            let old = std::mem::take(&mut block.insts);
-            let mut new_insts: Vec<Inst> = Vec::with_capacity(old.len());
-            let n = old.len();
-            for pos in 0..n {
-                let mut inst = old[pos].clone();
-                // Idempotence: skip insertion when a fence is already
-                // adjacent (e.g. from a previous run of the pipeline).
-                let already_before = new_insts.last().map(is_sc_fence).unwrap_or(false);
-                if before.contains(&inst.id) && !already_before {
-                    new_insts.push(Inst::with_span(
-                        InstId(next),
-                        InstKind::Fence {
-                            ord: Ordering::SeqCst,
-                        },
-                        inst.span,
-                    ));
-                    next += 1;
-                    stats.fences_inserted += 1;
-                }
-                if sc.contains(&inst.id) {
-                    match inst.kind.ordering() {
-                        Some(Ordering::SeqCst) => stats.already_sc += 1,
-                        Some(o) if o.is_atomic() => stats.atomic_to_sc += 1,
-                        _ => stats.plain_to_sc += 1,
+        for (block, b) in (0..).map(BlockId).zip(&mut func.blocks) {
+            if edits.peek().is_none_or(|e| e.block != block) {
+                continue;
+            }
+            let old = std::mem::take(&mut b.insts);
+            b.insts.reserve(old.len());
+            for (pos, mut inst) in old.into_iter().enumerate() {
+                let mut fence_after = false;
+                while let Some(e) = edits.next_if(|e| (e.block, e.pos) == (block, pos)) {
+                    match e.kind {
+                        EditKind::Upgrade { from } => {
+                            if from.is_atomic() {
+                                stats.atomic_to_sc += 1;
+                            } else {
+                                stats.plain_to_sc += 1;
+                            }
+                            inst.kind.upgrade_ordering(Ordering::SeqCst);
+                        }
+                        EditKind::FenceBefore => b.insts.push(fence(inst.span)),
+                        EditKind::FenceAfter => fence_after = true,
                     }
-                    inst.kind.upgrade_ordering(Ordering::SeqCst);
                 }
-                let followed_by_fence = old.get(pos + 1).map(is_sc_fence).unwrap_or(false);
-                let fence_here = after.contains(&inst.id) && !followed_by_fence;
                 let span = inst.span;
-                new_insts.push(inst);
-                if fence_here {
-                    new_insts.push(Inst::with_span(
-                        InstId(next),
-                        InstKind::Fence {
-                            ord: Ordering::SeqCst,
-                        },
-                        span,
-                    ));
-                    next += 1;
-                    stats.fences_inserted += 1;
+                b.insts.push(inst);
+                if fence_after {
+                    b.insts.push(fence(span));
                 }
             }
-            block.insts = new_insts;
         }
+        stats.fences_inserted += (next - first) as usize;
         func.next_inst = next;
     }
     stats
@@ -216,9 +263,40 @@ mod tests {
         let sid = m.funcs[0].blocks[0].insts[0].id;
         let mut marks = MarkSet::default();
         marks.mark_sc(FuncId(0), sid);
-        let stats = apply(&mut m, &marks);
-        assert_eq!(stats.sc_upgraded(), 0);
-        assert_eq!(stats.already_sc, 1);
+        assert_eq!(pending(&m.funcs[0], FuncId(0), &marks), vec![]);
+        let before = m.clone();
+        assert_eq!(apply(&mut m, &marks), TransformStats::default());
+        assert_eq!(m, before);
+    }
+
+    #[test]
+    fn fence_after_a_store_serves_the_next_load() {
+        let mut m = parse_module(
+            r#"
+            global @seq: i32 = 0
+            fn @f() : void {
+            bb0:
+              store i32 1, @seq
+              %v = load i32, @seq
+              ret
+            }
+            "#,
+        )
+        .unwrap();
+        let store_id = m.funcs[0].blocks[0].insts[0].id;
+        let load_id = m.funcs[0].blocks[0].insts[1].id;
+        let mut marks = MarkSet::default();
+        marks.mark_fence_after(FuncId(0), store_id);
+        marks.mark_fence_before(FuncId(0), load_id);
+        let want = Edit {
+            block: BlockId(0),
+            pos: 0,
+            kind: EditKind::FenceAfter,
+        };
+        assert_eq!(pending(&m.funcs[0], FuncId(0), &marks), vec![want]);
+        assert_eq!(apply(&mut m, &marks).fences_inserted, 1);
+        assert_eq!(pending(&m.funcs[0], FuncId(0), &marks), vec![]);
+        verify_module(&m).unwrap();
     }
 
     #[test]
