@@ -7,8 +7,8 @@
 
 use crate::callgraph::CallGraph;
 use atomig_mir::{
-    Block, BlockId, Callee, FuncId, Function, GepIndex, Inst, InstId, InstKind, Module, Terminator,
-    Type, Value,
+    Block, BlockId, Callee, FuncId, Function, Inst, InstId, InstKind, Module, Terminator, Type,
+    Value,
 };
 
 /// Inlining thresholds.
@@ -104,105 +104,6 @@ fn remap_value(v: Value, args: &[Value], inst_off: u32) -> Value {
     }
 }
 
-fn remap_kind(kind: &InstKind, args: &[Value], inst_off: u32) -> InstKind {
-    let r = |v: Value| remap_value(v, args, inst_off);
-    match kind {
-        InstKind::Alloca { ty, name } => InstKind::Alloca {
-            ty: ty.clone(),
-            name: name.clone(),
-        },
-        InstKind::Load {
-            ptr,
-            ty,
-            ord,
-            volatile,
-        } => InstKind::Load {
-            ptr: r(*ptr),
-            ty: ty.clone(),
-            ord: *ord,
-            volatile: *volatile,
-        },
-        InstKind::Store {
-            ptr,
-            val,
-            ty,
-            ord,
-            volatile,
-        } => InstKind::Store {
-            ptr: r(*ptr),
-            val: r(*val),
-            ty: ty.clone(),
-            ord: *ord,
-            volatile: *volatile,
-        },
-        InstKind::Cmpxchg {
-            ptr,
-            expected,
-            new,
-            ty,
-            ord,
-        } => InstKind::Cmpxchg {
-            ptr: r(*ptr),
-            expected: r(*expected),
-            new: r(*new),
-            ty: ty.clone(),
-            ord: *ord,
-        },
-        InstKind::Rmw {
-            op,
-            ptr,
-            val,
-            ty,
-            ord,
-        } => InstKind::Rmw {
-            op: *op,
-            ptr: r(*ptr),
-            val: r(*val),
-            ty: ty.clone(),
-            ord: *ord,
-        },
-        InstKind::Fence { ord } => InstKind::Fence { ord: *ord },
-        InstKind::Gep {
-            base,
-            base_ty,
-            indices,
-        } => InstKind::Gep {
-            base: r(*base),
-            base_ty: base_ty.clone(),
-            indices: indices
-                .iter()
-                .map(|i| match i {
-                    GepIndex::Const(c) => GepIndex::Const(*c),
-                    GepIndex::Dyn(v) => GepIndex::Dyn(r(*v)),
-                })
-                .collect(),
-        },
-        InstKind::Bin { op, lhs, rhs } => InstKind::Bin {
-            op: *op,
-            lhs: r(*lhs),
-            rhs: r(*rhs),
-        },
-        InstKind::Cmp { pred, lhs, rhs } => InstKind::Cmp {
-            pred: *pred,
-            lhs: r(*lhs),
-            rhs: r(*rhs),
-        },
-        InstKind::Cast { value, to } => InstKind::Cast {
-            value: r(*value),
-            to: to.clone(),
-        },
-        InstKind::Call {
-            callee,
-            args: a,
-            ret_ty,
-        } => InstKind::Call {
-            callee: *callee,
-            args: a.iter().map(|v| r(*v)).collect(),
-            ret_ty: ret_ty.clone(),
-        },
-    }
-}
-
 /// Rewrites every use of `from` to `to` in a function.
 fn replace_uses(f: &mut Function, from: InstId, to: Value) {
     let subst = |v: &mut Value| {
@@ -210,47 +111,11 @@ fn replace_uses(f: &mut Function, from: InstId, to: Value) {
             *v = to;
         }
     };
-    for b in 0..f.blocks.len() {
-        for inst in &mut f.blocks[b].insts {
-            match &mut inst.kind {
-                InstKind::Load { ptr, .. } => subst(ptr),
-                InstKind::Store { ptr, val, .. } => {
-                    subst(ptr);
-                    subst(val);
-                }
-                InstKind::Cmpxchg {
-                    ptr, expected, new, ..
-                } => {
-                    subst(ptr);
-                    subst(expected);
-                    subst(new);
-                }
-                InstKind::Rmw { ptr, val, .. } => {
-                    subst(ptr);
-                    subst(val);
-                }
-                InstKind::Gep { base, indices, .. } => {
-                    subst(base);
-                    for i in indices {
-                        if let GepIndex::Dyn(v) = i {
-                            subst(v);
-                        }
-                    }
-                }
-                InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
-                    subst(lhs);
-                    subst(rhs);
-                }
-                InstKind::Cast { value, .. } => subst(value),
-                InstKind::Call { args, .. } => {
-                    for a in args {
-                        subst(a);
-                    }
-                }
-                InstKind::Alloca { .. } | InstKind::Fence { .. } => {}
-            }
+    for block in &mut f.blocks {
+        for inst in &mut block.insts {
+            inst.kind.for_each_operand_mut(subst);
         }
-        match &mut f.blocks[b].term {
+        match &mut block.term {
             Terminator::CondBr { cond, .. } => subst(cond),
             Terminator::Ret(Some(v)) => subst(v),
             _ => {}
@@ -281,7 +146,6 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
         Terminator::Br(BlockId(block_off + 1)), // callee entry comes next
     );
     caller.blocks.push(Block {
-        name: format!("inline.cont.{}", call_inst.id.0),
         insts: tail,
         term: orig_term,
     });
@@ -293,10 +157,7 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
             0,
             Inst::with_span(
                 slot_id,
-                InstKind::Alloca {
-                    ty: ret_ty.clone(),
-                    name: format!("inline.ret.{}", call_inst.id.0),
-                },
+                InstKind::Alloca { ty: ret_ty.clone() },
                 call_inst.span,
             ),
         );
@@ -310,9 +171,11 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
     for cb in &callee.blocks {
         let mut insts: Vec<Inst> = Vec::with_capacity(cb.insts.len());
         for inst in &cb.insts {
+            let mut kind = inst.kind.clone();
+            kind.for_each_operand_mut(|v| *v = remap_value(*v, &args, inst_off));
             insts.push(Inst::with_span(
                 InstId(inst.id.0 + inst_off),
-                remap_kind(&inst.kind, &args, inst_off),
+                kind,
                 inst.span,
             ));
         }
@@ -345,11 +208,7 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
             }
             Terminator::Unreachable => Terminator::Unreachable,
         };
-        caller.blocks.push(Block {
-            name: format!("inline.{}.{}", callee.name, cb.name),
-            insts,
-            term,
-        });
+        caller.blocks.push(Block { insts, term });
     }
 
     // Replace uses of the call result with a load from the return slot.

@@ -11,7 +11,7 @@ fn build_cfg(spec: &[(u8, usize, usize)]) -> Function {
     let n = spec.len().max(1);
     let mut f = Function::new("g", vec![], Type::Void);
     f.blocks.clear();
-    for (i, &(kind, t1, t2)) in spec.iter().enumerate() {
+    for &(kind, t1, t2) in spec {
         let term = match kind % 3 {
             0 => Terminator::Ret(None),
             1 => Terminator::Br(BlockId((t1 % n) as u32)),
@@ -22,14 +22,12 @@ fn build_cfg(spec: &[(u8, usize, usize)]) -> Function {
             },
         };
         f.blocks.push(Block {
-            name: format!("b{i}"),
             insts: vec![],
             term,
         });
     }
     if f.blocks.is_empty() {
         f.blocks.push(Block {
-            name: "b0".into(),
             insts: vec![],
             term: Terminator::Ret(None),
         });

@@ -5,19 +5,36 @@
 //! compiling MiniC to MIR; "AtoMig" is build + the full porting pipeline,
 //! mirroring the paper's build-system integration (§3.1). Detected
 //! pattern counts are reported at generation scale; multiply by 100 to
-//! compare against the paper column (also shown).
+//! compare against the paper column (also shown). "MIR B/inst" is the
+//! instruction storage of the built and the ported module, per
+//! instruction. Exits 1 when a detected census differs from the
+//! generator's ground truth.
 
 use atomig_bench::{render_table, BenchRecorder};
 use atomig_core::json::Value;
 use atomig_core::{naive_port, AtomigConfig, Pipeline};
+use atomig_mir::{Block, Inst, Module};
 use atomig_workloads::{profiles, synth};
+use std::mem::size_of;
 use std::time::Instant;
 
 const SCALE: u32 = 100;
 
+/// Block capacities × `size_of::<Inst>()` plus blocks × `size_of::<Block>()`,
+/// over the instruction count. Heap data an instruction owns (GEP indices,
+/// call arguments) is not counted.
+fn mir_bytes_per_inst(m: &Module) -> f64 {
+    let blocks = m.funcs.iter().flat_map(|f| &f.blocks);
+    let bytes: usize = blocks
+        .map(|b| size_of::<Block>() + b.insts.capacity() * size_of::<Inst>())
+        .sum();
+    bytes as f64 / m.inst_count().max(1) as f64
+}
+
 fn main() {
     let mut rec = BenchRecorder::new("table3");
     let mut rows = Vec::new();
+    let mut census_ok = true;
     for profile in &profiles::all() {
         let app = synth::generate_for(profile, SCALE);
 
@@ -54,6 +71,21 @@ fn main() {
         rec.phases(&format!("{}_phases", profile.name), &report.metrics);
         rec.census(&format!("{}_census_before", profile.name), &report.before);
         rec.census(&format!("{}_census_after", profile.name), &report.after);
+        let bytes = [&module, &ported].map(mir_bytes_per_inst);
+        let key = format!("{}_mir_bytes_per_inst_built_ported", profile.name);
+        rec.put(&key, Value::Arr(bytes.map(Value::from).to_vec()));
+        let found = (report.spinloops as u32, report.optiloops as u32);
+        let want = (
+            app.config.expected_spinloops(),
+            app.config.expected_optiloops(),
+        );
+        if found != want {
+            eprintln!(
+                "table3: {}: detected {found:?} spin/optiloops, generator placed {want:?}",
+                profile.name
+            );
+            census_ok = false;
+        }
 
         rows.push(vec![
             profile.name.to_string(),
@@ -69,6 +101,7 @@ fn main() {
             format!("{}/{}", report.before.explicit, report.before.implicit),
             format!("{}/{}", report.after.explicit, report.after.implicit),
             naive_census.implicit.to_string(),
+            format!("{:.1}/{:.1}", bytes[0], bytes[1]),
         ]);
     }
 
@@ -88,6 +121,7 @@ fn main() {
                 "Orig BE/BI",
                 "AtoMig BE/BI",
                 "Naive BI",
+                "MIR B/inst",
             ],
             &rows,
         )
@@ -97,4 +131,7 @@ fn main() {
     );
     let path = rec.write().expect("write bench record");
     println!("wrote {path}");
+    if !census_ok {
+        std::process::exit(1);
+    }
 }

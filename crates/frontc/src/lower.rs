@@ -332,7 +332,7 @@ impl<'c, 'p> FnLower<'c, 'p> {
         // clang -O0: copy every parameter into a stack slot.
         for (i, p) in prog[params].iter().enumerate() {
             let mty = fl.cx.mir_type(p.ty)?;
-            let slot = fl.b.alloca(mty.clone(), &prog[p.name]);
+            let slot = fl.b.alloca(mty.clone());
             fl.b.store(mty, slot, Value::Param(i as u32));
             fl.cx.locals.bind(
                 p.name,
@@ -377,7 +377,7 @@ impl<'c, 'p> FnLower<'c, 'p> {
                 init,
             } => {
                 let mty = self.cx.mir_type(ty)?;
-                let slot = self.b.alloca(mty, &prog[name]);
+                let slot = self.b.alloca(mty);
                 self.cx.locals.bind(
                     name,
                     LocalVar {
@@ -414,9 +414,9 @@ impl<'c, 'p> FnLower<'c, 'p> {
                         self.b.set_line(arm.line);
                     }
                     let c = self.cond_value(arm.cond)?;
-                    let then_bb = self.b.new_block("if.then");
-                    let else_bb = self.b.new_block("if.else");
-                    let end_bb = self.b.new_block("if.end");
+                    let then_bb = self.b.new_block();
+                    let else_bb = self.b.new_block();
+                    let end_bb = self.b.new_block();
                     self.b.cond_br(c, then_bb, else_bb);
                     self.b.switch_to(then_bb);
                     self.stmt(arm.then_s)?;
@@ -439,9 +439,9 @@ impl<'c, 'p> FnLower<'c, 'p> {
                 Ok(())
             }
             StmtKind::While { cond, body } => {
-                let header = self.b.new_block("while.header");
-                let body_bb = self.b.new_block("while.body");
-                let end_bb = self.b.new_block("while.end");
+                let header = self.b.new_block();
+                let body_bb = self.b.new_block();
+                let end_bb = self.b.new_block();
                 self.b.br(header);
                 self.b.switch_to(header);
                 let c = self.cond_value(cond)?;
@@ -457,9 +457,9 @@ impl<'c, 'p> FnLower<'c, 'p> {
                 Ok(())
             }
             StmtKind::DoWhile { body, cond } => {
-                let body_bb = self.b.new_block("do.body");
-                let latch = self.b.new_block("do.latch");
-                let end_bb = self.b.new_block("do.end");
+                let body_bb = self.b.new_block();
+                let latch = self.b.new_block();
+                let end_bb = self.b.new_block();
                 self.b.br(body_bb);
                 self.b.switch_to(body_bb);
                 self.loops.push((latch, end_bb));
@@ -484,10 +484,10 @@ impl<'c, 'p> FnLower<'c, 'p> {
                 if let Some(i) = init {
                     self.stmt(i)?;
                 }
-                let header = self.b.new_block("for.header");
-                let body_bb = self.b.new_block("for.body");
-                let step_bb = self.b.new_block("for.step");
-                let end_bb = self.b.new_block("for.end");
+                let header = self.b.new_block();
+                let body_bb = self.b.new_block();
+                let step_bb = self.b.new_block();
+                let end_bb = self.b.new_block();
                 self.b.br(header);
                 self.b.switch_to(header);
                 match cond {
@@ -673,7 +673,7 @@ impl<'c, 'p> FnLower<'c, 'p> {
                         // Fabricate an lvalue holding the pointer by
                         // spilling it (rare path).
                         let mty = self.cx.mir_type(rv.ty)?;
-                        let slot = self.b.alloca(mty.clone(), "ptr.tmp");
+                        let slot = self.b.alloca(mty.clone());
                         self.b.store(mty, slot, rv.val);
                         Ok(LV {
                             addr: slot,
@@ -853,11 +853,11 @@ impl<'c, 'p> FnLower<'c, 'p> {
                 then_e,
                 else_e,
             } => {
-                let slot = self.b.alloca(Type::I64, "ternary.tmp");
+                let slot = self.b.alloca(Type::I64);
                 let c = self.cond_value(cond)?;
-                let then_bb = self.b.new_block("tern.then");
-                let else_bb = self.b.new_block("tern.else");
-                let end_bb = self.b.new_block("tern.end");
+                let then_bb = self.b.new_block();
+                let else_bb = self.b.new_block();
+                let end_bb = self.b.new_block();
                 self.b.cond_br(c, then_bb, else_bb);
                 self.b.switch_to(then_bb);
                 let tv = self.rvalue(then_e)?;
@@ -908,12 +908,12 @@ impl<'c, 'p> FnLower<'c, 'p> {
     fn binary(&mut self, op: BinaryOp, lhs: ExprId, rhs: ExprId) -> Result<RV, LowerError> {
         match op {
             BinaryOp::LAnd | BinaryOp::LOr => {
-                let slot = self.b.alloca(Type::I32, "logic.tmp");
+                let slot = self.b.alloca(Type::I32);
                 let l = self.cond_value(lhs)?;
                 let li = self.b.cast(l, Type::I32);
                 self.b.store(Type::I32, slot, li);
-                let rhs_bb = self.b.new_block("logic.rhs");
-                let end_bb = self.b.new_block("logic.end");
+                let rhs_bb = self.b.new_block();
+                let end_bb = self.b.new_block();
                 match op {
                     BinaryOp::LAnd => self.b.cond_br(l, rhs_bb, end_bb),
                     _ => self.b.cond_br(l, end_bb, rhs_bb),

@@ -1,6 +1,6 @@
 //! Programmatic construction of functions.
 
-use crate::func::{Block, BlockId, Function, InstId};
+use crate::func::{Block, BlockId, Function};
 use crate::inst::{
     BinOp, Builtin, Callee, CmpPred, GepIndex, Inst, InstKind, Ordering, RmwOp, Terminator,
 };
@@ -26,10 +26,16 @@ use crate::value::Value;
 /// m.add_func(b.finish());
 /// assert_eq!(m.funcs[0].inst_count(), 2);
 /// ```
+///
+/// The current block's instructions collect in one reusable buffer and
+/// move into the block as an exact-size `Vec` when the builder switches
+/// away or finishes, so no block holds spare capacity.
 #[derive(Debug)]
 pub struct FunctionBuilder {
     func: Function,
     current: BlockId,
+    /// Instructions pushed since the last switch, not yet in `current`.
+    pending: Vec<Inst>,
     cur_line: u32,
 }
 
@@ -40,6 +46,7 @@ impl FunctionBuilder {
         FunctionBuilder {
             func,
             current: BlockId(0),
+            pending: Vec::new(),
             cur_line: 0,
         }
     }
@@ -52,39 +59,37 @@ impl FunctionBuilder {
 
     /// Creates a new (empty, unterminated) block and returns its id without
     /// switching to it.
-    pub fn new_block(&mut self, name: impl Into<String>) -> BlockId {
+    pub fn new_block(&mut self) -> BlockId {
         let id = BlockId(self.func.blocks.len() as u32);
-        self.func.blocks.push(Block::new(name));
+        self.func.blocks.push(Block::default());
         id
     }
 
-    /// Switches the insertion point to `block`.
+    /// Switches the insertion point to `block`. Switching back to a block
+    /// that already holds instructions appends after them.
     pub fn switch_to(&mut self, block: BlockId) {
+        self.flush();
         self.current = block;
+    }
+
+    /// Moves the pending instructions to the end of the current block,
+    /// growing it by exactly their number.
+    fn flush(&mut self) {
+        let insts = &mut self.func.block_mut(self.current).insts;
+        insts.reserve_exact(self.pending.len());
+        insts.append(&mut self.pending);
     }
 
     /// Appends an instruction of `kind`, returning its result value.
     pub fn push(&mut self, kind: InstKind) -> Value {
-        Value::Inst(self.push_id(kind))
-    }
-
-    /// Appends an instruction, returning the raw [`InstId`].
-    pub fn push_id(&mut self, kind: InstKind) -> InstId {
         let id = self.func.fresh_inst_id();
-        let span = self.cur_line;
-        self.func
-            .block_mut(self.current)
-            .insts
-            .push(Inst::with_span(id, kind, span));
-        id
+        self.pending.push(Inst::with_span(id, kind, self.cur_line));
+        Value::Inst(id)
     }
 
-    /// `alloca ty` — a named stack slot.
-    pub fn alloca(&mut self, ty: Type, name: impl Into<String>) -> Value {
-        self.push(InstKind::Alloca {
-            ty,
-            name: name.into(),
-        })
+    /// `alloca ty` — a stack slot.
+    pub fn alloca(&mut self, ty: Type) -> Value {
+        self.push(InstKind::Alloca { ty })
     }
 
     /// A plain (non-atomic, non-volatile) load.
@@ -229,7 +234,8 @@ impl FunctionBuilder {
     }
 
     /// Finishes and returns the function.
-    pub fn finish(self) -> Function {
+    pub fn finish(mut self) -> Function {
+        self.flush();
         self.func
     }
 }
@@ -246,8 +252,8 @@ mod tests {
             vec![("flag".into(), Type::ptr_to(Type::I32))],
             Type::Void,
         );
-        let header = b.new_block("loop");
-        let exit = b.new_block("exit");
+        let header = b.new_block();
+        let exit = b.new_block();
         b.br(header);
         b.switch_to(header);
         let v = b.load(Type::I32, Value::Param(0));

@@ -25,25 +25,15 @@ impl fmt::Display for BlockId {
 }
 
 /// A basic block: a straight-line instruction sequence plus a terminator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Blocks carry no label: the printer names them `bbN` by index. The
+/// default block is empty and ends in `unreachable`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Block {
-    /// Human-readable label (parser/printer; not semantically meaningful).
-    pub name: String,
-    /// Instructions in execution order.
+    /// Instructions in execution order. The builder and the parser leave
+    /// no spare capacity here (`insts.capacity() == insts.len()`).
     pub insts: Vec<Inst>,
     /// Control transfer out of the block.
     pub term: Terminator,
-}
-
-impl Block {
-    /// Creates an empty block ending in `unreachable` (builder fills it in).
-    pub fn new(name: impl Into<String>) -> Block {
-        Block {
-            name: name.into(),
-            insts: Vec::new(),
-            term: Terminator::Unreachable,
-        }
-    }
 }
 
 /// A function definition.
@@ -68,7 +58,7 @@ impl Function {
             name: name.into(),
             params,
             ret,
-            blocks: vec![Block::new("entry")],
+            blocks: vec![Block::default()],
             next_inst: 0,
         }
     }
@@ -268,7 +258,7 @@ mod tests {
         // Ids 2..5 are never placed; 5 lands in a second block, ahead of
         // the entry block's instructions in layout order.
         f.next_inst = 6;
-        f.blocks.insert(0, Block::new("pre"));
+        f.blocks.insert(0, Block::default());
         f.blocks[0].insts.push(Inst::new(
             InstId(5),
             InstKind::Fence {
@@ -321,6 +311,5 @@ mod tests {
     fn entry_is_block_zero() {
         let f = sample();
         assert_eq!(f.entry(), BlockId(0));
-        assert_eq!(f.block(f.entry()).name, "entry");
     }
 }

@@ -367,8 +367,6 @@ pub enum InstKind {
     Alloca {
         /// Type of the slot.
         ty: Type,
-        /// Source-level variable name (debugging / reports).
-        name: String,
     },
     /// Load a scalar of type `ty` from `ptr`.
     Load {
@@ -544,6 +542,40 @@ impl InstKind {
         }
     }
 
+    /// Calls `f` on each value operand, in the order of
+    /// [`operands`](Self::operands), so it can rewrite them in place.
+    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Value)) {
+        match self {
+            InstKind::Alloca { .. } | InstKind::Fence { .. } => {}
+            InstKind::Load { ptr, .. } => f(ptr),
+            InstKind::Store { ptr, val, .. } | InstKind::Rmw { ptr, val, .. } => {
+                f(ptr);
+                f(val);
+            }
+            InstKind::Cmpxchg {
+                ptr, expected, new, ..
+            } => {
+                f(ptr);
+                f(expected);
+                f(new);
+            }
+            InstKind::Gep { base, indices, .. } => {
+                f(base);
+                for i in indices {
+                    if let GepIndex::Dyn(v) = i {
+                        f(v);
+                    }
+                }
+            }
+            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            InstKind::Cast { value, .. } => f(value),
+            InstKind::Call { args, .. } => args.iter_mut().for_each(f),
+        }
+    }
+
     /// All value operands of the instruction, in a fixed order.
     pub fn operands(&self) -> impl Iterator<Item = Value> + '_ {
         let none = [None; 3];
@@ -597,8 +629,9 @@ impl Inst {
     }
 }
 
-/// Block terminators.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Block terminators. The default is `Unreachable`, which a new block
+/// holds until the builder terminates it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Terminator {
     /// Unconditional branch.
     Br(BlockId),
@@ -614,6 +647,7 @@ pub enum Terminator {
     /// Return, optionally with a value.
     Ret(Option<Value>),
     /// Unreachable control flow (e.g. after `assume(false)`).
+    #[default]
     Unreachable,
 }
 

@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn alloca_is_stack() {
         let mut b = FunctionBuilder::new("f", vec![], Type::Void);
-        let a = b.alloca(Type::I32, "x");
+        let a = b.alloca(Type::I32);
         b.ret(None);
         let f = b.finish();
         let idx = f.inst_index();
@@ -254,7 +254,7 @@ mod tests {
     fn loaded_pointer_is_pointee_typed() {
         let sid = StructId(2);
         let mut b = FunctionBuilder::new("f", vec![], Type::Void);
-        let slot = b.alloca(Type::ptr_to(Type::Struct(sid)), "node");
+        let slot = b.alloca(Type::ptr_to(Type::Struct(sid)));
         let p = b.load(Type::ptr_to(Type::Struct(sid)), slot);
         // node->field0
         let a = b.gep(

@@ -466,62 +466,51 @@ fn parse_function(lx: &mut Lexer, names: &Names) -> Result<Function, ParseError>
     let mut f = Function::new(name, params, ret);
     f.blocks.clear();
 
-    // Symbolic blocks: (label, insts, symbolic terminator).
+    // Symbolic terminators, resolved once every label is known.
     enum SymTerm {
         Br(String),
         CondBr(Value, String, String),
         Ret(Option<Value>),
         Unreachable,
     }
-    let mut blocks: Vec<(String, Vec<Inst>, SymTerm)> = Vec::new();
-    let mut cur_label: Option<String> = None;
+    let mut label_ids: HashMap<String, BlockId> = HashMap::new();
+    let mut terms: Vec<SymTerm> = Vec::new();
+    let mut in_block = false;
+    // The open block's instructions; they move into an exact-size `Vec`
+    // when the block closes, and the buffer is reused.
     let mut cur_insts: Vec<Inst> = Vec::new();
 
     loop {
         if lx.eat(&Tok::RBrace) {
-            if cur_label.is_some() {
+            if in_block {
                 return Err(lx.err("block missing terminator"));
             }
             break;
         }
         // A label?
         if let (Some(Tok::Ident(_)), Some(Tok::Colon)) = (lx.peek(), lx.peek2()) {
-            if cur_label.is_some() {
+            if in_block {
                 return Err(lx.err("previous block missing terminator"));
             }
-            let label = lx.expect_ident()?;
+            label_ids.insert(lx.expect_ident()?, BlockId(f.blocks.len() as u32));
             lx.expect(Tok::Colon)?;
-            cur_label = Some(label);
-            cur_insts = Vec::new();
+            in_block = true;
             continue;
         }
-        if cur_label.is_none() {
+        if !in_block {
             return Err(lx.err("instruction outside a block"));
         }
         // A terminator?
-        if lx.eat_ident("br") {
-            let target = lx.expect_ident()?;
-            blocks.push((
-                cur_label.take().unwrap(),
-                std::mem::take(&mut cur_insts),
-                SymTerm::Br(target),
-            ));
-            continue;
-        }
-        if lx.eat_ident("condbr") {
+        let term = if lx.eat_ident("br") {
+            Some(SymTerm::Br(lx.expect_ident()?))
+        } else if lx.eat_ident("condbr") {
             let cond = parse_value(lx, names, &ctx)?;
             lx.expect(Tok::Comma)?;
             let t = lx.expect_ident()?;
             lx.expect(Tok::Comma)?;
             let e = lx.expect_ident()?;
-            blocks.push((
-                cur_label.take().unwrap(),
-                std::mem::take(&mut cur_insts),
-                SymTerm::CondBr(cond, t, e),
-            ));
-            continue;
-        }
-        if lx.eat_ident("ret") {
+            Some(SymTerm::CondBr(cond, t, e))
+        } else if lx.eat_ident("ret") {
             let v = if matches!(
                 lx.peek(),
                 Some(Tok::Int(_)) | Some(Tok::Percent(_)) | Some(Tok::Global(_))
@@ -531,37 +520,33 @@ fn parse_function(lx: &mut Lexer, names: &Names) -> Result<Function, ParseError>
             } else {
                 None
             };
-            blocks.push((
-                cur_label.take().unwrap(),
-                std::mem::take(&mut cur_insts),
-                SymTerm::Ret(v),
-            ));
-            continue;
-        }
-        if lx.eat_ident("unreachable") {
-            blocks.push((
-                cur_label.take().unwrap(),
-                std::mem::take(&mut cur_insts),
-                SymTerm::Unreachable,
-            ));
-            continue;
-        }
-        // An instruction, with or without a result binding.
-        let result_name = if let (Some(Tok::Percent(_)), Some(Tok::Eq)) = (lx.peek(), lx.peek2()) {
-            let n = match lx.next() {
-                Some(Tok::Percent(n)) => n,
-                _ => unreachable!(),
-            };
-            lx.next(); // '='
-            Some(n)
+            Some(SymTerm::Ret(v))
+        } else if lx.eat_ident("unreachable") {
+            Some(SymTerm::Unreachable)
         } else {
             None
         };
-        let id = f.fresh_inst_id();
-        if let Some(n) = &result_name {
-            ctx.results.insert(n.clone(), id);
+        if let Some(term) = term {
+            let mut insts = Vec::with_capacity(cur_insts.len());
+            insts.append(&mut cur_insts);
+            f.blocks.push(Block {
+                insts,
+                term: Terminator::Unreachable,
+            });
+            terms.push(term);
+            in_block = false;
+            continue;
         }
-        let kind = parse_inst(lx, names, &ctx, result_name.as_deref())?;
+        // An instruction, with or without a result binding.
+        let id = f.fresh_inst_id();
+        if let (Some(Tok::Percent(_)), Some(Tok::Eq)) = (lx.peek(), lx.peek2()) {
+            let Some(Tok::Percent(n)) = lx.next() else {
+                unreachable!()
+            };
+            lx.next(); // '='
+            ctx.results.insert(n, id);
+        }
+        let kind = parse_inst(lx, names, &ctx)?;
         // Optional `!N` source-span suffix.
         let span = if lx.eat(&Tok::Bang) {
             match lx.next() {
@@ -575,19 +560,14 @@ fn parse_function(lx: &mut Lexer, names: &Names) -> Result<Function, ParseError>
     }
 
     // Resolve labels.
-    let label_ids: HashMap<&str, BlockId> = blocks
-        .iter()
-        .enumerate()
-        .map(|(i, (l, _, _))| (l.as_str(), BlockId(i as u32)))
-        .collect();
     let resolve = |l: &str, lx: &Lexer| {
         label_ids
             .get(l)
             .copied()
             .ok_or_else(|| lx.err(format!("unknown label `{l}`")))
     };
-    for (label, insts, sym) in &blocks {
-        let term = match sym {
+    for (block, sym) in f.blocks.iter_mut().zip(&terms) {
+        block.term = match sym {
             SymTerm::Br(t) => Terminator::Br(resolve(t, lx)?),
             SymTerm::CondBr(c, t, e) => Terminator::CondBr {
                 cond: *c,
@@ -597,11 +577,6 @@ fn parse_function(lx: &mut Lexer, names: &Names) -> Result<Function, ParseError>
             SymTerm::Ret(v) => Terminator::Ret(*v),
             SymTerm::Unreachable => Terminator::Unreachable,
         };
-        f.blocks.push(Block {
-            name: label.clone(),
-            insts: insts.clone(),
-            term,
-        });
     }
     if f.blocks.is_empty() {
         return Err(lx.err("function has no blocks"));
@@ -649,21 +624,12 @@ fn parse_vol_opt(lx: &mut Lexer) -> bool {
     lx.eat_ident("volatile")
 }
 
-fn parse_inst(
-    lx: &mut Lexer,
-    names: &Names,
-    ctx: &FnCtx,
-    result_name: Option<&str>,
-) -> Result<InstKind, ParseError> {
+fn parse_inst(lx: &mut Lexer, names: &Names, ctx: &FnCtx) -> Result<InstKind, ParseError> {
     let mnemonic = lx.expect_ident()?;
     match mnemonic.as_str() {
-        "alloca" => {
-            let ty = parse_type(lx, names)?;
-            Ok(InstKind::Alloca {
-                ty,
-                name: result_name.unwrap_or("tmp").to_string(),
-            })
-        }
+        "alloca" => Ok(InstKind::Alloca {
+            ty: parse_type(lx, names)?,
+        }),
         "load" => {
             let ty = parse_type(lx, names)?;
             lx.expect(Tok::Comma)?;

@@ -226,8 +226,7 @@ fn write_vol(out: &mut String, volatile: bool) {
 
 fn write_inst(out: &mut String, m: &Module, f: &Function, kind: &InstKind, id: u32) {
     match kind {
-        InstKind::Alloca { ty, name } => {
-            let _ = name; // cosmetic; dropped so print/parse is a fixpoint
+        InstKind::Alloca { ty } => {
             write_def(out, id);
             out.push_str("alloca ");
             write_type(out, m, ty);

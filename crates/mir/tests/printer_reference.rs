@@ -139,8 +139,7 @@ mod reference {
     fn inst_str(m: &Module, f: &Function, kind: &InstKind, id: u32) -> String {
         let v = |val: Value| value_str(m, f, val);
         match kind {
-            InstKind::Alloca { ty, name } => {
-                let _ = name; // cosmetic; dropped so print/parse is a fixpoint
+            InstKind::Alloca { ty } => {
                 format!("%t{id} = alloca {}", type_str(m, ty))
             }
             InstKind::Load {
@@ -422,14 +421,12 @@ fn every_arm() -> Module {
         (
             InstKind::Alloca {
                 ty: Type::Struct(node),
-                name: "slot".into(),
             },
             0,
         ),
         (
             InstKind::Alloca {
                 ty: Type::Struct(StructId(7)),
-                name: String::new(),
             },
             u32::MAX,
         ),
@@ -617,9 +614,10 @@ fn every_arm() -> Module {
         Terminator::Ret(None),
     ];
     for term in terms {
-        let mut b = Block::new("b");
-        b.term = term;
-        f.blocks.push(b);
+        f.blocks.push(Block {
+            insts: Vec::new(),
+            term,
+        });
     }
     m.add_func(f);
 

@@ -6,11 +6,14 @@
 //! `base + Σ const + Σ value·stride`, casts become masks, allocas become
 //! slot counts. The interpreter and model checker then execute without
 //! touching the heap per instruction.
+//!
+//! Only value-producing instructions get a register, numbered densely: a
+//! [`CInst`]'s `id` and its `Value::Inst` operands name registers.
 
 use crate::mem::Layout;
 use atomig_mir::{
-    BinOp, BlockId, Builtin, Callee, CmpPred, FuncId, GepIndex, InstId, InstKind, Module, Ordering,
-    RmwOp, Terminator, Type, Value,
+    BinOp, BlockId, Builtin, Callee, CmpPred, FuncId, Function, GepIndex, InstId, InstKind, Module,
+    Ordering, RmwOp, Terminator, Type, Value,
 };
 
 /// One dynamic GEP term: `eval(value) * stride`.
@@ -134,8 +137,8 @@ pub enum CInst {
     },
     /// Builtin call.
     CallBuiltin {
-        /// Result register.
-        id: InstId,
+        /// Result register (None for void).
+        id: Option<InstId>,
         /// Which builtin.
         builtin: Builtin,
         /// Arguments.
@@ -177,7 +180,7 @@ pub struct CBlock {
 pub struct CFunc {
     /// Blocks, entry first.
     pub blocks: Vec<CBlock>,
-    /// Register file size.
+    /// Register file size: the number of value-producing instructions.
     pub n_regs: u32,
     /// Function name (diagnostics).
     pub name: String,
@@ -197,6 +200,7 @@ impl CompiledProgram {
             .funcs
             .iter()
             .map(|f| {
+                let (regs, n_regs) = Registers::number(f);
                 let blocks = f
                     .blocks
                     .iter()
@@ -204,14 +208,18 @@ impl CompiledProgram {
                         insts: b
                             .insts
                             .iter()
-                            .map(|i| compile_inst(module, layout, i.id, &i.kind))
+                            .map(|i| {
+                                let mut kind = i.kind.clone();
+                                kind.for_each_operand_mut(|v| *v = regs.value(*v));
+                                compile_inst(module, layout, regs.id(i.id), &kind)
+                            })
                             .collect(),
-                        term: compile_term(&b.term),
+                        term: compile_term(&regs, &b.term),
                     })
                     .collect();
                 CFunc {
                     blocks,
-                    n_regs: f.next_inst,
+                    n_regs,
                     name: f.name.clone(),
                 }
             })
@@ -220,7 +228,45 @@ impl CompiledProgram {
     }
 }
 
-fn compile_term(t: &Terminator) -> CTerm {
+/// A function's dense register numbers, indexed by instruction id: each
+/// value-producing instruction's register, counted in layout order. Any
+/// other id maps to `u32::MAX`, which reads 0, as a register never
+/// written does.
+struct Registers(Vec<u32>);
+
+impl Registers {
+    /// The numbering of `f` and its register count.
+    fn number(f: &Function) -> (Registers, u32) {
+        let mut of = vec![u32::MAX; f.next_inst as usize];
+        let mut count = 0;
+        for (_, inst) in f.insts() {
+            let void = match &inst.kind {
+                InstKind::Store { .. } | InstKind::Fence { .. } => true,
+                InstKind::Call { ret_ty, .. } => *ret_ty == Type::Void,
+                _ => false,
+            };
+            if let Some(reg) = of.get_mut(inst.id.0 as usize).filter(|_| !void) {
+                *reg = count;
+                count += 1;
+            }
+        }
+        (Registers(of), count)
+    }
+
+    fn id(&self, id: InstId) -> InstId {
+        InstId(self.0.get(id.0 as usize).copied().unwrap_or(u32::MAX))
+    }
+
+    /// `v` with an instruction operand renamed to its register.
+    fn value(&self, v: Value) -> Value {
+        match v {
+            Value::Inst(id) => Value::Inst(self.id(id)),
+            other => other,
+        }
+    }
+}
+
+fn compile_term(regs: &Registers, t: &Terminator) -> CTerm {
     match t {
         Terminator::Br(b) => CTerm::Br(*b),
         Terminator::CondBr {
@@ -228,11 +274,11 @@ fn compile_term(t: &Terminator) -> CTerm {
             then_bb,
             else_bb,
         } => CTerm::CondBr {
-            cond: *cond,
+            cond: regs.value(*cond),
             then_bb: *then_bb,
             else_bb: *else_bb,
         },
-        Terminator::Ret(v) => CTerm::Ret(*v),
+        Terminator::Ret(v) => CTerm::Ret(v.map(|v| regs.value(v))),
         Terminator::Unreachable => CTerm::Unreachable,
     }
 }
@@ -317,7 +363,7 @@ fn compile_inst(module: &Module, layout: &Layout, id: InstId, kind: &InstKind) -
                 args: args.clone().into_boxed_slice(),
             },
             Callee::Builtin(b) => CInst::CallBuiltin {
-                id,
+                id: (*ret_ty != Type::Void).then_some(id),
                 builtin: *b,
                 args: args.clone().into_boxed_slice(),
             },
@@ -444,6 +490,63 @@ mod tests {
             })
             .collect();
         assert_eq!(offsets, [0, 2, 5, 6]);
+    }
+
+    #[test]
+    fn only_value_producing_instructions_get_registers() {
+        let m = parse_module(
+            r#"
+            global @g: i64 = 0
+            fn @f(%x: i64) : i64 {
+            bb0:
+              %a = alloca i64
+              store i64 %x, %a
+              fence seq_cst
+              call void @pause()
+              %v = load i64, %a
+              call void @assert(%v)
+              %s = add %v, %x
+              condbr %s, bb1, bb1
+            bb1:
+              store i64 %s, @g
+              ret %s
+            }
+            "#,
+        )
+        .unwrap();
+        let layout = Layout::new(&m);
+        let p = CompiledProgram::compile(&m, &layout);
+        let f = &p.funcs[0];
+        // alloca, load and add: three of eight instructions.
+        assert_eq!(m.funcs[0].next_inst, 8);
+        assert_eq!(f.n_regs, 3);
+        let insts = &f.blocks[0].insts;
+        assert!(matches!(insts[3], CInst::CallBuiltin { id: None, .. }));
+        match &insts[6] {
+            CInst::Bin { id, lhs, .. } => {
+                assert_eq!(*id, InstId(2));
+                assert_eq!(*lhs, Value::Inst(InstId(1)));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(
+            f.blocks[0].term,
+            CTerm::CondBr {
+                cond: Value::Inst(InstId(2)),
+                ..
+            }
+        ));
+        assert!(matches!(
+            f.blocks[1].insts[0],
+            CInst::Store {
+                val: Value::Inst(InstId(2)),
+                ..
+            }
+        ));
+        assert!(matches!(
+            f.blocks[1].term,
+            CTerm::Ret(Some(Value::Inst(InstId(2))))
+        ));
     }
 
     #[test]

@@ -82,11 +82,11 @@ const MAX_BUILTIN_ARGS: usize = 2;
 
 /// One call frame.
 ///
-/// Registers are a dense array indexed by [`InstId`], and the frame's
-/// parameters follow them in the same vector: one allocation per frame,
-/// and cloning a frame is a memcpy. An alloca's register doubles as its
-/// record: it holds the slot's non-zero stack address once the alloca
-/// has run.
+/// Registers are a dense array indexed by register number (the `id` of a
+/// value-producing [`CInst`]), and the frame's parameters follow them in
+/// the same vector: one allocation per frame, and cloning a frame is a
+/// memcpy. An alloca's register doubles as its record: it holds the
+/// slot's non-zero stack address once the alloca has run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Frame {
     func: FuncId,
@@ -492,11 +492,13 @@ impl<'m, M: MemModel> Machine<'m, M> {
         InstOutcome::Failed
     }
 
-    /// Writes register `id` of `tid`'s innermost frame.
-    fn set_reg(&mut self, tid: usize, id: InstId, v: i64) {
-        Shared::make_mut(&mut self.threads[tid])
-            .frame_mut()
-            .set(id, v);
+    /// Writes register `id`, if any, of `tid`'s innermost frame.
+    fn set_reg(&mut self, tid: usize, id: Option<InstId>, v: i64) {
+        if let Some(id) = id {
+            Shared::make_mut(&mut self.threads[tid])
+                .frame_mut()
+                .set(id, v);
+        }
     }
 
     /// Performs one pending internal memory step (e.g. a TSO buffer
@@ -780,7 +782,7 @@ impl<'m, M: MemModel> Machine<'m, M> {
     fn step_builtin(
         &mut self,
         tid: usize,
-        id: InstId,
+        id: Option<InstId>,
         b: Builtin,
         args: &[i64],
         ch: &mut dyn Chooser,

@@ -2,8 +2,7 @@
 //! transformed IR, decision-ledger dumps, metrics JSONL, lint reports,
 //! checker verdicts, batch reports — is byte-identical across repeated
 //! runs. Every command runs on one thread, so repeated runs are the
-//! whole contract. The test names still say `jobs` so that the ids the
-//! suite prints stay stable.
+//! whole contract.
 //!
 //! Wall-clock timings are the one inherently nondeterministic field, so
 //! each run injects an [`atomig_testutil::ManualClock`] (core API tests)
@@ -88,7 +87,7 @@ fn lint_artifacts(alias: AliasMode) -> String {
 }
 
 #[test]
-fn port_artifacts_are_byte_identical_across_jobs_and_runs() {
+fn port_artifacts_are_byte_identical_across_runs() {
     for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
         let want = port_artifacts(alias);
         for run in 0..4 {
@@ -99,7 +98,7 @@ fn port_artifacts_are_byte_identical_across_jobs_and_runs() {
 }
 
 #[test]
-fn lint_artifacts_are_byte_identical_across_jobs_and_runs() {
+fn lint_artifacts_are_byte_identical_across_runs() {
     for alias in [AliasMode::TypeBased, AliasMode::PointsTo] {
         let want = lint_artifacts(alias);
         for run in 0..4 {
@@ -110,7 +109,7 @@ fn lint_artifacts_are_byte_identical_across_jobs_and_runs() {
 }
 
 #[test]
-fn check_verdicts_and_counts_are_jobs_invariant() {
+fn check_verdicts_and_counts_are_identical_across_runs() {
     // Violating (original) and passing (ported) runs of the same litmus
     // program: verdict string carries states/executions/revisits/peak.
     for ported in [false, true] {
@@ -143,7 +142,7 @@ fn check_verdicts_and_counts_are_jobs_invariant() {
 /// `--emit-metrics` under `ATOMIG_DETERMINISTIC=1` are byte-identical
 /// across repeated runs, including the metrics file on disk.
 #[test]
-fn cli_port_and_check_are_byte_identical_across_jobs() {
+fn cli_port_lint_and_check_are_byte_identical_across_runs() {
     std::env::set_var("ATOMIG_DETERMINISTIC", "1");
     let run = |argv: &str, source: &str, name: &str| -> String {
         let path = std::env::temp_dir().join(format!(
@@ -191,7 +190,7 @@ fn cli_port_and_check_are_byte_identical_across_jobs() {
 /// prints the same combined report under `ATOMIG_DETERMINISTIC=1`, run
 /// after run.
 #[test]
-fn cli_batch_is_byte_identical_across_jobs_and_cache_temperature() {
+fn cli_batch_is_byte_identical_across_runs() {
     use atomig_cli::{execute_batch, BatchInput, Command};
     std::env::set_var("ATOMIG_DETERMINISTIC", "1");
     let inputs = vec![
