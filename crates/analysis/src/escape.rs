@@ -81,9 +81,9 @@ impl EscapeInfo {
                             mark(*a);
                         }
                     }
-                    InstKind::Cmpxchg { expected, new, .. } => {
-                        mark(*expected);
-                        mark(*new);
+                    InstKind::Cmpxchg(c) => {
+                        mark(c.expected);
+                        mark(c.new);
                     }
                     InstKind::Rmw { val, .. } => mark(*val),
                     _ => {}

@@ -148,13 +148,9 @@ impl<'f> InfluenceAnalysis<'f> {
                     self.visit_read(id, *ptr, scope, &mut out, &mut work);
                     work.push(*ptr);
                 }
-                InstKind::Cmpxchg {
-                    ptr, expected, new, ..
-                } => {
-                    self.visit_read(id, *ptr, scope, &mut out, &mut work);
-                    work.push(*ptr);
-                    work.push(*expected);
-                    work.push(*new);
+                InstKind::Cmpxchg(c) => {
+                    self.visit_read(id, c.ptr, scope, &mut out, &mut work);
+                    work.extend([c.ptr, c.expected, c.new]);
                 }
                 InstKind::Rmw { ptr, val, .. } => {
                     self.visit_read(id, *ptr, scope, &mut out, &mut work);

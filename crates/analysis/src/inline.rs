@@ -123,12 +123,29 @@ fn replace_uses(f: &mut Function, from: InstId, to: Value) {
     }
 }
 
+/// Puts `inst` first in `insts`, leaving no spare capacity.
+fn prepend(insts: &mut Vec<Inst>, inst: Inst) {
+    let mut out = Vec::with_capacity(insts.len() + 1);
+    out.push(inst);
+    out.append(insts);
+    *insts = out;
+}
+
 fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, callee_id: FuncId) {
     let callee = m.func(callee_id).clone();
     let caller = m.func_mut(caller_id);
 
-    // Remove the call instruction; remember its pieces.
-    let call_inst = caller.block_mut(block).insts.remove(pos);
+    // Split the block at the call, leaving both halves exact-size: the
+    // head keeps the instructions before it, the tail those after.
+    let mut rest = std::mem::take(&mut caller.block_mut(block).insts).into_iter();
+    let mut head = Vec::with_capacity(pos);
+    head.extend(rest.by_ref().take(pos));
+    let call_inst = rest
+        .next()
+        .expect("inline_one: no instruction at the call site");
+    let mut tail = Vec::with_capacity(rest.len());
+    tail.extend(rest);
+    caller.block_mut(block).insts = head;
     let (args, ret_ty) = match call_inst.kind {
         InstKind::Call { args, ret_ty, .. } => (args, ret_ty),
         _ => unreachable!("inline_one called on a non-call"),
@@ -140,7 +157,6 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
 
     // Continuation block: tail of the split block + original terminator.
     let cont_id = BlockId(block_off);
-    let tail: Vec<Inst> = caller.block_mut(block).insts.split_off(pos);
     let orig_term = std::mem::replace(
         &mut caller.block_mut(block).term,
         Terminator::Br(BlockId(block_off + 1)), // callee entry comes next
@@ -153,8 +169,8 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
     // Return slot for non-void callees.
     let ret_slot = if ret_ty != Type::Void {
         let slot_id = caller.fresh_inst_id();
-        caller.blocks[0].insts.insert(
-            0,
+        prepend(
+            &mut caller.blocks[0].insts,
             Inst::with_span(
                 slot_id,
                 InstKind::Alloca { ty: ret_ty.clone() },
@@ -169,7 +185,8 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
     // Clone callee blocks, remapping values/ids/blocks.
     let remap_block = |b: BlockId| BlockId(b.0 + block_off + 1);
     for cb in &callee.blocks {
-        let mut insts: Vec<Inst> = Vec::with_capacity(cb.insts.len());
+        let ret_store = ret_slot.is_some() && matches!(cb.term, Terminator::Ret(Some(_)));
+        let mut insts: Vec<Inst> = Vec::with_capacity(cb.insts.len() + usize::from(ret_store));
         for inst in &cb.insts {
             let mut kind = inst.kind.clone();
             kind.for_each_operand_mut(|v| *v = remap_value(*v, &args, inst_off));
@@ -214,8 +231,8 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
     // Replace uses of the call result with a load from the return slot.
     if let Some(slot) = ret_slot {
         let load_id = caller.fresh_inst_id();
-        caller.block_mut(cont_id).insts.insert(
-            0,
+        prepend(
+            &mut caller.block_mut(cont_id).insts,
             Inst::with_span(
                 load_id,
                 InstKind::Load {

@@ -421,6 +421,20 @@ impl Solver {
         self.stats.constraints += 1;
     }
 
+    /// The constraints of an atomic exchange at `id`: the result is the
+    /// old contents of `ptr`, and `val` is stored. On success `cmpxchg`
+    /// stores its `new` value, `xchg` its operand verbatim, and the
+    /// arithmetic `rmw` ops over-approximate by the operand.
+    fn gen_exchange(&mut self, f: FuncId, id: InstId, ptr: Value, val: Value) {
+        if let Some(p) = self.node(f, ptr) {
+            let dst = self.var(f, id);
+            self.add_complex(p, Complex::Load { dst });
+            if let Some(src) = self.node(f, val) {
+                self.add_complex(p, Complex::Store { src });
+            }
+        }
+    }
+
     /// Generates the base constraints of function `f`. Each constraint
     /// names its nodes as it goes — pointer before value, argument before
     /// callee parameter, callee return before call result — which fixes
@@ -454,18 +468,8 @@ impl Solver {
                         self.add_complex(p, Complex::Store { src });
                     }
                 }
-                // The result is the old contents; on success `cmpxchg` stores
-                // its `new` value, `xchg` its operand verbatim, and the
-                // arithmetic `rmw` ops over-approximate by the operand.
-                InstKind::Cmpxchg { ptr, new: val, .. } | InstKind::Rmw { ptr, val, .. } => {
-                    if let Some(p) = self.node(f, *ptr) {
-                        let dst = self.var(f, id);
-                        self.add_complex(p, Complex::Load { dst });
-                        if let Some(src) = self.node(f, *val) {
-                            self.add_complex(p, Complex::Store { src });
-                        }
-                    }
-                }
+                InstKind::Cmpxchg(c) => self.gen_exchange(f, id, c.ptr, c.new),
+                InstKind::Rmw { ptr, val, .. } => self.gen_exchange(f, id, *ptr, *val),
                 InstKind::Gep { base, indices, .. } => {
                     // The leading index scales whole objects (LLVM semantics)
                     // and is dropped, which also makes pointer arithmetic

@@ -95,10 +95,15 @@ fn rules(m: &Module) -> Vec<Rule> {
                         rules.push(Rule::Store { p, src });
                     }
                 }
-                InstKind::Cmpxchg { ptr, new: val, .. } | InstKind::Rmw { ptr, val, .. } => {
-                    if let Some(p) = node(*ptr, &mut rules) {
+                InstKind::Cmpxchg(_) | InstKind::Rmw { .. } => {
+                    let (ptr, val) = match &inst.kind {
+                        InstKind::Cmpxchg(c) => (c.ptr, c.new),
+                        InstKind::Rmw { ptr, val, .. } => (*ptr, *val),
+                        _ => unreachable!(),
+                    };
+                    if let Some(p) = node(ptr, &mut rules) {
                         rules.push(Rule::Load { p, dst: var });
-                        if let Some(src) = node(*val, &mut rules) {
+                        if let Some(src) = node(val, &mut rules) {
                             rules.push(Rule::Store { p, src });
                         }
                     }

@@ -135,12 +135,14 @@ pub(crate) fn pending(func: &Function, fid: FuncId, marks: &MarkSet) -> Vec<Edit
 }
 
 /// Applies `marks` to the module: makes the `pending` edits of every
-/// function, numbering inserted fences from its `next_inst`.
+/// function, numbering inserted fences from its `next_inst`. A block that
+/// gains fences is rebuilt at exactly its new length.
 pub fn apply(m: &mut Module, marks: &MarkSet) -> TransformStats {
     let mut stats = TransformStats::default();
     for fid in 0..m.funcs.len() as u32 {
         let fid = FuncId(fid);
-        let mut edits = pending(m.func(fid), fid, marks).into_iter().peekable();
+        let edits = pending(m.func(fid), fid, marks);
+        let mut rest = &edits[..];
         let func = m.func_mut(fid);
         let first = func.next_inst;
         let mut next = first;
@@ -150,14 +152,22 @@ pub fn apply(m: &mut Module, marks: &MarkSet) -> TransformStats {
             Inst::with_span(InstId(next - 1), InstKind::Fence { ord }, span)
         };
         for (block, b) in (0..).map(BlockId).zip(&mut func.blocks) {
-            if edits.peek().is_none_or(|e| e.block != block) {
+            let n = rest.iter().take_while(|e| e.block == block).count();
+            if n == 0 {
                 continue;
             }
-            let old = std::mem::take(&mut b.insts);
-            b.insts.reserve(old.len());
+            let (here, after) = rest.split_at(n);
+            rest = after;
+            let fences = here
+                .iter()
+                .filter(|e| !matches!(e.kind, EditKind::Upgrade { .. }))
+                .count();
+            let len = b.insts.len() + fences;
+            let old = std::mem::replace(&mut b.insts, Vec::with_capacity(len));
+            let mut here = here.iter().peekable();
             for (pos, mut inst) in old.into_iter().enumerate() {
                 let mut fence_after = false;
-                while let Some(e) = edits.next_if(|e| (e.block, e.pos) == (block, pos)) {
+                while let Some(e) = here.next_if(|e| e.pos == pos) {
                     match e.kind {
                         EditKind::Upgrade { from } => {
                             if from.is_atomic() {

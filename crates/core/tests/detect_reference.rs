@@ -54,9 +54,7 @@ impl<'f> Naive<'f> {
             match &inst.kind {
                 InstKind::Store { val, .. } | InstKind::Rmw { val, .. } => published.push(*val),
                 InstKind::Call { args, .. } => published.extend(args.iter().copied()),
-                InstKind::Cmpxchg { expected, new, .. } => {
-                    published.extend([*expected, *new]);
-                }
+                InstKind::Cmpxchg(c) => published.extend([c.expected, c.new]),
                 _ => {}
             }
         }
@@ -170,12 +168,7 @@ impl<'f> Naive<'f> {
             }
             d.insts.insert(id);
             let Some(kind) = self.kind(id) else { continue };
-            let read = match kind {
-                InstKind::Load { ptr, .. }
-                | InstKind::Cmpxchg { ptr, .. }
-                | InstKind::Rmw { ptr, .. } => Some(*ptr),
-                _ => None,
-            };
+            let read = kind.address().filter(|_| kind.may_read());
             if let Some(ptr) = read {
                 match self.private_root(ptr) {
                     None => {

@@ -1296,7 +1296,7 @@ mod tests {
         let mut kinds = vec![];
         for (_, i) in f.insts() {
             match &i.kind {
-                InstKind::Cmpxchg { ord, .. } => kinds.push(format!("cmpxchg:{ord}")),
+                InstKind::Cmpxchg(c) => kinds.push(format!("cmpxchg:{}", c.ord)),
                 InstKind::Rmw { op, ord, .. } => kinds.push(format!("rmw:{}:{ord}", op.mnemonic())),
                 InstKind::Store { ord, .. } if ord.is_atomic() => {
                     kinds.push(format!("store:{ord}"))

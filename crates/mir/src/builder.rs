@@ -2,7 +2,7 @@
 
 use crate::func::{Block, BlockId, Function};
 use crate::inst::{
-    BinOp, Builtin, Callee, CmpPred, GepIndex, Inst, InstKind, Ordering, RmwOp, Terminator,
+    BinOp, Builtin, Callee, CmpPred, Cmpxchg, GepIndex, Inst, InstKind, Ordering, RmwOp, Terminator,
 };
 use crate::types::Type;
 use crate::value::Value;
@@ -132,13 +132,13 @@ impl FunctionBuilder {
         new: Value,
         ord: Ordering,
     ) -> Value {
-        self.push(InstKind::Cmpxchg {
+        self.push(InstKind::Cmpxchg(Box::new(Cmpxchg {
             ptr,
             expected,
             new,
             ty,
             ord,
-        })
+        })))
     }
 
     /// `atomicrmw` returning the old value.
@@ -162,7 +162,7 @@ impl FunctionBuilder {
         self.push(InstKind::Gep {
             base,
             base_ty,
-            indices,
+            indices: indices.into_boxed_slice(),
         })
     }
 

@@ -360,7 +360,27 @@ impl GepIndex {
     }
 }
 
+/// The operands of a compare-exchange ([`InstKind::Cmpxchg`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Cmpxchg {
+    /// Address operand.
+    pub ptr: Value,
+    /// Expected old value.
+    pub expected: Value,
+    /// Replacement value.
+    pub new: Value,
+    /// Accessed type.
+    pub ty: Type,
+    /// Ordering on success (failure ordering is derived).
+    pub ord: Ordering,
+}
+
 /// The operation performed by an instruction.
+///
+/// 56 bytes, so an [`Inst`] is 64: the widest inline variants (`Store`,
+/// `Rmw`, `Call`, `Gep`) carry 48 bytes of operands and types next to
+/// their tag. Rare variants whose payload would be wider keep it behind
+/// a box ([`InstKind::Cmpxchg`], `Gep`'s index path).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum InstKind {
     /// Reserve a stack slot of `ty`; the result is its address.
@@ -393,19 +413,10 @@ pub enum InstKind {
         volatile: bool,
     },
     /// Atomic compare-exchange. The result is the *old* value read from
-    /// memory; the exchange succeeded iff `old == expected`.
-    Cmpxchg {
-        /// Address operand.
-        ptr: Value,
-        /// Expected old value.
-        expected: Value,
-        /// Replacement value.
-        new: Value,
-        /// Accessed type.
-        ty: Type,
-        /// Ordering on success (failure ordering is derived).
-        ord: Ordering,
-    },
+    /// memory; the exchange succeeded iff `old == expected`. Boxed: its
+    /// three operands and type would widen every instruction by 16 bytes
+    /// for a variant that is under 0.1 % of lowered code.
+    Cmpxchg(Box<Cmpxchg>),
     /// Atomic read-modify-write; the result is the old value.
     Rmw {
         /// The combining operation.
@@ -433,8 +444,10 @@ pub enum InstKind {
         /// Pointee type of `base` (what the indices navigate).
         base_ty: Type,
         /// Index path. The first index scales by whole `base_ty` elements
-        /// (as in LLVM); subsequent indices navigate into the type.
-        indices: Vec<GepIndex>,
+        /// (as in LLVM); subsequent indices navigate into the type. A boxed
+        /// slice rather than a `Vec`: the path never grows, and the spare
+        /// capacity word would make `Gep` the widest variant.
+        indices: Box<[GepIndex]>,
     },
     /// Binary integer arithmetic.
     Bin {
@@ -507,8 +520,8 @@ impl InstKind {
         match self {
             InstKind::Load { ptr, .. }
             | InstKind::Store { ptr, .. }
-            | InstKind::Cmpxchg { ptr, .. }
             | InstKind::Rmw { ptr, .. } => Some(*ptr),
+            InstKind::Cmpxchg(c) => Some(c.ptr),
             _ => None,
         }
     }
@@ -518,9 +531,9 @@ impl InstKind {
         match self {
             InstKind::Load { ord, .. }
             | InstKind::Store { ord, .. }
-            | InstKind::Cmpxchg { ord, .. }
             | InstKind::Rmw { ord, .. }
             | InstKind::Fence { ord } => Some(*ord),
+            InstKind::Cmpxchg(c) => Some(c.ord),
             _ => None,
         }
     }
@@ -528,17 +541,16 @@ impl InstKind {
     /// Upgrades the ordering of a memory access (no-op for others).
     /// Never downgrades: the new ordering is the max of old and `new_ord`.
     pub fn upgrade_ordering(&mut self, new_ord: Ordering) {
-        match self {
+        let ord = match self {
             InstKind::Load { ord, .. }
             | InstKind::Store { ord, .. }
-            | InstKind::Cmpxchg { ord, .. }
             | InstKind::Rmw { ord, .. }
-            | InstKind::Fence { ord }
-                if new_ord > *ord =>
-            {
-                *ord = new_ord;
-            }
-            _ => {}
+            | InstKind::Fence { ord } => ord,
+            InstKind::Cmpxchg(c) => &mut c.ord,
+            _ => return,
+        };
+        if new_ord > *ord {
+            *ord = new_ord;
         }
     }
 
@@ -552,16 +564,14 @@ impl InstKind {
                 f(ptr);
                 f(val);
             }
-            InstKind::Cmpxchg {
-                ptr, expected, new, ..
-            } => {
-                f(ptr);
-                f(expected);
-                f(new);
+            InstKind::Cmpxchg(c) => {
+                f(&mut c.ptr);
+                f(&mut c.expected);
+                f(&mut c.new);
             }
             InstKind::Gep { base, indices, .. } => {
                 f(base);
-                for i in indices {
+                for i in indices.iter_mut() {
                     if let GepIndex::Dyn(v) = i {
                         f(v);
                     }
@@ -585,9 +595,7 @@ impl InstKind {
             InstKind::Store { ptr, val, .. } | InstKind::Rmw { ptr, val, .. } => {
                 ([Some(*ptr), Some(*val), None], &[], &[])
             }
-            InstKind::Cmpxchg {
-                ptr, expected, new, ..
-            } => ([Some(*ptr), Some(*expected), Some(*new)], &[], &[]),
+            InstKind::Cmpxchg(c) => ([Some(c.ptr), Some(c.expected), Some(c.new)], &[], &[]),
             InstKind::Gep { base, indices, .. } => ([Some(*base), None, None], indices, &[]),
             InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
                 ([Some(*lhs), Some(*rhs), None], &[], &[])
@@ -777,17 +785,17 @@ mod tests {
         let gep = InstKind::Gep {
             base: Value::Param(0),
             base_ty: Type::I32,
-            indices: vec![GepIndex::Const(0), GepIndex::Dyn(Value::Inst(InstId(4)))],
+            indices: [GepIndex::Const(0), GepIndex::Dyn(Value::Inst(InstId(4)))].into(),
         };
         let ops = |k: &InstKind| k.operands().collect::<Vec<_>>();
         assert_eq!(ops(&gep), [Value::Param(0), Value::Inst(InstId(4))]);
-        let cas = InstKind::Cmpxchg {
+        let cas = InstKind::Cmpxchg(Box::new(Cmpxchg {
             ty: Type::I64,
             ptr: Value::Param(0),
             expected: Value::Const(1),
             new: Value::Const(2),
             ord: Ordering::SeqCst,
-        };
+        }));
         assert_eq!(
             ops(&cas),
             [Value::Param(0), Value::Const(1), Value::Const(2)]

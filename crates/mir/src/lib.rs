@@ -64,7 +64,7 @@ pub use builder::FunctionBuilder;
 pub use func::{Block, BlockId, Function, InstId, InstIndex};
 pub use fxhash::{FxBuild, FxHasher};
 pub use inst::{
-    BinOp, Builtin, Callee, CmpPred, GepIndex, Inst, InstKind, Ordering, RmwOp, Terminator,
+    BinOp, Builtin, Callee, CmpPred, Cmpxchg, GepIndex, Inst, InstKind, Ordering, RmwOp, Terminator,
 };
 pub use loc::MemLoc;
 pub use module::{FuncId, GlobalDef, GlobalId, Module, StructDef, StructId};

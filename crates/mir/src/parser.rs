@@ -6,7 +6,7 @@
 
 use crate::func::{Block, BlockId, Function, InstId};
 use crate::inst::{
-    BinOp, Builtin, Callee, CmpPred, GepIndex, Inst, InstKind, Ordering, RmwOp, Terminator,
+    BinOp, Builtin, Callee, CmpPred, Cmpxchg, GepIndex, Inst, InstKind, Ordering, RmwOp, Terminator,
 };
 use crate::module::{FuncId, GlobalDef, GlobalId, Module, StructDef, StructId};
 use crate::types::Type;
@@ -669,13 +669,13 @@ fn parse_inst(lx: &mut Lexer, names: &Names, ctx: &FnCtx) -> Result<InstKind, Pa
             if ord == Ordering::NotAtomic {
                 ord = Ordering::SeqCst;
             }
-            Ok(InstKind::Cmpxchg {
+            Ok(InstKind::Cmpxchg(Box::new(Cmpxchg {
                 ptr,
                 expected,
                 new,
                 ty,
                 ord,
-            })
+            })))
         }
         "rmw" => {
             let op_name = lx.expect_ident()?;
@@ -720,7 +720,7 @@ fn parse_inst(lx: &mut Lexer, names: &Names, ctx: &FnCtx) -> Result<InstKind, Pa
             Ok(InstKind::Gep {
                 base,
                 base_ty,
-                indices,
+                indices: indices.into_boxed_slice(),
             })
         }
         "cmp" => {
@@ -885,11 +885,8 @@ mod tests {
         let m = parse_module(src).unwrap();
         let f = &m.funcs[0];
         assert!(matches!(
-            f.blocks[0].insts[0].kind,
-            InstKind::Cmpxchg {
-                ord: Ordering::SeqCst,
-                ..
-            }
+            &f.blocks[0].insts[0].kind,
+            InstKind::Cmpxchg(c) if c.ord == Ordering::SeqCst
         ));
         assert!(matches!(
             f.blocks[1].insts[0].kind,

@@ -1,9 +1,13 @@
 //! Textual printing of modules (the inverse of [`crate::parser`]).
 //!
-//! One output buffer is threaded through every writer below. They push
-//! `&'static str` keywords, names and decimal digits straight into it, so
-//! no instruction, operand or type is formatted into a `String` of its
-//! own.
+//! Every writer below pushes `&'static str` keywords, names and decimal
+//! numbers into one `Sink`, so no instruction, operand or type is
+//! formatted into a `String` of its own. [`print_module`] runs the
+//! writers twice: first into a counter that adds up the lengths (digits
+//! are counted with `ilog10`, never formatted), then into a `String`
+//! allocated at exactly that length. The printed module is the largest
+//! allocation of a port, so it is never grown by doubling, which would
+//! hold the old and the new buffer at once.
 
 use crate::func::Function;
 use crate::inst::{Callee, GepIndex, InstKind, Ordering, Terminator};
@@ -11,10 +15,80 @@ use crate::module::Module;
 use crate::types::Type;
 use crate::value::Value;
 
+/// Where the writers put text: the output `String`, or a [`Len`] that
+/// only counts bytes.
+trait Sink {
+    fn push_str(&mut self, s: &str);
+    fn push(&mut self, c: char);
+    /// Appends the decimal form of `v`.
+    fn push_uint(&mut self, v: u64);
+}
+
+impl Sink for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+
+    fn push(&mut self, c: char) {
+        String::push(self, c);
+    }
+
+    fn push_uint(&mut self, mut v: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        // Only ASCII digits were written, so this never fails.
+        if let Ok(digits) = std::str::from_utf8(&buf[i..]) {
+            self.push_str(digits);
+        }
+    }
+}
+
+/// The number of bytes the writers would push.
+#[derive(Default)]
+struct Len(usize);
+
+impl Sink for Len {
+    fn push_str(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn push(&mut self, c: char) {
+        self.0 += c.len_utf8();
+    }
+
+    fn push_uint(&mut self, v: u64) {
+        self.0 += v.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+}
+
 /// Prints a whole module in the textual format accepted by
-/// [`parse_module`](crate::parse_module).
+/// [`parse_module`](crate::parse_module). The result has no spare
+/// capacity.
 pub fn print_module(m: &Module) -> String {
+    let mut len = Len::default();
+    write_module(&mut len, m);
+    let mut out = String::with_capacity(len.0);
+    write_module(&mut out, m);
+    debug_assert_eq!(out.len(), len.0, "length pass disagrees with the text");
+    out
+}
+
+/// Prints one function.
+pub fn print_function(m: &Module, f: &Function) -> String {
     let mut out = String::new();
+    write_function(&mut out, m, f);
+    out
+}
+
+fn write_module(out: &mut impl Sink, m: &Module) {
     out.push_str("module \"");
     out.push_str(&m.name);
     out.push_str("\"\n");
@@ -26,7 +100,7 @@ pub fn print_module(m: &Module) -> String {
             if i > 0 {
                 out.push_str(", ");
             }
-            write_type(&mut out, m, t);
+            write_type(out, m, t);
         }
         out.push_str(" }\n");
     }
@@ -34,75 +108,50 @@ pub fn print_module(m: &Module) -> String {
         out.push_str("global @");
         out.push_str(&g.name);
         out.push_str(": ");
-        write_type(&mut out, m, &g.ty);
+        write_type(out, m, &g.ty);
         out.push_str(" = ");
         if g.init.iter().all(|&v| v == 0) {
             out.push('0');
         } else if let [v] = g.init[..] {
-            write_int(&mut out, v);
+            write_int(out, v);
         } else {
             out.push('[');
             for (i, &v) in g.init.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                write_int(&mut out, v);
+                write_int(out, v);
             }
             out.push(']');
         }
         out.push('\n');
     }
     for f in &m.funcs {
-        write_function(&mut out, m, f);
+        write_function(out, m, f);
     }
-    out
-}
-
-/// Prints one function.
-pub fn print_function(m: &Module, f: &Function) -> String {
-    let mut out = String::new();
-    write_function(&mut out, m, f);
-    out
 }
 
 /// Appends the decimal form of `v`.
-fn write_int(out: &mut String, v: i64) {
+fn write_int(out: &mut impl Sink, v: i64) {
     if v < 0 {
         out.push('-');
     }
-    write_uint(out, v.unsigned_abs());
-}
-
-fn write_uint(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    // Only ASCII digits were written, so this never fails.
-    if let Ok(digits) = std::str::from_utf8(&buf[i..]) {
-        out.push_str(digits);
-    }
+    out.push_uint(v.unsigned_abs());
 }
 
 /// Appends `prefix` and then the decimal `n`, as in `%t7` or `bb3`.
-fn write_id(out: &mut String, prefix: &str, n: u32) {
+fn write_id(out: &mut impl Sink, prefix: &str, n: u32) {
     out.push_str(prefix);
-    write_uint(out, u64::from(n));
+    out.push_uint(u64::from(n));
 }
 
 /// Appends `%tN = `, the definition of instruction `N`'s result.
-fn write_def(out: &mut String, id: u32) {
+fn write_def(out: &mut impl Sink, id: u32) {
     write_id(out, "%t", id);
     out.push_str(" = ");
 }
 
-fn write_function(out: &mut String, m: &Module, f: &Function) {
+fn write_function(out: &mut impl Sink, m: &Module, f: &Function) {
     out.push_str("fn @");
     out.push_str(&f.name);
     out.push('(');
@@ -137,7 +186,7 @@ fn write_function(out: &mut String, m: &Module, f: &Function) {
 }
 
 /// Appends a type, naming structs.
-fn write_type(out: &mut String, m: &Module, t: &Type) {
+fn write_type(out: &mut impl Sink, m: &Module, t: &Type) {
     match t {
         Type::Void => out.push_str("void"),
         Type::I1 => out.push_str("i1"),
@@ -166,7 +215,7 @@ fn write_type(out: &mut String, m: &Module, t: &Type) {
 }
 
 /// Appends a value, naming params, globals and functions.
-fn write_value(out: &mut String, m: &Module, f: &Function, v: Value) {
+fn write_value(out: &mut impl Sink, m: &Module, f: &Function, v: Value) {
     match v {
         Value::Const(c) => write_int(out, c),
         Value::Null => out.push_str("null"),
@@ -193,7 +242,7 @@ fn write_value(out: &mut String, m: &Module, f: &Function, v: Value) {
 }
 
 /// Appends a function's name, or `fN` when `N` names no function.
-fn write_func_name(out: &mut String, m: &Module, fid: u32) {
+fn write_func_name(out: &mut impl Sink, m: &Module, fid: u32) {
     match m.funcs.get(fid as usize) {
         Some(def) => out.push_str(&def.name),
         None => write_id(out, "f", fid),
@@ -201,7 +250,7 @@ fn write_func_name(out: &mut String, m: &Module, fid: u32) {
 }
 
 /// Appends the comma-separated `values`.
-fn write_values(out: &mut String, m: &Module, f: &Function, values: &[Value]) {
+fn write_values(out: &mut impl Sink, m: &Module, f: &Function, values: &[Value]) {
     for (i, &v) in values.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -211,20 +260,20 @@ fn write_values(out: &mut String, m: &Module, f: &Function, values: &[Value]) {
 }
 
 /// Appends ` <ordering>` for an atomic access, nothing for a plain one.
-fn write_ord(out: &mut String, ord: Ordering) {
+fn write_ord(out: &mut impl Sink, ord: Ordering) {
     if ord != Ordering::NotAtomic {
         out.push(' ');
         out.push_str(ord.keyword());
     }
 }
 
-fn write_vol(out: &mut String, volatile: bool) {
+fn write_vol(out: &mut impl Sink, volatile: bool) {
     if volatile {
         out.push_str(" volatile");
     }
 }
 
-fn write_inst(out: &mut String, m: &Module, f: &Function, kind: &InstKind, id: u32) {
+fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id: u32) {
     match kind {
         InstKind::Alloca { ty } => {
             write_def(out, id);
@@ -261,19 +310,13 @@ fn write_inst(out: &mut String, m: &Module, f: &Function, kind: &InstKind, id: u
             write_ord(out, *ord);
             write_vol(out, *volatile);
         }
-        InstKind::Cmpxchg {
-            ptr,
-            expected,
-            new,
-            ty,
-            ord,
-        } => {
+        InstKind::Cmpxchg(c) => {
             write_def(out, id);
             out.push_str("cmpxchg ");
-            write_type(out, m, ty);
+            write_type(out, m, &c.ty);
             out.push(' ');
-            write_values(out, m, f, &[*ptr, *expected, *new]);
-            write_ord(out, *ord);
+            write_values(out, m, f, &[c.ptr, c.expected, c.new]);
+            write_ord(out, c.ord);
         }
         InstKind::Rmw {
             op,
@@ -360,7 +403,7 @@ fn write_inst(out: &mut String, m: &Module, f: &Function, kind: &InstKind, id: u
     }
 }
 
-fn write_term(out: &mut String, m: &Module, f: &Function, t: &Terminator) {
+fn write_term(out: &mut impl Sink, m: &Module, f: &Function, t: &Terminator) {
     match t {
         Terminator::Br(b) => write_id(out, "br bb", b.0),
         Terminator::CondBr {
@@ -411,6 +454,68 @@ mod tests {
         assert!(text.contains("global @flag: i32 = 0"));
         assert!(text.contains("store i32 1, @flag seq_cst"));
         assert!(text.contains("fn @writer() : void {"));
+    }
+
+    /// The length pass must count exactly what the text pass writes; a
+    /// release build does not check it, so this does.
+    #[test]
+    fn length_pass_matches_the_text() {
+        let edges = [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        for v in edges {
+            let (mut len, mut out) = (Len::default(), String::new());
+            len.push_uint(v);
+            out.push_uint(v);
+            assert_eq!((len.0, out.as_str()), (out.len(), v.to_string().as_str()));
+        }
+
+        let mut m = Module::new("edges");
+        let pair = m.add_struct(crate::module::StructDef {
+            name: "pair".into(),
+            fields: vec![Type::I64, Type::ptr_to(Type::ptr_to(Type::I8))],
+        });
+        let pair_ty = Type::Struct(pair);
+        let ints = [0, 9, 10, 99, 100, i64::from(u32::MAX), i64::MIN, i64::MAX];
+        let g = m.add_global(GlobalDef {
+            name: "table".into(),
+            ty: Type::array_of(Type::I64, ints.len() as u32),
+            init: ints.to_vec(),
+        });
+        let params = vec![("p".to_string(), Type::ptr_to(pair_ty.clone()))];
+        let mut b = FunctionBuilder::new("f", params, Type::ptr_to(Type::ptr_to(pair_ty.clone())));
+        for (line, &c) in ints.iter().enumerate() {
+            b.set_line([0, 1, 9, 10, 99, 100, u32::MAX, 12345][line]);
+            b.store(Type::I64, Value::Global(g), Value::Const(c));
+        }
+        b.set_line(0);
+        let neg = [GepIndex::Const(-1), GepIndex::Const(i64::MIN)];
+        let field = b.gep(pair_ty.clone(), Value::Param(0), neg.to_vec());
+        b.cmpxchg(
+            Type::I64,
+            field,
+            Value::Const(-10),
+            Value::Null,
+            Ordering::SeqCst,
+        );
+        let slot = b.alloca(Type::ptr_to(Type::ptr_to(pair_ty)));
+        let v = b.load(Type::I64, slot);
+        b.ret(Some(v));
+        m.add_func(b.finish());
+
+        let text = print_module(&m);
+        for needle in [
+            "struct %pair { i64, ptr ptr i8 }",
+            "= [0, 9, 10, 99, 100, 4294967295, -9223372036854775808, 9223372036854775807]",
+            ", -1, -9223372036854775808",
+            "cmpxchg i64 %t8, -10, null seq_cst",
+            "alloca ptr ptr %pair",
+            " !4294967295\n",
+        ] {
+            assert!(text.contains(needle), "{needle} missing from\n{text}");
+        }
+        let mut len = Len::default();
+        write_module(&mut len, &m);
+        assert_eq!(len.0, text.len());
+        assert_eq!(text.capacity(), text.len());
     }
 
     #[test]

@@ -116,8 +116,11 @@ fn verify_function(m: &Module, f: &Function) -> Result<(), String> {
             InstKind::Store { ty, .. } if !ty.is_scalar() => {
                 return Err(format!("store of non-scalar type {ty} ({bid})"));
             }
-            InstKind::Cmpxchg { ty, .. } | InstKind::Rmw { ty, .. } if !ty.is_scalar() => {
+            InstKind::Rmw { ty, .. } if !ty.is_scalar() => {
                 return Err(format!("atomic access of non-scalar type {ty} ({bid})"));
+            }
+            InstKind::Cmpxchg(c) if !c.ty.is_scalar() => {
+                return Err(format!("atomic access of non-scalar type {} ({bid})", c.ty));
             }
             InstKind::Gep {
                 base_ty, indices, ..

@@ -11,9 +11,9 @@
 use atomig_core::{AliasMode, AtomigConfig, Pipeline};
 use atomig_mir::printer::{print_function, print_module};
 use atomig_mir::{
-    BinOp, Block, BlockId, Builtin, Callee, CmpPred, FuncId, Function, GepIndex, GlobalDef,
-    GlobalId, Inst, InstId, InstKind, Module, Ordering, RmwOp, StructDef, StructId, Terminator,
-    Type, Value,
+    BinOp, Block, BlockId, Builtin, Callee, CmpPred, Cmpxchg, FuncId, Function, GepIndex,
+    GlobalDef, GlobalId, Inst, InstId, InstKind, Module, Ordering, RmwOp, StructDef, StructId,
+    Terminator, Type, Value,
 };
 use atomig_workloads::profiles;
 use atomig_workloads::synth::{self, GenConfig};
@@ -168,19 +168,13 @@ mod reference {
                 ord_suffix(*ord),
                 vol_suffix(*volatile)
             ),
-            InstKind::Cmpxchg {
-                ptr,
-                expected,
-                new,
-                ty,
-                ord,
-            } => format!(
+            InstKind::Cmpxchg(c) => format!(
                 "%t{id} = cmpxchg {} {}, {}, {}{}",
-                type_str(m, ty),
-                v(*ptr),
-                v(*expected),
-                v(*new),
-                ord_suffix(*ord)
+                type_str(m, &c.ty),
+                v(c.ptr),
+                v(c.expected),
+                v(c.new),
+                ord_suffix(c.ord)
             ),
             InstKind::Rmw {
                 op,
@@ -449,13 +443,13 @@ fn every_arm() -> Module {
             };
             kinds.extend([(load, span), (store, span)]);
         }
-        let cas = InstKind::Cmpxchg {
+        let cas = InstKind::Cmpxchg(Box::new(Cmpxchg {
             ptr: Value::Param(0),
             expected: values[k],
             new: values[11 - k],
             ty: Type::I32,
             ord,
-        };
+        }));
         kinds.extend([(cas, k as u32), (InstKind::Fence { ord }, 0)]);
     }
     let rmw_ops = [
@@ -481,7 +475,7 @@ fn every_arm() -> Module {
             InstKind::Gep {
                 base: Value::Param(0),
                 base_ty: Type::Struct(pair),
-                indices: vec![GepIndex::Const(0), GepIndex::Const(-3)],
+                indices: [GepIndex::Const(0), GepIndex::Const(-3)].into(),
             },
             11,
         ),
@@ -489,11 +483,12 @@ fn every_arm() -> Module {
             InstKind::Gep {
                 base: Value::Inst(InstId(0)),
                 base_ty: Type::array_of(Type::Struct(node), 2),
-                indices: vec![
+                indices: [
                     GepIndex::Dyn(Value::Param(1)),
                     GepIndex::Const(i64::MIN),
                     GepIndex::Dyn(Value::Inst(InstId(3))),
-                ],
+                ]
+                .into(),
             },
             0,
         ),
@@ -501,7 +496,7 @@ fn every_arm() -> Module {
             InstKind::Gep {
                 base: Value::Global(nested),
                 base_ty: Type::I64,
-                indices: vec![],
+                indices: [].into(),
             },
             0,
         ),

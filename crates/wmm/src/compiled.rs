@@ -299,18 +299,12 @@ fn compile_inst(module: &Module, layout: &Layout, id: InstId, kind: &InstKind) -
             val: *val,
             ord: *ord,
         },
-        InstKind::Cmpxchg {
-            ptr,
-            expected,
-            new,
-            ord,
-            ..
-        } => CInst::Cmpxchg {
+        InstKind::Cmpxchg(c) => CInst::Cmpxchg {
             id,
-            ptr: *ptr,
-            expected: *expected,
-            new: *new,
-            ord: *ord,
+            ptr: c.ptr,
+            expected: c.expected,
+            new: c.new,
+            ord: c.ord,
         },
         InstKind::Rmw {
             op, ptr, val, ord, ..

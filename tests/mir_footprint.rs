@@ -1,12 +1,18 @@
-//! Lowered MIR holds no spare capacity: every block's instruction `Vec`
-//! is exactly as long as it is large, after lowering and after parsing
-//! the printed text back. Checked on each `examples/*.c` and the five
-//! Table 3 profiles at 1:1000 (seeds 1 and 7).
+//! MIR holds no spare capacity: every block's instruction `Vec` is
+//! exactly as long as it is large, after lowering, after parsing the
+//! printed text back, and after a full port with either alias backend,
+//! inlining on or off. The printed module is exactly as large as its
+//! text. Checked on each `examples/*.c` and the five Table 3 profiles at
+//! 1:1000 (seeds 1 and 7). The instruction layout is pinned as well.
 
+use atomig_core::{AliasMode, AtomigConfig, Pipeline};
 use atomig_mir::printer::print_module;
-use atomig_mir::{parse_module, BinOp, BlockId, FunctionBuilder, Module, Ordering, Type, Value};
+use atomig_mir::{
+    parse_module, BinOp, BlockId, FunctionBuilder, Inst, InstKind, Module, Ordering, Type, Value,
+};
 use atomig_workloads::profiles;
 use atomig_workloads::synth::{self, GenConfig};
+use std::mem::size_of;
 use std::path::Path;
 
 fn inputs() -> Vec<(String, String)> {
@@ -51,6 +57,48 @@ fn lowered_and_parsed_blocks_hold_no_spare_capacity() {
         let parsed = parse_module(&print_module(&m)).expect("printed MIR parses");
         assert_eq!(spare_block(&parsed), None, "{name}: parsed");
     }
+}
+
+#[test]
+fn ported_blocks_hold_no_spare_capacity() {
+    for (name, src) in inputs() {
+        let built = atomig_frontc::compile(&src, &name).expect("input compiles");
+        for alias_mode in [AliasMode::TypeBased, AliasMode::PointsTo] {
+            for inline in [false, true] {
+                let mut m = built.clone();
+                let config = AtomigConfig {
+                    alias_mode,
+                    inline,
+                    ..AtomigConfig::full()
+                };
+                Pipeline::new(config).port_module(&mut m);
+                let how = format!("{name}: ported, {}, inline {inline}", alias_mode.name());
+                assert_eq!(spare_block(&m), None, "{how}");
+            }
+        }
+    }
+}
+
+#[test]
+fn printed_modules_are_exactly_sized() {
+    for (name, src) in inputs() {
+        let m = atomig_frontc::compile(&src, &name).expect("input compiles");
+        let text = print_module(&m);
+        assert_eq!(text.capacity(), text.len(), "{name}");
+    }
+}
+
+/// An instruction is 64 bytes: the 56-byte `InstKind`, its id and its
+/// span. On MariaDB at 1:10 (1.03 M instructions) lowered code is 31.6 %
+/// loads, 22.9 % binary ops, 21.3 % stores, 10.6 % allocas, 8.8 %
+/// compares, 4.4 % casts and 0.3 % calls, while `cmpxchg` (0.06 %), `gep`
+/// (0.03 %) and `rmw` (0.01 %) are rare. So `cmpxchg`'s payload is boxed
+/// and a `gep` keeps its index path in a boxed slice: a wider rare
+/// variant would cost every instruction 16 bytes more.
+#[test]
+fn instruction_layout_is_pinned() {
+    assert_eq!(size_of::<InstKind>(), 56);
+    assert_eq!(size_of::<Inst>(), 64);
 }
 
 #[test]
