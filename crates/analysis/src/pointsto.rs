@@ -33,21 +33,31 @@
 //!   nodes in a per-cell table, global literals in a per-global table.
 //!   Nodes are still numbered lazily, in the order the constraints first
 //!   name them, so the worklist order and every statistic are fixed.
-//! * A set of at most one cell is stored inline in its node; larger sets
-//!   spill to a sorted vector with a list of pending cells.
+//! * A node is 16 bytes: its set, its first and last copy edge, and its
+//!   pop count with the queued flag in the top bit. A set of at most one
+//!   cell is stored inline; larger sets spill to a sorted vector with a
+//!   list of pending cells.
 //! * `load`, `store` and `gep` constraints are complete once generation
-//!   ends and are filed per pointer node in one compressed (CSR) array.
-//!   Copy edges grow while solving; they form per-node linked lists in one
-//!   arena, deduplicated by an Fx-hashed set. Field paths are interned.
-//! * [`PointsTo::cells_of_access`] returns a slice of one flat array
-//!   indexed by the same per-function slots.
+//!   ends. They are generated as 12-byte entries (pointer node, operand
+//!   node with the kind in its top two bits, gep path) and then filed per
+//!   pointer node in one compressed (CSR) list of 8-byte entries, by a
+//!   counting pass and a backwards fill over one offsets array.
+//! * Copy edges grow while solving; they form per-node linked lists of
+//!   8-byte entries in one arena. Edges are not deduplicated: a repeated
+//!   edge re-inserts its source's set, which its destination holds
+//!   already but in one corner (see `Solver::add_copy`). Field paths are
+//!   interned.
+//! * The tables only solving reads — the edges, the constraint list, the
+//!   contents nodes and the interners — are freed before the accesses are
+//!   resolved. [`PointsTo::cells_of_access`] returns a slice of one flat
+//!   array indexed by the same per-function slots.
 
 use crate::escape::EscapeInfo;
 use atomig_mir::{
     Builtin, Callee, FuncId, Function, FxBuild, GlobalId, InstId, InstKind, Module, Terminator,
     Value,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -112,6 +122,9 @@ const NONE: u32 = u32::MAX;
 /// Tag bit of [`NodeState::pts`]: the set has spilled to `Solver::big`.
 const BIG: u32 = 1 << 31;
 
+/// Tag bit of [`NodeState::pops`]: the node is on the worklist.
+const QUEUED: u32 = 1 << 31;
+
 /// Solver state of one constraint node.
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
@@ -121,9 +134,9 @@ struct NodeState {
     /// First and last outgoing copy edge in `Solver::edges`.
     copy_head: u32,
     copy_tail: u32,
-    /// Worklist pops, for the fixpoint-pass statistic.
+    /// Worklist pops, for the fixpoint-pass statistic, with `QUEUED` set
+    /// while the node is on the worklist.
     pops: u32,
-    queued: bool,
 }
 
 impl NodeState {
@@ -132,8 +145,11 @@ impl NodeState {
         copy_head: NONE,
         copy_tail: NONE,
         pops: 0,
-        queued: false,
     };
+
+    fn queued(&self) -> bool {
+        self.pops & QUEUED != 0
+    }
 }
 
 /// The node in `slot`, numbered next if the slot is still empty.
@@ -154,25 +170,36 @@ struct BigSet {
     pending: Vec<u32>,
 }
 
-/// A `load`, `store` or `gep` constraint, filed under its pointer node.
-/// The variant order is the order `solve` processes them in.
+/// The kinds of complex constraint on a pointer node `p`, in the order
+/// `solve` processes them. A gep: `dst ⊇ { c.path ++ paths[path] | c ∈
+/// pts p }`.
+const GEP: u32 = 0;
+/// A load: `dst ⊇ *(pts p)`.
+const LOAD: u32 = 1;
+/// A store: `*(pts p) ⊇ src`.
+const STORE: u32 = 2;
+
+/// The kind sits at and above this bit of [`Complex::op`]; node ids stay
+/// below.
+const KIND_SHIFT: u32 = 30;
+
+/// A `load`, `store` or `gep` constraint: its kind and operand node
+/// (`kind << KIND_SHIFT | node`, the destination of a gep or load, the
+/// source of a store) and the interned path of a gep (`0` otherwise).
+/// `solve` files them under their pointer nodes in one CSR list.
 #[derive(Debug, Clone, Copy)]
-enum Complex {
-    /// `dst ⊇ { c.path ++ paths[path] | c ∈ pts p }`.
-    Gep { dst: u32, path: u32 },
-    /// `dst ⊇ *(pts p)`.
-    Load { dst: u32 },
-    /// `*(pts p) ⊇ src`.
-    Store { src: u32 },
+struct Complex {
+    op: u32,
+    path: u32,
 }
 
 impl Complex {
-    fn rank(self) -> u8 {
-        match self {
-            Complex::Gep { .. } => 0,
-            Complex::Load { .. } => 1,
-            Complex::Store { .. } => 2,
-        }
+    fn kind(self) -> u32 {
+        self.op >> KIND_SHIFT
+    }
+
+    fn node(self) -> u32 {
+        self.op & ((1 << KIND_SHIFT) - 1)
     }
 }
 
@@ -197,9 +224,8 @@ struct Solver {
     nodes: Vec<NodeState>,
     big: Vec<BigSet>,
     /// Copy edges `(dst, next)`, linked per source in insertion order.
+    /// An edge may be repeated (see [`Solver::add_copy`]).
     edges: Vec<(u32, u32)>,
-    /// `src << 32 | dst` of every copy edge.
-    copy_seen: HashSet<u64, FxBuild>,
     /// Complex constraints with their pointer node, in generation order.
     complex: Vec<(u32, Complex)>,
     worklist: Vec<u32>,
@@ -237,7 +263,6 @@ impl Solver {
             nodes: Vec::new(),
             big: Vec::new(),
             edges: Vec::new(),
-            copy_seen: HashSet::default(),
             complex: Vec::new(),
             worklist: Vec::new(),
             set_buf: Vec::new(),
@@ -311,7 +336,7 @@ impl Solver {
                 }
                 // A node is queued exactly while it has unprocessed cells,
                 // so the lone cell is pending iff the node is queued.
-                let pending = if node.queued { vec![p, c] } else { vec![c] };
+                let pending = if node.queued() { vec![p, c] } else { vec![c] };
                 node.pts = BIG | self.big.len() as u32;
                 self.big.push(BigSet {
                     cells: vec![p.min(c), p.max(c)],
@@ -330,15 +355,31 @@ impl Solver {
             }
         }
         let node = &mut self.nodes[n as usize];
-        if !node.queued {
-            node.queued = true;
+        if !node.queued() {
+            node.pops |= QUEUED;
             self.worklist.push(n);
         }
     }
 
     /// Adds the subset edge `dst ⊇ src` and propagates the current set.
+    ///
+    /// The edge is not looked up, so it can be added twice: one value
+    /// passed to the same parameter from two call sites, or stored through
+    /// two pointers to the same cell. A repeat is the same constraint, so
+    /// the solution is the same. It re-inserts `pts(src)`, and `dst`
+    /// already holds every cell `src` had at the first copy or has passed
+    /// on since; `insert` returns on those without enqueueing, so the
+    /// pops and statistics are the same too. The one exception is a cell
+    /// `src` gained after the first copy and has not passed on yet: the
+    /// repeat delivers it before `src`'s next pop does, which can change
+    /// the pop order after it. That takes a source that grows between two
+    /// copies to one destination, such as a function that passes its
+    /// parameter on, calls itself with another pointer, and passes the
+    /// parameter on again (`tests/pointsto_reference.rs`). The profiles
+    /// repeat no edge, and a set of all edges to skip repeats cost more
+    /// than the edges themselves.
     fn add_copy(&mut self, src: u32, dst: u32) {
-        if src == dst || !self.copy_seen.insert(u64::from(src) << 32 | u64::from(dst)) {
+        if src == dst {
             return;
         }
         let e = self.edges.len() as u32;
@@ -415,9 +456,12 @@ impl Solver {
         self.stats.constraints += 1;
     }
 
-    /// A `load`, `store` or `gep` constraint on pointer node `p`.
-    fn add_complex(&mut self, p: u32, e: Complex) {
-        self.complex.push((p, e));
+    /// A `load`, `store` or `gep` constraint of `kind` on pointer node
+    /// `p` with operand node `node` (and gep path `path`).
+    fn add_complex(&mut self, p: u32, kind: u32, node: u32, path: u32) {
+        assert!(node >> KIND_SHIFT == 0, "node ids leave the kind bits free");
+        let op = kind << KIND_SHIFT | node;
+        self.complex.push((p, Complex { op, path }));
         self.stats.constraints += 1;
     }
 
@@ -428,9 +472,9 @@ impl Solver {
     fn gen_exchange(&mut self, f: FuncId, id: InstId, ptr: Value, val: Value) {
         if let Some(p) = self.node(f, ptr) {
             let dst = self.var(f, id);
-            self.add_complex(p, Complex::Load { dst });
+            self.add_complex(p, LOAD, dst, 0);
             if let Some(src) = self.node(f, val) {
-                self.add_complex(p, Complex::Store { src });
+                self.add_complex(p, STORE, src, 0);
             }
         }
     }
@@ -457,7 +501,7 @@ impl Solver {
                 InstKind::Load { ptr, .. } => {
                     if let Some(p) = self.node(f, *ptr) {
                         let dst = self.var(f, id);
-                        self.add_complex(p, Complex::Load { dst });
+                        self.add_complex(p, LOAD, dst, 0);
                     }
                 }
                 InstKind::Store { ptr, val, .. } => {
@@ -465,7 +509,7 @@ impl Solver {
                     // that node, but adds no constraint.
                     let p = self.node(f, *ptr);
                     if let (Some(p), Some(src)) = (p, self.node(f, *val)) {
-                        self.add_complex(p, Complex::Store { src });
+                        self.add_complex(p, STORE, src, 0);
                     }
                 }
                 InstKind::Cmpxchg(c) => self.gen_exchange(f, id, c.ptr, c.new),
@@ -482,7 +526,7 @@ impl Solver {
                         path.extend(steps.map(|c| c.unwrap_or(ANY_INDEX)));
                         let path_id = self.intern_path(&path);
                         self.path_buf = path;
-                        self.add_complex(base, Complex::Gep { dst, path: path_id });
+                        self.add_complex(base, GEP, dst, path_id);
                     }
                 }
                 InstKind::Cast { value, .. } => {
@@ -546,34 +590,38 @@ impl Solver {
 
     /// Files the complex constraints under their pointer nodes: node `n`'s
     /// are `list[start[n]..start[n + 1]]`, geps first, then loads, then
-    /// stores, each in generation order.
-    fn group_complex(&mut self) -> (Vec<u32>, Vec<Complex>) {
+    /// stores, each in generation order. `start[n]` first counts up to the
+    /// end of `n`'s range, and a backwards pass over the constraints fills
+    /// each range from its end, leaving `start[n]` at its beginning. The
+    /// generated entries are freed on return.
+    fn file_complex(&mut self) -> (Vec<u32>, Vec<Complex>) {
         let complex = std::mem::take(&mut self.complex);
         let mut start = vec![0u32; self.nodes.len() + 1];
         for &(p, _) in &complex {
-            start[p as usize + 1] += 1;
+            start[p as usize] += 1;
         }
-        for n in 0..self.nodes.len() {
-            start[n + 1] += start[n];
+        let mut end = 0;
+        for s in &mut start {
+            end += *s;
+            *s = end;
         }
-        let mut next = start.clone();
-        let mut list = vec![Complex::Load { dst: NONE }; complex.len()];
-        for rank in 0..3 {
-            for &(p, e) in complex.iter().filter(|(_, e)| e.rank() == rank) {
-                list[next[p as usize] as usize] = e;
-                next[p as usize] += 1;
+        let mut list = vec![Complex { op: 0, path: 0 }; complex.len()];
+        for kind in [STORE, LOAD, GEP] {
+            for &(p, e) in complex.iter().rev().filter(|(_, e)| e.kind() == kind) {
+                let at = &mut start[p as usize];
+                *at -= 1;
+                list[*at as usize] = e;
             }
         }
         (start, list)
     }
 
     fn solve(&mut self) {
-        let (start, complex) = self.group_complex();
+        let (start, complex) = self.file_complex();
         let mut delta = Vec::new();
         while let Some(n) = self.worklist.pop() {
             let node = &mut self.nodes[n as usize];
-            node.queued = false;
-            node.pops += 1;
+            node.pops = (node.pops & !QUEUED) + 1;
             self.stats.iterations += 1;
             delta.clear();
             match node.pts {
@@ -605,30 +653,37 @@ impl Solver {
             };
             for &c in &delta {
                 for &e in own {
-                    match e {
-                        Complex::Gep { dst, path } => {
-                            let fc = self.gep_cell(c, path);
-                            self.insert(dst, fc);
+                    match e.kind() {
+                        GEP => {
+                            let fc = self.gep_cell(c, e.path);
+                            self.insert(e.node(), fc);
                         }
-                        Complex::Load { dst } => {
+                        LOAD => {
                             let k = lazy_node(&mut self.nodes, &mut self.content[c as usize]);
-                            self.add_copy(k, dst);
+                            self.add_copy(k, e.node());
                         }
-                        Complex::Store { src } => {
+                        _ /* STORE */ => {
                             let k = lazy_node(&mut self.nodes, &mut self.content[c as usize]);
-                            self.add_copy(src, k);
+                            self.add_copy(e.node(), k);
                         }
                     }
                 }
             }
         }
         self.stats.passes = self.nodes.iter().map(|n| n.pops).max().unwrap_or(0) as usize;
+        // Only the sets and the cells are read from here on.
+        self.worklist = Vec::new();
+        self.edges = Vec::new();
+        self.content = Vec::new();
+        self.cell_ids = HashMap::default();
+        self.path_ids = HashMap::default();
+        self.paths = Vec::new();
     }
 
     /// The cells of every memory access, as a CSR over the `Var` slots:
     /// slot `k`'s cells are `cells[start[k]..start[k + 1]]`, empty for
     /// slots that are not accesses.
-    fn resolve_accesses(&mut self, m: &Module) -> (Vec<u32>, Vec<CellId>) {
+    fn resolve_accesses(&self, m: &Module) -> (Vec<u32>, Vec<CellId>) {
         let mut start = Vec::with_capacity(self.var.len() + 1);
         let mut cells = Vec::new();
         let mut node_of_id = Vec::new();
@@ -641,8 +696,9 @@ impl Solver {
                 if !inst.kind.is_memory_access() {
                     continue;
                 }
+                // Generation named the pointer of every access.
                 node_of_id[inst.id.0 as usize] = match inst.kind.address() {
-                    Some(Value::Global(g)) => self.lit(g),
+                    Some(Value::Global(g)) => self.lit[g.0 as usize],
                     Some(Value::Inst(id)) => self.var[base + id.0 as usize],
                     Some(Value::Param(j)) => self.param[fid.0 as usize]
                         .get(j as usize)
@@ -812,6 +868,16 @@ mod tests {
             .map(|(_, i)| i.id)
             .unwrap();
         (fid, id)
+    }
+
+    /// The per-node and per-constraint footprints the table layout in the
+    /// module doc promises.
+    #[test]
+    fn solver_entries_keep_their_sizes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<NodeState>(), 16);
+        assert_eq!(size_of::<(u32, Complex)>(), 12);
+        assert_eq!(size_of::<Complex>(), 8);
     }
 
     #[test]

@@ -124,8 +124,12 @@ impl AliasMap {
     /// allocation sites.
     pub fn build_points_to(m: &Module, pt: &PointsTo) -> AliasMap {
         let mut accesses_scanned = 0;
-        // Collect classified accesses and the cells they use.
-        let mut entries: Vec<((FuncId, InstId), Vec<atomig_analysis::CellId>)> = Vec::new();
+        // Collect classified accesses with their first shareable cell, and
+        // the cells they use. An access with several candidate cells
+        // bridges all of them; the classes do not depend on the order of
+        // the unions.
+        let mut uf = UnionFind::new(pt.cell_count());
+        let mut entries: Vec<((FuncId, InstId), atomig_analysis::CellId)> = Vec::new();
         let mut used_cells: Vec<atomig_analysis::CellId> = Vec::new();
         for fid in m.func_ids() {
             let func = m.func(fid);
@@ -134,15 +138,19 @@ impl AliasMap {
                     continue;
                 }
                 accesses_scanned += 1;
-                let cells: Vec<_> = pt
+                let mut cells = pt
                     .cells_of_access(fid, inst.id)
                     .iter()
                     .copied()
-                    .filter(|&c| pt.is_shareable(c))
-                    .collect();
-                if !cells.is_empty() {
-                    used_cells.extend(cells.iter().copied());
-                    entries.push(((fid, inst.id), cells));
+                    .filter(|&c| pt.is_shareable(c));
+                let Some(first) = cells.next() else {
+                    continue;
+                };
+                entries.push(((fid, inst.id), first));
+                used_cells.push(first);
+                for c in cells {
+                    uf.union(first.0, c.0);
+                    used_cells.push(c);
                 }
             }
         }
@@ -151,7 +159,6 @@ impl AliasMap {
 
         // Union overlapping cells (grouped by base: only same-base cells
         // can overlap, so the quadratic pass stays per-site small).
-        let mut uf = UnionFind::new(pt.cell_count());
         let mut by_base: HashMap<atomig_analysis::ObjBase, Vec<atomig_analysis::CellId>> =
             HashMap::new();
         for &c in &used_cells {
@@ -166,25 +173,18 @@ impl AliasMap {
                 }
             }
         }
-        // An access with several candidate cells bridges all of them.
-        for (_, cells) in &entries {
-            for w in cells.windows(2) {
-                uf.union(w[0].0, w[1].0);
-            }
-        }
-
         // Group accesses by class root.
         let mut class_of_root: HashMap<u32, usize> = HashMap::new();
         let mut classes: Vec<Vec<(FuncId, InstId)>> = Vec::new();
         let mut access_class = HashMap::new();
-        for (acc, cells) in &entries {
-            let root = uf.find(cells[0].0);
+        for &(acc, first) in &entries {
+            let root = uf.find(first.0);
             let idx = *class_of_root.entry(root).or_insert_with(|| {
                 classes.push(Vec::new());
                 classes.len() - 1
             });
-            classes[idx].push(*acc);
-            access_class.insert(*acc, idx);
+            classes[idx].push(acc);
+            access_class.insert(acc, idx);
         }
         for class in &mut classes {
             class.sort_unstable_by_key(|&(f, i)| (f.0, i.0));

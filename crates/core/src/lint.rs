@@ -29,8 +29,10 @@
 //!    path from the entry, or after it on **every** path to the exit
 //!    (must-dataflow over the CFG), the static shape of
 //!    acquire-before-read and release-after-write protocols. Class
-//!    members are read through one instruction index per function, the
-//!    same one the fence-placement rule uses.
+//!    members are read through one flat table of the module's
+//!    instructions; a function's instruction index, which resolves alias
+//!    keys, lives only while that function's findings are made, in both
+//!    rules.
 //!
 //! Every finding carries the source span threaded through lowering, the
 //! alias key, the points-to cells the access may touch, and explanation
@@ -49,7 +51,7 @@ use crate::config::AtomigConfig;
 use crate::trace::{DecisionLedger, PipelineMetrics, TraceCause};
 use crate::transform::{pending, EditKind};
 use atomig_analysis::{Cfg, ThreadReach};
-use atomig_mir::{FuncId, Function, Inst, InstId, InstIndex, MemLoc, Module, Ordering};
+use atomig_mir::{FuncId, Function, Inst, InstId, MemLoc, Module, Ordering};
 use std::fmt;
 
 /// The rules `atomig lint` checks.
@@ -240,8 +242,7 @@ struct Coverage {
 }
 
 impl Coverage {
-    fn new(index: &InstIndex<'_>) -> Coverage {
-        let func = index.func();
+    fn new(func: &Function) -> Coverage {
         let cfg = Cfg::new(func);
         let n = func.blocks.len();
         let is_sync = |inst: &Inst| inst.kind.ordering() == Some(Ordering::SeqCst);
@@ -283,7 +284,7 @@ impl Coverage {
         }
 
         // Within a block: a sync point strictly before, or strictly after.
-        let mut covered = vec![false; index.len()];
+        let mut covered = vec![false; func.next_inst as usize];
         let mut sync_spans = Vec::new();
         for (bi, b) in func.blocks.iter().enumerate() {
             let mut before = in_cov[bi];
@@ -344,13 +345,16 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     report.thread_roots = reach.roots.len();
 
     // ---- Rule: fence-placement ----------------------------------------
-    // Every edit the transform would still make is a finding.
+    // Every edit the transform would still make is a finding. One
+    // function is indexed at a time, and only while its findings are made.
     let f0 = clock.now();
-    let indexes: Vec<InstIndex<'_>> = m.funcs.iter().map(Function::inst_index).collect();
     let mut lints: Vec<Lint> = Vec::new();
-    for (fid, index) in m.func_ids().zip(&indexes) {
-        let func = index.func();
+    for (fid, func) in m.func_ids().zip(&m.funcs) {
         let edits = pending(func, fid, &marks);
+        if edits.is_empty() {
+            continue;
+        }
+        let index = func.inst_index();
         for at in edits.chunk_by(|a, b| (a.block, a.pos) == (b.block, b.pos)) {
             let inst = &func.block(at[0].block).insts[at[0].pos];
             let mut notes = Vec::new();
@@ -378,7 +382,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                 severity: Severity::Error,
                 func: func.name.clone(),
                 inst: inst.id,
-                loc: loc_of(index, &inst.kind),
+                loc: loc_of(&index, &inst.kind),
                 span: inst.span,
                 message: missing.join("; "),
                 notes,
@@ -401,7 +405,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
     let r0 = clock.now();
     report.accesses = am_pt.accesses_scanned;
     // Per function: its coverage and the thread roots reaching it, sorted.
-    let coverage: Vec<Coverage> = indexes.iter().map(Coverage::new).collect();
+    let coverage: Vec<Coverage> = m.funcs.iter().map(Coverage::new).collect();
     let roots_of: Vec<Vec<FuncId>> = m
         .func_ids()
         .map(|fid| {
@@ -411,14 +415,29 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
             roots
         })
         .collect();
+    // Every instruction in one flat table: instruction `i` of function `f`
+    // sits in slot `slot_base[f] + i`.
+    let slots = m.funcs.iter().map(|f| f.next_inst as usize).sum();
+    let mut slot_base = Vec::with_capacity(m.funcs.len());
+    let mut insts: Vec<Option<&Inst>> = Vec::with_capacity(slots);
+    for func in &m.funcs {
+        let base = insts.len();
+        slot_base.push(base);
+        insts.resize(base + func.next_inst as usize, None);
+        for (_, inst) in func.insts() {
+            insts[base + inst.id.0 as usize] = Some(inst);
+        }
+    }
     let plain = |inst: &Inst| inst.kind.ordering() == Some(Ordering::NotAtomic);
     let plain_store = |inst: &Inst| plain(inst) && inst.kind.may_write();
 
-    let mut race_lints: Vec<Lint> = Vec::new();
+    // Findings whose alias key, and the closing note that depends on it,
+    // wait until their function is indexed: (function, pattern, finding).
+    let mut drafts: Vec<(FuncId, bool, Lint)> = Vec::new();
     for class in am_pt.classes() {
         let accesses: Vec<(FuncId, &Inst)> = class
             .iter()
-            .filter_map(|&(f, i)| Some((f, indexes[f.0 as usize].inst(i)?)))
+            .filter_map(|&(f, i)| Some((f, insts[slot_base[f.0 as usize] + i.0 as usize]?)))
             .collect();
         let root_sets: Vec<&[FuncId]> = accesses
             .iter()
@@ -464,7 +483,6 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
             if !plain(a) || rs.is_empty() || cov.covered[a.id.0 as usize] {
                 continue;
             }
-            let loc = loc_of(&indexes[fid.0 as usize], &a.kind);
             let write = a.kind.may_write();
             let mut notes = vec![context_note.clone()];
             let cells = pt.cells_of_access(fid, a.id);
@@ -478,29 +496,8 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                      on every path"
                 ));
             }
-            let mut suggestion = None;
-            if pattern {
-                notes.push(
-                    "this location participates in a detected synchronization pattern".into(),
-                );
-                suggestion = Some("run `atomig port` to promote it".into());
-            } else if matches!(loc, MemLoc::Pointee(_)) && !config.pointee_buddies {
-                notes.push(
-                    "alias key is a pointee-typed bucket; sticky-buddy expansion ignores it \
-                     unless `pointee_buddies` is enabled"
-                        .into(),
-                );
-            } else {
-                notes.push(
-                    "no spinloop or optimistic-loop exit depends on this location, so pattern \
-                     detection cannot promote it"
-                        .into(),
-                );
-                suggestion =
-                    Some("annotate the location `atomic`, or guard it with a detected lock".into());
-            }
             let racing = write || accesses.iter().any(|&(f, x)| f != fid && plain_store(x));
-            race_lints.push(Lint {
+            let lint = Lint {
                 rule: LintRule::RaceCandidate,
                 severity: if pattern {
                     Severity::Error
@@ -509,7 +506,7 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                 },
                 func: m.func(fid).name.clone(),
                 inst: a.id,
-                loc,
+                loc: MemLoc::Unknown,
                 span: a.span,
                 message: format!(
                     "plain {} of a location shared between threads{}",
@@ -521,10 +518,43 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
                     }
                 ),
                 notes,
-                suggestion,
-            });
+                suggestion: None,
+            };
+            drafts.push((fid, pattern, lint));
         }
     }
+    // Only the drafts are read from here on.
+    drop((coverage, insts));
+    drafts.sort_by_key(|&(fid, ..)| fid);
+    for group in drafts.chunk_by_mut(|a, b| a.0 == b.0) {
+        let index = m.func(group[0].0).inst_index();
+        for (_, pattern, lint) in group {
+            if let Some(kind) = index.get(lint.inst) {
+                lint.loc = loc_of(&index, kind);
+            }
+            if *pattern {
+                lint.notes.push(
+                    "this location participates in a detected synchronization pattern".into(),
+                );
+                lint.suggestion = Some("run `atomig port` to promote it".into());
+            } else if matches!(lint.loc, MemLoc::Pointee(_)) && !config.pointee_buddies {
+                lint.notes.push(
+                    "alias key is a pointee-typed bucket; sticky-buddy expansion ignores it \
+                     unless `pointee_buddies` is enabled"
+                        .into(),
+                );
+            } else {
+                lint.notes.push(
+                    "no spinloop or optimistic-loop exit depends on this location, so pattern \
+                     detection cannot promote it"
+                        .into(),
+                );
+                lint.suggestion =
+                    Some("annotate the location `atomic`, or guard it with a detected lock".into());
+            }
+        }
+    }
+    let mut race_lints: Vec<Lint> = drafts.into_iter().map(|(.., lint)| lint).collect();
     // Deterministic order: rule, then function, then source position.
     let by_position = |a: &Lint, b: &Lint| {
         (a.func.as_str(), a.span, a.inst.0).cmp(&(b.func.as_str(), b.span, b.inst.0))
