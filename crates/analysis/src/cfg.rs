@@ -24,68 +24,116 @@ use atomig_mir::{BlockId, Function};
 /// assert_eq!(cfg.preds(atomig_mir::BlockId(2)).len(), 2);
 /// # Ok::<(), atomig_mir::parser::ParseError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Cfg {
-    preds: Vec<Vec<BlockId>>,
-    succs: Vec<Vec<BlockId>>,
+    /// `succs[succ_start[b]..succ_start[b + 1]]` are the successors of
+    /// `b`, in terminator order.
+    succ_start: Vec<u32>,
+    succs: Vec<BlockId>,
+    /// `preds[pred_start[b]..pred_start[b + 1]]` are the predecessors of
+    /// `b`, by ascending block and then terminator order.
+    pred_start: Vec<u32>,
+    preds: Vec<BlockId>,
     rpo: Vec<BlockId>,
-    rpo_index: Vec<usize>,
+    /// Position of each block in `rpo`, [`UNREACHED`] if unreachable.
+    rpo_index: Vec<u32>,
+    /// The depth-first search's stack, kept for the next rebuild.
+    stack: Vec<(BlockId, u32)>,
 }
+
+/// [`Cfg::rpo_index`] of a block the entry does not reach.
+const UNREACHED: u32 = u32::MAX;
 
 impl Cfg {
     /// Builds the CFG of `func`.
     pub fn new(func: &Function) -> Cfg {
+        let mut cfg = Cfg::default();
+        cfg.rebuild(func);
+        cfg
+    }
+
+    /// Makes this the CFG of `func`, reusing the previous function's
+    /// tables.
+    pub fn rebuild(&mut self, func: &Function) {
         let n = func.blocks.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for b in func.block_ids() {
-            for s in func.block(b).term.successors() {
-                succs[b.0 as usize].push(s);
-                preds[s.0 as usize].push(b);
+        let Cfg {
+            succ_start,
+            succs,
+            pred_start,
+            preds,
+            rpo,
+            rpo_index,
+            stack,
+        } = self;
+        succ_start.clear();
+        succs.clear();
+        pred_start.clear();
+        pred_start.resize(n + 1, 0);
+        for b in &func.blocks {
+            succ_start.push(succs.len() as u32);
+            for s in b.term.successors() {
+                succs.push(s);
+                pred_start[s.0 as usize] += 1;
             }
         }
-        // Post-order DFS from the entry.
-        let mut visited = vec![false; n];
-        let mut post = Vec::with_capacity(n);
-        let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
-        if n > 0 {
-            visited[0] = true;
+        succ_start.push(succs.len() as u32);
+        // Each block's predecessor count becomes the end of its range,
+        // then filling the edges backwards moves it to the start.
+        for b in 1..=n {
+            pred_start[b] += pred_start[b - 1];
         }
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let ss = &succs[b.0 as usize];
-            if *i < ss.len() {
-                let next = ss[*i];
-                *i += 1;
-                if !visited[next.0 as usize] {
-                    visited[next.0 as usize] = true;
-                    stack.push((next, 0));
+        preds.clear();
+        preds.resize(succs.len(), BlockId(0));
+        for b in (0..n).rev() {
+            for &s in succs[succ_start[b] as usize..succ_start[b + 1] as usize]
+                .iter()
+                .rev()
+            {
+                let at = &mut pred_start[s.0 as usize];
+                *at -= 1;
+                preds[*at as usize] = BlockId(b as u32);
+            }
+        }
+
+        // Post-order DFS from the entry; a block is marked reached by
+        // leaving `UNREACHED` as soon as it is pushed.
+        rpo.clear();
+        rpo_index.clear();
+        rpo_index.resize(n, UNREACHED);
+        stack.clear();
+        if n > 0 {
+            rpo_index[0] = 0;
+            stack.push((BlockId(0), succ_start[0]));
+        }
+        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+            if *next < succ_start[b.0 as usize + 1] {
+                let s = succs[*next as usize];
+                *next += 1;
+                if rpo_index[s.0 as usize] == UNREACHED {
+                    rpo_index[s.0 as usize] = 0;
+                    stack.push((s, succ_start[s.0 as usize]));
                 }
             } else {
-                post.push(b);
+                rpo.push(b);
                 stack.pop();
             }
         }
-        let rpo: Vec<BlockId> = post.into_iter().rev().collect();
-        let mut rpo_index = vec![usize::MAX; n];
+        rpo.reverse();
         for (i, b) in rpo.iter().enumerate() {
-            rpo_index[b.0 as usize] = i;
-        }
-        Cfg {
-            preds,
-            succs,
-            rpo,
-            rpo_index,
+            rpo_index[b.0 as usize] = i as u32;
         }
     }
 
     /// Predecessors of `b`.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.0 as usize]
+        let b = b.0 as usize;
+        &self.preds[self.pred_start[b] as usize..self.pred_start[b + 1] as usize]
     }
 
     /// Successors of `b`.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.0 as usize]
+        let b = b.0 as usize;
+        &self.succs[self.succ_start[b] as usize..self.succ_start[b + 1] as usize]
     }
 
     /// Blocks reachable from the entry, in reverse post-order.
@@ -96,7 +144,7 @@ impl Cfg {
     /// Position of `b` in the reverse post-order, or `None` if unreachable.
     pub fn rpo_index(&self, b: BlockId) -> Option<usize> {
         let i = self.rpo_index[b.0 as usize];
-        (i != usize::MAX).then_some(i)
+        (i != UNREACHED).then_some(i as usize)
     }
 
     /// Whether `b` is reachable from the entry block.
@@ -106,7 +154,7 @@ impl Cfg {
 
     /// Number of blocks (including unreachable ones).
     pub fn block_count(&self) -> usize {
-        self.preds.len()
+        self.rpo_index.len()
     }
 }
 

@@ -36,7 +36,7 @@ pub use callgraph::CallGraph;
 pub use cfg::Cfg;
 pub use dom::DomTree;
 pub use escape::EscapeInfo;
-pub use influence::{DepSet, InfluenceAnalysis};
+pub use influence::{DepSet, DepSummary, InfluenceAnalysis};
 pub use inline::{inline_module, InlineOptions};
 pub use loops::{find_loops, LoopExit, NaturalLoop};
 pub use pointsto::{Cell, CellId, ObjBase, PointsTo, PointsToStats};

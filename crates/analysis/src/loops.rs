@@ -46,30 +46,31 @@ impl NaturalLoop {
 /// Finds all natural loops of `func`. Loops sharing a header are merged
 /// (as LLVM's `LoopInfo` does for multiple backedges).
 pub fn find_loops(func: &Function, cfg: &Cfg, dom: &DomTree) -> Vec<NaturalLoop> {
-    // Collect backedges t -> h where h dominates t.
-    let mut headers: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
+    // Collect backedges t -> h where h dominates t, by header. A dominator
+    // comes no later than the blocks it dominates in reverse post-order,
+    // so only the edges that go back in that order are asked.
+    let mut back_edges: Vec<(BlockId, BlockId)> = Vec::new();
     for b in func.block_ids() {
-        if !cfg.is_reachable(b) {
+        let Some(at) = cfg.rpo_index(b) else {
             continue;
-        }
-        for s in cfg.succs(b) {
-            if dom.dominates(*s, b) {
-                match headers.iter_mut().find(|(h, _)| h == s) {
-                    Some((_, tails)) => tails.push(b),
-                    None => headers.push((*s, vec![b])),
-                }
+        };
+        for &s in cfg.succs(b) {
+            if cfg.rpo_index(s).is_some_and(|to| to <= at) && dom.dominates(s, b) {
+                back_edges.push((s, b));
             }
         }
     }
+    back_edges.sort_unstable();
 
     let mut loops = Vec::new();
-    for (header, tails) in headers {
+    let mut stack: Vec<BlockId> = Vec::new();
+    for edges in back_edges.chunk_by(|a, b| a.0 == b.0) {
+        let header = edges[0].0;
         // Body: header plus everything that reaches a tail without passing
         // through the header (standard natural-loop construction).
         let mut body: BTreeSet<BlockId> = BTreeSet::new();
         body.insert(header);
-        let mut stack: Vec<BlockId> = Vec::new();
-        for t in tails {
+        for &(_, t) in edges {
             if body.insert(t) {
                 stack.push(t);
             }
@@ -116,7 +117,6 @@ pub fn find_loops(func: &Function, cfg: &Cfg, dom: &DomTree) -> Vec<NaturalLoop>
             exits,
         });
     }
-    loops.sort_by_key(|l| l.header);
     loops
 }
 

@@ -17,7 +17,6 @@
 //! reach through direct calls.
 
 use atomig_mir::{Builtin, Callee, FuncId, InstKind, Module, Value};
-use std::collections::HashSet;
 
 /// Which thread roots can reach each function via direct calls.
 #[derive(Debug)]
@@ -56,33 +55,40 @@ impl ThreadReach {
         }
 
         let mut roots: Vec<FuncId> = Vec::new();
+        let mut is_root = vec![false; n];
         if let Some(main) = m.func_by_name("main") {
             roots.push(main);
+            is_root[main.0 as usize] = true;
         } else {
             // No `main`: treat every function nobody calls or spawns as a
             // root, so library-style modules still get audited.
-            let mut called: HashSet<FuncId> = spawn_targets.iter().copied().collect();
-            for cs in &calls {
-                called.extend(cs.iter().copied());
+            let mut called = vec![false; n];
+            for f in calls.iter().flatten().chain(&spawn_targets) {
+                called[f.0 as usize] = true;
             }
             for f in m.func_ids() {
-                if !called.contains(&f) {
+                if !called[f.0 as usize] {
                     roots.push(f);
+                    is_root[f.0 as usize] = true;
                 }
             }
         }
-        for t in &spawn_targets {
-            if !roots.contains(t) {
-                roots.push(*t);
+        for &t in &spawn_targets {
+            if !std::mem::replace(&mut is_root[t.0 as usize], true) {
+                roots.push(t);
             }
         }
 
+        // One walk per root over one visited array, stamped with the
+        // root's number: `O(edges + Σ reach sets)` in all, with no array
+        // cleared per root.
         let mut reached_by: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut seen_by = vec![usize::MAX; n];
+        let mut work = Vec::new();
         for (ri, root) in roots.iter().enumerate() {
-            let mut seen = vec![false; n];
-            let mut work = vec![*root];
+            work.push(*root);
             while let Some(f) = work.pop() {
-                if std::mem::replace(&mut seen[f.0 as usize], true) {
+                if std::mem::replace(&mut seen_by[f.0 as usize], ri) == ri {
                     continue;
                 }
                 reached_by[f.0 as usize].push(ri);

@@ -50,16 +50,19 @@ pub fn scan_annotations(index: &InstIndex<'_>, blacklist: &[MemLoc]) -> Annotati
         if !kind.is_memory_access() {
             continue;
         }
-        let loc = loc_of(index, kind);
         let is_atomic = kind.ordering().map(|o| o.is_atomic()).unwrap_or(false);
         let is_volatile = matches!(
             kind,
             InstKind::Load { volatile: true, .. } | InstKind::Store { volatile: true, .. }
         );
         if is_atomic {
+            let loc = loc_of(index, kind);
             out.atomics.push(Mark { inst: inst.id, loc });
-        } else if is_volatile && !blacklist.contains(&loc) {
-            out.volatiles.push(Mark { inst: inst.id, loc });
+        } else if is_volatile {
+            let loc = loc_of(index, kind);
+            if !blacklist.contains(&loc) {
+                out.volatiles.push(Mark { inst: inst.id, loc });
+            }
         }
     }
     out

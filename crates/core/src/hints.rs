@@ -18,9 +18,8 @@ use atomig_mir::{Builtin, Callee, InstIndex, InstKind};
 
 /// Finds the nearest non-local memory access before and after every
 /// compiler barrier, within the barrier's basic block, in the function
-/// `index` indexes.
-pub fn barrier_adjacent_accesses(index: &InstIndex<'_>) -> Vec<Mark> {
-    let escape = EscapeInfo::new(index);
+/// `index` indexes; `escape` is that function's escape information.
+pub fn barrier_adjacent_accesses(index: &InstIndex<'_>, escape: &EscapeInfo) -> Vec<Mark> {
     let mut out = Vec::new();
     for block in &index.func().blocks {
         for (pos, inst) in block.insts.iter().enumerate() {
@@ -68,7 +67,12 @@ pub fn barrier_adjacent_accesses(index: &InstIndex<'_>) -> Vec<Mark> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomig_mir::MemLoc;
+    use atomig_mir::{Function, MemLoc};
+
+    fn hints_of(f: &Function) -> Vec<Mark> {
+        let index = f.inst_index();
+        barrier_adjacent_accesses(&index, &EscapeInfo::new(&index))
+    }
 
     #[test]
     fn marks_accesses_around_the_barrier() {
@@ -84,7 +88,7 @@ mod tests {
             "cb",
         )
         .unwrap();
-        let marks = barrier_adjacent_accesses(&m.funcs[0].inst_index());
+        let marks = hints_of(&m.funcs[0]);
         assert_eq!(marks.len(), 2);
         let names: Vec<String> = marks.iter().map(|mk| mk.loc.to_string()).collect();
         // payload (@g1) before, ready (@g0) after.
@@ -105,7 +109,7 @@ mod tests {
             "cb",
         )
         .unwrap();
-        let marks = barrier_adjacent_accesses(&m.funcs[0].inst_index());
+        let marks = hints_of(&m.funcs[0]);
         assert!(marks.is_empty(), "{marks:?}");
     }
 
@@ -121,7 +125,7 @@ mod tests {
             "cb",
         )
         .unwrap();
-        let marks = barrier_adjacent_accesses(&m.funcs[0].inst_index());
+        let marks = hints_of(&m.funcs[0]);
         assert!(marks.is_empty());
     }
 
@@ -140,7 +144,7 @@ mod tests {
             "cb",
         )
         .unwrap();
-        let marks = barrier_adjacent_accesses(&m.funcs[0].inst_index());
+        let marks = hints_of(&m.funcs[0]);
         assert_eq!(marks.len(), 2);
         // b (nearest before) and c (nearest after); a is untouched.
         let has = |g: u32| {

@@ -75,7 +75,7 @@ pub use naive::naive_port;
 pub use optimistic::{detect_optimistic, OptimisticLoop};
 pub use pipeline::Pipeline;
 pub use report::{approach_matrix, BarrierCensus, PortReport};
-pub use spinloop::{detect_spinloops, SpinLoopInfo};
+pub use spinloop::{detect_spinloops, SpinDetector, SpinLoopInfo};
 pub use trace::{
     validate_metrics_jsonl, CheckerMetrics, Clock, Decision, DecisionLedger, MetricsTally,
     PhaseStat, PipelineMetrics, TraceAction, TraceCause,

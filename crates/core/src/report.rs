@@ -1,7 +1,7 @@
 //! Porting reports and the Table 1 comparison matrix.
 
 use crate::trace::{DecisionLedger, PipelineMetrics};
-use atomig_mir::{InstKind, Module};
+use atomig_mir::{Function, InstKind, Module};
 use std::fmt;
 use std::time::Duration;
 
@@ -22,21 +22,26 @@ impl BarrierCensus {
     pub fn of(m: &Module) -> BarrierCensus {
         let mut c = BarrierCensus::default();
         for f in &m.funcs {
-            for (_, inst) in f.insts() {
-                match &inst.kind {
-                    InstKind::Fence { .. } => c.explicit += 1,
-                    k if k.is_memory_access() => {
-                        if k.ordering().map(|o| o.is_atomic()).unwrap_or(false) {
-                            c.implicit += 1;
-                        } else {
-                            c.plain += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
+            c.add(f);
         }
         c
+    }
+
+    /// Adds the barriers of `f` to the count.
+    pub fn add(&mut self, f: &Function) {
+        for (_, inst) in f.insts() {
+            match &inst.kind {
+                InstKind::Fence { .. } => self.explicit += 1,
+                k if k.is_memory_access() => {
+                    if k.ordering().map(|o| o.is_atomic()).unwrap_or(false) {
+                        self.implicit += 1;
+                    } else {
+                        self.plain += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
     }
 }
 

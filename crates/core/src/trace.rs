@@ -388,6 +388,12 @@ impl DecisionLedger {
         self.decisions.push(d);
     }
 
+    /// Decision `idx`, to complete its span or alias key; the access it
+    /// names stays the same.
+    pub(crate) fn decision_mut(&mut self, idx: usize) -> &mut Decision {
+        &mut self.decisions[idx]
+    }
+
     /// All decisions, in recording order.
     pub fn decisions(&self) -> &[Decision] {
         &self.decisions

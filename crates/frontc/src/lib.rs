@@ -60,9 +60,13 @@ pub use parser::{parse, ParseError, MAX_DEPTH};
 /// Returns a human-readable message for lexical, syntactic, semantic, or
 /// verification failures.
 pub fn compile(source: &str, name: &str) -> Result<atomig_mir::Module, String> {
+    // Each stage's input is dropped as soon as the next stage has read
+    // it, so the tokens never outlive parsing nor the AST lowering.
     let tokens = lex(source).map_err(|e| e.to_string())?;
     let program = parse(&tokens).map_err(|e| e.to_string())?;
+    drop(tokens);
     let module = lower(&program, name).map_err(|e| e.to_string())?;
+    drop(program);
     atomig_mir::verify_module(&module).map_err(|e| e.to_string())?;
     Ok(module)
 }

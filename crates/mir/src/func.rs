@@ -110,16 +110,12 @@ impl Function {
     /// per-function analysis (the paper's influence analysis caches
     /// exactly this, §3.5).
     pub fn inst_index(&self) -> InstIndex<'_> {
-        let mut slots = vec![None; self.next_inst as usize];
-        for (b, inst) in self.insts() {
-            let i = inst.id.0 as usize;
-            // Malformed functions (ids at or past `next_inst`) still index.
-            if i >= slots.len() {
-                slots.resize(i + 1, None);
-            }
-            slots[i] = Some((b, inst));
-        }
-        InstIndex { func: self, slots }
+        let mut index = InstIndex {
+            func: self,
+            slots: Vec::new(),
+        };
+        index.reindex(self);
+        index
     }
 
     /// Finds the block containing instruction `id`, with its position.
@@ -149,6 +145,22 @@ pub struct InstIndex<'f> {
 }
 
 impl<'f> InstIndex<'f> {
+    /// Makes this the index of `func`, reusing the slot buffer: a sweep
+    /// over many functions of one module keeps one index alive.
+    pub fn reindex(&mut self, func: &'f Function) {
+        self.func = func;
+        self.slots.clear();
+        self.slots.resize(func.next_inst as usize, None);
+        for (b, inst) in func.insts() {
+            let i = inst.id.0 as usize;
+            // Malformed functions (ids at or past `next_inst`) still index.
+            if i >= self.slots.len() {
+                self.slots.resize(i + 1, None);
+            }
+            self.slots[i] = Some((b, inst));
+        }
+    }
+
     /// The indexed function.
     pub fn func(&self) -> &'f Function {
         self.func
