@@ -515,6 +515,17 @@ impl InstKind {
         )
     }
 
+    /// Returns `true` if the instruction defines a result (`%tN`) that
+    /// other instructions may use: everything but stores, fences and
+    /// calls returning `void`.
+    pub fn produces_value(&self) -> bool {
+        match self {
+            InstKind::Store { .. } | InstKind::Fence { .. } => false,
+            InstKind::Call { ret_ty, .. } => *ret_ty != Type::Void,
+            _ => true,
+        }
+    }
+
     /// The address operand of a memory access, if any.
     pub fn address(&self) -> Option<Value> {
         match self {
@@ -755,6 +766,13 @@ mod tests {
             ord: Ordering::SeqCst,
         };
         assert!(!fence.is_memory_access());
+        assert!(load.produces_value() && !fence.produces_value());
+        let call = |ret_ty| InstKind::Call {
+            callee: Callee::Builtin(Builtin::Nondet),
+            args: vec![],
+            ret_ty,
+        };
+        assert!(call(Type::I64).produces_value() && !call(Type::Void).produces_value());
         let rmw = InstKind::Rmw {
             op: RmwOp::Add,
             ptr: Value::Param(0),

@@ -4,10 +4,11 @@
 //! numbers into one `Sink`, so no instruction, operand or type is
 //! formatted into a `String` of its own. [`print_module`] runs the
 //! writers twice: first into a counter that adds up the lengths (digits
-//! are counted with `ilog10`, never formatted), then into a `String`
-//! allocated at exactly that length. The printed module is the largest
-//! allocation of a port, so it is never grown by doubling, which would
-//! hold the old and the new buffer at once.
+//! are counted with `ilog10`, never formatted), then into a byte vector
+//! allocated at exactly that length, which becomes the output `String`
+//! after one UTF-8 check. The printed module is the largest allocation
+//! of a port, so it is never grown by doubling, which would hold the old
+//! and the new buffer at once.
 
 use crate::func::Function;
 use crate::inst::{Callee, GepIndex, InstKind, Ordering, Terminator};
@@ -15,39 +16,61 @@ use crate::module::Module;
 use crate::types::Type;
 use crate::value::Value;
 
-/// Where the writers put text: the output `String`, or a [`Len`] that
-/// only counts bytes.
+/// Where the writers put text: the output bytes, or a [`Len`] that only
+/// counts them. Every write is a whole `str` or one ASCII byte, so the
+/// output is always UTF-8.
 trait Sink {
     fn push_str(&mut self, s: &str);
-    fn push(&mut self, c: char);
+    /// Appends one ASCII byte.
+    fn push(&mut self, c: u8);
     /// Appends the decimal form of `v`.
     fn push_uint(&mut self, v: u64);
 }
 
-impl Sink for String {
+/// `"00"`, `"01"`, …, `"99"`: two decimal digits per entry.
+const PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+impl Sink for Vec<u8> {
     fn push_str(&mut self, s: &str) {
-        String::push_str(self, s);
+        self.extend_from_slice(s.as_bytes());
     }
 
-    fn push(&mut self, c: char) {
-        String::push(self, c);
+    fn push(&mut self, c: u8) {
+        Vec::push(self, c);
     }
 
     fn push_uint(&mut self, mut v: u64) {
+        if v < 10 {
+            Vec::push(self, b'0' + v as u8);
+            return;
+        }
+        // Two digits at a time, from the right.
         let mut buf = [0u8; 20];
         let mut i = buf.len();
-        loop {
+        while v >= 100 {
+            let d = (v % 100) as usize * 2;
+            v /= 100;
+            i -= 2;
+            buf[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+        }
+        if v >= 10 {
+            let d = v as usize * 2;
+            i -= 2;
+            buf[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+        } else {
             i -= 1;
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
+            buf[i] = b'0' + v as u8;
         }
-        // Only ASCII digits were written, so this never fails.
-        if let Ok(digits) = std::str::from_utf8(&buf[i..]) {
-            self.push_str(digits);
-        }
+        self.extend_from_slice(&buf[i..]);
     }
 }
 
@@ -60,13 +83,20 @@ impl Sink for Len {
         self.0 += s.len();
     }
 
-    fn push(&mut self, c: char) {
-        self.0 += c.len_utf8();
+    fn push(&mut self, _: u8) {
+        self.0 += 1;
     }
 
     fn push_uint(&mut self, v: u64) {
         self.0 += v.checked_ilog10().map_or(1, |d| d as usize + 1);
     }
+}
+
+/// The text the writers pushed into `bytes`.
+fn into_text(bytes: Vec<u8>) -> String {
+    // The sink only ever receives whole `str`s and ASCII bytes, so the
+    // check passes and the lossy branch is never taken.
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Prints a whole module in the textual format accepted by
@@ -75,17 +105,17 @@ impl Sink for Len {
 pub fn print_module(m: &Module) -> String {
     let mut len = Len::default();
     write_module(&mut len, m);
-    let mut out = String::with_capacity(len.0);
+    let mut out = Vec::with_capacity(len.0);
     write_module(&mut out, m);
     debug_assert_eq!(out.len(), len.0, "length pass disagrees with the text");
-    out
+    into_text(out)
 }
 
 /// Prints one function.
 pub fn print_function(m: &Module, f: &Function) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     write_function(&mut out, m, f);
-    out
+    into_text(out)
 }
 
 fn write_module(out: &mut impl Sink, m: &Module) {
@@ -111,20 +141,20 @@ fn write_module(out: &mut impl Sink, m: &Module) {
         write_type(out, m, &g.ty);
         out.push_str(" = ");
         if g.init.iter().all(|&v| v == 0) {
-            out.push('0');
+            out.push(b'0');
         } else if let [v] = g.init[..] {
             write_int(out, v);
         } else {
-            out.push('[');
+            out.push(b'[');
             for (i, &v) in g.init.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
                 write_int(out, v);
             }
-            out.push(']');
+            out.push(b']');
         }
-        out.push('\n');
+        out.push(b'\n');
     }
     for f in &m.funcs {
         write_function(out, m, f);
@@ -134,7 +164,7 @@ fn write_module(out: &mut impl Sink, m: &Module) {
 /// Appends the decimal form of `v`.
 fn write_int(out: &mut impl Sink, v: i64) {
     if v < 0 {
-        out.push('-');
+        out.push(b'-');
     }
     out.push_uint(v.unsigned_abs());
 }
@@ -154,12 +184,12 @@ fn write_def(out: &mut impl Sink, id: u32) {
 fn write_function(out: &mut impl Sink, m: &Module, f: &Function) {
     out.push_str("fn @");
     out.push_str(&f.name);
-    out.push('(');
+    out.push(b'(');
     for (i, (n, t)) in f.params.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push('%');
+        out.push(b'%');
         out.push_str(n);
         out.push_str(": ");
         write_type(out, m, t);
@@ -176,11 +206,11 @@ fn write_function(out: &mut impl Sink, m: &Module, f: &Function) {
             if inst.span != 0 {
                 write_id(out, " !", inst.span);
             }
-            out.push('\n');
+            out.push(b'\n');
         }
         out.push_str("  ");
         write_term(out, m, f, &b.term);
-        out.push('\n');
+        out.push(b'\n');
     }
     out.push_str("}\n");
 }
@@ -196,7 +226,7 @@ fn write_type(out: &mut impl Sink, m: &Module, t: &Type) {
         Type::I64 => out.push_str("i64"),
         Type::Struct(sid) => match m.structs.get(sid.0 as usize) {
             Some(s) => {
-                out.push('%');
+                out.push(b'%');
                 out.push_str(&s.name);
             }
             None => write_id(out, "%s", sid.0),
@@ -209,7 +239,7 @@ fn write_type(out: &mut impl Sink, m: &Module, t: &Type) {
             write_id(out, "[", *n);
             out.push_str(" x ");
             write_type(out, m, e);
-            out.push(']');
+            out.push(b']');
         }
     }
 }
@@ -221,21 +251,21 @@ fn write_value(out: &mut impl Sink, m: &Module, f: &Function, v: Value) {
         Value::Null => out.push_str("null"),
         Value::Global(g) => match m.globals.get(g.0 as usize) {
             Some(def) => {
-                out.push('@');
+                out.push(b'@');
                 out.push_str(&def.name);
             }
             None => write_id(out, "@g", g.0),
         },
         Value::Param(i) => match f.params.get(i as usize) {
             Some((n, _)) => {
-                out.push('%');
+                out.push(b'%');
                 out.push_str(n);
             }
             None => write_id(out, "%arg", i),
         },
         Value::Inst(id) => write_id(out, "%t", id.0),
         Value::Func(fid) => {
-            out.push('@');
+            out.push(b'@');
             write_func_name(out, m, fid.0);
         }
     }
@@ -262,7 +292,7 @@ fn write_values(out: &mut impl Sink, m: &Module, f: &Function, values: &[Value])
 /// Appends ` <ordering>` for an atomic access, nothing for a plain one.
 fn write_ord(out: &mut impl Sink, ord: Ordering) {
     if ord != Ordering::NotAtomic {
-        out.push(' ');
+        out.push(b' ');
         out.push_str(ord.keyword());
     }
 }
@@ -274,9 +304,11 @@ fn write_vol(out: &mut impl Sink, volatile: bool) {
 }
 
 fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id: u32) {
+    if kind.produces_value() {
+        write_def(out, id);
+    }
     match kind {
         InstKind::Alloca { ty } => {
-            write_def(out, id);
             out.push_str("alloca ");
             write_type(out, m, ty);
         }
@@ -286,7 +318,6 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             ord,
             volatile,
         } => {
-            write_def(out, id);
             out.push_str("load ");
             write_type(out, m, ty);
             out.push_str(", ");
@@ -303,7 +334,7 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
         } => {
             out.push_str("store ");
             write_type(out, m, ty);
-            out.push(' ');
+            out.push(b' ');
             write_value(out, m, f, *val);
             out.push_str(", ");
             write_value(out, m, f, *ptr);
@@ -311,10 +342,9 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             write_vol(out, *volatile);
         }
         InstKind::Cmpxchg(c) => {
-            write_def(out, id);
             out.push_str("cmpxchg ");
             write_type(out, m, &c.ty);
-            out.push(' ');
+            out.push(b' ');
             write_values(out, m, f, &[c.ptr, c.expected, c.new]);
             write_ord(out, c.ord);
         }
@@ -325,12 +355,11 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             ty,
             ord,
         } => {
-            write_def(out, id);
             out.push_str("rmw ");
             out.push_str(op.mnemonic());
-            out.push(' ');
+            out.push(b' ');
             write_type(out, m, ty);
-            out.push(' ');
+            out.push(b' ');
             write_values(out, m, f, &[*ptr, *val]);
             write_ord(out, *ord);
         }
@@ -343,7 +372,6 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             base_ty,
             indices,
         } => {
-            write_def(out, id);
             out.push_str("gep ");
             write_type(out, m, base_ty);
             out.push_str(", ");
@@ -360,20 +388,17 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             }
         }
         InstKind::Bin { op, lhs, rhs } => {
-            write_def(out, id);
             out.push_str(op.mnemonic());
-            out.push(' ');
+            out.push(b' ');
             write_values(out, m, f, &[*lhs, *rhs]);
         }
         InstKind::Cmp { pred, lhs, rhs } => {
-            write_def(out, id);
             out.push_str("cmp ");
             out.push_str(pred.mnemonic());
-            out.push(' ');
+            out.push(b' ');
             write_values(out, m, f, &[*lhs, *rhs]);
         }
         InstKind::Cast { value, to } => {
-            write_def(out, id);
             out.push_str("cast ");
             write_value(out, m, f, *value);
             out.push_str(" to ");
@@ -384,21 +409,16 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             args,
             ret_ty,
         } => {
-            if *ret_ty == Type::Void {
-                out.push_str("call void @");
-            } else {
-                write_def(out, id);
-                out.push_str("call ");
-                write_type(out, m, ret_ty);
-                out.push_str(" @");
-            }
+            out.push_str("call ");
+            write_type(out, m, ret_ty);
+            out.push_str(" @");
             match callee {
                 Callee::Func(fid) => write_func_name(out, m, fid.0),
                 Callee::Builtin(b) => out.push_str(b.name()),
             }
-            out.push('(');
+            out.push(b'(');
             write_values(out, m, f, args);
-            out.push(')');
+            out.push(b')');
         }
     }
 }
@@ -460,12 +480,29 @@ mod tests {
     /// release build does not check it, so this does.
     #[test]
     fn length_pass_matches_the_text() {
-        let edges = [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        // Every value up to 1000, both sides of each power of ten, and
+        // the extremes, unsigned and signed.
+        let powers = (1..=19).flat_map(|k| [10u64.pow(k) - 1, 10u64.pow(k)]);
+        let edges = (0..=1000)
+            .chain(powers)
+            .chain([u64::from(u32::MAX), u64::MAX]);
         for v in edges {
-            let (mut len, mut out) = (Len::default(), String::new());
+            let (mut len, mut out) = (Len::default(), Vec::new());
             len.push_uint(v);
             out.push_uint(v);
-            assert_eq!((len.0, out.as_str()), (out.len(), v.to_string().as_str()));
+            assert_eq!(
+                (len.0, out.as_slice()),
+                (out.len(), v.to_string().as_bytes())
+            );
+        }
+        for v in [i64::MIN, i64::MIN + 1, -1, 0, i64::MAX] {
+            let (mut len, mut out) = (Len::default(), Vec::new());
+            write_int(&mut len, v);
+            write_int(&mut out, v);
+            assert_eq!(
+                (len.0, out.as_slice()),
+                (out.len(), v.to_string().as_bytes())
+            );
         }
 
         let mut m = Module::new("edges");

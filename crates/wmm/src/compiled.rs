@@ -240,12 +240,8 @@ impl Registers {
         let mut of = vec![u32::MAX; f.next_inst as usize];
         let mut count = 0;
         for (_, inst) in f.insts() {
-            let void = match &inst.kind {
-                InstKind::Store { .. } | InstKind::Fence { .. } => true,
-                InstKind::Call { ret_ty, .. } => *ret_ty == Type::Void,
-                _ => false,
-            };
-            if let Some(reg) = of.get_mut(inst.id.0 as usize).filter(|_| !void) {
+            let value = inst.kind.produces_value();
+            if let Some(reg) = of.get_mut(inst.id.0 as usize).filter(|_| value) {
                 *reg = count;
                 count += 1;
             }
