@@ -48,7 +48,7 @@ pub use ast::{
     BinaryOp, CType, Decl, Expr, ExprId, IfArm, Item, List, Program, Stmt, StmtId, StmtKind, Sym,
     TyId, Types, UnaryOp,
 };
-pub use lexer::{lex, LexError, Token, TokenKind};
+pub use lexer::{lex, Class, LexError, Token, TokenKind, Tokens};
 pub use lower::{lower, LowerError};
 pub use parser::{parse, ParseError, MAX_DEPTH};
 
