@@ -171,11 +171,7 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
         let slot_id = caller.fresh_inst_id();
         prepend(
             &mut caller.blocks[0].insts,
-            Inst::with_span(
-                slot_id,
-                InstKind::Alloca { ty: ret_ty.clone() },
-                call_inst.span,
-            ),
+            Inst::with_span(slot_id, InstKind::Alloca { ty: ret_ty }, call_inst.span),
         );
         Some(Value::Inst(slot_id))
     } else {
@@ -214,7 +210,7 @@ fn inline_one(m: &mut Module, caller_id: FuncId, block: BlockId, pos: usize, cal
                         InstKind::Store {
                             ptr: slot,
                             val: remap_value(*v, &args, inst_off),
-                            ty: ret_ty.clone(),
+                            ty: ret_ty,
                             ord: atomig_mir::Ordering::NotAtomic,
                             volatile: false,
                         },

@@ -22,6 +22,8 @@
 //!   the paper deliberately *skips* for scalability (§3.4/§3.5), built here
 //!   so the precision/scalability trade-off can be measured.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod cfg;
 pub mod dom;

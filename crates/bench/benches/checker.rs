@@ -1,6 +1,8 @@
 //! Model-checker throughput on the litmus suite and the Table 2 clients
 //! (the machinery behind §4.1). Self-timed: `cargo bench -p atomig-bench`.
 
+#![forbid(unsafe_code)]
+
 use atomig_core::Stage;
 use atomig_wmm::{litmus, Checker, ModelKind};
 use atomig_workloads::{ck, compile_stage};

@@ -7,6 +7,8 @@
 //! generated program and times every layer on its own; a line per layer
 //! reports the mean time per iteration and the layer's throughput.
 
+#![forbid(unsafe_code)]
+
 use atomig_workloads::synth::{generate, GenConfig};
 use std::time::{Duration, Instant};
 

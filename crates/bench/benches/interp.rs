@@ -1,6 +1,8 @@
 //! Deterministic-interpreter throughput (the machinery behind Tables 4–6).
 //! Self-timed: `cargo bench -p atomig-bench`.
 
+#![forbid(unsafe_code)]
+
 use atomig_workloads::{apps, compile_baseline, phoenix};
 use std::time::Instant;
 

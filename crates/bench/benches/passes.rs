@@ -2,6 +2,8 @@
 //! scalability curve behind Table 3 (the paper's "within minutes" /
 //! "2–3x build time" claim). Self-timed: `cargo bench -p atomig-bench`.
 
+#![forbid(unsafe_code)]
+
 use atomig_core::{AtomigConfig, Pipeline};
 use atomig_workloads::synth::{generate, GenConfig};
 use std::time::Instant;

@@ -28,6 +28,8 @@
 //! points-to promotes strictly fewer accesses on the aliased-handles
 //! example (the CI gate).
 
+#![forbid(unsafe_code)]
+
 use atomig_analysis::PointsTo;
 use atomig_bench::{factor, render_table, BenchRecorder};
 use atomig_core::json::Value;

@@ -1,5 +1,7 @@
 //! Regenerates Table 1: comparison of porting approaches.
 
+#![forbid(unsafe_code)]
+
 use atomig_bench::{render_table, BenchRecorder};
 use atomig_core::approach_matrix;
 use atomig_core::json::Value;

@@ -8,6 +8,8 @@
 //! Exits with status 1, naming each cell, when any verdict differs from
 //! the paper's column.
 
+#![forbid(unsafe_code)]
+
 use atomig_bench::{render_table, BenchRecorder};
 use atomig_core::json::Value;
 use atomig_workloads::{check_arm, compile_stage, glyph, STAGES};

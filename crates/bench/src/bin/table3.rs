@@ -15,6 +15,8 @@
 //! is the largest profile's. Exits 1 when a detected census differs from
 //! the generator's ground truth, 2 on a usage error.
 
+#![forbid(unsafe_code)]
+
 use atomig_bench::{render_table, BenchRecorder};
 use atomig_core::json::Value;
 use atomig_core::{naive_port, AtomigConfig, Pipeline};

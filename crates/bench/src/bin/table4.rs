@@ -5,6 +5,8 @@
 //! traffic is included in the non-atomic rows, as a hardware counter
 //! would.
 
+#![forbid(unsafe_code)]
+
 use atomig_bench::{render_table, BenchRecorder};
 use atomig_core::json::Value;
 use atomig_workloads::{apps, compile_atomig, compile_baseline};

@@ -8,6 +8,8 @@
 //! no WMM-correct version, so its baseline is the (incorrect) plain
 //! recompile.
 
+#![forbid(unsafe_code)]
+
 use atomig_bench::{factor, render_table, BenchRecorder};
 use atomig_core::json::Value;
 use atomig_wmm::CostModel;

@@ -1,6 +1,8 @@
 //! Regenerates Table 6: Phoenix benchmark, Naïve vs Lasagne vs AtoMig,
 //! normalized to each kernel's plain build, plus the geometric mean.
 
+#![forbid(unsafe_code)]
+
 use atomig_bench::{factor, render_table, BenchRecorder};
 use atomig_core::json::Value;
 use atomig_workloads::{

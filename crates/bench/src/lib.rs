@@ -16,6 +16,8 @@
 //! throughput over growing modules, model-checker throughput, interpreter
 //! throughput, and frontend throughput.
 
+#![forbid(unsafe_code)]
+
 use atomig_core::json::Value;
 use atomig_core::{BarrierCensus, PipelineMetrics};
 use std::fmt::Write as _;

@@ -13,6 +13,8 @@
 //! $ atomig metrics run.jsonl        # validate an --emit-metrics stream
 //! ```
 
+#![forbid(unsafe_code)]
+
 use atomig_core::json::Value;
 use atomig_core::trace::{
     self, checker_event, decision_event, finding_event, meta_event, phase_event, solver_event,

@@ -1,5 +1,7 @@
 //! The `atomig` binary. See [`atomig_cli`] for the command surface.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -52,6 +52,8 @@
 //! assert!(report.implicit_barriers_added >= 2); // both flag accesses
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod annotations;
 pub mod config;

@@ -17,7 +17,8 @@ use atomig_analysis::{
 use atomig_core::annotations::loc_of;
 use atomig_core::{AtomigConfig, Pipeline};
 use atomig_mir::{
-    BlockId, Function, GepIndex, Inst, InstId, InstKind, MemLoc, Module, Terminator, Type, Value,
+    BlockId, Function, GepIndex, Inst, InstId, InstKind, MemLoc, Module, Terminator, Type,
+    TypeKind, Value,
 };
 use atomig_workloads::profiles;
 use atomig_workloads::synth::{self, GenConfig};
@@ -107,8 +108,10 @@ impl<'f> Naive<'f> {
             Value::Global(g) => return MemLoc::Global(g, Vec::new()),
             Value::Param(i) => {
                 return match self.func.params.get(i as usize) {
-                    Some((_, Type::Ptr(p))) => MemLoc::Pointee((**p).clone()),
-                    _ => MemLoc::Unknown,
+                    Some((_, ty)) => ty
+                        .pointee()
+                        .map_or(MemLoc::Unknown, |&p| MemLoc::Pointee(p)),
+                    None => MemLoc::Unknown,
                 }
             }
             Value::Inst(id) => id,
@@ -117,35 +120,31 @@ impl<'f> Naive<'f> {
         match self.kind(id) {
             Some(InstKind::Alloca { .. }) => MemLoc::Stack(id),
             Some(InstKind::Cast { value, .. }) => self.loc(*value, depth - 1),
-            Some(InstKind::Load {
-                ty: Type::Ptr(p), ..
-            })
-            | Some(InstKind::Call {
-                ret_ty: Type::Ptr(p),
-                ..
-            }) => MemLoc::Pointee((**p).clone()),
+            Some(InstKind::Load { ty, .. } | InstKind::Call { ret_ty: ty, .. }) => ty
+                .pointee()
+                .map_or(MemLoc::Unknown, |&p| MemLoc::Pointee(p)),
             Some(InstKind::Gep {
                 base,
                 base_ty,
                 indices,
             }) => {
                 let path: Option<Vec<i64>> = indices.iter().map(GepIndex::as_const).collect();
-                let elem = |t: &Type| match t {
-                    Type::Array(e, _) => MemLoc::ArrayElem((**e).clone()),
-                    other => MemLoc::ArrayElem(other.clone()),
+                let elem = |t: Type| match t.kind() {
+                    TypeKind::Array(e, _) => MemLoc::ArrayElem(e),
+                    _ => MemLoc::ArrayElem(t),
                 };
-                match (self.loc(*base, depth - 1), base_ty, path) {
+                match (self.loc(*base, depth - 1), base_ty.kind(), path) {
                     (MemLoc::Global(g, mut prefix), _, Some(path)) => {
                         prefix.extend(path);
                         MemLoc::Global(g, prefix)
                     }
-                    (MemLoc::Global(..), t, None) => elem(t),
-                    (_, Type::Struct(s), Some(path)) if path.len() > 1 => {
-                        MemLoc::Field(*s, path[1..].to_vec())
+                    (MemLoc::Global(..), _, None) => elem(*base_ty),
+                    (_, TypeKind::Struct(s), Some(path)) if path.len() > 1 => {
+                        MemLoc::Field(s, path[1..].to_vec())
                     }
-                    (_, Type::Struct(s), _) => MemLoc::Field(*s, Vec::new()),
-                    (_, Type::Array(e, _), _) => MemLoc::ArrayElem((**e).clone()),
-                    (_, t, _) => elem(t),
+                    (_, TypeKind::Struct(s), _) => MemLoc::Field(s, Vec::new()),
+                    (_, TypeKind::Array(e, _), _) => MemLoc::ArrayElem(e),
+                    _ => elem(*base_ty),
                 }
             }
             _ => MemLoc::Unknown,
@@ -170,7 +169,11 @@ impl<'f> Naive<'f> {
             }
             d.insts.insert(id);
             let Some(kind) = self.kind(id) else { continue };
-            let read = kind.address().filter(|_| kind.may_read());
+            let read = match kind {
+                InstKind::Load { ptr, .. } | InstKind::Rmw { ptr, .. } => Some(*ptr),
+                InstKind::Cmpxchg(c) => Some(c.ptr),
+                _ => None,
+            };
             if let Some(ptr) = read {
                 match self.private_root(ptr) {
                     None => {

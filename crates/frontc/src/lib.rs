@@ -38,6 +38,8 @@
 //! assert_eq!(module.funcs.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod ast;
 pub mod lexer;

@@ -6,7 +6,7 @@
 //! Module-level names resolve through tables indexed by [`Sym`], locals
 //! through one binding stack, and struct fields through a
 //! `(StructId, Sym)` map. Types stay [`TyId`]s throughout; the MIR type of
-//! each is built once and cloned where an instruction needs it.
+//! each is built once, and instructions copy its 4-byte handle.
 
 use crate::asm::{classify, AsmIdiom};
 use crate::ast::*;
@@ -170,10 +170,10 @@ impl<'p> Cx<'p> {
     }
 
     /// The MIR type of `t`, built on first use.
-    fn mir_ref(&mut self, t: TyId) -> Result<&Type, LowerError> {
+    fn mir_type(&mut self, t: TyId) -> Result<Type, LowerError> {
         let i = t.0 as usize;
-        if self.mir.get(i).is_some_and(Option::is_some) {
-            return Ok(self.mir[i].as_ref().expect("just checked"));
+        if let Some(&Some(ty)) = self.mir.get(i) {
+            return Ok(ty);
         }
         let ty = match self.types[t] {
             CType::Void => Type::Void,
@@ -182,7 +182,7 @@ impl<'p> Cx<'p> {
             CType::Int => Type::I32,
             CType::Long => Type::I64,
             CType::Struct(name) => match self.structs[name.0 as usize] {
-                Some(sid) => Type::Struct(sid),
+                Some(sid) => Type::struct_of(sid),
                 None => return err(format!("unknown struct `{}`", &self.prog[name])),
             },
             CType::Ptr(p) => Type::ptr_to(self.mir_type(p)?),
@@ -191,11 +191,8 @@ impl<'p> Cx<'p> {
         if self.mir.len() <= i {
             self.mir.resize(self.types.len(), None);
         }
-        Ok(self.mir[i].insert(ty))
-    }
-
-    fn mir_type(&mut self, t: TyId) -> Result<Type, LowerError> {
-        self.mir_ref(t).cloned()
+        self.mir[i] = Some(ty);
+        Ok(ty)
     }
 
     fn mir_params(&mut self, params: List<Decl>) -> Result<Vec<(String, Type)>, LowerError> {
@@ -207,8 +204,7 @@ impl<'p> Cx<'p> {
     }
 
     fn slots_of(&mut self, t: TyId) -> Result<u32, LowerError> {
-        self.mir_ref(t)?;
-        let ty = self.mir[t.0 as usize].as_ref().expect("built above");
+        let ty = self.mir_type(t)?;
         Ok(ty.slot_count(&self.struct_sizes).max(1))
     }
 
@@ -332,7 +328,7 @@ impl<'c, 'p> FnLower<'c, 'p> {
         // clang -O0: copy every parameter into a stack slot.
         for (i, p) in prog[params].iter().enumerate() {
             let mty = fl.cx.mir_type(p.ty)?;
-            let slot = fl.b.alloca(mty.clone());
+            let slot = fl.b.alloca(mty);
             fl.b.store(mty, slot, Value::Param(i as u32));
             fl.cx.locals.bind(
                 p.name,
@@ -640,7 +636,7 @@ impl<'c, 'p> FnLower<'c, 'p> {
                 };
                 let sid = self.cx.struct_id(struct_name)?;
                 let (fi, fty) = self.cx.field_index(sid, struct_name, field)?;
-                let addr = self.b.field_addr(Type::Struct(sid), base_addr, fi);
+                let addr = self.b.field_addr(Type::struct_of(sid), base_addr, fi);
                 Ok(LV {
                     addr,
                     ty: fty,
@@ -673,7 +669,7 @@ impl<'c, 'p> FnLower<'c, 'p> {
                         // Fabricate an lvalue holding the pointer by
                         // spilling it (rare path).
                         let mty = self.cx.mir_type(rv.ty)?;
-                        let slot = self.b.alloca(mty.clone());
+                        let slot = self.b.alloca(mty);
                         self.b.store(mty, slot, rv.val);
                         Ok(LV {
                             addr: slot,

@@ -118,16 +118,6 @@ impl Function {
         index
     }
 
-    /// Finds the block containing instruction `id`, with its position.
-    pub fn position_of(&self, id: InstId) -> Option<(BlockId, usize)> {
-        for b in self.block_ids() {
-            if let Some(pos) = self.block(b).insts.iter().position(|i| i.id == id) {
-                return Some((b, pos));
-            }
-        }
-        None
-    }
-
     /// Total number of instructions across all blocks.
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
@@ -248,7 +238,7 @@ mod tests {
         let f = sample();
         assert_eq!(f.inst_count(), 2);
         let idx = f.inst_index();
-        assert!(idx.get(InstId(0)).unwrap().may_read());
+        assert!(matches!(idx.get(InstId(0)), Some(InstKind::Load { .. })));
         assert!(idx.get(InstId(1)).unwrap().may_write());
         assert_eq!(idx.block_of(InstId(1)), Some(BlockId(0)));
         assert_eq!(idx.inst(InstId(1)).unwrap().id, InstId(1));
@@ -313,10 +303,11 @@ mod tests {
     }
 
     #[test]
-    fn position_lookup() {
+    fn block_lookup() {
         let f = sample();
-        assert_eq!(f.position_of(InstId(1)), Some((BlockId(0), 1)));
-        assert_eq!(f.position_of(InstId(99)), None);
+        let idx = f.inst_index();
+        assert_eq!(idx.block_of(InstId(1)), Some(BlockId(0)));
+        assert_eq!(idx.block_of(InstId(99)), None);
     }
 
     #[test]

@@ -377,10 +377,10 @@ pub struct Cmpxchg {
 
 /// The operation performed by an instruction.
 ///
-/// 56 bytes, so an [`Inst`] is 64: the widest inline variants (`Store`,
-/// `Rmw`, `Call`, `Gep`) carry 48 bytes of operands and types next to
-/// their tag. Rare variants whose payload would be wider keep it behind
-/// a box ([`InstKind::Cmpxchg`], `Gep`'s index path).
+/// 40 bytes, so an [`Inst`] is 48: the widest inline variants (`Store`,
+/// `Rmw`) carry 38 bytes of operands, a 4-byte [`Type`] handle and flags
+/// next to their tag. Rare variants whose payload would be wider keep it
+/// behind a box ([`InstKind::Cmpxchg`], `Gep`'s index path).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum InstKind {
     /// Reserve a stack slot of `ty`; the result is its address.
@@ -504,14 +504,6 @@ impl InstKind {
         matches!(
             self,
             InstKind::Store { .. } | InstKind::Cmpxchg { .. } | InstKind::Rmw { .. }
-        )
-    }
-
-    /// Returns `true` for loads, cmpxchg and RMW (anything that reads).
-    pub fn may_read(&self) -> bool {
-        matches!(
-            self,
-            InstKind::Load { .. } | InstKind::Cmpxchg { .. } | InstKind::Rmw { .. }
         )
     }
 
@@ -760,7 +752,6 @@ mod tests {
             volatile: false,
         };
         assert!(load.is_memory_access());
-        assert!(load.may_read());
         assert!(!load.may_write());
         let fence = InstKind::Fence {
             ord: Ordering::SeqCst,
@@ -780,7 +771,7 @@ mod tests {
             ty: Type::I64,
             ord: Ordering::SeqCst,
         };
-        assert!(rmw.may_read() && rmw.may_write());
+        assert!(rmw.is_memory_access() && rmw.may_write());
     }
 
     #[test]

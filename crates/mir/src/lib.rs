@@ -48,6 +48,8 @@
 //! # Ok::<(), atomig_mir::parser::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod func;
 pub mod fxhash;
@@ -69,6 +71,6 @@ pub use inst::{
 pub use loc::MemLoc;
 pub use module::{FuncId, GlobalDef, GlobalId, Module, StructDef, StructId};
 pub use parser::parse_module;
-pub use types::Type;
+pub use types::{Type, TypeKind};
 pub use value::Value;
 pub use verify::{verify_module, VerifyError};

@@ -10,7 +10,7 @@
 use crate::func::{InstId, InstIndex};
 use crate::inst::{GepIndex, InstKind};
 use crate::module::{GlobalId, StructId};
-use crate::types::Type;
+use crate::types::{Type, TypeKind};
 use crate::value::Value;
 use std::fmt;
 
@@ -84,8 +84,8 @@ fn resolve_loc_depth(index: &InstIndex<'_>, ptr: Value, depth: u32) -> MemLoc {
     match ptr {
         Value::Global(g) => MemLoc::Global(g, Vec::new()),
         Value::Param(i) => match index.func().params.get(i as usize) {
-            Some((_, Type::Ptr(p))) => MemLoc::Pointee((**p).clone()),
-            _ => MemLoc::Unknown,
+            Some((_, ty)) => pointee_key(*ty),
+            None => MemLoc::Unknown,
         },
         Value::Inst(id) => match index.get(id) {
             Some(InstKind::Alloca { .. }) => MemLoc::Stack(id),
@@ -93,17 +93,11 @@ fn resolve_loc_depth(index: &InstIndex<'_>, ptr: Value, depth: u32) -> MemLoc {
                 base,
                 base_ty,
                 indices,
-            }) => resolve_gep(index, *base, base_ty, indices, depth - 1),
+            }) => resolve_gep(index, *base, *base_ty, indices, depth - 1),
             Some(InstKind::Cast { value, .. }) => resolve_loc_depth(index, *value, depth - 1),
             // A pointer loaded from memory or returned by a call: all we
             // know is its type.
-            Some(InstKind::Load {
-                ty: Type::Ptr(p), ..
-            })
-            | Some(InstKind::Call {
-                ret_ty: Type::Ptr(p),
-                ..
-            }) => MemLoc::Pointee((**p).clone()),
+            Some(InstKind::Load { ty, .. } | InstKind::Call { ret_ty: ty, .. }) => pointee_key(*ty),
             _ => MemLoc::Unknown,
         },
         _ => MemLoc::Unknown,
@@ -113,13 +107,13 @@ fn resolve_loc_depth(index: &InstIndex<'_>, ptr: Value, depth: u32) -> MemLoc {
 fn resolve_gep(
     index: &InstIndex<'_>,
     base: Value,
-    base_ty: &Type,
+    base_ty: Type,
     indices: &[GepIndex],
     depth: u32,
 ) -> MemLoc {
     let const_path: Option<Vec<i64>> = indices.iter().map(GepIndex::as_const).collect();
     let base_loc = resolve_loc_depth(index, base, depth);
-    match (&base_loc, base_ty) {
+    match (&base_loc, base_ty.kind()) {
         // GEP into a global: fold the (constant) path into the global key.
         (MemLoc::Global(g, prefix), _) => match const_path {
             Some(path) => {
@@ -127,28 +121,34 @@ fn resolve_gep(
                 full.extend(path);
                 MemLoc::Global(*g, full)
             }
-            None => elem_key(base_ty, indices),
+            None => elem_key(base_ty),
         },
         // GEP through an arbitrary pointer to a struct: type+offset key,
         // the paper's signature scheme.
-        (_, Type::Struct(sid)) => match const_path {
+        (_, TypeKind::Struct(sid)) => match const_path {
             // Leading index scales whole objects; drop it from the field key
             // (node[i].field and node->field are the same field).
-            Some(path) if path.len() > 1 => MemLoc::Field(*sid, path[1..].to_vec()),
-            _ => MemLoc::Field(*sid, Vec::new()),
+            Some(path) if path.len() > 1 => MemLoc::Field(sid, path[1..].to_vec()),
+            _ => MemLoc::Field(sid, Vec::new()),
         },
-        (_, Type::Array(elem, _)) => MemLoc::ArrayElem((**elem).clone()),
-        // GEP through a scalar pointer (pointer arithmetic on T*): treat as
-        // a dynamic element of a T array.
-        (_, other) => elem_key(other, indices),
+        // GEP into an array, or through a scalar pointer (pointer
+        // arithmetic on T*, a dynamic element of a T array).
+        _ => elem_key(base_ty),
     }
 }
 
-fn elem_key(base_ty: &Type, _indices: &[GepIndex]) -> MemLoc {
-    match base_ty {
-        Type::Array(elem, _) => MemLoc::ArrayElem((**elem).clone()),
-        other => MemLoc::ArrayElem(other.clone()),
+fn elem_key(base_ty: Type) -> MemLoc {
+    match base_ty.kind() {
+        TypeKind::Array(elem, _) => MemLoc::ArrayElem(elem),
+        _ => MemLoc::ArrayElem(base_ty),
     }
+}
+
+/// The key of a pointer of type `ty` that is all we know about: its
+/// pointee, or `Unknown` if `ty` is not a pointer.
+fn pointee_key(ty: Type) -> MemLoc {
+    ty.pointee()
+        .map_or(MemLoc::Unknown, |&p| MemLoc::Pointee(p))
 }
 
 #[cfg(test)]
@@ -185,17 +185,17 @@ mod tests {
         let sid = StructId(0);
         let mut b = FunctionBuilder::new(
             "f",
-            vec![("n".into(), Type::ptr_to(Type::Struct(sid)))],
+            vec![("n".into(), Type::ptr_to(Type::struct_of(sid)))],
             Type::Void,
         );
         // n->field1  and  n[5].field1 must produce the same key
         let a1 = b.gep(
-            Type::Struct(sid),
+            Type::struct_of(sid),
             Value::Param(0),
             vec![GepIndex::Const(0), GepIndex::Const(1)],
         );
         let a2 = b.gep(
-            Type::Struct(sid),
+            Type::struct_of(sid),
             Value::Param(0),
             vec![GepIndex::Const(5), GepIndex::Const(1)],
         );
@@ -254,11 +254,11 @@ mod tests {
     fn loaded_pointer_is_pointee_typed() {
         let sid = StructId(2);
         let mut b = FunctionBuilder::new("f", vec![], Type::Void);
-        let slot = b.alloca(Type::ptr_to(Type::Struct(sid)));
-        let p = b.load(Type::ptr_to(Type::Struct(sid)), slot);
+        let slot = b.alloca(Type::ptr_to(Type::struct_of(sid)));
+        let p = b.load(Type::ptr_to(Type::struct_of(sid)), slot);
         // node->field0
         let a = b.gep(
-            Type::Struct(sid),
+            Type::struct_of(sid),
             p,
             vec![GepIndex::Const(0), GepIndex::Const(0)],
         );

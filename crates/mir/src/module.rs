@@ -1,7 +1,7 @@
 //! Modules, globals and named struct types.
 
 use crate::func::Function;
-use crate::types::Type;
+use crate::types::{Type, TypeKind};
 use std::fmt;
 
 /// Id of a global variable, indexing [`Module::globals`].
@@ -149,14 +149,6 @@ impl Module {
             .map(|i| GlobalId(i as u32))
     }
 
-    /// Finds a struct by name.
-    pub fn struct_by_name(&self, name: &str) -> Option<StructId> {
-        self.structs
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| StructId(i as u32))
-    }
-
     /// Function ids in index order.
     pub fn func_ids(&self) -> impl Iterator<Item = FuncId> + '_ {
         (0..self.funcs.len() as u32).map(FuncId)
@@ -170,10 +162,10 @@ impl Module {
         for (i, s) in self.structs.iter().enumerate() {
             let mut total = 0;
             for fld in &s.fields {
-                total += match fld {
-                    Type::Struct(sid) if (sid.0 as usize) < i => sizes[sid.0 as usize],
-                    Type::Struct(_) => 1,
-                    other => other.slot_count(&sizes),
+                total += match fld.kind() {
+                    TypeKind::Struct(sid) if (sid.0 as usize) < i => sizes[sid.0 as usize],
+                    TypeKind::Struct(_) => 1,
+                    _ => fld.slot_count(&sizes),
                 };
             }
             sizes[i] = total;
@@ -209,7 +201,6 @@ mod tests {
         assert_eq!(m.func(f).name, "main");
         assert_eq!(m.func_by_name("main"), Some(f));
         assert_eq!(m.global_by_name("flag"), Some(g));
-        assert_eq!(m.struct_by_name("Node"), Some(s));
         assert_eq!(m.func_by_name("absent"), None);
     }
 
@@ -222,7 +213,11 @@ mod tests {
         });
         m.add_struct(StructDef {
             name: "Outer".into(),
-            fields: vec![Type::Struct(inner), Type::I64, Type::array_of(Type::I8, 3)],
+            fields: vec![
+                Type::struct_of(inner),
+                Type::I64,
+                Type::array_of(Type::I8, 3),
+            ],
         });
         let sizes = m.struct_slot_sizes();
         assert_eq!(sizes, vec![2, 6]);

@@ -404,11 +404,12 @@ fn parse_type(lx: &mut Lexer, names: &Names) -> Result<Type, ParseError> {
         Some(Tok::Percent(n)) => names
             .structs
             .get(&n)
-            .map(|sid| Type::Struct(*sid))
+            .map(|&sid| Type::struct_of(sid))
             .ok_or_else(|| lx.err(format!("unknown struct `%{n}`"))),
         Some(Tok::LBracket) => {
             let n = match lx.next() {
-                Some(Tok::Int(v)) if v >= 0 => v as u32,
+                Some(Tok::Int(v)) if v >= 0 => u32::try_from(v)
+                    .map_err(|_| lx.err(format!("array length {v} out of range")))?,
                 got => return Err(lx.err(format!("expected array length, got {got:?}"))),
             };
             let x = lx.expect_ident()?;
@@ -859,7 +860,7 @@ mod tests {
             InstKind::Gep {
                 base_ty, indices, ..
             } => {
-                assert_eq!(*base_ty, Type::Struct(StructId(0)));
+                assert_eq!(*base_ty, Type::struct_of(StructId(0)));
                 assert_eq!(indices.len(), 2);
             }
             other => panic!("expected gep, got {other:?}"),

@@ -13,7 +13,7 @@
 use crate::func::Function;
 use crate::inst::{Callee, GepIndex, InstKind, Ordering, Terminator};
 use crate::module::Module;
-use crate::types::Type;
+use crate::types::{Type, TypeKind};
 use crate::value::Value;
 
 /// Where the writers put text: the output bytes, or a [`Len`] that only
@@ -92,13 +92,6 @@ impl Sink for Len {
     }
 }
 
-/// The text the writers pushed into `bytes`.
-fn into_text(bytes: Vec<u8>) -> String {
-    // The sink only ever receives whole `str`s and ASCII bytes, so the
-    // check passes and the lossy branch is never taken.
-    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
-}
-
 /// Prints a whole module in the textual format accepted by
 /// [`parse_module`](crate::parse_module). The result has no spare
 /// capacity.
@@ -108,14 +101,9 @@ pub fn print_module(m: &Module) -> String {
     let mut out = Vec::with_capacity(len.0);
     write_module(&mut out, m);
     debug_assert_eq!(out.len(), len.0, "length pass disagrees with the text");
-    into_text(out)
-}
-
-/// Prints one function.
-pub fn print_function(m: &Module, f: &Function) -> String {
-    let mut out = Vec::new();
-    write_function(&mut out, m, f);
-    into_text(out)
+    // The sink only ever receives whole `str`s and ASCII bytes, so the
+    // check passes and the lossy branch is never taken.
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 fn write_module(out: &mut impl Sink, m: &Module) {
@@ -130,7 +118,7 @@ fn write_module(out: &mut impl Sink, m: &Module) {
             if i > 0 {
                 out.push_str(", ");
             }
-            write_type(out, m, t);
+            write_type(out, m, *t);
         }
         out.push_str(" }\n");
     }
@@ -138,7 +126,7 @@ fn write_module(out: &mut impl Sink, m: &Module) {
         out.push_str("global @");
         out.push_str(&g.name);
         out.push_str(": ");
-        write_type(out, m, &g.ty);
+        write_type(out, m, g.ty);
         out.push_str(" = ");
         if g.init.iter().all(|&v| v == 0) {
             out.push(b'0');
@@ -192,10 +180,10 @@ fn write_function(out: &mut impl Sink, m: &Module, f: &Function) {
         out.push(b'%');
         out.push_str(n);
         out.push_str(": ");
-        write_type(out, m, t);
+        write_type(out, m, *t);
     }
     out.push_str(") : ");
-    write_type(out, m, &f.ret);
+    write_type(out, m, f.ret);
     out.push_str(" {\n");
     for (i, b) in f.blocks.iter().enumerate() {
         write_id(out, "bb", i as u32);
@@ -216,27 +204,27 @@ fn write_function(out: &mut impl Sink, m: &Module, f: &Function) {
 }
 
 /// Appends a type, naming structs.
-fn write_type(out: &mut impl Sink, m: &Module, t: &Type) {
-    match t {
-        Type::Void => out.push_str("void"),
-        Type::I1 => out.push_str("i1"),
-        Type::I8 => out.push_str("i8"),
-        Type::I16 => out.push_str("i16"),
-        Type::I32 => out.push_str("i32"),
-        Type::I64 => out.push_str("i64"),
-        Type::Struct(sid) => match m.structs.get(sid.0 as usize) {
+fn write_type(out: &mut impl Sink, m: &Module, t: Type) {
+    match t.kind() {
+        TypeKind::Void => out.push_str("void"),
+        TypeKind::I1 => out.push_str("i1"),
+        TypeKind::I8 => out.push_str("i8"),
+        TypeKind::I16 => out.push_str("i16"),
+        TypeKind::I32 => out.push_str("i32"),
+        TypeKind::I64 => out.push_str("i64"),
+        TypeKind::Struct(sid) => match m.structs.get(sid.0 as usize) {
             Some(s) => {
                 out.push(b'%');
                 out.push_str(&s.name);
             }
             None => write_id(out, "%s", sid.0),
         },
-        Type::Ptr(p) => {
+        TypeKind::Ptr(p) => {
             out.push_str("ptr ");
             write_type(out, m, p);
         }
-        Type::Array(e, n) => {
-            write_id(out, "[", *n);
+        TypeKind::Array(e, n) => {
+            write_id(out, "[", n);
             out.push_str(" x ");
             write_type(out, m, e);
             out.push(b']');
@@ -310,7 +298,7 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
     match kind {
         InstKind::Alloca { ty } => {
             out.push_str("alloca ");
-            write_type(out, m, ty);
+            write_type(out, m, *ty);
         }
         InstKind::Load {
             ptr,
@@ -319,7 +307,7 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             volatile,
         } => {
             out.push_str("load ");
-            write_type(out, m, ty);
+            write_type(out, m, *ty);
             out.push_str(", ");
             write_value(out, m, f, *ptr);
             write_ord(out, *ord);
@@ -333,7 +321,7 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             volatile,
         } => {
             out.push_str("store ");
-            write_type(out, m, ty);
+            write_type(out, m, *ty);
             out.push(b' ');
             write_value(out, m, f, *val);
             out.push_str(", ");
@@ -343,7 +331,7 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
         }
         InstKind::Cmpxchg(c) => {
             out.push_str("cmpxchg ");
-            write_type(out, m, &c.ty);
+            write_type(out, m, c.ty);
             out.push(b' ');
             write_values(out, m, f, &[c.ptr, c.expected, c.new]);
             write_ord(out, c.ord);
@@ -358,7 +346,7 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             out.push_str("rmw ");
             out.push_str(op.mnemonic());
             out.push(b' ');
-            write_type(out, m, ty);
+            write_type(out, m, *ty);
             out.push(b' ');
             write_values(out, m, f, &[*ptr, *val]);
             write_ord(out, *ord);
@@ -373,7 +361,7 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             indices,
         } => {
             out.push_str("gep ");
-            write_type(out, m, base_ty);
+            write_type(out, m, *base_ty);
             out.push_str(", ");
             write_value(out, m, f, *base);
             out.push_str(", ");
@@ -402,7 +390,7 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             out.push_str("cast ");
             write_value(out, m, f, *value);
             out.push_str(" to ");
-            write_type(out, m, to);
+            write_type(out, m, *to);
         }
         InstKind::Call {
             callee,
@@ -410,7 +398,7 @@ fn write_inst(out: &mut impl Sink, m: &Module, f: &Function, kind: &InstKind, id
             ret_ty,
         } => {
             out.push_str("call ");
-            write_type(out, m, ret_ty);
+            write_type(out, m, *ret_ty);
             out.push_str(" @");
             match callee {
                 Callee::Func(fid) => write_func_name(out, m, fid.0),
@@ -510,22 +498,22 @@ mod tests {
             name: "pair".into(),
             fields: vec![Type::I64, Type::ptr_to(Type::ptr_to(Type::I8))],
         });
-        let pair_ty = Type::Struct(pair);
+        let pair_ty = Type::struct_of(pair);
         let ints = [0, 9, 10, 99, 100, i64::from(u32::MAX), i64::MIN, i64::MAX];
         let g = m.add_global(GlobalDef {
             name: "table".into(),
             ty: Type::array_of(Type::I64, ints.len() as u32),
             init: ints.to_vec(),
         });
-        let params = vec![("p".to_string(), Type::ptr_to(pair_ty.clone()))];
-        let mut b = FunctionBuilder::new("f", params, Type::ptr_to(Type::ptr_to(pair_ty.clone())));
+        let params = vec![("p".to_string(), Type::ptr_to(pair_ty))];
+        let mut b = FunctionBuilder::new("f", params, Type::ptr_to(Type::ptr_to(pair_ty)));
         for (line, &c) in ints.iter().enumerate() {
             b.set_line([0, 1, 9, 10, 99, 100, u32::MAX, 12345][line]);
             b.store(Type::I64, Value::Global(g), Value::Const(c));
         }
         b.set_line(0);
         let neg = [GepIndex::Const(-1), GepIndex::Const(i64::MIN)];
-        let field = b.gep(pair_ty.clone(), Value::Param(0), neg.to_vec());
+        let field = b.gep(pair_ty, Value::Param(0), neg.to_vec());
         b.cmpxchg(
             Type::I64,
             field,

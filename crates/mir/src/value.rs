@@ -57,14 +57,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The global id, if this value is the address of a global.
-    pub fn as_global(&self) -> Option<GlobalId> {
-        match self {
-            Value::Global(g) => Some(*g),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -102,7 +94,7 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Value::Inst(InstId(3)).as_inst(), Some(InstId(3)));
-        assert_eq!(Value::Global(GlobalId(2)).as_global(), Some(GlobalId(2)));
+        assert_eq!(Value::Global(GlobalId(2)).as_inst(), None);
         assert_eq!(Value::Const(0).as_inst(), None);
     }
 

@@ -14,7 +14,7 @@ use crate::func::Function;
 use crate::fxhash::FxBuild;
 use crate::inst::{Builtin, Callee, GepIndex, InstKind, Terminator};
 use crate::module::Module;
-use crate::types::Type;
+use crate::types::{Type, TypeKind};
 use crate::value::Value;
 use std::collections::HashSet;
 use std::error::Error;
@@ -207,17 +207,17 @@ fn verify_function(m: &Module, f: &Function, defined: &mut Vec<Def>) -> Result<(
                     if indices.is_empty() {
                         return Err(format!("gep with no indices ({bid})"));
                     }
-                    if let Type::Struct(sid) = base_ty {
+                    if let TypeKind::Struct(sid) = base_ty.kind() {
                         if sid.0 as usize >= m.structs.len() {
                             return Err(format!("gep into unknown struct {sid} ({bid})"));
                         }
                         // Constant field indices must be in range.
                         if let Some(fi) = indices.get(1).and_then(|i| i.as_const()) {
-                            let nfields = m.strukt(*sid).fields.len() as i64;
+                            let nfields = m.strukt(sid).fields.len() as i64;
                             if fi < 0 || fi >= nfields {
                                 return Err(format!(
                                     "gep field index {fi} out of range for %{} ({bid})",
-                                    m.strukt(*sid).name
+                                    m.strukt(sid).name
                                 ));
                             }
                         }
@@ -277,7 +277,7 @@ fn verify_function(m: &Module, f: &Function, defined: &mut Vec<Def>) -> Result<(
             }
         }
         if let Terminator::Ret(v) = term {
-            match (v, &f.ret) {
+            match (v, f.ret) {
                 (None, Type::Void) => {}
                 (Some(_), Type::Void) => {
                     return Err(format!("returning a value from a void function ({b})"))
@@ -399,12 +399,12 @@ mod tests {
         });
         m.add_global(GlobalDef {
             name: "s".into(),
-            ty: Type::Struct(sid),
+            ty: Type::struct_of(sid),
             init: vec![0],
         });
         let mut b = FunctionBuilder::new("f", vec![], Type::Void);
         b.field_addr(
-            Type::Struct(sid),
+            Type::struct_of(sid),
             Value::Global(crate::module::GlobalId(0)),
             5,
         );

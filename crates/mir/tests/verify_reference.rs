@@ -29,7 +29,8 @@ use atomig_workloads::synth::{self, GenConfig};
 
 mod reference {
     use atomig_mir::{
-        Builtin, Callee, Function, InstId, InstKind, Module, Terminator, Type, Value, VerifyError,
+        Builtin, Callee, Function, InstId, InstKind, Module, Terminator, Type, TypeKind, Value,
+        VerifyError,
     };
     use std::collections::HashSet;
 
@@ -128,17 +129,17 @@ mod reference {
                     if indices.is_empty() {
                         return Err(format!("gep with no indices ({bid})"));
                     }
-                    if let Type::Struct(sid) = base_ty {
+                    if let TypeKind::Struct(sid) = base_ty.kind() {
                         if sid.0 as usize >= m.structs.len() {
                             return Err(format!("gep into unknown struct {sid} ({bid})"));
                         }
                         // Constant field indices must be in range.
                         if let Some(fi) = indices.get(1).and_then(|i| i.as_const()) {
-                            let nfields = m.strukt(*sid).fields.len() as i64;
+                            let nfields = m.strukt(sid).fields.len() as i64;
                             if fi < 0 || fi >= nfields {
                                 return Err(format!(
                                     "gep field index {fi} out of range for %{} ({bid})",
-                                    m.strukt(*sid).name
+                                    m.strukt(sid).name
                                 ));
                             }
                         }
@@ -187,7 +188,7 @@ mod reference {
                 }
             }
             if let Terminator::Ret(v) = term {
-                match (v, &f.ret) {
+                match (v, f.ret) {
                     (None, Type::Void) => {}
                     (Some(_), Type::Void) => {
                         return Err(format!("returning a value from a void function ({b})"))
@@ -424,7 +425,7 @@ fn mutate(m: &mut Module, edit: usize, rng: &mut Rng) -> bool {
             };
             match rng.gen_usize(3) {
                 0 => *indices = Box::new([]),
-                1 => *base_ty = Type::Struct(StructId(nstructs as u32)),
+                1 => *base_ty = Type::struct_of(StructId(nstructs as u32)),
                 _ => {
                     let mut path = indices.to_vec();
                     let field = if rng.gen_ratio(1, 2) { -1 } else { 1000 };

@@ -8,6 +8,8 @@
 //! release, which is exactly what reproducible workload generation and
 //! shrunk-regression pinning need.
 
+#![forbid(unsafe_code)]
+
 /// A deterministic SplitMix64 generator.
 ///
 /// SplitMix64 (Steele, Lea & Flood, OOPSLA '14) passes BigCrush, needs

@@ -13,7 +13,7 @@
 use crate::mem::Layout;
 use atomig_mir::{
     BinOp, BlockId, Builtin, Callee, CmpPred, FuncId, Function, GepIndex, InstId, InstKind, Module,
-    Ordering, RmwOp, Terminator, Type, Value,
+    Ordering, RmwOp, Terminator, Type, TypeKind, Value,
 };
 
 /// One dynamic GEP term: `eval(value) * stride`.
@@ -283,7 +283,7 @@ fn compile_inst(module: &Module, layout: &Layout, id: InstId, kind: &InstKind) -
     match kind {
         InstKind::Alloca { ty, .. } => CInst::Alloca {
             id,
-            slots: layout.slots(ty).max(1),
+            slots: layout.slots(*ty).max(1),
         },
         InstKind::Load { ptr, ord, .. } => CInst::Load {
             id,
@@ -317,7 +317,7 @@ fn compile_inst(module: &Module, layout: &Layout, id: InstId, kind: &InstKind) -
             base_ty,
             indices,
         } => {
-            let (const_off, dyn_terms) = compile_gep(module, layout, base_ty, indices);
+            let (const_off, dyn_terms) = compile_gep(module, layout, *base_ty, indices);
             CInst::Gep {
                 id,
                 base: *base,
@@ -365,31 +365,29 @@ fn compile_inst(module: &Module, layout: &Layout, id: InstId, kind: &InstKind) -
 fn compile_gep(
     module: &Module,
     layout: &Layout,
-    base_ty: &Type,
+    base_ty: Type,
     indices: &[GepIndex],
 ) -> (i64, Vec<DynTerm>) {
     let mut const_off: i64 = 0;
     let mut dyn_terms = Vec::new();
-    let mut cur = base_ty.clone();
+    let mut cur = base_ty;
     for (i, idx) in indices.iter().enumerate() {
-        let (stride, next): (i64, Type) = if i == 0 {
-            (layout.slots(&cur).max(1) as i64, cur.clone())
-        } else {
-            match &cur {
-                Type::Struct(sid) => {
-                    // Struct field indices are structurally constant.
-                    let fi = idx.as_const().unwrap_or(0).max(0) as usize;
-                    let fields = &module.strukt(*sid).fields;
-                    let fi = fi.min(fields.len().saturating_sub(1));
-                    let prefix: u64 = fields[..fi].iter().map(|t| layout.slots(t)).sum();
-                    const_off += prefix as i64;
-                    cur = fields[fi].clone();
-                    continue;
-                }
-                Type::Array(elem, _) => (layout.slots(elem).max(1) as i64, (**elem).clone()),
-                other => (layout.slots(other).max(1) as i64, other.clone()),
+        let next = match cur.kind() {
+            _ if i == 0 => cur,
+            TypeKind::Struct(sid) => {
+                // Struct field indices are structurally constant.
+                let fi = idx.as_const().unwrap_or(0).max(0) as usize;
+                let fields = &module.strukt(sid).fields;
+                let fi = fi.min(fields.len().saturating_sub(1));
+                let prefix: u64 = fields[..fi].iter().map(|&t| layout.slots(t)).sum();
+                const_off += prefix as i64;
+                cur = fields[fi];
+                continue;
             }
+            TypeKind::Array(elem, _) => elem,
+            _ => cur,
         };
+        let stride = layout.slots(next).max(1) as i64;
         match idx.as_const() {
             Some(c) => const_off += c * stride,
             None => dyn_terms.push(DynTerm {

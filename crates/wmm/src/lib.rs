@@ -36,6 +36,8 @@
 //! assert!(verdict.passed());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checker;
 pub mod compiled;
 pub mod cost;

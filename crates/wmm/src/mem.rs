@@ -55,7 +55,7 @@ impl Layout {
     }
 
     /// Slots occupied by `ty`.
-    pub fn slots(&self, ty: &Type) -> u64 {
+    pub fn slots(&self, ty: Type) -> u64 {
         ty.slot_count(&self.struct_sizes) as u64
     }
 

@@ -18,6 +18,8 @@
 //! * [`synth`] + [`profiles`] — the seeded synthetic-codebase generator
 //!   reproducing the Table 3 pattern census at 1:100 scale.
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod ck;
 pub mod clht;

@@ -7,6 +7,8 @@
 //! Start with [`atomig_core`] for the paper's contribution, or run
 //! `cargo run --example quickstart`.
 
+#![forbid(unsafe_code)]
+
 pub use atomig_analysis as analysis;
 pub use atomig_core as core;
 pub use atomig_frontc as frontc;

@@ -88,8 +88,9 @@ fn printed_modules_are_exactly_sized() {
     }
 }
 
-/// An instruction is 64 bytes: the 56-byte `InstKind`, its id and its
-/// span. On MariaDB at 1:10 (1.03 M instructions) lowered code is 31.6 %
+/// An instruction is 48 bytes: the 40-byte `InstKind`, its id and its
+/// span. A type is a 4-byte handle, so the widest inline variants
+/// (`Store`, `Rmw`, `Call`) fit two 16-byte values or a `Vec` beside it. On MariaDB at 1:10 (1.03 M instructions) lowered code is 31.6 %
 /// loads, 22.9 % binary ops, 21.3 % stores, 10.6 % allocas, 8.8 %
 /// compares, 4.4 % casts and 0.3 % calls, while `cmpxchg` (0.06 %), `gep`
 /// (0.03 %) and `rmw` (0.01 %) are rare. So `cmpxchg`'s payload is boxed
@@ -97,8 +98,10 @@ fn printed_modules_are_exactly_sized() {
 /// variant would cost every instruction 16 bytes more.
 #[test]
 fn instruction_layout_is_pinned() {
-    assert_eq!(size_of::<InstKind>(), 56);
-    assert_eq!(size_of::<Inst>(), 64);
+    assert_eq!(size_of::<Type>(), 4);
+    assert_eq!(size_of::<Value>(), 16);
+    assert_eq!(size_of::<InstKind>(), 40);
+    assert_eq!(size_of::<Inst>(), 48);
 }
 
 #[test]
